@@ -43,7 +43,33 @@ DEFAULT_CONFIG = {
     "out_dir": "runs",
 }
 
-_SCHEMA_KEYS = {k: type(v) for k, v in DEFAULT_CONFIG.items()}
+# integer keys with their inclusive (low, high) range; None = unbounded
+_INT_RANGES = {"epochs": (1, 1000), "n_runs": (1, None), "base_seed": (0, None),
+               "n_interior": (1, None), "n_boundary": (1, None)}
+_POSITIVE_NUMBERS = ("output_scale", "eps", "grad_step")
+
+
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
+
+
+def _check_types(cfg: dict) -> None:
+    for key, (lo, hi) in _INT_RANGES.items():
+        val = cfg[key]
+        if not _is_int(val) or val < lo or (hi is not None and val > hi):
+            rng = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
+            raise ConfigError(f"{key} must be an integer {rng}, got {val!r}")
+    for key in _POSITIVE_NUMBERS:
+        val = cfg[key]
+        if not _is_number(val) or val <= 0:
+            raise ConfigError(f"{key} must be a finite positive number, got {val!r}")
+    val = cfg["checkpoint_every"]
+    if val is not None and (not _is_int(val) or val < 1):
+        raise ConfigError(f"checkpoint_every must be null or a positive integer, got {val!r}")
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
@@ -54,7 +80,7 @@ def load_config(path: str | None, overrides: dict) -> dict:
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
         for key, val in doc.items():
-            if key not in _SCHEMA_KEYS:
+            if key not in DEFAULT_CONFIG:
                 raise ConfigError(f"unknown config key {key!r}")
             if key in ("market", "weights"):
                 if not isinstance(val, dict):
@@ -62,17 +88,21 @@ def load_config(path: str | None, overrides: dict) -> dict:
                 unknown = set(val) - set(DEFAULT_CONFIG[key])
                 if unknown:
                     raise ConfigError(f"unknown {key} keys {sorted(unknown)}")
+                bad = sorted(k for k, v in val.items() if not _is_number(v))
+                if bad:
+                    raise ConfigError(f"{key} values {bad} must be finite numbers")
                 cfg[key].update({k: float(v) for k, v in val.items()})
             else:
                 cfg[key] = val
     cfg.update({k: v for k, v in overrides.items() if v is not None})
+    if not isinstance(cfg["models"], list) or not cfg["models"]:
+        raise ConfigError(f"models must be a non-empty list, got {cfg['models']!r}")
     for kind in cfg["models"]:
         if kind not in models.KINDS:
             raise ConfigError(f"unknown model kind {kind!r}")
-    if not isinstance(cfg["epochs"], int) or not 1 <= cfg["epochs"] <= 1000:
-        raise ConfigError("epochs must be an integer in [1, 1000]")
-    if not isinstance(cfg["n_runs"], int) or cfg["n_runs"] < 1:
-        raise ConfigError("n_runs must be a positive integer")
+    if not isinstance(cfg["out_dir"], str) or not cfg["out_dir"]:
+        raise ConfigError(f"out_dir must be a non-empty string, got {cfg['out_dir']!r}")
+    _check_types(cfg)
     return cfg
 
 

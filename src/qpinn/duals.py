@@ -10,7 +10,7 @@ arrays for speed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import math
 
 import numpy as np
@@ -273,8 +273,6 @@ def _param_occurrences(gates, index, prefix=()):
 
 
 def _replace_angle(circuit, path, new_angle):
-    from dataclasses import replace
-
     def rebuild(gate, rest):
         if not rest:
             return replace(gate, angle=new_angle)
@@ -283,6 +281,4 @@ def _replace_angle(circuit, path, new_angle):
     gates = list(circuit.gates)
     i = path[0]
     gates[i] = rebuild(gates[i], path[1:])
-    from dataclasses import replace as _rep
-
-    return _rep(circuit, gates=tuple(gates))
+    return replace(circuit, gates=tuple(gates))

@@ -3,13 +3,26 @@
 All models output ``output_scale`` × a core value:
 
 - ``qpinn``: 5-qubit rank-1 TD circuit (D=2, L=1) plus a controlled-IsingZZ
-  entangling layer with trainable angle λ; evaluated on the statevector
-  simulator.  Qubits: test ancilla q0; (parity q1, chain q2) for x;
-  (parity q3, chain q4) for t; the entangler acts on (q2, q3).
+  entangling layer with trainable angle λ (``qpinn_circuit``).  Qubits: test
+  ancilla q0; (parity q1, chain q2) for x; (parity q3, chain q4) for t; the
+  entangler acts on (q2, q3).  It is evaluated exactly without the
+  statevector, from four 2×2 chains (``qsp.chain_value``, written v below).
 - ``quantum_inspired``: the λ≡0 model evaluated the dequantized way, as
   Re[a_x(x)·a_t(t)] from two 2×2 chains.
 - ``counterpart``: p1(x)·p2(t) with degree-2 coefficient vectors.
 - ``fully_connected``: a 2→10→10→10→10→10→1 tanh network.
+
+Why the QPINN closed form is exact: the entangler's second qubit q3 is the
+t parity qubit, which starts in |+⟩ and is only ever a control, so the
+circuit is block diagonal in its Z basis.  In the block q3 = s the ZZ
+rotation acts on q2 as R_z((−1)^s λ), applied after the x chain's last
+R_z, whose angle it simply shifts.  The Hadamard test over the two parity
+qubits in |+⟩ then reads
+
+    ⟨Z⁰⟩ = Re ¼ Σ_{p∈{1,2}} [v(θₚˣ⊕λ, x)·v(θ₁ᵗ, t) + v(θₚˣ⊖λ, x)·v(θ₂ᵗ, t)],
+
+where ⊕λ adds λ to the chain's last angle.  ``sim.simulate_amps`` on
+``qpinn_circuit`` stays the oracle this form is tested against.
 
 Parameter layouts (one flat vector per model):
 qpinn / quantum_inspired: [θ1x, θ2x(2) | θ1t, θ2t(2) | λ (qpinn only)];
@@ -19,12 +32,13 @@ fully_connected: per layer, weights (fan_in×fan_out, row-major) then biases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import circuits as cir
-from . import qsp, sim
-from .duals import t_mul
+from . import qsp
+from .duals import t_add, t_mul
 from .merton import DerivBundle
 
 KINDS = ("qpinn", "quantum_inspired", "counterpart", "fully_connected")
@@ -53,10 +67,6 @@ class ModelSpec:
         return _PARAM_COUNTS[self.kind]
 
 
-def param_count(spec: ModelSpec) -> int:
-    return spec.n_params
-
-
 def qpinn_circuit() -> cir.Circuit:
     """The 5-qubit QPINN circuit with λ as parameter slot 6."""
     base = qsp.rank1_circuit_template(2, 1)
@@ -64,13 +74,6 @@ def qpinn_circuit() -> cir.Circuit:
     entangler = cir.controlled(cir.rzz(2, 3, cir.Param(6)), [(0, 1)])
     gates.insert(len(gates) - 1, entangler)
     return cir.Circuit(5, tuple(gates), n_params=7, n_inputs=2)
-
-
-def qpinn_build(params) -> cir.Circuit:
-    """Validate a 7-entry parameter vector and return the QPINN circuit."""
-    if np.asarray(params).size != _PARAM_COUNTS["qpinn"]:
-        raise ValueError("qpinn expects exactly 7 parameters")
-    return qpinn_circuit()
 
 
 def init_params(spec: ModelSpec, seed) -> np.ndarray:
@@ -111,32 +114,65 @@ class _EvaluatorBase:
         return self.bundles(params2d, t_int, x_int), self.values(params2d, t_bnd, x_bnd)
 
 
+def _separable_bundles(pairs, scale):
+    """(v, v_t, v_x, v_xx) of scale·Re Σ a(x)·b(t) over dual-triple pairs (a, b).
+
+    Each a is seeded in x and each b in t; the x derivatives hold b constant
+    and the t derivative holds a constant.
+    """
+    const = lambda a: (a[0], np.zeros_like(a[0]), np.zeros_like(a[0]))
+    px = reduce(t_add, [t_mul(a, const(b)) for a, b in pairs])
+    pt = reduce(t_add, [t_mul(const(a), b) for a, b in pairs])
+    return scale * px[0].real, scale * pt[1].real, scale * px[1].real, scale * px[2].real
+
+
 class _QpinnEvaluator(_EvaluatorBase):
+    """Exact closed-form evaluation from four 2×2 chains (module docstring)."""
+
     kind = "qpinn"
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
-        self.circuit = qpinn_circuit()
         self.groups = [slice(0, 3), slice(3, 6), slice(6, 7)]
 
+    @staticmethod
+    def _chains(params, x, t):
+        """(x branch under t parity 0, x branch under t parity 1, t chain 1, t chain 2).
+
+        The ±λ-shifted angles of each x chain share one batch, rows [+λ; −λ].
+        """
+        b = params.shape[0]
+        lam = params[:, 6:7]
+        x1 = params[:, 0:1]
+        x2 = params[:, 1:3]
+        sx1 = np.concatenate([x1 + lam, x1 - lam])
+        sx2 = np.concatenate([x2, x2])
+        sx2[:, 1:] += np.concatenate([lam, -lam])
+        c1 = qsp.chain_value(sx1, x)
+        c2 = qsp.chain_value(sx2, x)
+        t1 = qsp.chain_value(params[:, 3:4], t)
+        t2 = qsp.chain_value(params[:, 4:6], t)
+        if isinstance(x, tuple):
+            plus = tuple(p[:b] + q[:b] for p, q in zip(c1, c2))
+            minus = tuple(p[b:] + q[b:] for p, q in zip(c1, c2))
+        else:
+            plus, minus = c1[:b] + c2[:b], c1[b:] + c2[b:]
+        return plus, minus, t1, t2
+
     def values(self, params, t, x):
-        inp = np.stack([np.asarray(x, float), np.asarray(t, float)], axis=1)
-        amps = sim.simulate_amps(self.circuit, params, inp)
-        return self.spec.output_scale * sim.z0_from_amps(amps)
+        params = np.atleast_2d(params)
+        plus, minus, t1, t2 = self._chains(params, np.asarray(x, float),
+                                           np.asarray(t, float))
+        return self.spec.output_scale * 0.25 * (plus * t1 + minus * t2).real
 
     def bundles(self, params, t, x):
-        # one pass: rows 0..N-1 seeded on x, rows N..2N-1 seeded on t
+        params = np.atleast_2d(params)
         x = np.asarray(x, float)
         t = np.asarray(t, float)
-        n = x.size
-        v = np.stack([np.concatenate([x, x]), np.concatenate([t, t])], axis=1)
-        d1 = np.zeros_like(v)
-        d1[:n, 0] = 1.0
-        d1[n:, 1] = 1.0
-        amps = sim.simulate_amps(self.circuit, params, (v, d1, np.zeros_like(v)))
-        zv, z1, z2 = sim.z0_from_amps(amps)
-        sc = self.spec.output_scale
-        return sc * zv[:, :n], sc * z1[:, n:], sc * z1[:, :n], sc * z2[:, :n]
+        zero = np.zeros_like(x)
+        plus, minus, t1, t2 = self._chains(params, (x, zero + 1.0, zero),
+                                           (t, zero + 1.0, zero))
+        return _separable_bundles([(plus, t1), (minus, t2)], 0.25 * self.spec.output_scale)
 
 
 class _QuantumInspiredEvaluator(_EvaluatorBase):
@@ -166,15 +202,10 @@ class _QuantumInspiredEvaluator(_EvaluatorBase):
         params = np.atleast_2d(params)
         x = np.asarray(x, float)
         t = np.asarray(t, float)
-        sc = self.spec.output_scale
         zero = np.zeros_like(x)
         ax_d = self._pair(params, 0, (x, zero + 1.0, zero))
         at_d = self._pair(params, 3, (t, zero + 1.0, zero))
-        at_c = (at_d[0], np.zeros_like(at_d[0]), np.zeros_like(at_d[0]))
-        ax_c = (ax_d[0], np.zeros_like(ax_d[0]), np.zeros_like(ax_d[0]))
-        px = t_mul(ax_d, at_c)
-        pt = t_mul(ax_c, at_d)
-        return sc * px[0].real, sc * pt[1].real, sc * px[1].real, sc * px[2].real
+        return _separable_bundles([(ax_d, at_d)], self.spec.output_scale)
 
 
 class _CounterpartEvaluator(_EvaluatorBase):

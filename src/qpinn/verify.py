@@ -196,6 +196,38 @@ def _check_shift_vs_dual_lambda(seed):
     return err < 1e-8, f"|shift - dual d1| = {err:.2e} at λ=0.3"
 
 
+def qpinn_on_simulator(params, t, x, scale: float = 10.0):
+    """The QPINN run on the 5-qubit statevector: the oracle of its closed form.
+
+    Returns (values, (v, v_t, v_x, v_xx)) times ``scale``, shaped (B, N).
+    """
+    circ = models.qpinn_circuit()
+    n = x.size
+    values = sim.z0_from_amps(sim.simulate_amps(circ, params, np.stack([x, t], axis=1)))
+    v = np.stack([np.concatenate([x, x]), np.concatenate([t, t])], axis=1)
+    d1 = np.zeros_like(v)
+    d1[:n, 0] = 1.0
+    d1[n:, 1] = 1.0
+    zv, z1, z2 = sim.z0_from_amps(sim.simulate_amps(circ, params, (v, d1, np.zeros_like(v))))
+    bundles = (zv[:, :n], z1[:, n:], z1[:, :n], z2[:, :n])
+    return scale * values, tuple(scale * b for b in bundles)
+
+
+def _check_qpinn_closed_form(seed):
+    """The QPINN evaluator's chain closed form against the 5-qubit simulator."""
+    rng = np.random.default_rng(seed)
+    spec = models.ModelSpec("qpinn")
+    ev = models.make_evaluator(spec)
+    params = rng.uniform(0.0, 2.0 * np.pi, (3, 7))
+    t, x = rng.uniform(0.01, 0.99, (2, 5))
+    ref_v, ref_b = qpinn_on_simulator(params, t, x, spec.output_scale)
+    val_err = float(np.max(np.abs(ev.values(params, t, x) - ref_v)))
+    dual_err = max(float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
+                   for a, b in zip(ev.bundles(params, t, x), ref_b))
+    return (val_err < 1e-12 and dual_err < 1e-10,
+            f"values {val_err:.1e} abs, (v, v_t, v_x, v_xx) {dual_err:.1e} rel")
+
+
 def _check_model_bundles(seed):
     ok, details = True, []
     for kind in models.KINDS:
@@ -278,6 +310,7 @@ SUITES = {
         ("dual-vs-finite-difference", _check_dual_vs_fd),
         ("parameter-shift-analytic", _check_shift_analytic),
         ("parameter-shift-vs-dual-lambda", _check_shift_vs_dual_lambda),
+        ("qpinn-closed-form-vs-simulator", _check_qpinn_closed_form),
         ("model-bundles-vs-fd", _check_model_bundles),
     ],
     "hjb": [

@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Criterion 5's full-scale profile (10 seeds × 1000 epochs, ~15–20 min) runs
+Criterion 5's full-scale profile (10 seeds × 1000 epochs) runs
 via ``qpinn train`` or by setting QPINN_FULL_ACCEPTANCE=1; the default CI
 profile here (2 seeds × 200 epochs) must show the same model ordering.
 """

@@ -72,6 +72,71 @@ def test_config_rejects_unknown_keys(tmp_path):
         cli.load_config(str(bad), {})
 
 
+def _rejects(tmp_path, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError):
+        cli.load_config(str(path), {})
+
+
+def test_config_checks_n_interior(tmp_path):
+    for bad in ("50", 0, 2.5, True, None):
+        _rejects(tmp_path, {"n_interior": bad})
+
+
+def test_config_checks_n_boundary(tmp_path):
+    for bad in ("50", -1, 50.0, False):
+        _rejects(tmp_path, {"n_boundary": bad})
+
+
+def test_config_checks_base_seed(tmp_path):
+    for bad in ("0", -1, 1.5, True, [0]):
+        _rejects(tmp_path, {"base_seed": bad})
+
+
+def test_config_checks_output_scale(tmp_path):
+    for bad in ("10", 0, -10.0, True, None):
+        _rejects(tmp_path, {"output_scale": bad})
+
+
+def test_config_checks_eps(tmp_path):
+    for bad in ("1e-6", 0.0, -1e-6, False):
+        _rejects(tmp_path, {"eps": bad})
+
+
+def test_config_checks_grad_step(tmp_path):
+    for bad in ("1e-5", 0, -1e-5, True, {}):
+        _rejects(tmp_path, {"grad_step": bad})
+
+
+def test_config_checks_checkpoint_every(tmp_path):
+    for bad in ("5", 0, -5, 2.5, True):
+        _rejects(tmp_path, {"checkpoint_every": bad})
+
+
+def test_config_checks_models_and_out_dir(tmp_path):
+    for bad in (5, [], "qpinn", [["qpinn"]]):
+        _rejects(tmp_path, {"models": bad})
+    for bad in (5, "", None):
+        _rejects(tmp_path, {"out_dir": bad})
+
+
+def test_config_checks_market_and_weights_values(tmp_path):
+    _rejects(tmp_path, {"market": {"r": "0.02"}})
+    _rejects(tmp_path, {"weights": {"w_2": None}})
+
+
+def test_config_type_checks_accept_valid_values(tmp_path):
+    path = tmp_path / "cfg.json"
+    doc = {"n_interior": 7, "n_boundary": 3, "base_seed": 0, "output_scale": 5,
+           "eps": 1e-8, "grad_step": 1e-4, "checkpoint_every": 2}
+    path.write_text(json.dumps(doc))
+    cfg = cli.load_config(str(path), {"base_seed": 2**40})
+    assert cfg["n_interior"] == 7 and cfg["output_scale"] == 5 and cfg["base_seed"] == 2**40
+    path.write_text(json.dumps({"checkpoint_every": None}))
+    assert cli.load_config(str(path), {})["checkpoint_every"] is None
+
+
 def test_config_defaults_and_overrides(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"market": {"mu": 0.03}, "epochs": 50}))

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from qpinn import circuits as cir
-from qpinn import models, qsp, sim
+from qpinn import models, qsp, verify
+from qpinn.errors import DomainError
 from qpinn.models import ModelSpec
 
 
 def test_param_counts():
-    assert models.param_count(ModelSpec("qpinn")) == 7
-    assert models.param_count(ModelSpec("quantum_inspired")) == 6
-    assert models.param_count(ModelSpec("counterpart")) == 6
-    assert models.param_count(ModelSpec("fully_connected")) == 481
+    assert ModelSpec("qpinn").n_params == 7
+    assert ModelSpec("quantum_inspired").n_params == 6
+    assert ModelSpec("counterpart").n_params == 6
+    assert ModelSpec("fully_connected").n_params == 481
 
 
 def test_fc_layer_arithmetic():
@@ -27,9 +28,11 @@ def test_qpinn_circuit_shape():
     assert entanglers[0].controls == ((0, 1),)
 
 
-def test_qpinn_build_validates_count():
+def test_model_function_validates_count():
     with pytest.raises(ValueError):
-        models.qpinn_build(np.zeros(6))
+        models.ModelFunction(ModelSpec("qpinn"), np.zeros(6))
+    with pytest.raises(ValueError):
+        models.ModelFunction(ModelSpec("quantum_inspired"), np.zeros(7))
 
 
 def test_qpinn_lambda_zero_equals_rank1_unitary():
@@ -41,18 +44,60 @@ def test_qpinn_lambda_zero_equals_rank1_unitary():
     assert np.abs(u_qpinn - u_rank1).max() < 1e-12
 
 
+def _max_rel(a, b):
+    return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
+
+
 def test_dequantization_identity():
-    # QPINN(λ=0) via statevector equals the 2×2-chain evaluation pointwise
+    # QPINN(λ=0) on the statevector equals the 2×2-chain evaluation pointwise
     rng = np.random.default_rng(52)
     qi = models.make_evaluator(ModelSpec("quantum_inspired"))
-    qp = models.make_evaluator(ModelSpec("qpinn"))
     for _ in range(20):
         theta = rng.normal(size=6)
         t = rng.uniform(0.01, 0.99, 100)
         x = rng.uniform(0.01, 0.99, 100)
         a = qi.values(theta[None, :], t, x)
-        b = qp.values(np.concatenate([theta, [0.0]])[None, :], t, x)
+        b, _ = verify.qpinn_on_simulator(np.concatenate([theta, [0.0]])[None, :], t, x)
         assert np.max(np.abs(a - b)) < 1e-12
+
+
+def test_qpinn_closed_form_matches_simulator():
+    # an FD-shaped stack: a base row and ± perturbations, λ over its full period
+    rng = np.random.default_rng(56)
+    ev = models.make_evaluator(ModelSpec("qpinn"))
+    for _ in range(3):
+        base = rng.uniform(0.0, 2.0 * np.pi, 7)
+        assert abs(np.sin(base[6])) > 1e-3  # λ ≠ 0 (mod π): the entangler acts
+        params = np.repeat(base[None, :], 15, axis=0)
+        for i in range(7):
+            params[1 + 2 * i, i] += 1e-3
+            params[2 + 2 * i, i] -= 1e-3
+        t_int, x_int = rng.uniform(0.01, 0.99, (2, 40))
+        t_bnd, x_bnd = rng.uniform(0.01, 0.99, (2, 30))
+
+        ref_v, _ = verify.qpinn_on_simulator(params, t_bnd, x_bnd)
+        assert np.max(np.abs(ev.values(params, t_bnd, x_bnd) - ref_v)) <= 1e-12
+        _, ref_b = verify.qpinn_on_simulator(params, t_int, x_int)
+        for got, want in zip(ev.bundles(params, t_int, x_int), ref_b):
+            assert _max_rel(got, want) <= 1e-10
+        bundles, bnd = ev.batched_eval(params, t_int, x_int, t_bnd, x_bnd)
+        assert np.max(np.abs(bnd - ref_v)) <= 1e-12
+        for got, want in zip(bundles, ref_b):
+            assert _max_rel(got, want) <= 1e-10
+
+
+def test_qpinn_domain_errors():
+    ev = models.make_evaluator(ModelSpec("qpinn"))
+    params = models.init_params(ModelSpec("qpinn"), 0)[None, :]
+    inside = np.array([0.5])
+    with pytest.raises(DomainError):
+        ev.values(params, inside, np.array([1.5]))
+    with pytest.raises(DomainError):
+        ev.values(params, np.array([-1.5]), inside)
+    with pytest.raises(DomainError):
+        ev.bundles(params, inside, np.array([1.0]))
+    with pytest.raises(DomainError):
+        ev.bundles(params, np.array([1.0]), inside)
 
 
 def test_quantum_core_bounded():
