@@ -5,8 +5,10 @@ single direction: d1 and d2 are the first and second derivatives of the
 value along that direction.  The triple helpers (`t_*`) operate on raw
 (value, d1, d2) tuples whose components may be floats, complex numbers,
 or numpy arrays; the :class:`Dual2` class wraps them with operators for
-scalar use.  The simulator uses the raw triples directly on amplitude
-arrays for speed.
+scalar use.  The channel helpers (`c_*`) take channel tuples: ``(v,)`` for
+a plain value, ``(v, d1, d2)`` for a dual one.  The simulator and the 2×2
+QSP chain run one code path on them, so a plain run and the value channel
+of a dual run perform the same arithmetic in the same order.
 """
 from __future__ import annotations
 
@@ -50,6 +52,27 @@ def t_mul(a: Triple, b: Triple) -> Triple:
 
 def t_scale(c, a: Triple) -> Triple:
     return (c * a[0], c * a[1], c * a[2])
+
+
+def c_mul(m, a: tuple) -> tuple:
+    """m·a over channel tuples: a scalar, array or 1-tuple ``m`` scales every
+    channel of ``a``; a triple ``m`` multiplies the triple ``a`` as `t_mul`."""
+    if type(m) is tuple:
+        if len(m) == 3:
+            return t_mul(m, a)
+        m = m[0]
+    return (m * a[0],) if len(a) == 1 else t_scale(m, a)
+
+
+def c_add(a: tuple, b: tuple) -> tuple:
+    """a + b over channel tuples, written into the arrays of ``a``.
+
+    ``a`` must be a temporary, such as a `c_mul` product: adding in place
+    spares an allocation the size of ``a``, as numpy does for ``x*y + z``.
+    """
+    for p, q in zip(a, b):
+        p += q
+    return a
 
 
 def t_inv(b: Triple) -> Triple:

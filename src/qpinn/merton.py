@@ -78,19 +78,6 @@ def k_constant(m: MarketParams) -> float:
     return 0.5 * m.gamma / (m.gamma - 1.0) * ((m.mu - m.r) / m.sigma) ** 2 - m.r * m.gamma
 
 
-def analytical_v(m: MarketParams):
-    """The closed-form value function as a callable (t, x) ↦ v."""
-    k = k_constant(m)
-
-    def v(t, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= 0.0):
-            raise DomainError("analytical solution requires x > 0")
-        return np.exp(-k * (m.T - np.asarray(t, dtype=float))) * x**m.gamma / m.gamma
-
-    return v
-
-
 class AnalyticalSolution:
     """Value-and-derivative handle for the closed-form solution."""
 

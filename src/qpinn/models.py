@@ -32,13 +32,11 @@ fully_connected: per layer, weights (fan_in×fan_out, row-major) then biases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from . import circuits as cir
 from . import qsp
-from .duals import t_add, t_mul
 from .merton import DerivBundle
 
 KINDS = ("qpinn", "quantum_inspired", "counterpart", "fully_connected")
@@ -120,10 +118,9 @@ def _separable_bundles(pairs, scale):
     Each a is seeded in x and each b in t; the x derivatives hold b constant
     and the t derivative holds a constant.
     """
-    const = lambda a: (a[0], np.zeros_like(a[0]), np.zeros_like(a[0]))
-    px = reduce(t_add, [t_mul(a, const(b)) for a, b in pairs])
-    pt = reduce(t_add, [t_mul(const(a), b) for a, b in pairs])
-    return scale * px[0].real, scale * pt[1].real, scale * px[1].real, scale * px[2].real
+    total = lambda i, j: sum(a[i] * b[j] for a, b in pairs)
+    return (scale * total(0, 0).real, scale * total(0, 1).real,
+            scale * total(1, 0).real, scale * total(2, 0).real)
 
 
 class _QpinnEvaluator(_EvaluatorBase):

@@ -23,7 +23,7 @@ from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
 
 from . import circuits as cir
-from .duals import t_mul, t_scale, t_sqrt, t_sub
+from .duals import c_add, c_mul, t_sqrt
 from .errors import BoundError, DomainError, SizeError, SynthesisError
 
 # ---------------------------------------------------------------------------
@@ -143,50 +143,30 @@ def chain_value(thetas, x):
     """
     th = np.atleast_2d(np.asarray(thetas, dtype=float))
     dual = isinstance(x, tuple)
-    if dual:
-        xv = tuple(np.atleast_1d(np.asarray(c, dtype=float))[None, :] for c in x)
-        if np.any(np.abs(xv[0]) >= 1.0):
-            raise DomainError("dual chain evaluation requires |x| < 1")
-        one = np.ones_like(xv[0])
-        s = t_sqrt(t_sub((one, 0.0 * one, 0.0 * one), t_mul(xv, xv)))
-        js = t_scale(1j, s)
-    else:
-        xv = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
-        if np.any(np.abs(xv) > 1.0):
-            raise DomainError("chain evaluation requires |x| <= 1")
-        js = 1j * np.sqrt(np.maximum(1.0 - xv * xv, 0.0))
+    xv = tuple(np.atleast_1d(np.asarray(c, dtype=float))[None, :]
+               for c in (x if dual else (x,)))
+    if dual and np.any(np.abs(xv[0]) >= 1.0):
+        raise DomainError("dual chain evaluation requires |x| < 1")
+    if np.any(np.abs(xv[0]) > 1.0):
+        raise DomainError("chain evaluation requires |x| <= 1")
+    if th.shape[1] > 1:  # the S(x) steps between angles need i·√(1 − x²)
+        sq = tuple(z - c for z, c in zip((1.0, 0.0, 0.0), c_mul(xv, xv)))
+        js = c_mul(1j, t_sqrt(sq) if dual else (np.sqrt(sq[0]),))
 
-    b, n = th.shape[0], (xv[0] if dual else xv).shape[1]
-    shape = (b, n)
-    if dual:
-        z = np.zeros(shape, dtype=complex)
-        u = (np.full(shape, 1.0 / math.sqrt(2.0), dtype=complex), z.copy(), z.copy())
-        v = (u[0].copy(), z.copy(), z.copy())
-    else:
-        u = np.full(shape, 1.0 / math.sqrt(2.0), dtype=complex)
-        v = u.copy()
-
+    shape = (th.shape[0], xv[0].shape[1])
+    u = tuple(np.full(shape, 0.0 if k else 1.0 / math.sqrt(2.0), dtype=complex)
+              for k in range(len(xv)))
+    v = tuple(c.copy() for c in u)
+    lo, hi = np.exp(-0.5j * th)[:, None, :], np.exp(0.5j * th)[:, None, :]
     for j in range(th.shape[1]):
-        lo = np.exp(-0.5j * th[:, j])[:, None]
-        hi = np.exp(0.5j * th[:, j])[:, None]
-        if dual:
-            u = t_scale(lo, u)
-            v = t_scale(hi, v)
-            if j < th.shape[1] - 1:
-                nu = tuple(a + c for a, c in zip(t_mul(xv, u), t_mul(js, v)))
-                nv = tuple(a + c for a, c in zip(t_mul(js, u), t_mul(xv, v)))
-                u, v = nu, nv
-        else:
-            u = lo * u
-            v = hi * v
-            if j < th.shape[1] - 1:
-                u, v = xv * u + js * v, js * u + xv * v
+        u = c_mul(lo[..., j], u)
+        v = c_mul(hi[..., j], v)
+        if j < th.shape[1] - 1:
+            u, v = (c_add(c_mul(xv, u), c_mul(js, v)),
+                    c_add(c_mul(js, u), c_mul(xv, v)))
 
-    if dual:
-        out = tuple((a + c) / math.sqrt(2.0) for a, c in zip(u, v))
-    else:
-        out = (u + v) / math.sqrt(2.0)
-    return out
+    out = tuple((a + c) / math.sqrt(2.0) for a, c in zip(u, v))
+    return out if dual else out[0]
 
 
 def qsp_value(theta, x: float) -> complex:
@@ -386,17 +366,6 @@ def univariate_model_circuit(L: int) -> cir.Circuit:
     return cir.Circuit(3, tuple(gates), n_params=2 * L + 1, n_inputs=1)
 
 
-def build_univariate_model(theta1, theta2) -> cir.Circuit:
-    """3-qubit Hadamard-test circuit with expect_z0 = ½[Re v(θ1) + Re v(θ2)].
-
-    The circuit is parametric: run it with params = concat(θ1, θ2).
-    """
-    t1, t2 = _angles_of(theta1), _angles_of(theta2)
-    if t2.size != t1.size + 1:
-        raise ValueError("angle lengths must be (L, L+1)")
-    return univariate_model_circuit(t1.size)
-
-
 def rank1_circuit_template(D: int, L: int) -> cir.Circuit:
     """Parametric Hadamard-test circuit of width 2D+1; slots var-major (2L+1 each)."""
     gates = [cir.h(q) for q in range(2 * D + 1)]
@@ -407,28 +376,6 @@ def rank1_circuit_template(D: int, L: int) -> cir.Circuit:
         gates += _chain_gates(target, _param_exprs(base + L, L + 1), j, ((0, 1), (parity, 1)))
     gates.append(cir.h(0))
     return cir.Circuit(2 * D + 1, tuple(gates), n_params=(2 * L + 1) * D, n_inputs=D)
-
-
-def build_rank1_circuit(angle_pairs) -> cir.Circuit:
-    """Rank-1 TD circuit; expect_z0 = Re ∏_j ½(v(θ1ⱼ,xⱼ) + v(θ2ⱼ,xⱼ)).
-
-    Parametric: run with params = concat over variables of (θ1ⱼ, θ2ⱼ).
-    """
-    pairs = [(_angles_of(a), _angles_of(b)) for a, b in angle_pairs]
-    if not pairs:
-        raise ValueError("need at least one variable")
-    L = pairs[0][0].size
-    for t1, t2 in pairs:
-        if t1.size != L or t2.size != L + 1:
-            raise ValueError("angle lengths must be (L, L+1) for every variable")
-    return rank1_circuit_template(len(pairs), L)
-
-
-def rank1_params(angle_pairs) -> np.ndarray:
-    """Flatten per-variable (θ1, θ2) pairs into the rank-1 circuit's layout."""
-    return np.concatenate([
-        np.concatenate([_angles_of(a), _angles_of(b)]) for a, b in angle_pairs
-    ])
 
 
 def _ancilla_bits(i: int, qubits: tuple[int, ...]) -> tuple[tuple[int, int], ...]:

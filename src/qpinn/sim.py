@@ -5,9 +5,18 @@ parameter vectors, ``N`` batches input points, and both default to 1.
 Qubit 0 is the most significant index bit, so the Pauli-Z expectation on
 qubit 0 splits the amplitude array in half.
 
-Second-order forward-mode derivatives flow through amplitudes as raw
-(value, d1, d2) triples of complex arrays; the value channel performs the
-same arithmetic, in the same order, as a plain run.
+The state, the angles and the gate entries are tuples of channel arrays:
+``(v,)`` in a plain run and ``(v, d1, d2)`` in a dual run, where d1 and d2
+are second-order forward-mode derivatives along one seeded direction.  The
+gates are written once on the ``duals.c_*`` helpers.  An angle or entry
+that depends on no dual argument stays a 1-tuple and scales every state
+channel, so a dual run builds no zero derivative channels for it.  Channel
+0 performs the same arithmetic, in the same order, as a plain run.
+
+The channels stay separate arrays rather than one stacked
+``(C, Bp, N, 2^width)`` array: numpy picks a different complex-multiply
+loop for the larger array, and channel 0 then differs from a plain run in
+the last bit.
 """
 from __future__ import annotations
 
@@ -18,7 +27,7 @@ import math
 import numpy as np
 
 from . import circuits as cir
-from .duals import Dual2, t_arccos, t_cos, t_expj, t_mul, t_scale, t_sin
+from .duals import Dual2, c_add, c_mul, t_arccos, t_cos, t_expj, t_sin
 from .errors import DomainError, SizeError
 
 DEFAULT_WIDTH_CAP = 24
@@ -89,141 +98,80 @@ def _group_idx(width: int, qubits: tuple) -> np.ndarray:
 # angle and entry evaluation
 
 
-def _angle(expr, params, inputs, dual: bool):
-    """Angle as array broadcastable against (Bp, N, pairs); triple if dual."""
+def _lift(a, plain, dual):
+    """``plain`` on a 1-tuple's channel, or the triple function ``dual``."""
+    return (plain(a[0]),) if len(a) == 1 else dual(a)
+
+
+def _angle(expr, params, inputs):
+    """Angle channels, each broadcastable against (Bp, N, pairs)."""
     if isinstance(expr, cir.Const):
-        return (expr.value, 0.0, 0.0) if dual else expr.value
+        return (expr.value,)
     if isinstance(expr, cir.Param):
-        if dual:
-            v, d1, d2 = params
-            base = (v[:, expr.index], d1[:, expr.index], d2[:, expr.index])
-            base = tuple(c[:, None, None] for c in base)
-            return (
-                expr.scale * base[0] + expr.offset,
-                expr.scale * base[1],
-                expr.scale * base[2],
-            )
-        return expr.scale * params[:, expr.index, None, None] + expr.offset
-    # InputArccos
-    if dual:
-        v, d1, d2 = inputs
-        xt = tuple(c[:, expr.var][None, :, None] for c in (v, d1, d2))
-        a = t_arccos(xt)
-        return (expr.scale * a[0] + expr.offset, expr.scale * a[1], expr.scale * a[2])
-    xv = inputs[:, expr.var]
-    if np.any(np.abs(xv) > 1.0):
-        raise DomainError("arccos input outside [-1, 1]")
-    return expr.scale * np.arccos(xv)[None, :, None] + expr.offset
-
-
-def _mul_entry(m, a):
-    """Entry × amplitude-slice product; either side may be a dual triple."""
-    if isinstance(m, tuple):
-        return t_mul(m, a)
-    return (m * a[0], m * a[1], m * a[2])
+        base = tuple(c[:, expr.index, None, None] for c in params)
+    else:  # InputArccos
+        xt = tuple(c[:, expr.var][None, :, None] for c in inputs)
+        if len(xt) == 1 and np.any(np.abs(xt[0]) > 1.0):
+            raise DomainError("arccos input outside [-1, 1]")
+        base = _lift(xt, np.arccos, t_arccos)
+    scaled = c_mul(expr.scale, base)
+    return (scaled[0] + expr.offset,) + scaled[1:]
 
 
 # ---------------------------------------------------------------------------
 # gate application
 
 
-def _slice(state, idx):
-    if isinstance(state, tuple):
-        return tuple(c[..., idx] for c in state)
-    return state[..., idx]
+def _apply_2x2(state, i0, i1, m00, m01, m10, m11):
+    a0 = tuple(c[..., i0] for c in state)
+    a1 = tuple(c[..., i1] for c in state)
+    n0 = c_add(c_mul(m00, a0), c_mul(m01, a1))
+    n1 = c_add(c_mul(m10, a0), c_mul(m11, a1))
+    for c, p, q in zip(state, n0, n1):
+        c[..., i0] = p
+        c[..., i1] = q
 
 
-def _assign(state, idx, val):
-    if isinstance(state, tuple):
-        for c, v in zip(state, val):
-            c[..., idx] = v
-    else:
-        state[..., idx] = val
-
-
-def _apply_2x2(state, i0, i1, m00, m01, m10, m11, dual: bool):
-    a0 = _slice(state, i0)
-    a1 = _slice(state, i1)
-    if dual:
-        n0 = tuple(p + q for p, q in zip(_mul_entry(m00, a0), _mul_entry(m01, a1)))
-        n1 = tuple(p + q for p, q in zip(_mul_entry(m10, a0), _mul_entry(m11, a1)))
-    else:
-        n0 = m00 * a0 + m01 * a1
-        n1 = m10 * a0 + m11 * a1
-    _assign(state, i0, n0)
-    _assign(state, i1, n1)
-
-
-def _apply_phase(state, idx, phase, dual: bool):
-    a = _slice(state, idx)
-    _assign(state, idx, _mul_entry(phase, a) if dual else phase * a)
-
-
-def _apply_gate(g: cir.Gate, state, params, inputs, width: int, dual: bool, controls=()):
+def _apply_gate(g: cir.Gate, state, params, inputs, width: int, controls=()):
     if g.kind == "controlled":
-        _apply_gate(g.inner, state, params, inputs, width, dual, controls + g.controls)
+        _apply_gate(g.inner, state, params, inputs, width, controls + g.controls)
         return
     if g.kind == "h":
         i0, i1 = _pair_idx(width, g.qubits[0], controls)
-        _apply_2x2(state, i0, i1, _SQRT2_INV, _SQRT2_INV, _SQRT2_INV, -_SQRT2_INV, dual)
+        _apply_2x2(state, i0, i1, _SQRT2_INV, _SQRT2_INV, _SQRT2_INV, -_SQRT2_INV)
         return
     if g.kind in ("x", "cnot"):
         ctl = controls if g.kind == "x" else controls + ((g.qubits[0], 1),)
         i0, i1 = _pair_idx(width, g.qubits[-1], ctl)
-        a0 = _slice(state, i0)
-        if isinstance(state, tuple):
-            a0 = tuple(c.copy() for c in a0)
-        else:
-            a0 = a0.copy()
-        _assign(state, i0, _slice(state, i1))
-        _assign(state, i1, a0)
+        for c in state:
+            c[..., i0], c[..., i1] = c[..., i1], c[..., i0]
         return
     if g.kind == "rx":
-        theta = _angle(g.angle, params, inputs, dual)
+        half = c_mul(0.5, _angle(g.angle, params, inputs))
         i0, i1 = _pair_idx(width, g.qubits[0], controls)
-        if dual:
-            half = t_scale(0.5, theta)
-            c = t_cos(half)
-            s = t_scale(-1j, t_sin(half))
-        else:
-            c = np.cos(0.5 * theta)
-            s = -1j * np.sin(0.5 * theta)
-        _apply_2x2(state, i0, i1, c, s, s, c, dual)
+        c = _lift(half, np.cos, t_cos)
+        s = c_mul(-1j, _lift(half, np.sin, t_sin))
+        _apply_2x2(state, i0, i1, c, s, s, c)
         return
-    if g.kind == "rz":
-        theta = _angle(g.angle, params, inputs, dual)
-        i0, i1 = _pair_idx(width, g.qubits[0], controls)
-        if dual:
-            lo = t_expj(t_scale(-0.5, theta))
-            hi = t_expj(t_scale(0.5, theta))
+    if g.kind in ("rz", "rzz"):
+        theta = _angle(g.angle, params, inputs)
+        if g.kind == "rz":
+            i0, i1 = _pair_idx(width, g.qubits[0], controls)
         else:
-            lo = np.exp(-0.5j * theta)
-            hi = np.exp(0.5j * theta)
-        _apply_phase(state, i0, lo, dual)
-        _apply_phase(state, i1, hi, dual)
-        return
-    if g.kind == "rzz":
-        theta = _angle(g.angle, params, inputs, dual)
-        even, odd = _parity_idx(width, g.qubits[0], g.qubits[1], controls)
-        if dual:
-            lo = t_expj(t_scale(-0.5, theta))
-            hi = t_expj(t_scale(0.5, theta))
-        else:
-            lo = np.exp(-0.5j * theta)
-            hi = np.exp(0.5j * theta)
-        _apply_phase(state, even, lo, dual)
-        _apply_phase(state, odd, hi, dual)
+            i0, i1 = _parity_idx(width, g.qubits[0], g.qubits[1], controls)
+        for idx, sign in ((i0, -0.5), (i1, 0.5)):
+            phase = _lift(c_mul(sign, theta), lambda a: np.exp(1j * a), t_expj)
+            amps = c_mul(phase, tuple(c[..., idx] for c in state))
+            for c, a in zip(state, amps):
+                c[..., idx] = a
         return
     if g.kind == "prepare":
         if controls:
             raise NotImplementedError("controlled PrepareAmplitudes is unsupported")
         mat = cir._householder(g.amplitudes).astype(complex)
         idx = _group_idx(width, g.qubits)
-        if dual:
-            for c in state:
-                c[..., idx] = np.einsum("pq,...qg->...pg", mat, c[..., idx])
-        else:
-            state[..., idx] = np.einsum("pq,...qg->...pg", mat, state[..., idx])
+        for c in state:
+            c[..., idx] = np.einsum("pq,...qg->...pg", mat, c[..., idx])
         return
     raise ValueError(f"unknown gate kind {g.kind!r}")
 
@@ -232,20 +180,21 @@ def _apply_gate(g: cir.Gate, state, params, inputs, width: int, dual: bool, cont
 # core simulation
 
 
-def _as_batch(vec, n_cols: int):
-    """Normalize a parameter/input spec to (B, n_cols) arrays; dual → triple."""
+def _as_batch(vec, n_cols: int) -> tuple:
+    """Normalize a parameter/input spec to channels of (B, n_cols) arrays."""
     if isinstance(vec, tuple) and len(vec) == 3 and isinstance(vec[0], np.ndarray):
-        return tuple(np.atleast_2d(np.asarray(c, dtype=float)) for c in vec), True
-    seq = list(np.atleast_1d(vec)) if not isinstance(vec, np.ndarray) else None
-    if seq is not None and any(isinstance(e, Dual2) for e in seq):
-        v = np.array([[e.v if isinstance(e, Dual2) else float(e) for e in seq]])
-        d1 = np.array([[e.d1 if isinstance(e, Dual2) else 0.0 for e in seq]])
-        d2 = np.array([[e.d2 if isinstance(e, Dual2) else 0.0 for e in seq]])
-        return (v, d1, d2), True
-    arr = np.atleast_2d(np.asarray(vec, dtype=float))
-    if arr.size == 0:
-        arr = arr.reshape(1, n_cols)
-    return arr, False
+        chans = tuple(np.atleast_2d(np.asarray(c, dtype=float)) for c in vec)
+    else:
+        seq = list(np.atleast_1d(vec)) if not isinstance(vec, np.ndarray) else None
+        if seq is not None and any(isinstance(e, Dual2) for e in seq):
+            ds = [e if isinstance(e, Dual2) else Dual2(float(e)) for e in seq]
+            chans = tuple(np.array([[getattr(d, k) for d in ds]]) for k in ("v", "d1", "d2"))
+        else:
+            arr = np.atleast_2d(np.asarray(vec, dtype=float))
+            chans = (arr.reshape(1, 0) if arr.size == 0 else arr,)
+    if chans[0].shape[1] != n_cols:
+        raise SizeError(f"expected {n_cols} columns, got {chans[0].shape[1]}")
+    return chans
 
 
 def simulate_amps(circuit: cir.Circuit, params, inputs, *, check_norm: bool = False,
@@ -258,32 +207,19 @@ def simulate_amps(circuit: cir.Circuit, params, inputs, *, check_norm: bool = Fa
     """
     if circuit.width > width_cap:
         raise SizeError(f"width {circuit.width} exceeds cap {width_cap}")
-    p, p_dual = _as_batch(params, circuit.n_params)
-    i, i_dual = _as_batch(inputs, circuit.n_inputs)
-    dual = p_dual or i_dual
-    if dual and not p_dual:
-        p = (p, np.zeros_like(p), np.zeros_like(p))
-    if dual and not i_dual:
-        i = (i, np.zeros_like(i), np.zeros_like(i))
-    bp = p[0].shape[0] if dual else p.shape[0]
-    n = i[0].shape[0] if dual else i.shape[0]
-    dim = 1 << circuit.width
-
-    if dual:
-        v = np.zeros((bp, n, dim), dtype=complex)
-        v[..., 0] = 1.0
-        state = (v, np.zeros_like(v), np.zeros_like(v))
-    else:
-        state = np.zeros((bp, n, dim), dtype=complex)
-        state[..., 0] = 1.0
+    p = _as_batch(params, circuit.n_params)
+    i = _as_batch(inputs, circuit.n_inputs)
+    v = np.zeros((p[0].shape[0], i[0].shape[0], 1 << circuit.width), dtype=complex)
+    v[..., 0] = 1.0
+    state = (v,) + tuple(np.zeros_like(v) for _ in range(max(len(p), len(i)) - 1))
 
     for g in circuit.gates:
-        _apply_gate(g, state, p, i, circuit.width, dual)
-        if check_norm and not dual:
-            norms = np.sum(np.abs(state) ** 2, axis=-1)
+        _apply_gate(g, state, p, i, circuit.width)
+        if check_norm:
+            norms = np.sum(np.abs(state[0]) ** 2, axis=-1)
             if np.any(np.abs(norms - 1.0) > 1e-12):
                 raise ArithmeticError("statevector norm drifted beyond 1e-12")
-    return state
+    return state if len(state) == 3 else state[0]
 
 
 def run(circuit: cir.Circuit, params=(), inputs=(), *,

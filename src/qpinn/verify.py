@@ -29,7 +29,7 @@ def _check_univariate_identity(seed):
         for _ in range(2):
             target = _random_bounded_poly(rng, L)
             th1, th2 = qsp.synthesize_angles(target, L, seed=int(rng.integers(1 << 30)))
-            circ = qsp.build_univariate_model(th1, th2)
+            circ = qsp.univariate_model_circuit(len(th1.theta))
             params = np.concatenate([th1.theta, th2.theta])
             xs = np.linspace(-1.0, 1.0, 50)[:, None]
             vals = sim.z0_from_amps(sim.simulate_amps(circ, params, xs))[0]
@@ -265,7 +265,7 @@ def _check_analytical_residual(seed):
 def _check_boundary_identities(seed):
     m = merton.MarketParams()
     rng = np.random.default_rng(seed)
-    v = merton.analytical_v(m)
+    v = merton.AnalyticalSolution(m).values
     xs = rng.uniform(0.01, 0.99, 100)
     term = float(np.max(np.abs(v(m.T, xs) - merton.terminal_target(xs, m))))
     ts = rng.uniform(0.01, 0.99, 100)

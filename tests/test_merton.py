@@ -10,7 +10,6 @@ from qpinn.merton import (
     DerivBundle,
     LossWeights,
     MarketParams,
-    analytical_v,
     hjb_residual,
     k_constant,
     optimal_control,
@@ -45,7 +44,7 @@ def test_market_invariants():
 
 def test_analytical_terminal_and_lateral():
     m = MarketParams()
-    v = analytical_v(m)
+    v = AnalyticalSolution(m).values
     xs = np.linspace(0.05, 0.95, 7)
     assert np.allclose(v(m.T, xs), xs**m.gamma / m.gamma)
     k = k_constant(m)
@@ -56,12 +55,12 @@ def test_analytical_terminal_and_lateral():
 def test_analytical_paper_point():
     m = MarketParams()
     expected = math.exp(0.019857375 * 0.5) * 0.5**0.95 / 0.95
-    assert analytical_v(m)(0.5, 0.5) == pytest.approx(expected, rel=1e-12)
+    assert AnalyticalSolution(m).values(0.5, 0.5) == pytest.approx(expected, rel=1e-12)
 
 
 def test_analytical_domain():
     with pytest.raises(DomainError):
-        analytical_v(MarketParams())(0.5, 0.0)
+        AnalyticalSolution(MarketParams()).values(0.5, 0.0)
 
 
 def test_residual_vanishes_on_analytical_solution():

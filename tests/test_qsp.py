@@ -213,17 +213,12 @@ def test_expand_td_size_cap():
 
 
 def test_univariate_model_parameter_count():
-    assert qsp.build_univariate_model(np.zeros(5), np.zeros(6)).n_params == 11
-
-
-def test_univariate_model_length_mismatch():
-    with pytest.raises(ValueError):
-        qsp.build_univariate_model(np.zeros(2), np.zeros(2))
+    assert qsp.univariate_model_circuit(5).n_params == 11
 
 
 def test_univariate_model_synthesized_value():
     th1, th2 = qsp.synthesize_angles(UnivariatePoly((0.0, 0.4)), 1)
-    circ = qsp.build_univariate_model(th1, th2)
+    circ = qsp.univariate_model_circuit(len(th1.theta))
     params = np.concatenate([th1.theta, th2.theta])
     val = sim.expect_z0(sim.run(circ, params, [0.25]))
     assert val == pytest.approx(0.1, abs=1e-8)
@@ -281,8 +276,8 @@ def test_td_rank1_reduces_to_rank1_circuit():
     circ, lam = qsp.build_td_circuit(td, seed=4)
     assert lam == 1.0
     pairs = [qsp.synthesize_angles(factors[0][j], 1, seed=4 + j) for j in range(2)]
-    rank1 = qsp.build_rank1_circuit(pairs)
-    params = qsp.rank1_params(pairs)
+    rank1 = qsp.rank1_circuit_template(2, 1)
+    params = np.concatenate([np.concatenate([a.theta, b.theta]) for a, b in pairs])
     assert circ.width == rank1.width == 5
     for pt in rng.uniform(-1, 1, size=(10, 2)):
         a = sim.expect_z0(sim.run(circ, [], pt))
@@ -346,9 +341,14 @@ def test_chain_value_dual_matches_fd():
     zero = np.zeros(1)
     tr = qsp.chain_value(th, (np.array([x]), zero + 1.0, zero))
     f = lambda t: qsp.chain_value(th, np.array([t]))[0, 0]
+    assert np.array_equal(tr[0], qsp.chain_value(th, np.array([x])))
     h = 1e-6
     fd = (f(x + h) - f(x - h)) / (2 * h)
     assert tr[1][0, 0] == pytest.approx(fd, rel=1e-6)
+    for k in (1, 2, 4):  # batched angles: the value channel is the plain run
+        ths, xs = rng.normal(size=(3, k)), rng.uniform(-0.95, 0.95, size=5)
+        tr = qsp.chain_value(ths, (xs, np.ones(5), np.zeros(5)))
+        assert np.array_equal(tr[0], qsp.chain_value(ths, xs))
 
 
 # ---------------------------------------------------------------------------

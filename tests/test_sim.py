@@ -75,12 +75,58 @@ def test_width_cap():
         sim.run(cir.Circuit(25, ()))
 
 
+def test_param_column_count():
+    circ = qsp.univariate_model_circuit(1)  # 3 parameter slots, 1 input
+    with pytest.raises(SizeError, match="expected 3 columns, got 2"):
+        sim.simulate_amps(circ, [0.1, 0.2], [0.3])
+    with pytest.raises(SizeError, match="expected 3 columns, got 2"):
+        sim.simulate_amps(circ, [Dual2.seed(0.1), 0.2], [0.3])
+
+
+def test_input_column_count():
+    circ = qsp.univariate_model_circuit(1)
+    with pytest.raises(SizeError, match="expected 1 columns, got 2"):
+        sim.simulate_amps(circ, [0.1, 0.2, 0.3], [0.3, 0.4])
+    with pytest.raises(SizeError, match="expected 1 columns, got 2"):
+        sim.simulate_amps(circ, [0.1, 0.2, 0.3], [Dual2.seed(0.3), 0.4])
+
+
 def test_input_domain():
     c = cir.build_qsp_chain(1)
     with pytest.raises(DomainError):
         sim.run(c, [0.0, 0.0], [1.2])
     with pytest.raises(DomainError):
         sim.run(c, [0.0, 0.0], [Dual2.seed(1.0)])  # duals need the open interval
+
+
+def _channel_circuit(rng, width):
+    """Seeded circuit over 2 parameter slots and 2 inputs with every gate kind.
+
+    Each of rx, rz and rzz appears once with a ``Const``, a ``Param`` and an
+    ``InputArccos`` angle, about half of them controlled; x, cnot and an
+    uncontrolled ``prepare`` are shuffled in after a layer of h.
+    """
+    pick = lambda k: [int(q) for q in rng.permutation(width)[:k]]
+
+    def angle(kind):
+        scale, offset = (float(v) for v in rng.normal(size=2))
+        if kind == "const":
+            return cir.Const(offset)
+        if kind == "param":
+            return cir.Param(int(rng.integers(2)), scale, offset)
+        return cir.InputArccos(int(rng.integers(2)), scale, offset)
+
+    amps = np.abs(rng.normal(size=4))
+    a, b = pick(2)
+    gates = [cir.x(pick(1)[0]), cir.cnot(a, b),
+             cir.prepare_amplitudes(tuple(pick(2)), amps / np.linalg.norm(amps))]
+    for kind in ("const", "param", "input"):
+        a, b, c = pick(3)
+        for g in (cir.rx(a, angle(kind)), cir.rz(a, angle(kind)), cir.rzz(a, b, angle(kind))):
+            gates.append(cir.controlled(g, [(c, int(rng.integers(2)))])
+                         if rng.random() < 0.5 else g)
+    gates = [cir.h(q) for q in range(width)] + [gates[i] for i in rng.permutation(len(gates))]
+    return cir.Circuit(width, tuple(gates), n_params=2, n_inputs=2)
 
 
 def test_dual_value_channel_bit_identical():
@@ -91,6 +137,22 @@ def test_dual_value_channel_bit_identical():
     plain = sim.run(circ, th, [x])
     dual = sim.run(circ, th, [Dual2.seed(x)])
     assert np.array_equal(plain.amps, dual.amps)
+
+    # dual inputs, dual params and both, on circuits with every gate and angle kind
+    h = 1e-5
+    for _ in range(12):
+        circ = _channel_circuit(rng, int(rng.integers(3, 5)))
+        th, dth = rng.normal(size=2), rng.normal(size=2)
+        xs, dxs = rng.uniform(-0.9, 0.9, size=2), rng.normal(size=2)
+        plain = sim.run(circ, th, xs)
+        for p_dir, x_dir in ((np.zeros(2), dxs), (dth, np.zeros(2)), (dth, dxs)):
+            p = [Dual2(v, d) for v, d in zip(th, p_dir)] if p_dir.any() else th
+            i = [Dual2(v, d) for v, d in zip(xs, x_dir)] if x_dir.any() else xs
+            dual = sim.run(circ, p, i)
+            assert np.array_equal(plain.amps, dual.amps)
+            f = lambda s: sim.expect_z0(sim.run(circ, th + s * p_dir, xs + s * x_dir))
+            fd1 = (f(h) - f(-h)) / (2 * h)
+            assert sim.expect_z0(dual).d1 == pytest.approx(fd1, rel=1e-6, abs=1e-9)
 
 
 def test_dual_derivative_matches_finite_difference():
