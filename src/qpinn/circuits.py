@@ -13,7 +13,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -222,12 +222,22 @@ def build_qsp_chain(L: int, param_base: int = 0, input_var: int = 0) -> Circuit:
     return Circuit(1, tuple(gates), n_params=param_base + L + 1, n_inputs=input_var + 1)
 
 
-def controlled_wrap(circuit: Circuit, controls) -> Circuit:
-    """Wrap every gate with the given (qubit, polarity) controls appended."""
-    controls = tuple((int(q), int(p)) for q, p in controls)
-    width = max([circuit.width] + [q + 1 for q, _ in controls])
-    gates = tuple(controlled(g, controls) for g in circuit.gates) if controls else circuit.gates
-    return Circuit(width, gates, circuit.n_params, circuit.n_inputs)
+def bind(circuit: Circuit, angles) -> Circuit:
+    """``circuit`` with every ``Param`` angle replaced by its ``Const`` value.
+
+    ``Const`` and ``InputArccos`` angles are kept; the result has no slots.
+    """
+    if len(angles) != circuit.n_params:
+        raise SizeError(f"bind expects {circuit.n_params} angles, got {len(angles)}")
+
+    def bound(g: Gate) -> Gate:
+        if g.kind == "controlled":
+            return replace(g, inner=bound(g.inner))
+        if isinstance(g.angle, Param):
+            return replace(g, angle=Const(eval_angle(g.angle, angles, ())))
+        return g
+
+    return Circuit(circuit.width, tuple(bound(g) for g in circuit.gates), 0, circuit.n_inputs)
 
 
 def greedy_depth(gates) -> int:

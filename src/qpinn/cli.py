@@ -133,6 +133,9 @@ def _rows(pairs):
 
 
 def resource_report(construction: str, L: int, D: int, R: int, native: str) -> dict:
+    for name, val in (("L", L), ("D", D), ("R", R)):
+        if val < 1:
+            raise ConfigError(f"resources requires {name} >= 1, got {val}")
     native_set = (cir.NativeGateSet.CNOT_SINGLE_QUBIT if native == "cnot-single-qubit"
                   else cir.NativeGateSet.DOUBLE_CONTROLLED)
     if construction == "prop1":
@@ -158,7 +161,7 @@ def resource_report(construction: str, L: int, D: int, R: int, native: str) -> d
                 ("depth", rep.depth, 4 * L + 2, "<="),
             ])
     elif construction == "cor1":
-        circ = qsp.rank1_circuit_template(D, L)
+        circ = qsp.td_circuit_template(1, D, L)
         rep = cir.count_resources(circ, cir.NativeGateSet.DOUBLE_CONTROLLED)
         rows = _rows([
             ("width", rep.width, 2 * D + 1, "=="),
@@ -361,18 +364,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify":
         return cmd_verify(args.suite, args.seed, args.out)
-    if args.command == "resources":
-        return cmd_resources(args.construction, args.L, args.D, args.R,
-                             args.native, args.out)
-    overrides = {
-        "models": args.models.split(",") if args.models else None,
-        "n_runs": args.runs,
-        "epochs": args.epochs,
-        "base_seed": args.seed,
-        "out_dir": args.out,
-    }
     try:
-        cfg = load_config(args.config, overrides)
+        if args.command == "resources":
+            return cmd_resources(args.construction, args.L, args.D, args.R,
+                                 args.native, args.out)
+        cfg = load_config(args.config, {
+            "models": args.models.split(",") if args.models else None,
+            "n_runs": args.runs,
+            "epochs": args.epochs,
+            "base_seed": args.seed,
+            "out_dir": args.out,
+        })
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

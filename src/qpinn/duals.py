@@ -25,20 +25,12 @@ Triple = tuple  # (v, d1, d2)
 # ---------------------------------------------------------------------------
 # raw triple arithmetic (value, first, second derivative)
 
-def t_const(c) -> Triple:
-    return (c, 0.0, 0.0)
-
-
 def t_add(a: Triple, b: Triple) -> Triple:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
 def t_sub(a: Triple, b: Triple) -> Triple:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def t_neg(a: Triple) -> Triple:
-    return (-a[0], -a[1], -a[2])
 
 
 def t_mul(a: Triple, b: Triple) -> Triple:

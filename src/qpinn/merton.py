@@ -56,14 +56,6 @@ class CollocationSet:
 
 
 @dataclass(frozen=True)
-class DerivBundle:
-    v: float
-    v_t: float
-    v_x: float
-    v_xx: float
-
-
-@dataclass(frozen=True)
 class LossBreakdown:
     l_d: float
     l_1b: float
@@ -107,10 +99,6 @@ class AnalyticalSolution:
 def hjb_residual_arrays(v_t, v_x, v_xx, x, m: MarketParams):
     theta2 = ((m.mu - m.r) / m.sigma) ** 2
     return v_t * v_xx + v_x * v_xx * m.r * x - 0.5 * theta2 * v_x**2
-
-
-def hjb_residual(d: DerivBundle, x: float, m: MarketParams) -> float:
-    return float(hjb_residual_arrays(d.v_t, d.v_x, d.v_xx, x, m))
 
 
 def terminal_target(x, m: MarketParams):

@@ -37,7 +37,6 @@ import numpy as np
 
 from . import circuits as cir
 from . import qsp
-from .merton import DerivBundle
 
 KINDS = ("qpinn", "quantum_inspired", "counterpart", "fully_connected")
 
@@ -67,7 +66,7 @@ class ModelSpec:
 
 def qpinn_circuit() -> cir.Circuit:
     """The 5-qubit QPINN circuit with λ as parameter slot 6."""
-    base = qsp.rank1_circuit_template(2, 1)
+    base = qsp.td_circuit_template(1, 2, 1)
     gates = list(base.gates)
     entangler = cir.controlled(cir.rzz(2, 3, cir.Param(6)), [(0, 1)])
     gates.insert(len(gates) - 1, entangler)
@@ -422,17 +421,6 @@ class ModelFunction:
 
     def derivatives(self, t, x):
         return tuple(a[0] for a in self._ev.bundles(self.params[None, :], t, x))
-
-
-def model_eval(spec: ModelSpec, params, t: float, x: float,
-               derivatives: bool = False):
-    """Scalar model evaluation; a DerivBundle when derivatives are requested."""
-    fn = ModelFunction(spec, params)
-    ts, xs = np.array([t], float), np.array([x], float)
-    if not derivatives:
-        return float(fn.values(ts, xs)[0])
-    v, v_t, v_x, v_xx = fn.derivatives(ts, xs)
-    return DerivBundle(float(v[0]), float(v_t[0]), float(v_x[0]), float(v_xx[0]))
 
 
 def params_to_json_dict(spec: ModelSpec, params) -> dict:

@@ -351,31 +351,8 @@ def _param_exprs(base: int, count: int) -> list[cir.AngleExpr]:
     return [cir.Param(base + i) for i in range(count)]
 
 
-def _const_exprs(values) -> list[cir.AngleExpr]:
-    return [cir.Const(float(v)) for v in values]
-
-
-def univariate_model_circuit(L: int) -> cir.Circuit:
-    """Parametric 3-qubit parity-split model: slots 0..L-1 = θ1, L..2L = θ2."""
-    if L < 1:
-        raise ValueError("univariate model requires L >= 1")
-    gates = [cir.h(0), cir.h(1), cir.h(2)]
-    gates += _chain_gates(2, _param_exprs(0, L), 0, ((0, 1), (1, 0)))
-    gates += _chain_gates(2, _param_exprs(L, L + 1), 0, ((0, 1), (1, 1)))
-    gates.append(cir.h(0))
-    return cir.Circuit(3, tuple(gates), n_params=2 * L + 1, n_inputs=1)
-
-
-def rank1_circuit_template(D: int, L: int) -> cir.Circuit:
-    """Parametric Hadamard-test circuit of width 2D+1; slots var-major (2L+1 each)."""
-    gates = [cir.h(q) for q in range(2 * D + 1)]
-    for j in range(D):
-        parity, target = 1 + 2 * j, 2 + 2 * j
-        base = j * (2 * L + 1)
-        gates += _chain_gates(target, _param_exprs(base, L), j, ((0, 1), (parity, 0)))
-        gates += _chain_gates(target, _param_exprs(base + L, L + 1), j, ((0, 1), (parity, 1)))
-    gates.append(cir.h(0))
-    return cir.Circuit(2 * D + 1, tuple(gates), n_params=(2 * L + 1) * D, n_inputs=D)
+def _ancilla_count(terms: int) -> int:
+    return math.ceil(math.log2(terms)) if terms > 1 else 0
 
 
 def _ancilla_bits(i: int, qubits: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -383,12 +360,19 @@ def _ancilla_bits(i: int, qubits: tuple[int, ...]) -> tuple[tuple[int, int], ...
     return tuple((qubits[k], (i >> (a - 1 - k)) & 1) for k in range(a))
 
 
+def univariate_model_circuit(L: int) -> cir.Circuit:
+    """The 3-qubit parity-split model, ``td_circuit_template(1, 1, L)``:
+    slots 0..L-1 = θ1, L..2L = θ2."""
+    return td_circuit_template(1, 1, L)
+
+
 def build_lcu_multivariate(monomials: MonomialList, D: int, L: int, seed: int = 0
                            ) -> tuple[cir.Circuit, float]:
     """LCU circuit over monomial blocks; expect_z0 = p(x)/Λ with Λ = T·‖c‖_∞.
 
     When the monomial list is the full (L+1)^D grid this Λ coincides with
-    ‖c‖_∞·(L+1)^D.  Angles are synthesized and bound as constants.
+    ‖c‖_∞·(L+1)^D.  Angles are synthesized and bound into
+    ``lcu_circuit_template`` as constants.
     """
     t_count = len(monomials.entries)
     if t_count < 1:
@@ -399,38 +383,21 @@ def build_lcu_multivariate(monomials: MonomialList, D: int, L: int, seed: int = 
     c_inf = max(abs(c) for _, c in monomials.entries)
     if c_inf == 0:
         raise ValueError("all-zero coefficient list")
-    lam = t_count * c_inf
-    a = max(0, math.ceil(math.log2(t_count))) if t_count > 1 else 0
-    width = 1 + a + D
-    anc = tuple(range(1, 1 + a))
-    sysq = tuple(range(1 + a, 1 + a + D))
     rng = np.random.default_rng(seed)
-
-    gates: list[cir.Gate] = [cir.h(0)]
-    if a:
-        if t_count == 1 << a:
-            gates += [cir.h(q) for q in anc]
-        else:
-            amps = np.zeros(1 << a)
-            amps[:t_count] = 1.0 / math.sqrt(t_count)
-            gates.append(cir.prepare_amplitudes(anc, amps))
-    gates += [cir.h(q) for q in sysq]
-    for i, (n, c) in enumerate(monomials.entries):
-        ctl_anc = _ancilla_bits(i, anc)
+    angles: list[float] = []
+    for n, c in monomials.entries:
         for j, nj in enumerate(n):
             coeffs = [0.0] * (nj + 1)
             coeffs[nj] = (c / c_inf) if j == 0 else 1.0
-            theta = _synthesize_branch(UnivariatePoly(tuple(coeffs)), nj, rng)
-            gates += _chain_gates(sysq[j], _const_exprs(theta), j, ((0, 1),) + ctl_anc)
-    gates.append(cir.h(0))
-    return cir.Circuit(width, tuple(gates), n_params=0, n_inputs=D), lam
+            angles += _synthesize_branch(UnivariatePoly(tuple(coeffs)), nj, rng).tolist()
+    tpl = lcu_circuit_template([n for n, _ in monomials.entries], D, L)
+    return cir.bind(tpl, angles), t_count * c_inf
 
 
 def lcu_circuit_template(multi_indices, D: int, L: int) -> cir.Circuit:
-    """Parametric structural twin of the LCU circuit, for resource audits."""
+    """Parametric LCU circuit: slots monomial-major, nj+1 per variable j."""
     t_count = len(multi_indices)
-    a = max(0, math.ceil(math.log2(t_count))) if t_count > 1 else 0
-    width = 1 + a + D
+    a = _ancilla_count(t_count)
     anc = tuple(range(1, 1 + a))
     sysq = tuple(range(1 + a, 1 + a + D))
     gates: list[cir.Gate] = [cir.h(0)]
@@ -449,14 +416,7 @@ def lcu_circuit_template(multi_indices, D: int, L: int) -> cir.Circuit:
             gates += _chain_gates(sysq[j], _param_exprs(slot, nj + 1), j, ((0, 1),) + ctl_anc)
             slot += nj + 1
     gates.append(cir.h(0))
-    return cir.Circuit(width, tuple(gates), n_params=slot, n_inputs=D)
-
-
-def _td_layout(R: int, D: int) -> tuple[int, tuple[int, ...], list[tuple[int, int]]]:
-    a = max(0, math.ceil(math.log2(R))) if R > 1 else 0
-    anc = tuple(range(1, 1 + a))
-    pairs = [(1 + a + 2 * j, 2 + a + 2 * j) for j in range(D)]
-    return 1 + a + 2 * D, anc, pairs
+    return cir.Circuit(1 + a + D, tuple(gates), n_params=slot, n_inputs=D)
 
 
 def build_td_circuit(p: TdPoly, seed: int = 0) -> tuple[cir.Circuit, float]:
@@ -473,38 +433,37 @@ def build_td_circuit(p: TdPoly, seed: int = 0) -> tuple[cir.Circuit, float]:
         for poly in row:
             if poly.sup_norm_grid() > 0.5 + 1e-12:
                 raise BoundError("factor sup-norm exceeds 1/2 on [-1, 1]")
-    width, anc, pairs = _td_layout(p.R, p.D)
-    gates: list[cir.Gate] = [cir.h(0)]
-    if anc:
-        amps = np.zeros(1 << len(anc))
-        amps[: p.R] = np.sqrt(np.abs(np.asarray(p.lambdas)) / lam_total)
-        gates.append(cir.prepare_amplitudes(anc, amps))
-    for parity, target in pairs:
-        gates += [cir.h(parity), cir.h(target)]
+    angles: list[float] = []
     for r in range(p.R):
-        ctl_anc = _ancilla_bits(r, anc)
         for j in range(p.D):
             poly = p.factors[r][j]
             if p.lambdas[r] < 0 and j == 0:
                 poly = UnivariatePoly(tuple(-c for c in poly.coeffs))
             theta1, theta2 = synthesize_angles(poly, p.L, seed=seed + 101 * r + j)
-            parity, target = pairs[j]
-            base_ctl = ((0, 1),) + ctl_anc
-            gates += _chain_gates(target, _const_exprs(theta1.theta), j,
-                                  base_ctl + ((parity, 0),))
-            gates += _chain_gates(target, _const_exprs(theta2.theta), j,
-                                  base_ctl + ((parity, 1),))
-    gates.append(cir.h(0))
-    return cir.Circuit(width, tuple(gates), n_params=0, n_inputs=p.D), lam_total
+            angles += theta1.theta + theta2.theta
+    weights = np.sqrt(np.abs(np.asarray(p.lambdas)) / lam_total)
+    return cir.bind(_td_circuit(p.R, p.D, p.L, weights), angles), lam_total
 
 
 def td_circuit_template(R: int, D: int, L: int) -> cir.Circuit:
-    """Parametric structural twin of the TD circuit: R·D·(2L+1) slots."""
-    width, anc, pairs = _td_layout(R, D)
+    """Parametric TD circuit with uniform ancilla weights: R·D·(2L+1) slots,
+    (r, j)-major, θ1 (L slots) before θ2 (L+1).  R = 1 is the rank-1
+    Hadamard-test circuit of width 2D+1; R = D = 1 the univariate model."""
+    return _td_circuit(R, D, L, 1.0 / math.sqrt(R))
+
+
+def _td_circuit(R: int, D: int, L: int, weights) -> cir.Circuit:
+    """The TD layout: output qubit 0, ancillae weighted by ``weights`` on
+    ``amps[:R]``, then a (parity, target) qubit pair per variable."""
+    if L < 1:
+        raise ValueError("TD circuit requires L >= 1")
+    a = _ancilla_count(R)
+    anc = tuple(range(1, 1 + a))
+    pairs = [(1 + a + 2 * j, 2 + a + 2 * j) for j in range(D)]
     gates: list[cir.Gate] = [cir.h(0)]
     if anc:
-        amps = np.zeros(1 << len(anc))
-        amps[:R] = 1.0 / math.sqrt(R)
+        amps = np.zeros(1 << a)
+        amps[:R] = weights
         gates.append(cir.prepare_amplitudes(anc, amps))
     for parity, target in pairs:
         gates += [cir.h(parity), cir.h(target)]
@@ -519,7 +478,7 @@ def td_circuit_template(R: int, D: int, L: int) -> cir.Circuit:
                                   base_ctl + ((parity, 1),))
             slot += 2 * L + 1
     gates.append(cir.h(0))
-    return cir.Circuit(width, tuple(gates), n_params=slot, n_inputs=D)
+    return cir.Circuit(1 + a + 2 * D, tuple(gates), n_params=slot, n_inputs=D)
 
 
 # ---------------------------------------------------------------------------

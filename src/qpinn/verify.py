@@ -61,7 +61,7 @@ def _check_td_identity(seed):
 
 def _check_rank1_dequantization(seed):
     rng = np.random.default_rng(seed + 3)
-    tpl = qsp.rank1_circuit_template(2, 1)
+    tpl = qsp.td_circuit_template(1, 2, 1)
     err = 0.0
     for _ in range(5):
         th = rng.normal(size=6)

@@ -66,7 +66,7 @@ def test_criterion_1_circuit_identities():
     ok3 = worst_td < 1e-6
 
     worst_deq = 0.0
-    tpl = qsp.rank1_circuit_template(2, 1)
+    tpl = qsp.td_circuit_template(1, 2, 1)
     for _ in range(20):
         th = rng.normal(size=6)
         pt = rng.uniform(-1, 1, size=2)

@@ -125,17 +125,22 @@ def test_unitary_input_domain():
 
 
 # ---------------------------------------------------------------------------
-# controlled_wrap
+# controlled, applied gate by gate
+
+
+def _wrap(circuit, controls):
+    gates = tuple(cir.controlled(g, controls) for g in circuit.gates)
+    return cir.Circuit(circuit.width, gates, circuit.n_params, circuit.n_inputs)
 
 
 def test_controlled_wrap_empty_controls():
     c = cir.build_qsp_chain(1)
-    assert cir.controlled_wrap(c, []) == c
+    assert _wrap(c, []) == c
 
 
 def test_controlled_wrap_identity_on_off_subspace():
     inner = cir.Circuit(2, (cir.rx(1, cir.Const(math.pi)),))
-    wrapped = cir.controlled_wrap(inner, [(0, 1)])
+    wrapped = _wrap(inner, [(0, 1)])
     u = cir.unitary_of(wrapped)
     assert np.abs(u[:2, :2] - np.eye(2)).max() < 1e-15
     assert np.abs(u[2:, 2:] - rx_matrix(math.pi)).max() < 1e-15
@@ -143,7 +148,7 @@ def test_controlled_wrap_identity_on_off_subspace():
 
 def test_controlled_wrap_projector_sum():
     inner = cir.Circuit(2, (cir.rz(1, cir.Const(0.3)), cir.rx(1, cir.Const(0.8))))
-    wrapped = cir.controlled_wrap(inner, [(0, 1)])
+    wrapped = _wrap(inner, [(0, 1)])
     u = cir.unitary_of(wrapped)
     v = rx_matrix(0.8) @ rz_matrix(0.3)
     expected = np.kron(np.diag([1.0, 0.0]), np.eye(2)) + np.kron(np.diag([0.0, 1.0]), v)
@@ -151,9 +156,8 @@ def test_controlled_wrap_projector_sum():
 
 
 def test_controlled_wrap_collision():
-    inner = cir.Circuit(1, (cir.rx(0, cir.Const(1.0)),))
     with pytest.raises(IndexCollisionError):
-        cir.controlled_wrap(inner, [(0, 1)])
+        cir.controlled(cir.rx(0, cir.Const(1.0)), [(0, 1)])
 
 
 def test_parity_split_pair_expectation():
@@ -192,11 +196,32 @@ def test_count_resources_prop1_L3():
 def test_count_resources_cor1():
     from qpinn import qsp
 
-    rep = cir.count_resources(qsp.rank1_circuit_template(2, 1),
+    rep = cir.count_resources(qsp.td_circuit_template(1, 2, 1),
                               cir.NativeGateSet.DOUBLE_CONTROLLED)
     assert rep.width == 5
     assert rep.depth <= 10
     assert rep.n_params == 6
+
+
+def test_bind_replaces_params_only():
+    a = cir.Param(0, scale=-0.5, offset=0.25)
+    b = cir.Param(1, scale=2.0, offset=-1.0)
+    gates = (cir.h(0), cir.rz(1, a), cir.controlled(cir.rx(1, b), [(0, 1)]),
+             cir.rx(1, cir.InputArccos(0)), cir.rz(0, cir.Const(0.7)),
+             cir.controlled(cir.rz(1, cir.Param(0)), [(0, 0)]))
+    c = cir.Circuit(2, gates, n_params=2, n_inputs=1)
+    theta = [0.3, -1.1]
+    bound = cir.bind(c, theta)
+    assert bound.n_params == 0 and bound.n_inputs == 1
+    assert bound.gates[1].angle == cir.Const(cir.eval_angle(a, theta, ()))
+    assert bound.gates[2].controls == gates[2].controls
+    assert bound.gates[2].inner.angle == cir.Const(cir.eval_angle(b, theta, ()))
+    assert bound.gates[5].inner.angle == cir.Const(0.3)
+    assert bound.gates[3] == gates[3] and bound.gates[4] == gates[4]
+    x = [0.4]
+    assert np.array_equal(cir.unitary_of(bound, (), x), cir.unitary_of(c, theta, x))
+    with pytest.raises(SizeError):
+        cir.bind(c, [0.3])
 
 
 def test_count_resources_needs_lowering():

@@ -56,6 +56,16 @@ def test_resources_cli_exit(tmp_path):
     assert json.loads(out.read_text())["passed"]
 
 
+@pytest.mark.parametrize("construction", ["prop1", "thm1", "thm2", "cor1"])
+def test_resources_rejects_sizes_below_one(construction, capsys):
+    for flag in ("--L", "--D", "--R"):
+        rc = cli.main(["resources", "--construction", construction, flag, "0"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"config error: resources requires {flag[2:]}")
+    with pytest.raises(ConfigError):
+        cli.resource_report(construction, 1, 0, 1, "double-controlled")
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"epoch": 10}))

@@ -149,7 +149,7 @@ def test_parameter_shift_matches_dual_on_constructed_circuits():
     circuits = [
         qsp.univariate_model_circuit(1),
         qsp.univariate_model_circuit(2),
-        qsp.rank1_circuit_template(2, 1),
+        qsp.td_circuit_template(1, 2, 1),
         models.qpinn_circuit(),
     ]
     for circ in circuits:

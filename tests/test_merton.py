@@ -7,10 +7,9 @@ from qpinn import duals, merton
 from qpinn.errors import DegenerateControlError, DomainError
 from qpinn.merton import (
     AnalyticalSolution,
-    DerivBundle,
     LossWeights,
     MarketParams,
-    hjb_residual,
+    hjb_residual_arrays,
     k_constant,
     optimal_control,
     sample_collocation,
@@ -83,15 +82,13 @@ def test_residual_analytical_via_duals():
         v, v_x, v_xx = duals.derive2(fx, x0)
         ft = lambda t: duals.exp(-k * (m.T - t) + 0.0 * t) * x0**m.gamma / m.gamma
         _, v_t, _ = duals.derive2(ft, t0)
-        d = DerivBundle(v, v_t, v_x, v_xx)
-        assert abs(hjb_residual(d, x0, m)) < 1e-8
+        assert abs(hjb_residual_arrays(v_t, v_x, v_xx, x0, m)) < 1e-8
 
 
 def test_residual_term_isolation():
     m = MarketParams()
-    assert hjb_residual(DerivBundle(0, 0, 0, 0), 0.3, m) == 0.0
-    d = DerivBundle(1.0, 2.0, 0.0, 3.0)
-    assert hjb_residual(d, 0.7, m) == pytest.approx(2.0 * 3.0)
+    assert hjb_residual_arrays(0.0, 0.0, 0.0, 0.3, m) == 0.0
+    assert hjb_residual_arrays(2.0, 0.0, 3.0, 0.7, m) == pytest.approx(2.0 * 3.0)
 
 
 def test_total_loss_analytical_below_tolerance():

@@ -40,7 +40,7 @@ def test_qpinn_lambda_zero_equals_rank1_unitary():
     theta = rng.normal(size=6)
     x = [0.3, 0.7]
     u_qpinn = cir.unitary_of(models.qpinn_circuit(), np.concatenate([theta, [0.0]]), x)
-    u_rank1 = cir.unitary_of(qsp.rank1_circuit_template(2, 1), theta, x)
+    u_rank1 = cir.unitary_of(qsp.td_circuit_template(1, 2, 1), theta, x)
     assert np.abs(u_qpinn - u_rank1).max() < 1e-12
 
 
@@ -145,15 +145,16 @@ def test_fully_connected_zero_params():
 def test_model_eval_scalar_paths():
     spec = ModelSpec("counterpart")
     params = [0.1, 0.2, 0.0, 0.3, 0.1, 0.0]
-    val = models.model_eval(spec, params, 0.5, 0.5)
-    assert isinstance(val, float)
-    bundle = models.model_eval(spec, params, 0.5, 0.5, derivatives=True)
-    assert bundle.v == pytest.approx(val)
+    fn = models.ModelFunction(spec, params)
+    t, x = np.array([0.5]), np.array([0.5])
+    (val,) = fn.values(t, x)
+    v, _, v_x, v_xx = (a[0] for a in fn.derivatives(t, x))
+    assert v == pytest.approx(val)
     p1 = 0.1 + 0.2 * 0.5
     p2 = 0.3 + 0.1 * 0.5
-    assert bundle.v == pytest.approx(10.0 * p1 * p2)
-    assert bundle.v_x == pytest.approx(10.0 * 0.2 * p2)
-    assert bundle.v_xx == pytest.approx(0.0, abs=1e-12)
+    assert v == pytest.approx(10.0 * p1 * p2)
+    assert v_x == pytest.approx(10.0 * 0.2 * p2)
+    assert v_xx == pytest.approx(0.0, abs=1e-12)
 
 
 def test_derivatives_vs_finite_differences_all_models():

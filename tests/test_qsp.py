@@ -276,7 +276,7 @@ def test_td_rank1_reduces_to_rank1_circuit():
     circ, lam = qsp.build_td_circuit(td, seed=4)
     assert lam == 1.0
     pairs = [qsp.synthesize_angles(factors[0][j], 1, seed=4 + j) for j in range(2)]
-    rank1 = qsp.rank1_circuit_template(2, 1)
+    rank1 = qsp.td_circuit_template(1, 2, 1)
     params = np.concatenate([np.concatenate([a.theta, b.theta]) for a, b in pairs])
     assert circ.width == rank1.width == 5
     for pt in rng.uniform(-1, 1, size=(10, 2)):
@@ -315,15 +315,69 @@ def test_td_factor_bound_error():
         qsp.build_td_circuit(bad)
 
 
+def _assert_binds(built, template):
+    """``built`` is ``template`` gate by gate with slot i bound to a Const;
+    returns the bound angles in slot order."""
+    assert (built.width, built.n_inputs, built.n_params) == (
+        template.width, template.n_inputs, 0)
+    assert len(built.gates) == len(template.gates)
+    angles = []
+    for g, t in zip(built.gates, template.gates):
+        assert (g.kind, g.qubits, g.controls) == (t.kind, t.qubits, t.controls)
+        g, t = (g.inner, t.inner) if t.kind == "controlled" else (g, t)
+        assert (g.kind, g.qubits) == (t.kind, t.qubits)
+        if isinstance(t.angle, cir.Param):
+            assert t.angle.index == len(angles) and isinstance(g.angle, cir.Const)
+            angles.append(g.angle.value)
+        else:
+            assert g.angle == t.angle
+    assert len(angles) == template.n_params
+    native = cir.NativeGateSet.DOUBLE_CONTROLLED
+    rb = cir.count_resources(built, native).to_json_dict()
+    rt = cir.count_resources(template, native).to_json_dict()
+    assert rb.pop("n_params") == 0 and rt.pop("n_params") == template.n_params
+    assert rb == rt
+    return angles
+
+
+@pytest.mark.parametrize("R,D,L", [(1, 1, 2), (2, 2, 1), (3, 2, 2), (2, 3, 1)])
+def test_td_builder_binds_the_audited_template(R, D, L):
+    rng = np.random.default_rng(35 + R + D + L)
+    factors = tuple(tuple(bounded_poly(rng, L) for _ in range(D)) for _ in range(R))
+    lambdas = tuple(rng.normal(size=R))
+    circ, _ = qsp.build_td_circuit(TdPoly(R, D, L, lambdas, factors), seed=9)
+    angles = _assert_binds(circ, qsp.td_circuit_template(R, D, L))
+    expected = []
+    for r in range(R):
+        for j in range(D):
+            poly = factors[r][j]
+            if lambdas[r] < 0 and j == 0:
+                poly = UnivariatePoly(tuple(-c for c in poly.coeffs))
+            th1, th2 = qsp.synthesize_angles(poly, L, seed=9 + 101 * r + j)
+            expected += th1.theta + th2.theta
+    assert angles == expected
+
+
+@pytest.mark.parametrize("D,L", [(2, 1), (2, 2)])
+def test_lcu_builder_binds_the_audited_template(D, L):
+    rng = np.random.default_rng(36 + D + L)
+    indices = list(product(range(L + 1), repeat=D))
+    mono = MonomialList(tuple((n, float(rng.normal())) for n in indices))
+    circ, _ = qsp.build_lcu_multivariate(mono, D, L, seed=2)
+    template = qsp.lcu_circuit_template(indices, D, L)
+    _assert_binds(circ, template)
+    assert [g.amplitudes for g in circ.gates] == [g.amplitudes for g in template.gates]
+
+
 def test_rank1_parameter_count_and_x_one():
-    circ = qsp.rank1_circuit_template(2, 1)
+    circ = qsp.td_circuit_template(1, 2, 1)
     assert circ.n_params == 6
     assert sim.expect_z0(sim.run(circ, np.zeros(6), [1.0, 1.0])) == pytest.approx(1.0)
 
 
 def test_rank1_dequantization_identity():
     rng = np.random.default_rng(33)
-    circ = qsp.rank1_circuit_template(2, 1)
+    circ = qsp.td_circuit_template(1, 2, 1)
     for _ in range(10):
         th = rng.normal(size=6)
         pt = rng.uniform(-1, 1, size=2)

@@ -180,7 +180,7 @@ def test_dual_params_flow():
 
 def test_batched_matches_scalar_runs():
     rng = np.random.default_rng(16)
-    circ = qsp.rank1_circuit_template(2, 1)
+    circ = qsp.td_circuit_template(1, 2, 1)
     params = rng.normal(size=(3, 6))
     inputs = rng.uniform(-0.9, 0.9, size=(4, 2))
     amps = sim.simulate_amps(circ, params, inputs)
