@@ -25,7 +25,7 @@ import numpy as np
 
 from . import circuits as cir
 from . import merton, models, qsp, training, verify
-from .errors import ConfigError, DegenerateControlError
+from .errors import ConfigError, DegenerateControlError, LoweringError
 
 DEFAULT_CONFIG = {
     "market": {"r": 0.02, "T": 1.0, "gamma": 0.95, "mu": 0.0219, "sigma": 0.2},
@@ -132,60 +132,67 @@ def _rows(pairs):
     ]
 
 
+def _template(construction: str, L: int, D: int, R: int) -> cir.Circuit:
+    """The parametric circuit that ``resource_report`` audits."""
+    if construction == "prop1":
+        return qsp.univariate_model_circuit(L)
+    if construction == "cor1":
+        return qsp.td_circuit_template(1, D, L)
+    if construction == "thm1":
+        return qsp.lcu_circuit_template([tuple(i) for i in np.ndindex(*(L + 1,) * D)], D, L)
+    if construction == "thm2":
+        return qsp.td_circuit_template(R, D, L)
+    raise ValueError(f"unknown construction {construction!r}")
+
+
 def resource_report(construction: str, L: int, D: int, R: int, native: str) -> dict:
+    """Resources of a construction's template against the paper's formulas.
+
+    With ``native`` = cnot-single-qubit the template is lowered first and
+    counted in that set; a template that does not lower (a ``prepare`` gate
+    or more than 2 controls) is a config error.  A lowered rank-1 TD circuit
+    is D univariate models sharing the output qubit, so it is held to D times
+    Proposition 1's CNOT+1q bounds (``prop1`` is the case D = 1).
+    """
     for name, val in (("L", L), ("D", D), ("R", R)):
         if val < 1:
             raise ConfigError(f"resources requires {name} >= 1, got {val}")
-    native_set = (cir.NativeGateSet.CNOT_SINGLE_QUBIT if native == "cnot-single-qubit"
+    lower = native == "cnot-single-qubit"
+    native_set = (cir.NativeGateSet.CNOT_SINGLE_QUBIT if lower
                   else cir.NativeGateSet.DOUBLE_CONTROLLED)
+    circ = _template(construction, L, D, R)
+    if lower:
+        try:
+            circ = cir.lower_to_cnot_single(circ)
+        except LoweringError as exc:
+            raise ConfigError(f"{construction} at L={L}, D={D}, R={R} does not lower "
+                              f"to {native}: {exc}") from exc
+    rep = cir.count_resources(circ, native_set)
     if construction == "prop1":
-        circ = qsp.univariate_model_circuit(L)
-        if native_set is cir.NativeGateSet.CNOT_SINGLE_QUBIT:
-            low = cir.lower_to_cnot_single(circ)
-            rep = cir.count_resources(low, native_set)
-            depth_no_x = cir.greedy_depth([g for g in low.gates if g.kind != "x"])
-            rows = _rows([
-                ("width", rep.width, 3, "=="),
-                ("n_params", rep.n_params, 2 * L + 1, "=="),
-                ("n_single_qubit", rep.n_single_qubit, 36 * L, "<="),
-                ("n_cnot", rep.n_cnot, 32 * L, "<="),
-                ("depth (X-gates excluded)", depth_no_x, 60 * L - 5, "<="),
-            ])
-        else:
-            rep = cir.count_resources(circ, native_set)
-            rows = _rows([
-                ("width", rep.width, 3, "=="),
-                ("n_params", rep.n_params, 2 * L + 1, "=="),
-                ("n_multi_controlled", rep.n_multi_controlled, 4 * L, "=="),
-                ("n_single_qubit (Hadamards)", rep.n_single_qubit, 4, "=="),
-                ("depth", rep.depth, 4 * L + 2, "<="),
-            ])
+        rows = [("width", rep.width, 3, "=="), ("n_params", rep.n_params, 2 * L + 1, "==")]
     elif construction == "cor1":
-        circ = qsp.td_circuit_template(1, D, L)
-        rep = cir.count_resources(circ, cir.NativeGateSet.DOUBLE_CONTROLLED)
-        rows = _rows([
-            ("width", rep.width, 2 * D + 1, "=="),
-            ("n_params", rep.n_params, (2 * L + 1) * D, "=="),
-            ("depth", rep.depth, 4 * L * D + 2, "<="),
-        ])
+        rows = [("width", rep.width, 2 * D + 1, "=="),
+                ("n_params", rep.n_params, (2 * L + 1) * D, "==")]
     elif construction == "thm1":
-        indices = [tuple(idx) for idx in np.ndindex(*(L + 1,) * D)]
-        circ = qsp.lcu_circuit_template(indices, D, L)
-        rep = cir.count_resources(circ, cir.NativeGateSet.DOUBLE_CONTROLLED)
         t_count = (L + 1) ** D
-        rows = _rows([
-            ("width", rep.width, D + math.ceil(math.log2(t_count)) + 1, "=="),
-            ("n_params", rep.n_params, t_count * D * (L + 1), "<="),
-        ])
-    elif construction == "thm2":
-        circ = qsp.td_circuit_template(R, D, L)
-        rep = cir.count_resources(circ, cir.NativeGateSet.DOUBLE_CONTROLLED)
-        rows = _rows([
-            ("width", rep.width, 2 * D + math.ceil(math.log2(R)) + 1, "=="),
-            ("n_params", rep.n_params, R * D * (2 * L + 1), "=="),
-        ])
+        rows = [("width", rep.width, D + math.ceil(math.log2(t_count)) + 1, "=="),
+                ("n_params", rep.n_params, t_count * D * (L + 1), "<=")]
     else:
-        raise ValueError(f"unknown construction {construction!r}")
+        rows = [("width", rep.width, 2 * D + math.ceil(math.log2(R)) + 1, "=="),
+                ("n_params", rep.n_params, R * D * (2 * L + 1), "==")]
+    if lower and construction != "thm1":  # a rank-1 TD circuit: thm2 lowers only at R = 1
+        n_vars = 1 if construction == "prop1" else D
+        depth_no_x = cir.greedy_depth([g for g in circ.gates if g.kind != "x"])
+        rows += [("n_single_qubit", rep.n_single_qubit, 36 * L * n_vars, "<="),
+                 ("n_cnot", rep.n_cnot, 32 * L * n_vars, "<="),
+                 ("depth (X-gates excluded)", depth_no_x, (60 * L - 5) * n_vars, "<=")]
+    elif construction == "prop1":
+        rows += [("n_multi_controlled", rep.n_multi_controlled, 4 * L, "=="),
+                 ("n_single_qubit (Hadamards)", rep.n_single_qubit, 4, "=="),
+                 ("depth", rep.depth, 4 * L + 2, "<=")]
+    elif construction == "cor1":
+        rows.append(("depth", rep.depth, 4 * L * D + 2, "<="))
+    rows = _rows(rows)
     return {
         "construction": construction,
         "L": L, "D": D, "R": R, "native": native,
@@ -251,7 +258,7 @@ def cmd_train(cfg: dict) -> int:
     tg, xg = np.meshgrid(grid, grid, indexing="ij")
     sol = merton.AnalyticalSolution(market)
     analytic_surface = sol.values(tg.ravel(), xg.ravel())
-    _write_surface(out / "surface_analytical.csv", tg, xg, analytic_surface)
+    _write_surface(out / "surface_analytical.csv", grid, grid, analytic_surface)
     slice_x = grid
     slice_cols = {"analytical": sol.values(np.full_like(slice_x, 0.5), slice_x)}
 
@@ -280,7 +287,7 @@ def cmd_train(cfg: dict) -> int:
             spec = models.ModelSpec(kind, output_scale=cfg["output_scale"])
             fn = models.ModelFunction(spec, best.final_params)
             surf = fn.values(tg.ravel(), xg.ravel())
-            _write_surface(out / f"surface_{kind}.csv", tg, xg, surf)
+            _write_surface(out / f"surface_{kind}.csv", grid, grid, surf)
             slice_cols[kind] = fn.values(np.full_like(slice_x, 0.5), slice_x)
             rel_err = float(np.mean(np.abs(surf - analytic_surface)
                                     / np.abs(analytic_surface)))
@@ -316,11 +323,15 @@ def _recover_controls(fn: models.ModelFunction, market: merton.MarketParams) -> 
     return controls
 
 
-def _write_surface(path, tg, xg, values):
+def _write_surface(path, t_axis, x_axis, values):
+    """Rows (t, x, value) over the t-major grid t_axis × x_axis; each
+    coordinate is formatted once."""
+    ts = [f"{t:.17g}," for t in t_axis]
+    xs = [f"{x:.17g}," for x in x_axis]
+    vals = iter(np.asarray(values, dtype=float).ravel().tolist())
     with open(path, "w") as f:
         f.write("t,x,value\n")
-        for t, x, v in zip(tg.ravel(), xg.ravel(), np.asarray(values).ravel()):
-            f.write(f"{t:.17g},{x:.17g},{v:.17g}\n")
+        f.writelines(f"{t}{x}{next(vals):.17g}\n" for t in ts for x in xs)
 
 
 def _write_slice(path, xs, cols: dict):

@@ -113,7 +113,7 @@ def lateral_target(t, m: MarketParams):
 def fsum_rows(arr: np.ndarray) -> np.ndarray:
     """Exact (fsum) row sums; permutation-invariant by construction."""
     flat = np.atleast_2d(arr)
-    out = np.array([math.fsum(row) for row in flat])
+    out = np.array([math.fsum(row) for row in flat.tolist()])
     return out if arr.ndim > 1 else out[0]
 
 

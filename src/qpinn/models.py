@@ -6,7 +6,7 @@ All models output ``output_scale`` × a core value:
   entangling layer with trainable angle λ (``qpinn_circuit``).  Qubits: test
   ancilla q0; (parity q1, chain q2) for x; (parity q3, chain q4) for t; the
   entangler acts on (q2, q3).  It is evaluated exactly without the
-  statevector, from four 2×2 chains (``qsp.chain_value``, written v below).
+  statevector, from four 2×2 chains (written v below).
 - ``quantum_inspired``: the λ≡0 model evaluated the dequantized way, as
   Re[a_x(x)·a_t(t)] from two 2×2 chains.
 - ``counterpart``: p1(x)·p2(t) with degree-2 coefficient vectors.
@@ -24,6 +24,22 @@ qubits in |+⟩ then reads
 where ⊕λ adds λ to the chain's last angle.  ``sim.simulate_amps`` on
 ``qpinn_circuit`` stays the oracle this form is tested against.
 
+Both chain models are the polynomial the paper describes.  A chain of
+degree d is v(θ, u) = Σ_b C_b(θ)·u^(d−b)·(i√(1 − u²))^b
+(``qsp.chain_coefficients``), so at L = 1 (chains of degree 0 and 1) each
+model is W(θ)·[ψ(x) ⊗ ψ(t)] with ψ(u) = [1, u, √(1 − u²)] and a real 3×3
+coefficient matrix W that depends on the angles alone:
+
+    quantum_inspired:  W = Re(A ⊗ B),  A = ½(a₁ + a₂) over x, B likewise over t;
+    qpinn:             W = ¼·Re(P ⊗ T₁ + M ⊗ T₂),
+
+where a degree-0 chain contributes C₀ to ψ₀ and a degree-1 chain C₀ to ψ₁
+and i·C₁ to ψ₂; P and M are the x branches at ±λ and T₁, T₂ the t chains
+of the closed form above.  Values and derivatives are W contracted with
+products of ψ, ψ′ = [0, 1, −u/s] and ψ″ = [0, 0, −1/s³] (s = √(1 − u²)), so
+a training epoch computes W once per parameter row and contracts it once
+against the collocation features.
+
 Parameter layouts (one flat vector per model):
 qpinn / quantum_inspired: [θ1x, θ2x(2) | θ1t, θ2t(2) | λ (qpinn only)];
 counterpart: [p1 c0..c2 | p2 c0..c2];
@@ -37,6 +53,7 @@ import numpy as np
 
 from . import circuits as cir
 from . import qsp
+from .errors import DomainError
 
 KINDS = ("qpinn", "quantum_inspired", "counterpart", "fully_connected")
 
@@ -111,19 +128,82 @@ class _EvaluatorBase:
         return self.bundles(params2d, t_int, x_int), self.values(params2d, t_bnd, x_bnd)
 
 
-def _separable_bundles(pairs, scale):
-    """(v, v_t, v_x, v_xx) of scale·Re Σ a(x)·b(t) over dual-triple pairs (a, b).
+def _psi(u, order: int) -> np.ndarray:
+    """ψ(u) = [1, u, s] with s = √(1 − u²), then ``order`` derivatives:
+    ψ′ = [0, 1, −u/s] and ψ″ = [0, 0, −1/s³]: an (order + 1, 3, N) array.
 
-    Each a is seeded in x and each b in t; the x derivatives hold b constant
-    and the t derivative holds a constant.
+    Values need |u| ≤ 1; derivatives, which divide by s, need |u| < 1.
     """
-    total = lambda i, j: sum(a[i] * b[j] for a, b in pairs)
-    return (scale * total(0, 0).real, scale * total(0, 1).real,
-            scale * total(1, 0).real, scale * total(2, 0).real)
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    top = np.max(np.abs(u), initial=0.0)
+    if order and top >= 1.0:
+        raise DomainError("chain derivatives require |u| < 1")
+    if top > 1.0:
+        raise DomainError("chain evaluation requires |u| <= 1")
+    s = np.sqrt(1.0 - u * u)
+    out = np.zeros((order + 1, 3, u.size))
+    out[0, 0], out[0, 1], out[0, 2] = 1.0, u, s
+    if order >= 1:
+        out[1, 1], out[1, 2] = 1.0, -u / s
+    if order >= 2:
+        out[2, 2] = -1.0 / (s * s * s)
+    return out
 
 
-class _QpinnEvaluator(_EvaluatorBase):
-    """Exact closed-form evaluation from four 2×2 chains (module docstring)."""
+def _on_psi(coeffs) -> np.ndarray:
+    """Chain coefficients (n, d+1) as a complex (n, 3) vector over ψ: a
+    degree-0 chain is C₀·ψ₀, a degree-1 chain C₀·ψ₁ + i·C₁·ψ₂."""
+    out = np.zeros((coeffs.shape[0], 3), dtype=complex)
+    if coeffs.shape[1] == 1:
+        out[:, 0] = coeffs[:, 0]
+    else:
+        out[:, 1] = coeffs[:, 0]
+        out[:, 2] = 1j * coeffs[:, 1]
+    return out
+
+
+def _outer(a, b) -> np.ndarray:
+    """Row-wise outer products of (n, 3) vectors: (n, 3, 3)."""
+    return a[:, :, None] * b[:, None, :]
+
+
+class _SeparableEvaluator(_EvaluatorBase):
+    """A chain model as its polynomial: output_scale·Σ_ij W_ij(θ)·ψ_i(x)·ψ_j(t).
+
+    Subclasses supply ``coefficients(params2d)``, the real (B, 3, 3) matrix
+    W; every output is W contracted with a feature matrix F of ψ products
+    (the module docstring).
+    """
+
+    def _contract(self, params, blocks):
+        """Each (ψ-features of x, ψ-features of t) block → its (B, N) output."""
+        feats = np.concatenate([(fx[:, None, :] * ft[None, :, :]).reshape(9, -1)
+                                for fx, ft in blocks], axis=1)
+        w = self.spec.output_scale * self.coefficients(np.atleast_2d(params))
+        # einsum, not BLAS ``@``: BLAS sums a row differently for another batch size
+        out = np.einsum("bk,kn->bn", w.reshape(-1, 9), feats)
+        return np.split(out, np.cumsum([fx.shape[1] for fx, _ in blocks[:-1]]), axis=1)
+
+    @staticmethod
+    def _bundle_blocks(t, x):
+        """Features of (v, v_t, v_x, v_xx)."""
+        (px, dpx, ddpx), (pt, dpt) = _psi(x, 2), _psi(t, 1)
+        return [(px, pt), (px, dpt), (dpx, pt), (ddpx, pt)]
+
+    def values(self, params, t, x):
+        return self._contract(params, [(_psi(x, 0)[0], _psi(t, 0)[0])])[0]
+
+    def bundles(self, params, t, x):
+        return tuple(self._contract(params, self._bundle_blocks(t, x)))
+
+    def batched_eval(self, params2d, t_int, x_int, t_bnd, x_bnd):
+        blocks = self._bundle_blocks(t_int, x_int) + [(_psi(x_bnd, 0)[0], _psi(t_bnd, 0)[0])]
+        *bundles, bnd = self._contract(params2d, blocks)
+        return tuple(bundles), bnd
+
+
+class _QpinnEvaluator(_SeparableEvaluator):
+    """Exact closed form from four 2×2 chains (module docstring)."""
 
     kind = "qpinn"
 
@@ -132,46 +212,22 @@ class _QpinnEvaluator(_EvaluatorBase):
         self.groups = [slice(0, 3), slice(3, 6), slice(6, 7)]
 
     @staticmethod
-    def _chains(params, x, t):
-        """(x branch under t parity 0, x branch under t parity 1, t chain 1, t chain 2).
-
-        The ±λ-shifted angles of each x chain share one batch, rows [+λ; −λ].
-        """
+    def coefficients(params):
+        """W = ¼·Re(P ⊗ T₁ + M ⊗ T₂): P, M the x branches at ±λ, T₁, T₂ the t chains."""
         b = params.shape[0]
         lam = params[:, 6:7]
         x1 = params[:, 0:1]
-        x2 = params[:, 1:3]
-        sx1 = np.concatenate([x1 + lam, x1 - lam])
-        sx2 = np.concatenate([x2, x2])
-        sx2[:, 1:] += np.concatenate([lam, -lam])
-        c1 = qsp.chain_value(sx1, x)
-        c2 = qsp.chain_value(sx2, x)
-        t1 = qsp.chain_value(params[:, 3:4], t)
-        t2 = qsp.chain_value(params[:, 4:6], t)
-        if isinstance(x, tuple):
-            plus = tuple(p[:b] + q[:b] for p, q in zip(c1, c2))
-            minus = tuple(p[b:] + q[b:] for p, q in zip(c1, c2))
-        else:
-            plus, minus = c1[:b] + c2[:b], c1[b:] + c2[b:]
-        return plus, minus, t1, t2
-
-    def values(self, params, t, x):
-        params = np.atleast_2d(params)
-        plus, minus, t1, t2 = self._chains(params, np.asarray(x, float),
-                                           np.asarray(t, float))
-        return self.spec.output_scale * 0.25 * (plus * t1 + minus * t2).real
-
-    def bundles(self, params, t, x):
-        params = np.atleast_2d(params)
-        x = np.asarray(x, float)
-        t = np.asarray(t, float)
-        zero = np.zeros_like(x)
-        plus, minus, t1, t2 = self._chains(params, (x, zero + 1.0, zero),
-                                           (t, zero + 1.0, zero))
-        return _separable_bundles([(plus, t1), (minus, t2)], 0.25 * self.spec.output_scale)
+        deg1 = np.concatenate([params[:, 1:3], params[:, 1:3], params[:, 4:6]])
+        deg1[:2 * b, 1:] += np.concatenate([lam, -lam])
+        c0 = qsp.chain_coefficients(np.concatenate([x1 + lam, x1 - lam, params[:, 3:4]]))
+        c1 = qsp.chain_coefficients(deg1)
+        x_branches = _on_psi(c0[:2 * b]) + _on_psi(c1[:2 * b])
+        plus, minus = x_branches[:b], x_branches[b:]
+        t1, t2 = _on_psi(c0[2 * b:]), _on_psi(c1[2 * b:])
+        return 0.25 * (_outer(plus, t1) + _outer(minus, t2)).real
 
 
-class _QuantumInspiredEvaluator(_EvaluatorBase):
+class _QuantumInspiredEvaluator(_SeparableEvaluator):
     """Dequantized evaluation: two 2×2 chains, never the 5-qubit simulator."""
 
     kind = "quantum_inspired"
@@ -181,27 +237,13 @@ class _QuantumInspiredEvaluator(_EvaluatorBase):
         self.groups = [slice(0, 3), slice(3, 6)]
 
     @staticmethod
-    def _pair(params, lo: int, var):
-        a1 = qsp.chain_value(params[:, lo:lo + 1], var)
-        a2 = qsp.chain_value(params[:, lo + 1:lo + 3], var)
-        if isinstance(a1, tuple):
-            return tuple(0.5 * (p + q) for p, q in zip(a1, a2))
-        return 0.5 * (a1 + a2)
-
-    def values(self, params, t, x):
-        params = np.atleast_2d(params)
-        ax = self._pair(params, 0, np.asarray(x, float))
-        at = self._pair(params, 3, np.asarray(t, float))
-        return self.spec.output_scale * (ax * at).real
-
-    def bundles(self, params, t, x):
-        params = np.atleast_2d(params)
-        x = np.asarray(x, float)
-        t = np.asarray(t, float)
-        zero = np.zeros_like(x)
-        ax_d = self._pair(params, 0, (x, zero + 1.0, zero))
-        at_d = self._pair(params, 3, (t, zero + 1.0, zero))
-        return _separable_bundles([(ax_d, at_d)], self.spec.output_scale)
+    def coefficients(params):
+        """W = Re(A ⊗ B) with A = ½(a₁ + a₂) over x and B likewise over t."""
+        b = params.shape[0]
+        c0 = qsp.chain_coefficients(np.concatenate([params[:, 0:1], params[:, 3:4]]))
+        c1 = qsp.chain_coefficients(np.concatenate([params[:, 1:3], params[:, 4:6]]))
+        a = 0.5 * (_on_psi(c0) + _on_psi(c1))
+        return _outer(a[:b], a[b:]).real
 
 
 class _CounterpartEvaluator(_EvaluatorBase):

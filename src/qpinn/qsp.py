@@ -23,7 +23,7 @@ from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
 
 from . import circuits as cir
-from .duals import c_add, c_mul, t_sqrt
+from .duals import c_mul, t_sqrt
 from .errors import BoundError, DomainError, SizeError, SynthesisError
 
 # ---------------------------------------------------------------------------
@@ -134,38 +134,65 @@ def _angles_of(a) -> np.ndarray:
 # 2×2 chain evaluation (the dequantized path)
 
 
+def chain_coefficients(thetas) -> np.ndarray:
+    """Path-sum coefficients C of the chains of degree d = len(θ) − 1.
+
+    Each S(x) step multiplies a path by x or by i√(1 − x²), so
+
+        ⟨+|U_θ(x)|+⟩ = Σ_b C_b(θ)·x^(d−b)·(i√(1 − x²))^b,
+
+    with C depending on θ alone.  ``thetas``: (k,) or (B, k) angles; returns
+    complex (B, d+1).  The recursion carries, for each amplitude, the sum
+    over paths with b off-diagonal steps so far.
+    """
+    th = np.atleast_2d(np.asarray(thetas, dtype=float))
+    lo, hi = np.exp(-0.5j * th), np.exp(0.5j * th)
+    u = np.zeros(th.shape, dtype=complex)
+    u[:, 0] = 1.0 / math.sqrt(2.0)
+    v = u.copy()
+    for j in range(th.shape[1]):
+        u *= lo[:, j:j + 1]
+        v *= hi[:, j:j + 1]
+        if j < th.shape[1] - 1:
+            shifted_v = v[:, :-1].copy()
+            v[:, 1:] += u[:, :-1]
+            u[:, 1:] += shifted_v
+    return (u + v) / math.sqrt(2.0)
+
+
+def _powers(z: tuple, n: int, ones: tuple) -> list[tuple]:
+    """[z⁰, z¹, …, zⁿ] over channel tuples, z⁰ = ``ones``."""
+    out = [ones]
+    for _ in range(n):
+        out.append(c_mul(z, out[-1]) if len(out) > 1 else z)
+    return out
+
+
 def chain_value(thetas, x):
     """⟨+|U_θ(x)|+⟩ for the chain of degree len(θ)-1.
 
     ``thetas``: (k,) or (B, k) plain angles.  ``x``: scalar, (N,) array, or a
     (value, d1, d2) dual triple.  Returns a complex scalar/(B, N) array, or a
-    triple of them for dual input.
+    triple of them for dual input: `chain_coefficients` contracted with the
+    basis x^(d−b)·(i√(1 − x²))^b, channel by channel.
     """
-    th = np.atleast_2d(np.asarray(thetas, dtype=float))
+    coeffs = chain_coefficients(thetas)
     dual = isinstance(x, tuple)
-    xv = tuple(np.atleast_1d(np.asarray(c, dtype=float))[None, :]
-               for c in (x if dual else (x,)))
+    xv = tuple(np.atleast_1d(np.asarray(c, dtype=float)) for c in (x if dual else (x,)))
     if dual and np.any(np.abs(xv[0]) >= 1.0):
         raise DomainError("dual chain evaluation requires |x| < 1")
     if np.any(np.abs(xv[0]) > 1.0):
         raise DomainError("chain evaluation requires |x| <= 1")
-    if th.shape[1] > 1:  # the S(x) steps between angles need i·√(1 − x²)
+    d = coeffs.shape[1] - 1
+    ones = (np.ones_like(xv[0]),) + tuple(np.zeros_like(c) for c in xv[1:])
+    xp = _powers(xv, d, ones)
+    if d:  # the S(x) steps between angles contribute i·√(1 − x²)
         sq = tuple(z - c for z, c in zip((1.0, 0.0, 0.0), c_mul(xv, xv)))
         js = c_mul(1j, t_sqrt(sq) if dual else (np.sqrt(sq[0]),))
-
-    shape = (th.shape[0], xv[0].shape[1])
-    u = tuple(np.full(shape, 0.0 if k else 1.0 / math.sqrt(2.0), dtype=complex)
-              for k in range(len(xv)))
-    v = tuple(c.copy() for c in u)
-    lo, hi = np.exp(-0.5j * th)[:, None, :], np.exp(0.5j * th)[:, None, :]
-    for j in range(th.shape[1]):
-        u = c_mul(lo[..., j], u)
-        v = c_mul(hi[..., j], v)
-        if j < th.shape[1] - 1:
-            u, v = (c_add(c_mul(xv, u), c_mul(js, v)),
-                    c_add(c_mul(js, u), c_mul(xv, v)))
-
-    out = tuple((a + c) / math.sqrt(2.0) for a, c in zip(u, v))
+        basis = [xp[d]] + [c_mul(xp[d - b], p) for b, p in enumerate(_powers(js, d, ones)[1:], 1)]
+    else:
+        basis = [ones]
+    out = tuple(coeffs @ np.stack([f[c] for f in basis]) for c in range(len(xv)))
     return out if dual else out[0]
 
 
@@ -196,16 +223,18 @@ class PolyFit(NamedTuple):
 def extract_polynomial(value_fn, L: int) -> PolyFit:
     """Fit a degree-≤L polynomial on L+1 Chebyshev nodes.
 
-    The residual, measured on 257 fresh grid points, certifies (when < 1e-8)
-    that ``value_fn`` is itself a polynomial of degree ≤ L.
+    ``value_fn`` maps an array of points to the array of its real values; it
+    is called once on the nodes and once on the grid.  The residual,
+    measured on 257 fresh grid points, certifies (when < 1e-8) that
+    ``value_fn`` is itself a polynomial of degree ≤ L.
     """
     nodes = np.cos(np.pi * (2.0 * np.arange(L + 1) + 1.0) / (2.0 * (L + 1)))
-    vals = np.array([float(value_fn(t)) for t in nodes])
+    vals = np.asarray(value_fn(nodes), dtype=float)
     cheb_coeffs = _cheb.chebfit(nodes, vals, L)
     coeffs = _cheb.cheb2poly(cheb_coeffs)
     poly = UnivariatePoly(tuple(np.pad(coeffs, (0, L + 1 - coeffs.size))))
     grid = np.linspace(-1.0, 1.0, 257)
-    residual = float(np.max(np.abs(poly(grid) - np.array([float(value_fn(t)) for t in grid]))))
+    residual = float(np.max(np.abs(poly(grid) - np.asarray(value_fn(grid), dtype=float))))
     return PolyFit(poly, residual)
 
 

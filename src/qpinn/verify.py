@@ -86,7 +86,7 @@ def _check_degree_parity_certificate(seed):
     bad = 0.0
     for L in (1, 2, 3):
         th = rng.normal(size=L + 1)
-        fit = qsp.extract_polynomial(lambda x: qsp.qsp_value(th, x).real, L)
+        fit = qsp.extract_polynomial(lambda xs: qsp.chain_value(th, xs)[0].real, L)
         bad = max(bad, fit.max_residual)
         wrong = np.asarray(fit.poly.coeffs)[(L + 1) % 2::2]
         bad = max(bad, float(np.max(np.abs(wrong))) if wrong.size else 0.0)

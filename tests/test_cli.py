@@ -66,6 +66,34 @@ def test_resources_rejects_sizes_below_one(construction, capsys):
         cli.resource_report(construction, 1, 0, 1, "double-controlled")
 
 
+@pytest.mark.parametrize("construction, lowers", [("cor1", True), ("thm1", False),
+                                                   ("thm2", False)])
+def test_resources_native_cnot_single_lowers_or_refuses(construction, lowers, tmp_path, capsys):
+    # L = D = R = 2: the rank-1 TD template (cor1) lowers; the LCU template
+    # (3-control gates) and the rank-2 TD template (a prepare gate) do not
+    out = tmp_path / "res.json"
+    rc = cli.main(["resources", "--construction", construction, "--L", "2", "--D", "2",
+                   "--R", "2", "--native", "cnot-single-qubit", "--out", str(out)])
+    if not lowers:
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err.startswith(f"config error: {construction} at L=2")
+        return
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    assert doc["native"] == "cnot-single-qubit" and doc["passed"]
+    assert doc["report"]["n_multi_controlled"] == 0
+    cnot = next(r for r in doc["checks"] if r["metric"] == "n_cnot")
+    assert cnot["measured"] == doc["report"]["n_cnot"] == cnot["formula"] == 32 * 2 * 2
+
+
+def test_resources_native_cnot_single_lowers_rank1_thm2_and_small_thm1():
+    # thm2 at R = 1 is the rank-1 TD template; thm1 at L = D = 1 has 2 controls
+    for construction in ("thm2", "thm1"):
+        doc = cli.resource_report(construction, 1, 1, 1, "cnot-single-qubit")
+        assert doc["passed"] and doc["report"]["n_multi_controlled"] == 0
+        assert doc["report"]["n_cnot"] > 0
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"epoch": 10}))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpinn import circuits as cir
 from qpinn import models, qsp, verify
@@ -206,3 +208,65 @@ def test_params_json_roundtrip():
     assert np.allclose(params, params2)
     with pytest.raises(ValueError):
         models.params_from_json_dict({"kind": "qpinn", "values": [0.0] * 6})
+
+
+# ---------------------------------------------------------------------------
+# properties of the coefficient form (derandomized, so the suite stays deterministic)
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=25)
+_points = st.lists(st.floats(0.01, 0.99), min_size=2, max_size=12)
+
+
+def _angles(n):
+    return st.lists(st.floats(0.0, 2.0 * np.pi), min_size=n, max_size=n).map(np.array)
+
+
+@PROPERTY
+@given(params=_angles(7), t=_points, x=_points)
+def test_qpinn_matches_simulator_property(params, t, x):
+    n = min(len(t), len(x))
+    t, x = np.array(t[:n]), np.array(x[:n])
+    ev = models.make_evaluator(ModelSpec("qpinn"))
+    ref_v, ref_b = verify.qpinn_on_simulator(params[None, :], t, x)
+    assert np.max(np.abs(ev.values(params, t, x) - ref_v)) <= 1e-12
+    for got, want in zip(ev.bundles(params, t, x), ref_b):
+        assert _max_rel(got, want) <= 1e-10
+
+
+@PROPERTY
+@given(params=_angles(6), t=_points, x=_points)
+def test_quantum_inspired_matches_chains_property(params, t, x):
+    n = min(len(t), len(x))
+    t, x = np.array(t[:n]), np.array(x[:n])
+    ev = models.make_evaluator(ModelSpec("quantum_inspired"))
+    pair = lambda th, u: 0.5 * (qsp.qsp_value(th[0:1], u) + qsp.qsp_value(th[1:3], u))
+    want = [10.0 * (pair(params[:3], xi) * pair(params[3:], ti)).real for ti, xi in zip(t, x)]
+    assert np.max(np.abs(ev.values(params, t, x)[0] - want)) <= 1e-12
+    # derivatives against the dual chains of qsp.chain_value
+    ones, zeros = np.ones(n), np.zeros(n)
+    dual = lambda th, u: tuple(0.5 * (p + q) for p, q in zip(
+        qsp.chain_value(th[0:1], (u, ones, zeros)), qsp.chain_value(th[1:3], (u, ones, zeros))))
+    ax, at = dual(params[:3], x), dual(params[3:], t)
+    ref = (ax[0] * at[0], ax[0] * at[1], ax[1] * at[0], ax[2] * at[0])
+    for got, want in zip(ev.bundles(params, t, x), ref):
+        assert _max_rel(got, 10.0 * want.real) <= 1e-12
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["qpinn", "quantum_inspired"]), base=_angles(7),
+       seed=st.integers(0, 2**16))
+def test_batched_eval_row_matches_model_function(kind, base, seed):
+    spec = ModelSpec(kind)
+    rng = np.random.default_rng(seed)
+    stack = np.repeat(base[None, :spec.n_params], 15, axis=0)
+    coords = rng.integers(0, spec.n_params, 14)  # one perturbed coordinate per row
+    stack[1 + np.arange(14), coords] += rng.uniform(-1e-3, 1e-3, 14)
+    t_int, x_int = rng.uniform(0.01, 0.99, (2, 20))
+    t_bnd = np.concatenate([np.ones(10), rng.uniform(0.01, 0.99, 10)])
+    x_bnd = np.concatenate([rng.uniform(0.01, 0.99, 10), np.ones(10)])
+    bundles, bnd = models.make_evaluator(spec).batched_eval(stack, t_int, x_int, t_bnd, x_bnd)
+    for i in range(15):
+        fn = models.ModelFunction(spec, stack[i])
+        for got, want in zip(bundles + (bnd,),
+                             fn.derivatives(t_int, x_int) + (fn.values(t_bnd, x_bnd),)):
+            np.testing.assert_allclose(got[i], want, rtol=1e-14, atol=0.0)

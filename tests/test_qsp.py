@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpinn import circuits as cir
 from qpinn import qsp, sim
@@ -96,7 +98,7 @@ def test_extract_certifies_chain_degree_and_parity():
     for L in range(1, 6):
         for _ in range(10):
             th = rng.normal(size=L + 1)
-            fit = qsp.extract_polynomial(lambda x: qsp.qsp_value(th, x).real, L)
+            fit = qsp.extract_polynomial(lambda xs: qsp.chain_value(th, xs)[0].real, L)
             assert fit.max_residual < 1e-8
             off_parity = np.asarray(fit.poly.coeffs)[(L + 1) % 2::2]
             if off_parity.size:
@@ -104,7 +106,7 @@ def test_extract_certifies_chain_degree_and_parity():
 
 
 def test_extract_detects_non_polynomial():
-    fit = qsp.extract_polynomial(math.exp, 2)
+    fit = qsp.extract_polynomial(np.exp, 2)
     assert fit.max_residual > 1e-3
 
 
@@ -115,7 +117,8 @@ def test_extract_detects_non_polynomial():
 def test_synthesize_roundtrip_linear():
     th1, th2 = qsp.synthesize_angles(UnivariatePoly((0.0, 0.4)), 1)
     assert (len(th1), len(th2)) == (1, 2)
-    combo = lambda x: 0.5 * (qsp.qsp_value(th1, x).real + qsp.qsp_value(th2, x).real)
+    combo = lambda xs: 0.5 * (qsp.chain_value(np.asarray(th1.theta), xs)[0].real
+                              + qsp.chain_value(np.asarray(th2.theta), xs)[0].real)
     fit = qsp.extract_polynomial(combo, 1)
     assert np.allclose(fit.poly.coeffs, (0.0, 0.4), atol=1e-7)
 
@@ -419,3 +422,35 @@ def test_td_poly_json_roundtrip():
 def test_monomials_json_roundtrip():
     mono = MonomialList((((0, 1), 0.25), ((2, 0), -0.5)))
     assert qsp.monomials_from_json_dict(qsp.monomials_to_json_dict(mono)) == mono
+
+
+# ---------------------------------------------------------------------------
+# properties of the coefficient form (derandomized, so the suite stays deterministic)
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+_angles = st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi), min_size=1, max_size=5)
+
+
+@PROPERTY
+@given(th=_angles, x=st.floats(-1.0, 1.0))
+def test_chain_value_matches_matrix_oracle_property(th, x):
+    plus = np.full(2, 1 / math.sqrt(2))
+    want = plus @ chain_matrix(th, x) @ plus
+    got = qsp.chain_value(th, np.array([x, -x]))
+    assert abs(got[0, 0] - want) <= 1e-12
+    assert abs(got[0, 1] - plus @ chain_matrix(th, -x) @ plus) <= 1e-12
+    assert got.shape == (1, 2) and qsp.chain_coefficients(th).shape == (1, len(th))
+
+
+@PROPERTY
+@given(th=_angles, x=st.floats(-0.9, 0.9))
+def test_chain_value_dual_matches_fd_property(th, x):
+    xs = np.array([x])
+    v, d1, d2 = qsp.chain_value(th, (xs, np.ones(1), np.zeros(1)))
+    assert np.array_equal(v, qsp.chain_value(th, xs))
+    f = lambda u: qsp.chain_value(th, np.array([u]))[0, 0]
+    h, h2 = 1e-6, 1e-4
+    fd1 = (f(x + h) - f(x - h)) / (2 * h)
+    fd2 = (f(x + h2) - 2 * f(x) + f(x - h2)) / h2**2
+    assert abs(d1[0, 0] - fd1) <= 1e-6 * max(1.0, abs(fd1))
+    assert abs(d2[0, 0] - fd2) <= 1e-5 * max(1.0, abs(fd2))
