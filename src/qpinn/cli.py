@@ -7,8 +7,9 @@ Subcommands:
             [--seed N] [--out DIR]
 
 The worker pool for train jobs is capped by the QPINN_THREADS environment
-variable.  All artifacts are deterministic given config and seeds; wall-ms
-columns and the summary timestamp are the only timing-dependent fields.
+variable (an integer >= 1).  All artifacts are deterministic given config
+and seeds; wall-ms columns and the summary timestamp are the only
+timing-dependent fields.
 """
 from __future__ import annotations
 
@@ -100,10 +101,26 @@ def load_config(path: str | None, overrides: dict) -> dict:
     for kind in cfg["models"]:
         if kind not in models.KINDS:
             raise ConfigError(f"unknown model kind {kind!r}")
+    if len(set(cfg["models"])) != len(cfg["models"]):
+        raise ConfigError(f"models must not repeat, got {cfg['models']!r}")
     if not isinstance(cfg["out_dir"], str) or not cfg["out_dir"]:
         raise ConfigError(f"out_dir must be a non-empty string, got {cfg['out_dir']!r}")
     _check_types(cfg)
+    _check_market_and_weights(cfg)
     return cfg
+
+
+def _check_market_and_weights(cfg: dict) -> None:
+    """The market and loss-weight values must build their dataclasses, and
+    T ≤ 1: the chain models take t = T at the terminal points, and chains
+    are defined on |t| ≤ 1."""
+    for key, cls in (("market", merton.MarketParams), ("weights", merton.LossWeights)):
+        try:
+            cls(**cfg[key])
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    if cfg["market"]["T"] > 1.0:
+        raise ConfigError(f"market: T must be <= 1, got {cfg['market']['T']!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +243,13 @@ def _train_job(args):
 
 def _pool_size(n_jobs: int) -> int:
     env = os.environ.get("QPINN_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(cap, n_jobs))
+    try:
+        cap = int(env) if env else (os.cpu_count() or 1)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ConfigError(f"QPINN_THREADS must be an integer >= 1, got {env!r}")
+    return min(cap, n_jobs)
 
 
 def _probe_points():
@@ -242,12 +264,11 @@ def cmd_train(cfg: dict) -> int:
         eps=cfg["eps"], n_interior=cfg["n_interior"], n_boundary=cfg["n_boundary"],
         grad_step=cfg["grad_step"], checkpoint_every=cfg["checkpoint_every"],
     )
-    out = Path(cfg["out_dir"])
-    (out / "runs").mkdir(parents=True, exist_ok=True)
-
     jobs = [(kind, cfg["output_scale"], tcfg, market, weights, tcfg.base_seed + i)
             for kind in cfg["models"] for i in range(tcfg.n_runs)]
     workers = _pool_size(len(jobs))
+    out = Path(cfg["out_dir"])
+    (out / "runs").mkdir(parents=True, exist_ok=True)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_train_job, jobs))
@@ -386,10 +407,10 @@ def main(argv=None) -> int:
             "base_seed": args.seed,
             "out_dir": args.out,
         })
+        return cmd_train(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return cmd_train(cfg)
 
 
 if __name__ == "__main__":

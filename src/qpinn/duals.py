@@ -225,18 +225,30 @@ def derive2(f, point: float, *fixed) -> tuple[float, float, float]:
     return (out.v, out.d1, out.d2)
 
 
+def shift_stack(params, steps) -> np.ndarray:
+    """(2P+1, P) rows: ``params``, then params + stepsᵢ and params − stepsᵢ
+    on coordinate i, for i = 0..P−1."""
+    params = np.asarray(params, dtype=float)
+    p = params.size
+    stack = np.repeat(params[None, :], 2 * p + 1, axis=0)
+    flat = stack.reshape(-1)   # a view; (row 1 + 2i, column i) is flat[p + i·(2p + 1)]
+    flat[p::2 * p + 1] += steps
+    flat[2 * p::2 * p + 1] -= steps
+    return stack
+
+
+def fd_stack(params, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Central-difference rows ``shift_stack(params, steps)`` and their steps
+    hᵢ = h·max(1, |θᵢ|)."""
+    steps = h * np.maximum(1.0, np.abs(np.asarray(params, dtype=float)))
+    return shift_stack(params, steps), steps
+
+
 def fd_gradient(loss, params: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient with per-coordinate step h·max(1, |θᵢ|)."""
-    params = np.asarray(params, dtype=float)
-    grad = np.empty_like(params)
-    for i in range(params.size):
-        hi = h * max(1.0, abs(params[i]))
-        up = params.copy()
-        up[i] += hi
-        dn = params.copy()
-        dn[i] -= hi
-        grad[i] = (loss(up) - loss(dn)) / (2.0 * hi)
-    return grad
+    stack, steps = fd_stack(params, h)
+    vals = np.array([loss(row) for row in stack[1:]], dtype=float)
+    return (vals[0::2] - vals[1::2]) / (2.0 * steps)
 
 
 def parameter_shift(circuit, params, inputs, param_index: int) -> float:

@@ -6,13 +6,16 @@ The value function solves
     v(T, x) = x^γ/γ,      v(t, 1) = e^{−k(T−t)}/γ,
 
 with k = ½·γ/(γ−1)·((μ−r)/σ)² − r·γ and analytical solution
-v(t, x) = e^{−k(T−t)}·x^γ/γ.  Loss sums use math.fsum, so totals are exact
-and invariant under permutation of the collocation points.
+v(t, x) = e^{−k(T−t)}·x^γ/γ.  A loss evaluation squares the residuals and
+the boundary errors into one array and reduces all three terms in a single
+``fsum_rows`` pass of ``math.fsum`` sums, so every term is exact and
+invariant under permutation of the collocation points.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -110,11 +113,20 @@ def lateral_target(t, m: MarketParams):
     return np.exp(-k * (m.T - np.asarray(t, dtype=float))) / m.gamma
 
 
-def fsum_rows(arr: np.ndarray) -> np.ndarray:
-    """Exact (fsum) row sums; permutation-invariant by construction."""
-    flat = np.atleast_2d(arr)
-    out = np.array([math.fsum(row) for row in flat.tolist()])
-    return out if arr.ndim > 1 else out[0]
+def fsum_rows(arr: np.ndarray, widths) -> np.ndarray:
+    """Exact (fsum) sums of consecutive column segments of ``widths`` in each row.
+
+    A (B, N) ``arr`` gives (B, len(widths)), a 1-D one (len(widths),).  One
+    ``tolist`` and one ``math.fsum`` per (row, segment); each sum is exact
+    and so invariant under permutation within its segment.
+    """
+    bounds = list(accumulate(widths, initial=0))
+    if bounds[-1] != np.shape(arr)[-1]:
+        raise ValueError(f"segment widths sum to {bounds[-1]}, rows have {np.shape(arr)[-1]}")
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    sums = [math.fsum(row[lo:hi]) for row in np.atleast_2d(arr).tolist() for lo, hi in spans]
+    out = np.array(sums).reshape(-1, len(spans))
+    return out if np.ndim(arr) > 1 else out[0]
 
 
 def sample_collocation(seed, n_interior: int = 50, n_boundary: int = 50) -> CollocationSet:
@@ -137,15 +149,14 @@ def total_loss(model, c: CollocationSet, w: LossWeights, m: MarketParams) -> Los
     """
     t_i, x_i = c.interior[:, 0], c.interior[:, 1]
     _, v_t, v_x, v_xx = model.derivatives(t_i, x_i)
-    res = hjb_residual_arrays(v_t, v_x, v_xx, x_i, m)
-    l_d = w.w_d * fsum_rows(res**2) / len(x_i)
-
     f_term = model.values(np.full_like(c.terminal_x, m.T), c.terminal_x)
-    l_1b = w.w_1 * fsum_rows((f_term - terminal_target(c.terminal_x, m)) ** 2) / len(c.terminal_x)
-
     f_lat = model.values(c.lateral_t, np.ones_like(c.lateral_t))
-    l_2b = w.w_2 * fsum_rows((f_lat - lateral_target(c.lateral_t, m)) ** 2) / len(c.lateral_t)
-    return LossBreakdown(float(l_d), float(l_1b), float(l_2b))
+    err = np.concatenate([hjb_residual_arrays(v_t, v_x, v_xx, x_i, m),
+                          f_term - terminal_target(c.terminal_x, m),
+                          f_lat - lateral_target(c.lateral_t, m)])
+    n_d, n_1, n_2 = len(x_i), len(c.terminal_x), len(c.lateral_t)
+    s_d, s_1, s_2 = fsum_rows(err * err, (n_d, n_1, n_2)).tolist()
+    return LossBreakdown(w.w_d * s_d / n_d, w.w_1 * s_1 / n_1, w.w_2 * s_2 / n_2)
 
 
 def optimal_control(v_x: float, v_xx: float, x: float, m: MarketParams) -> float:

@@ -38,7 +38,9 @@ and i·C₁ to ψ₂; P and M are the x branches at ±λ and T₁, T₂ the t ch
 of the closed form above.  Values and derivatives are W contracted with
 products of ψ, ψ′ = [0, 1, −u/s] and ψ″ = [0, 0, −1/s³] (s = √(1 − u²)), so
 a training epoch computes W once per parameter row and contracts it once
-against the collocation features.
+against the collocation features.  Those features depend on the points
+alone, so they are built once per point set: ``batched_eval`` keeps them
+until its points change, and a training run builds them in epoch 0.
 
 Parameter layouts (one flat vector per model):
 qpinn / quantum_inspired: [θ1x, θ2x(2) | θ1t, θ2t(2) | λ (qpinn only)];
@@ -172,17 +174,31 @@ class _SeparableEvaluator(_EvaluatorBase):
 
     Subclasses supply ``coefficients(params2d)``, the real (B, 3, 3) matrix
     W; every output is W contracted with a feature matrix F of ψ products
-    (the module docstring).
+    (the module docstring).  ``batched_eval`` keeps F for the points of its
+    last call and rebuilds it only when a point array changes (compared bit
+    for bit against a private copy), so a training run builds its
+    collocation features once.
     """
 
-    def _contract(self, params, blocks):
-        """Each (ψ-features of x, ψ-features of t) block → its (B, N) output."""
+    def __init__(self, spec: ModelSpec):
+        self.spec = spec
+        self._points = None   # bytes of the points that ``_feats`` was built from
+        self._feats = None
+
+    @staticmethod
+    def _features(blocks):
+        """(9, N) feature matrix of the (ψ-features of x, ψ-features of t)
+        blocks side by side, and the column bounds of each block."""
         feats = np.concatenate([(fx[:, None, :] * ft[None, :, :]).reshape(9, -1)
                                 for fx, ft in blocks], axis=1)
+        return feats, np.cumsum([0] + [fx.shape[1] for fx, _ in blocks]).tolist()
+
+    def _contract(self, params, feats, bounds):
+        """W·F sliced into one (B, N) view per block."""
         w = self.spec.output_scale * self.coefficients(np.atleast_2d(params))
         # einsum, not BLAS ``@``: BLAS sums a row differently for another batch size
         out = np.einsum("bk,kn->bn", w.reshape(-1, 9), feats)
-        return np.split(out, np.cumsum([fx.shape[1] for fx, _ in blocks[:-1]]), axis=1)
+        return [out[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     @staticmethod
     def _bundle_blocks(t, x):
@@ -191,14 +207,18 @@ class _SeparableEvaluator(_EvaluatorBase):
         return [(px, pt), (px, dpt), (dpx, pt), (ddpx, pt)]
 
     def values(self, params, t, x):
-        return self._contract(params, [(_psi(x, 0)[0], _psi(t, 0)[0])])[0]
+        return self._contract(params, *self._features([(_psi(x, 0)[0], _psi(t, 0)[0])]))[0]
 
     def bundles(self, params, t, x):
-        return tuple(self._contract(params, self._bundle_blocks(t, x)))
+        return tuple(self._contract(params, *self._features(self._bundle_blocks(t, x))))
 
     def batched_eval(self, params2d, t_int, x_int, t_bnd, x_bnd):
-        blocks = self._bundle_blocks(t_int, x_int) + [(_psi(x_bnd, 0)[0], _psi(t_bnd, 0)[0])]
-        *bundles, bnd = self._contract(params2d, blocks)
+        points = tuple(np.asarray(p, dtype=float).tobytes() for p in (t_int, x_int, t_bnd, x_bnd))
+        if points != self._points:
+            blocks = self._bundle_blocks(t_int, x_int) + [(_psi(x_bnd, 0)[0], _psi(t_bnd, 0)[0])]
+            self._feats = self._features(blocks)
+            self._points = points
+        *bundles, bnd = self._contract(params2d, *self._feats)
         return tuple(bundles), bnd
 
 
@@ -206,10 +226,7 @@ class _QpinnEvaluator(_SeparableEvaluator):
     """Exact closed form from four 2×2 chains (module docstring)."""
 
     kind = "qpinn"
-
-    def __init__(self, spec: ModelSpec):
-        self.spec = spec
-        self.groups = [slice(0, 3), slice(3, 6), slice(6, 7)]
+    groups = (slice(0, 3), slice(3, 6), slice(6, 7))
 
     @staticmethod
     def coefficients(params):
@@ -231,10 +248,7 @@ class _QuantumInspiredEvaluator(_SeparableEvaluator):
     """Dequantized evaluation: two 2×2 chains, never the 5-qubit simulator."""
 
     kind = "quantum_inspired"
-
-    def __init__(self, spec: ModelSpec):
-        self.spec = spec
-        self.groups = [slice(0, 3), slice(3, 6)]
+    groups = (slice(0, 3), slice(3, 6))
 
     @staticmethod
     def coefficients(params):

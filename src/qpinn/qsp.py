@@ -23,7 +23,7 @@ from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
 
 from . import circuits as cir
-from .duals import c_mul, t_sqrt
+from .duals import c_mul, shift_stack, t_sqrt
 from .errors import BoundError, DomainError, SizeError, SynthesisError
 
 # ---------------------------------------------------------------------------
@@ -168,6 +168,21 @@ def _powers(z: tuple, n: int, ones: tuple) -> list[tuple]:
     return out
 
 
+def _chain_basis(xv: tuple, d: int) -> tuple:
+    """The basis x^(d−b)·(i√(1 − x²))^b, b = 0..d, of the channel tuple ``xv``:
+    one (d+1, N) array per channel."""
+    dual = len(xv) > 1
+    ones = (np.ones_like(xv[0]),) + tuple(np.zeros_like(c) for c in xv[1:])
+    xp = _powers(xv, d, ones)
+    if d:  # the S(x) steps between angles contribute i·√(1 − x²)
+        sq = tuple(z - c for z, c in zip((1.0, 0.0, 0.0), c_mul(xv, xv)))
+        js = c_mul(1j, t_sqrt(sq) if dual else (np.sqrt(sq[0]),))
+        basis = [xp[d]] + [c_mul(xp[d - b], p) for b, p in enumerate(_powers(js, d, ones)[1:], 1)]
+    else:
+        basis = [ones]
+    return tuple(np.stack([f[c] for f in basis]) for c in range(len(xv)))
+
+
 def chain_value(thetas, x):
     """⟨+|U_θ(x)|+⟩ for the chain of degree len(θ)-1.
 
@@ -183,16 +198,7 @@ def chain_value(thetas, x):
         raise DomainError("dual chain evaluation requires |x| < 1")
     if np.any(np.abs(xv[0]) > 1.0):
         raise DomainError("chain evaluation requires |x| <= 1")
-    d = coeffs.shape[1] - 1
-    ones = (np.ones_like(xv[0]),) + tuple(np.zeros_like(c) for c in xv[1:])
-    xp = _powers(xv, d, ones)
-    if d:  # the S(x) steps between angles contribute i·√(1 − x²)
-        sq = tuple(z - c for z, c in zip((1.0, 0.0, 0.0), c_mul(xv, xv)))
-        js = c_mul(1j, t_sqrt(sq) if dual else (np.sqrt(sq[0]),))
-        basis = [xp[d]] + [c_mul(xp[d - b], p) for b, p in enumerate(_powers(js, d, ones)[1:], 1)]
-    else:
-        basis = [ones]
-    out = tuple(coeffs @ np.stack([f[c] for f in basis]) for c in range(len(xv)))
+    out = tuple(coeffs @ b for b in _chain_basis(xv, coeffs.shape[1] - 1))
     return out if dual else out[0]
 
 
@@ -260,37 +266,16 @@ def expand_td(p: TdPoly) -> MonomialList:
 # angle synthesis
 
 
-def _chain_residual_jac(theta: np.ndarray, xs: np.ndarray, target: np.ndarray):
-    """Complex residual v(θ,x)-q(x) on nodes, and ∂v/∂θ (forward/backward)."""
-    d = theta.size - 1
-    k = xs.size
-    s = 1j * np.sqrt(1.0 - xs * xs)
-    fwd = np.empty((d + 1, k, 2), dtype=complex)
-    state = np.full((k, 2), 1.0 / math.sqrt(2.0), dtype=complex)
-    for j in range(d + 1):
-        state = state * np.stack(
-            [np.full(k, np.exp(-0.5j * theta[j])), np.full(k, np.exp(0.5j * theta[j]))], axis=1
-        )
-        fwd[j] = state
-        if j < d:
-            state = np.stack(
-                [xs * state[:, 0] + s * state[:, 1], s * state[:, 0] + xs * state[:, 1]], axis=1
-            )
-    bwd = np.empty((d + 1, k, 2), dtype=complex)
-    row = np.full((k, 2), 1.0 / math.sqrt(2.0), dtype=complex)
-    bwd[d] = row
-    for j in range(d - 1, -1, -1):
-        rz = np.stack(
-            [row[:, 0] * np.exp(-0.5j * theta[j + 1]), row[:, 1] * np.exp(0.5j * theta[j + 1])],
-            axis=1,
-        )
-        row = np.stack([xs * rz[:, 0] + s * rz[:, 1], s * rz[:, 0] + xs * rz[:, 1]], axis=1)
-        bwd[j] = row
-    value = bwd[d][:, 0] * fwd[d][:, 0] + bwd[d][:, 1] * fwd[d][:, 1]
-    jac = np.empty((k, d + 1), dtype=complex)
-    for j in range(d + 1):
-        jac[:, j] = -0.5j * bwd[j][:, 0] * fwd[j][:, 0] + 0.5j * bwd[j][:, 1] * fwd[j][:, 1]
-    return value - target, jac
+def _chain_residual_jac(theta: np.ndarray, basis: np.ndarray, target: np.ndarray):
+    """Complex residual v(θ, x) − q(x) on the nodes, and ∂v/∂θ.
+
+    ``basis`` is the (d+1, K) node basis of ``_chain_basis``.  Each chain
+    amplitude is a·e^{−iθⱼ/2} + b·e^{iθⱼ/2} in each angle, so the shift rule
+    ∂v/∂θⱼ = [v(θⱼ + π) − v(θⱼ − π)]/4 is exact; all 2(d+1)+1 chains come
+    from one ``chain_coefficients`` call.
+    """
+    vals = chain_coefficients(shift_stack(theta, np.pi)) @ basis
+    return vals[0] - target, ((vals[1::2] - vals[2::2]) / 4.0).T
 
 
 def _synthesize_branch(target: UnivariatePoly, degree: int, rng: np.random.Generator,
@@ -302,11 +287,12 @@ def _synthesize_branch(target: UnivariatePoly, degree: int, rng: np.random.Gener
     k = 4 * degree + 8
     xs = np.cos(np.pi * (2.0 * np.arange(k) + 1.0) / (2.0 * k))
     tv = target(xs)
+    basis = _chain_basis((xs,), degree)[0]
     best, best_err = None, np.inf
     for attempt in range(restarts):
         theta = np.zeros(degree + 1) if attempt == 0 else rng.normal(0.0, 0.6, degree + 1)
         mu = 1e-3
-        res, jac = _chain_residual_jac(theta, xs, tv)
+        res, jac = _chain_residual_jac(theta, basis, tv)
         err = np.max(np.abs(res))
         for _ in range(iters):
             jr = np.concatenate([jac.real, jac.imag], axis=0)
@@ -314,7 +300,7 @@ def _synthesize_branch(target: UnivariatePoly, degree: int, rng: np.random.Gener
             jtj = jr.T @ jr
             step = np.linalg.solve(jtj + mu * np.eye(degree + 1), -jr.T @ rr)
             cand = theta + step
-            c_res, c_jac = _chain_residual_jac(cand, xs, tv)
+            c_res, c_jac = _chain_residual_jac(cand, basis, tv)
             c_err = np.max(np.abs(c_res))
             if c_err < err:
                 theta, res, jac, err = cand, c_res, c_jac, c_err

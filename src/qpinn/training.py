@@ -1,8 +1,9 @@
 """LAMB training runs, the 3-phase learning-rate schedule, and aggregation.
 
 Gradients are central finite differences over parameters (step
-h·max(1, |θᵢ|)), evaluated for all 2P+1 perturbed parameter vectors in one
-batched pass through the model evaluator.  Runs are deterministic per seed:
+h·max(1, |θᵢ|), ``duals.fd_stack``), evaluated for all 2P+1 perturbed
+parameter vectors in one batched pass through the model evaluator and one
+exact loss reduction.  Runs are deterministic per seed:
 the collocation set is drawn once, parameters are drawn from a spawned
 child seed, and every reduction has a fixed order.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import merton, models
+from . import duals, merton, models
 from .errors import AggregationError, TrainingAbortError
 
 
@@ -106,40 +107,32 @@ def lamb_step(params, grads, state, lr: float, groups, *, betas=(0.0, 0.0),
         update = update + weight_decay * params
     out = params.copy()
     for g in groups:
-        wn = float(np.linalg.norm(params[g]))
-        un = float(np.linalg.norm(update[g]))
+        p, u = params[g], update[g]
+        wn, un = math.sqrt(p.dot(p)), math.sqrt(u.dot(u))
         trust = wn / un if wn > 0 and un > 0 else 1.0
         out[g] = params[g] - lr * trust * update[g]
     return out, state
 
 
-def _perturbation_stack(params: np.ndarray, h: float):
-    """Rows: base, then (+hᵢ, −hᵢ) per coordinate, hᵢ = h·max(1, |θᵢ|)."""
-    p = params.size
-    steps = h * np.maximum(1.0, np.abs(params))
-    stack = np.tile(params, (2 * p + 1, 1))
-    for i in range(p):
-        stack[1 + 2 * i, i] += steps[i]
-        stack[2 + 2 * i, i] -= steps[i]
-    return stack, steps
-
-
 def loss_terms(evaluator, params2d, colloc: merton.CollocationSet,
                w: merton.LossWeights, m: merton.MarketParams):
-    """(l_d, l_1b, l_2b) arrays, one row per parameter vector in the batch."""
+    """(l_d, l_1b, l_2b) arrays, one row per parameter vector in the batch.
+
+    One pass: a single ``batched_eval``, one residual, and one exact
+    ``fsum_rows`` reduction of the (B, N_d + 2·N_b) squared residuals and
+    boundary errors.
+    """
     t_i, x_i = colloc.interior[:, 0], colloc.interior[:, 1]
-    n_b = len(colloc.terminal_x)
+    n_d, n_b = len(x_i), len(colloc.terminal_x)
     t_bnd = np.concatenate([np.full(n_b, m.T), colloc.lateral_t])
     x_bnd = np.concatenate([colloc.terminal_x, np.ones(n_b)])
     (_, v_t, v_x, v_xx), f_bnd = evaluator.batched_eval(params2d, t_i, x_i, t_bnd, x_bnd)
-    res = merton.hjb_residual_arrays(v_t, v_x, v_xx, x_i[None, :], m)
-    l_d = w.w_d * merton.fsum_rows(res**2) / len(x_i)
-
-    tgt1 = merton.terminal_target(colloc.terminal_x, m)
-    l_1b = w.w_1 * merton.fsum_rows((f_bnd[:, :n_b] - tgt1[None, :]) ** 2) / n_b
-    tgt2 = merton.lateral_target(colloc.lateral_t, m)
-    l_2b = w.w_2 * merton.fsum_rows((f_bnd[:, n_b:] - tgt2[None, :]) ** 2) / n_b
-    return l_d, l_1b, l_2b
+    tgt = np.concatenate([merton.terminal_target(colloc.terminal_x, m),
+                          merton.lateral_target(colloc.lateral_t, m)])
+    err = np.concatenate([merton.hjb_residual_arrays(v_t, v_x, v_xx, x_i[None, :], m),
+                          f_bnd - tgt], axis=1)
+    sums = merton.fsum_rows(err * err, (n_d, n_b, n_b))
+    return w.w_d * sums[:, 0] / n_d, w.w_1 * sums[:, 1] / n_b, w.w_2 * sums[:, 2] / n_b
 
 
 def run_training(evaluator, init: np.ndarray, cfg: TrainConfig,
@@ -152,7 +145,7 @@ def run_training(evaluator, init: np.ndarray, cfg: TrainConfig,
     log = RunLog(seed=seed, losses=[], lrs=[], wall_ms=[], final_params=params)
     for epoch in range(cfg.epochs):
         tic = time.perf_counter()
-        stack, steps = _perturbation_stack(params, cfg.grad_step)
+        stack, steps = duals.fd_stack(params, cfg.grad_step)
         l_d, l_1b, l_2b = loss_terms(evaluator, stack, colloc, w, m)
         total = l_d + l_1b + l_2b
         breakdown = merton.LossBreakdown(float(l_d[0]), float(l_1b[0]), float(l_2b[0]))

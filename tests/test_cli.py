@@ -164,6 +164,53 @@ def test_config_checks_market_and_weights_values(tmp_path):
     _rejects(tmp_path, {"weights": {"w_2": None}})
 
 
+def _train_config_error(tmp_path, capsys, doc, extra=()) -> str:
+    """Run ``qpinn train`` on ``doc``; it must exit 2 before writing anything."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    rc = cli.main(["train", "--config", str(cfg), "--epochs", "2", "--runs", "1",
+                   "--out", str(out), *extra])
+    assert rc == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    return err
+
+
+def test_config_rejects_market_values_that_market_params_refuses(tmp_path, capsys):
+    assert "mu > r" in _train_config_error(tmp_path, capsys, {"market": {"mu": 0.01}})
+    _rejects(tmp_path, {"market": {"sigma": 0.0}})
+    _rejects(tmp_path, {"market": {"gamma": 1.0}})
+
+
+def test_config_rejects_nonpositive_weights(tmp_path, capsys):
+    assert "weights" in _train_config_error(tmp_path, capsys, {"weights": {"w_d": 0}})
+    _rejects(tmp_path, {"weights": {"w_2": -5.0}})
+
+
+def test_config_rejects_horizon_above_one(tmp_path, capsys):
+    # the chain models evaluate the terminal points at t = T, and need |t| <= 1
+    err = _train_config_error(tmp_path, capsys, {"market": {"T": 2.0}},
+                              ("--models", "quantum_inspired"))
+    assert "T must be <= 1" in err
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps({"market": {"T": 1.0}}))
+    assert cli.load_config(str(path), {})["market"]["T"] == 1.0
+
+
+def test_config_rejects_duplicate_models(tmp_path, capsys):
+    err = _train_config_error(tmp_path, capsys, {}, ("--models", "counterpart,counterpart"))
+    assert "must not repeat" in err
+    _rejects(tmp_path, {"models": ["qpinn", "counterpart", "qpinn"]})
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5"])
+def test_train_rejects_bad_qpinn_threads(threads, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QPINN_THREADS", threads)
+    err = _train_config_error(tmp_path, capsys, {}, ("--models", "counterpart"))
+    assert "QPINN_THREADS" in err
+
+
 def test_config_type_checks_accept_valid_values(tmp_path):
     path = tmp_path / "cfg.json"
     doc = {"n_interior": 7, "n_boundary": 3, "base_seed": 0, "output_scale": 5,

@@ -454,3 +454,22 @@ def test_chain_value_dual_matches_fd_property(th, x):
     fd2 = (f(x + h2) - 2 * f(x) + f(x - h2)) / h2**2
     assert abs(d1[0, 0] - fd1) <= 1e-6 * max(1.0, abs(fd1))
     assert abs(d2[0, 0] - fd2) <= 1e-5 * max(1.0, abs(fd2))
+
+
+@PROPERTY
+@given(th=st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi), min_size=1, max_size=4),
+       xs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6))
+def test_synthesis_jacobian_matches_fd_property(th, xs):
+    # the ±π shift-rule Jacobian of angle synthesis against central FD of chain_value
+    th, xs = np.array(th), np.array(xs)
+    target = np.linspace(-0.3, 0.3, xs.size)
+    basis = qsp._chain_basis((xs,), th.size - 1)[0]
+    res, jac = qsp._chain_residual_jac(th, basis, target)
+    assert np.max(np.abs(res + target - qsp.chain_value(th, xs)[0])) <= 1e-12
+    h = 1e-6
+    for j in range(th.size):
+        up, dn = th.copy(), th.copy()
+        up[j] += h
+        dn[j] -= h
+        fd = (qsp.chain_value(up, xs)[0] - qsp.chain_value(dn, xs)[0]) / (2 * h)
+        assert np.max(np.abs(jac[:, j] - fd)) <= 1e-8

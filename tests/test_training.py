@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qpinn import merton, models, training
+from qpinn import duals, merton, models, training
 from qpinn.errors import AggregationError, TrainingAbortError
 from qpinn.models import ModelSpec
 from qpinn.training import LrSchedule, TrainConfig, lamb_step, lr_at
@@ -201,12 +201,38 @@ def test_fd_gradient_matches_parameter_shift_gradient():
     for seed in range(5):
         colloc = merton.sample_collocation(seed, 20, 20)
         params = models.init_params(spec, seed)
-        stack, steps = training._perturbation_stack(params, 1e-5)
+        stack, steps = duals.fd_stack(params, 1e-5)
         l_d, l_1b, l_2b = training.loss_terms(ev, stack, colloc, w, m)
         total = l_d + l_1b + l_2b
         fd = (total[1::2] - total[2::2]) / (2 * steps)
         shift = _shift_loss_gradient(ev, params, colloc, w, m)
         assert np.max(np.abs(fd - shift) / np.maximum(1.0, np.abs(shift))) < 1e-4
+
+
+def _assert_rows_match_total_loss(ev, spec, stack, colloc, w, m):
+    terms = training.loss_terms(ev, stack, colloc, w, m)
+    for i, row in enumerate(stack):
+        ref = merton.total_loss(models.ModelFunction(spec, row), colloc, w, m)
+        for got, want in zip(terms, (ref.l_d, ref.l_1b, ref.l_2b)):
+            assert abs(got[i] - want) <= 1e-12 * abs(want), (i, got[i], want)
+
+
+@pytest.mark.parametrize("kind", models.KINDS)
+def test_loss_terms_follow_changed_and_mutated_points(kind):
+    # one evaluator across collocation sets A, B, A, then A mutated in place
+    # one point array at a time: features kept from an earlier call must
+    # never stand in for points that changed
+    m = merton.MarketParams()
+    w = merton.LossWeights()
+    spec = ModelSpec(kind)
+    ev = models.make_evaluator(spec)
+    stack, _ = duals.fd_stack(models.init_params(spec, 4), 1e-5)
+    a, b = merton.sample_collocation(11, 20, 20), merton.sample_collocation(12, 20, 20)
+    for colloc in (a, b, a):
+        _assert_rows_match_total_loss(ev, spec, stack, colloc, w, m)
+    for points in (a.interior[:, 0], a.interior[:, 1], a.terminal_x, a.lateral_t):
+        points *= 0.9
+        _assert_rows_match_total_loss(ev, spec, stack, a, w, m)
 
 
 # ---------------------------------------------------------------------------
