@@ -1,18 +1,20 @@
-"""Second-order forward-mode scalars and derivative utilities.
+"""Second-order forward-mode derivatives on channel tuples, and
+finite-difference and parameter-shift utilities.
 
-A dual number here is a truncated Taylor triple (v, d1, d2) seeded in a
+A dual value here is a truncated Taylor triple (v, d1, d2) seeded in a
 single direction: d1 and d2 are the first and second derivatives of the
 value along that direction.  The triple helpers (`t_*`) operate on raw
 (value, d1, d2) tuples whose components may be floats, complex numbers,
-or numpy arrays; the :class:`Dual2` class wraps them with operators for
-scalar use.  The channel helpers (`c_*`) take channel tuples: ``(v,)`` for
-a plain value, ``(v, d1, d2)`` for a dual one.  The simulator and the 2×2
-QSP chain run one code path on them, so a plain run and the value channel
-of a dual run perform the same arithmetic in the same order.
+or numpy arrays; ``(x, 1.0, 0.0)`` seeds the direction of ``x`` and
+``(c, 0.0, 0.0)`` is a constant.  The channel helpers (`c_*`) take channel
+tuples: ``(v,)`` for a plain value, ``(v, d1, d2)`` for a dual one.  The
+simulator and the 2×2 QSP chain run one code path on them, so a plain run
+and the value channel of a dual run perform the same arithmetic in the
+same order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 import math
 
 import numpy as np
@@ -27,10 +29,6 @@ Triple = tuple  # (v, d1, d2)
 
 def t_add(a: Triple, b: Triple) -> Triple:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
-def t_sub(a: Triple, b: Triple) -> Triple:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
 def t_mul(a: Triple, b: Triple) -> Triple:
@@ -56,6 +54,11 @@ def c_mul(m, a: tuple) -> tuple:
     return (m * a[0],) if len(a) == 1 else t_scale(m, a)
 
 
+def c_lift(a: tuple, plain, dual) -> tuple:
+    """``plain`` on a 1-tuple's channel, or the triple function ``dual``."""
+    return (plain(a[0]),) if len(a) == 1 else dual(a)
+
+
 def c_add(a: tuple, b: tuple) -> tuple:
     """a + b over channel tuples, written into the arrays of ``a``.
 
@@ -65,17 +68,6 @@ def c_add(a: tuple, b: tuple) -> tuple:
     for p, q in zip(a, b):
         p += q
     return a
-
-
-def t_inv(b: Triple) -> Triple:
-    v = 1.0 / b[0]
-    d1 = -b[1] * v * v
-    d2 = (2.0 * b[1] * b[1] - b[0] * b[2]) * v * v * v
-    return (v, d1, d2)
-
-
-def t_div(a: Triple, b: Triple) -> Triple:
-    return t_mul(a, t_inv(b))
 
 
 def t_cos(a: Triple) -> Triple:
@@ -130,99 +122,6 @@ def t_pow(a: Triple, p) -> Triple:
     d1 = p * v ** (p - 1) * a[1]
     d2 = p * (p - 1) * v ** (p - 2) * a[1] * a[1] + p * v ** (p - 1) * a[2]
     return (y, d1, d2)
-
-
-# ---------------------------------------------------------------------------
-# scalar wrapper
-
-@dataclass(frozen=True)
-class Dual2:
-    """A value with first and second derivatives in one seeded direction."""
-
-    v: float
-    d1: float = 0.0
-    d2: float = 0.0
-
-    @staticmethod
-    def seed(value: float) -> "Dual2":
-        return Dual2(value, 1.0, 0.0)
-
-    @staticmethod
-    def lift(value) -> "Dual2":
-        return value if isinstance(value, Dual2) else Dual2(value)
-
-    def _triple(self) -> Triple:
-        return (self.v, self.d1, self.d2)
-
-    def __add__(self, other):
-        return Dual2(*t_add(self._triple(), Dual2.lift(other)._triple()))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Dual2(*t_sub(self._triple(), Dual2.lift(other)._triple()))
-
-    def __rsub__(self, other):
-        return Dual2(*t_sub(Dual2.lift(other)._triple(), self._triple()))
-
-    def __mul__(self, other):
-        return Dual2(*t_mul(self._triple(), Dual2.lift(other)._triple()))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = Dual2.lift(other)
-        if other.v == 0:
-            raise DomainError("division by a dual with zero value")
-        return Dual2(*t_div(self._triple(), other._triple()))
-
-    def __rtruediv__(self, other):
-        if self.v == 0:
-            raise DomainError("division by a dual with zero value")
-        return Dual2(*t_div(Dual2.lift(other)._triple(), self._triple()))
-
-    def __neg__(self):
-        return Dual2(-self.v, -self.d1, -self.d2)
-
-    def __pow__(self, p):
-        return Dual2(*t_pow(self._triple(), p))
-
-
-def cos(a: Dual2) -> Dual2:
-    return Dual2(*t_cos(a._triple()))
-
-
-def sin(a: Dual2) -> Dual2:
-    return Dual2(*t_sin(a._triple()))
-
-
-def arccos(a: Dual2) -> Dual2:
-    return Dual2(*t_arccos(a._triple()))
-
-
-def sqrt(a: Dual2) -> Dual2:
-    if a.v <= 0:
-        raise DomainError("sqrt of a dual requires value > 0")
-    return Dual2(*t_sqrt(a._triple()))
-
-
-def exp(a: Dual2) -> Dual2:
-    return Dual2(*t_exp(a._triple()))
-
-
-def tanh(a: Dual2) -> Dual2:
-    return Dual2(*t_tanh(a._triple()))
-
-
-def derive2(f, point: float, *fixed) -> tuple[float, float, float]:
-    """Value and first two derivatives of ``f`` at ``point``.
-
-    ``f`` is called with a seeded :class:`Dual2` followed by any fixed
-    arguments; it must be composed of supported primitives.
-    """
-    out = f(Dual2.seed(float(point)), *fixed)
-    out = Dual2.lift(out)
-    return (out.v, out.d1, out.d2)
 
 
 def shift_stack(params, steps) -> np.ndarray:

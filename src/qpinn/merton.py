@@ -129,14 +129,18 @@ def fsum_rows(arr: np.ndarray, widths) -> np.ndarray:
     return out if np.ndim(arr) > 1 else out[0]
 
 
-def sample_collocation(seed, n_interior: int = 50, n_boundary: int = 50) -> CollocationSet:
-    """Uniform i.i.d. draws from [0.01, 0.99] for all free coordinates."""
+def sample_collocation(seed, n_interior: int = 50, n_boundary: int = 50,
+                       T: float = 1.0) -> CollocationSet:
+    """Uniform i.i.d. draws from [0.01, 0.99] for all free coordinates; the
+    t coordinates are then scaled by the horizon ``T``."""
     if n_interior < 1 or n_boundary < 1:
         raise ValueError("counts must be >= 1")
     rng = np.random.default_rng(seed)
     interior = rng.uniform(0.01, 0.99, size=(n_interior, 2))
     terminal_x = rng.uniform(0.01, 0.99, size=n_boundary)
     lateral_t = rng.uniform(0.01, 0.99, size=n_boundary)
+    interior[:, 0] *= T
+    lateral_t *= T
     return CollocationSet(interior, terminal_x, lateral_t, seed)
 
 

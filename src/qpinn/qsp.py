@@ -23,7 +23,7 @@ from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
 
 from . import circuits as cir
-from .duals import c_mul, shift_stack, t_sqrt
+from .duals import c_lift, c_mul, shift_stack, t_sqrt
 from .errors import BoundError, DomainError, SizeError, SynthesisError
 
 # ---------------------------------------------------------------------------
@@ -171,12 +171,11 @@ def _powers(z: tuple, n: int, ones: tuple) -> list[tuple]:
 def _chain_basis(xv: tuple, d: int) -> tuple:
     """The basis x^(d−b)·(i√(1 − x²))^b, b = 0..d, of the channel tuple ``xv``:
     one (d+1, N) array per channel."""
-    dual = len(xv) > 1
     ones = (np.ones_like(xv[0]),) + tuple(np.zeros_like(c) for c in xv[1:])
     xp = _powers(xv, d, ones)
     if d:  # the S(x) steps between angles contribute i·√(1 − x²)
         sq = tuple(z - c for z, c in zip((1.0, 0.0, 0.0), c_mul(xv, xv)))
-        js = c_mul(1j, t_sqrt(sq) if dual else (np.sqrt(sq[0]),))
+        js = c_mul(1j, c_lift(sq, np.sqrt, t_sqrt))
         basis = [xp[d]] + [c_mul(xp[d - b], p) for b, p in enumerate(_powers(js, d, ones)[1:], 1)]
     else:
         basis = [ones]

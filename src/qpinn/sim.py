@@ -7,11 +7,13 @@ qubit 0 splits the amplitude array in half.
 
 The state, the angles and the gate entries are tuples of channel arrays:
 ``(v,)`` in a plain run and ``(v, d1, d2)`` in a dual run, where d1 and d2
-are second-order forward-mode derivatives along one seeded direction.  The
-gates are written once on the ``duals.c_*`` helpers.  An angle or entry
-that depends on no dual argument stays a 1-tuple and scales every state
-channel, so a dual run builds no zero derivative channels for it.  Channel
-0 performs the same arithmetic, in the same order, as a plain run.
+are second-order forward-mode derivatives along one seeded direction.  A
+dual parameter or input argument is likewise a ``(v, d1, d2)`` tuple of
+arrays of one shape.  The gates are written once on the ``duals.c_*``
+helpers.  An angle or entry that depends on no dual argument stays a
+1-tuple and scales every state channel, so a dual run builds no zero
+derivative channels for it.  Channel 0 performs the same arithmetic, in
+the same order, as a plain run.
 
 The channels stay separate arrays rather than one stacked
 ``(C, Bp, N, 2^width)`` array: numpy picks a different complex-multiply
@@ -27,7 +29,7 @@ import math
 import numpy as np
 
 from . import circuits as cir
-from .duals import Dual2, c_add, c_mul, t_arccos, t_cos, t_expj, t_sin
+from .duals import c_add, c_lift, c_mul, t_arccos, t_cos, t_expj, t_sin
 from .errors import DomainError, SizeError
 
 DEFAULT_WIDTH_CAP = 24
@@ -98,11 +100,6 @@ def _group_idx(width: int, qubits: tuple) -> np.ndarray:
 # angle and entry evaluation
 
 
-def _lift(a, plain, dual):
-    """``plain`` on a 1-tuple's channel, or the triple function ``dual``."""
-    return (plain(a[0]),) if len(a) == 1 else dual(a)
-
-
 def _angle(expr, params, inputs):
     """Angle channels, each broadcastable against (Bp, N, pairs)."""
     if isinstance(expr, cir.Const):
@@ -113,7 +110,7 @@ def _angle(expr, params, inputs):
         xt = tuple(c[:, expr.var][None, :, None] for c in inputs)
         if len(xt) == 1 and np.any(np.abs(xt[0]) > 1.0):
             raise DomainError("arccos input outside [-1, 1]")
-        base = _lift(xt, np.arccos, t_arccos)
+        base = c_lift(xt, np.arccos, t_arccos)
     scaled = c_mul(expr.scale, base)
     return (scaled[0] + expr.offset,) + scaled[1:]
 
@@ -149,8 +146,8 @@ def _apply_gate(g: cir.Gate, state, params, inputs, width: int, controls=()):
     if g.kind == "rx":
         half = c_mul(0.5, _angle(g.angle, params, inputs))
         i0, i1 = _pair_idx(width, g.qubits[0], controls)
-        c = _lift(half, np.cos, t_cos)
-        s = c_mul(-1j, _lift(half, np.sin, t_sin))
+        c = c_lift(half, np.cos, t_cos)
+        s = c_mul(-1j, c_lift(half, np.sin, t_sin))
         _apply_2x2(state, i0, i1, c, s, s, c)
         return
     if g.kind in ("rz", "rzz"):
@@ -160,7 +157,7 @@ def _apply_gate(g: cir.Gate, state, params, inputs, width: int, controls=()):
         else:
             i0, i1 = _parity_idx(width, g.qubits[0], g.qubits[1], controls)
         for idx, sign in ((i0, -0.5), (i1, 0.5)):
-            phase = _lift(c_mul(sign, theta), lambda a: np.exp(1j * a), t_expj)
+            phase = c_lift(c_mul(sign, theta), lambda a: np.exp(1j * a), t_expj)
             amps = c_mul(phase, tuple(c[..., idx] for c in state))
             for c, a in zip(state, amps):
                 c[..., idx] = a
@@ -181,17 +178,18 @@ def _apply_gate(g: cir.Gate, state, params, inputs, width: int, controls=()):
 
 
 def _as_batch(vec, n_cols: int) -> tuple:
-    """Normalize a parameter/input spec to channels of (B, n_cols) arrays."""
+    """Normalize a parameter/input spec to channels of (B, n_cols) arrays.
+
+    A (v, d1, d2) tuple whose first entry is an array is a dual argument;
+    its three channels must share one shape.
+    """
     if isinstance(vec, tuple) and len(vec) == 3 and isinstance(vec[0], np.ndarray):
         chans = tuple(np.atleast_2d(np.asarray(c, dtype=float)) for c in vec)
+        if any(c.shape != chans[0].shape for c in chans[1:]):
+            raise SizeError(f"dual channels differ in shape: {[c.shape for c in chans]}")
     else:
-        seq = list(np.atleast_1d(vec)) if not isinstance(vec, np.ndarray) else None
-        if seq is not None and any(isinstance(e, Dual2) for e in seq):
-            ds = [e if isinstance(e, Dual2) else Dual2(float(e)) for e in seq]
-            chans = tuple(np.array([[getattr(d, k) for d in ds]]) for k in ("v", "d1", "d2"))
-        else:
-            arr = np.atleast_2d(np.asarray(vec, dtype=float))
-            chans = (arr.reshape(1, 0) if arr.size == 0 else arr,)
+        arr = np.atleast_2d(np.asarray(vec, dtype=float))
+        chans = (arr.reshape(1, 0) if arr.size == 0 else arr,)
     if chans[0].shape[1] != n_cols:
         raise SizeError(f"expected {n_cols} columns, got {chans[0].shape[1]}")
     return chans
@@ -224,7 +222,8 @@ def simulate_amps(circuit: cir.Circuit, params, inputs, *, check_norm: bool = Fa
 
 def run(circuit: cir.Circuit, params=(), inputs=(), *,
         width_cap: int = DEFAULT_WIDTH_CAP) -> StateVector:
-    """Execute a circuit on |0…0⟩ with scalar (possibly dual) arguments."""
+    """Execute a circuit on |0…0⟩ with one parameter vector and one input
+    point, either of which may be a (v, d1, d2) triple of 1-D arrays."""
     state = simulate_amps(circuit, params, inputs, check_norm=True, width_cap=width_cap)
     if isinstance(state, tuple):
         return StateVector(circuit.width, state[0][0, 0], state[1][0, 0], state[2][0, 0])
@@ -250,11 +249,11 @@ def z0_from_amps(amps):
 
 
 def expect_z0(state: StateVector):
-    """Pauli-Z expectation on qubit 0; a Dual2 when the state carries duals."""
+    """Pauli-Z expectation on qubit 0; a (v, d1, d2) float tuple when the
+    state carries duals."""
     if state.is_dual:
         amps = tuple(c[None, None, :] for c in (state.amps, state.d1, state.d2))
-        v, d1, d2 = z0_from_amps(amps)
-        return Dual2(float(v[0, 0]), float(d1[0, 0]), float(d2[0, 0]))
+        return tuple(float(c[0, 0]) for c in z0_from_amps(amps))
     return float(z0_from_amps(state.amps[None, None, :])[0, 0])
 
 

@@ -138,7 +138,7 @@ def loss_terms(evaluator, params2d, colloc: merton.CollocationSet,
 def run_training(evaluator, init: np.ndarray, cfg: TrainConfig,
                  m: merton.MarketParams, w: merton.LossWeights, seed: int) -> RunLog:
     """Core training loop over a prepared evaluator and initial parameters."""
-    colloc = merton.sample_collocation(seed, cfg.n_interior, cfg.n_boundary)
+    colloc = merton.sample_collocation(seed, cfg.n_interior, cfg.n_boundary, m.T)
     params = np.asarray(init, dtype=float).copy()
     n = params.size
     state = None

@@ -160,15 +160,17 @@ def _check_lower_model_bounds(seed):
 
 def _check_dual_vs_fd(seed):
     rng = np.random.default_rng(seed)
+    const = lambda c: (c, 0.0, 0.0)
 
-    def f(x):
-        return duals.exp(duals.sin(x * 1.3) + x * x) * 0.2 + duals.tanh(x)
+    def f(x):  # exp(sin(1.3x) + x²)·0.2 + tanh(x) on (v, d1, d2) triples
+        inner = duals.t_add(duals.t_sin(duals.t_mul(x, const(1.3))), duals.t_mul(x, x))
+        return duals.t_add(duals.t_mul(duals.t_exp(inner), const(0.2)), duals.t_tanh(x))
 
     g = lambda t: math.exp(math.sin(t * 1.3) + t * t) * 0.2 + math.tanh(t)
     worst = 0.0
     for _ in range(20):
         x0 = float(rng.uniform(-0.9, 0.9))
-        _, d1, d2 = duals.derive2(f, x0)
+        _, d1, d2 = f((x0, 1.0, 0.0))
         h, h2 = 1e-5, 1e-4
         fd1 = (g(x0 + h) - g(x0 - h)) / (2 * h)
         fd2 = (g(x0 + h2) - 2 * g(x0) + g(x0 - h2)) / h2**2
@@ -190,8 +192,8 @@ def _check_shift_vs_dual_lambda(seed):
     params = np.concatenate([rng.normal(size=6), [0.3]])
     x = [0.4, 0.6]
     shift = duals.parameter_shift(qc, params, x, 6)
-    seeded = [duals.Dual2.seed(p) if i == 6 else p for i, p in enumerate(params)]
-    dual_d1 = sim.expect_z0(sim.run(qc, seeded, x)).d1
+    seeded = (params, np.eye(7)[6], np.zeros(7))
+    dual_d1 = sim.expect_z0(sim.run(qc, seeded, x))[1]
     err = abs(shift - dual_d1)
     return err < 1e-8, f"|shift - dual d1| = {err:.2e} at λ=0.3"
 

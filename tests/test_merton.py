@@ -78,10 +78,10 @@ def test_residual_analytical_via_duals():
     rng = np.random.default_rng(42)
     for _ in range(1000):
         t0, x0 = rng.uniform(0.01, 0.99, 2)
-        fx = lambda x: duals.exp(duals.Dual2.lift(-k * (m.T - t0))) * x**m.gamma / m.gamma
-        v, v_x, v_xx = duals.derive2(fx, x0)
-        ft = lambda t: duals.exp(-k * (m.T - t) + 0.0 * t) * x0**m.gamma / m.gamma
-        _, v_t, _ = duals.derive2(ft, t0)
+        v, v_x, v_xx = duals.t_scale(1.0 / m.gamma, duals.t_mul(
+            duals.t_exp((-k * (m.T - t0), 0.0, 0.0)), duals.t_pow((x0, 1.0, 0.0), m.gamma)))
+        exponent = duals.t_scale(k, duals.t_add((t0, 1.0, 0.0), (-m.T, 0.0, 0.0)))
+        _, v_t, _ = duals.t_scale(x0**m.gamma / m.gamma, duals.t_exp(exponent))
         assert abs(hjb_residual_arrays(v_t, v_x, v_xx, x0, m)) < 1e-8
 
 
@@ -149,6 +149,22 @@ def test_sample_collocation_contract():
     assert a.terminal_x.min() >= 0.01 and a.lateral_t.max() <= 0.99
     default = sample_collocation(0)
     assert default.interior.shape == (50, 2) and default.terminal_x.shape == (50,)
+
+
+def test_sample_collocation_honours_horizon():
+    short = sample_collocation(0, 50, 50, T=0.5)
+    assert short.interior[:, 0].max() <= 0.5 and short.lateral_t.max() <= 0.5
+    assert short.interior[:, 0].min() >= 0.005
+    rng = np.random.default_rng(0)  # the T = 1 draws, in their order
+    interior = rng.uniform(0.01, 0.99, size=(50, 2))
+    terminal_x = rng.uniform(0.01, 0.99, size=50)
+    lateral_t = rng.uniform(0.01, 0.99, size=50)
+    full = sample_collocation(0, 50, 50, T=1.0)
+    assert np.array_equal(full.interior, interior)
+    assert np.array_equal(full.terminal_x, terminal_x)
+    assert np.array_equal(full.lateral_t, lateral_t)
+    assert np.array_equal(short.interior[:, 1], interior[:, 1])
+    assert np.array_equal(short.terminal_x, terminal_x)
 
 
 def test_optimal_control_paper_value():

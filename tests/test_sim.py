@@ -5,10 +5,14 @@ import pytest
 
 from qpinn import circuits as cir
 from qpinn import qsp, sim
-from qpinn.duals import Dual2
 from qpinn.errors import DomainError, SizeError
 
 from test_circuits import random_circuit
+
+
+def _seed(x):
+    """A one-point dual input seeded along x."""
+    return (np.array([x]), np.array([1.0]), np.array([0.0]))
 
 
 def test_run_hadamard():
@@ -39,6 +43,12 @@ def test_run_matches_dense_oracle():
         assert np.abs(st.amps - u[:, 0]).max() < 1e-12
         z = u[:, 0].conj() @ (np.diag([1.0] * (u.shape[0] // 2) + [-1.0] * (u.shape[0] // 2)) @ u[:, 0])
         assert sim.expect_z0(st) == pytest.approx(z.real, abs=1e-12)
+    # every gate kind: rzz, prepare, InputArccos angles, controls of both polarities
+    for _ in range(30):
+        c = _channel_circuit(rng, int(rng.integers(3, 7)))
+        params, xs = rng.normal(size=2), rng.uniform(-1, 1, size=2)
+        u = cir.unitary_of(c, params, xs)
+        assert np.abs(sim.run(c, params, xs).amps - u[:, 0]).max() < 1e-12
 
 
 def test_norm_preserved():
@@ -80,7 +90,7 @@ def test_param_column_count():
     with pytest.raises(SizeError, match="expected 3 columns, got 2"):
         sim.simulate_amps(circ, [0.1, 0.2], [0.3])
     with pytest.raises(SizeError, match="expected 3 columns, got 2"):
-        sim.simulate_amps(circ, [Dual2.seed(0.1), 0.2], [0.3])
+        sim.simulate_amps(circ, (np.array([0.1, 0.2]), np.array([1.0, 0.0]), np.zeros(2)), [0.3])
 
 
 def test_input_column_count():
@@ -88,7 +98,19 @@ def test_input_column_count():
     with pytest.raises(SizeError, match="expected 1 columns, got 2"):
         sim.simulate_amps(circ, [0.1, 0.2, 0.3], [0.3, 0.4])
     with pytest.raises(SizeError, match="expected 1 columns, got 2"):
-        sim.simulate_amps(circ, [0.1, 0.2, 0.3], [Dual2.seed(0.3), 0.4])
+        sim.simulate_amps(circ, [0.1, 0.2, 0.3],
+                          (np.array([0.3, 0.4]), np.array([1.0, 0.0]), np.zeros(2)))
+
+
+@pytest.mark.parametrize("params, inputs", [
+    ([[0.1, 0.2, 0.3]], (np.array([[0.3]]), np.array([[1.0, 0.0]]), np.array([[0.0]]))),
+    ((np.array([[0.1, 0.2, 0.3]]), np.array([[1.0, 0.0]]), np.zeros((1, 3))), [0.3]),
+    ((np.array([[0.1, 0.2, 0.3]]), np.ones((2, 3)), np.zeros((1, 3))), [0.3]),
+], ids=["input-d1-columns", "param-d1-columns", "param-d1-rows"])
+def test_dual_channel_shapes_must_match(params, inputs):
+    circ = qsp.univariate_model_circuit(1)
+    with pytest.raises(SizeError, match="dual channels differ"):
+        sim.simulate_amps(circ, params, inputs)
 
 
 def test_input_domain():
@@ -96,7 +118,7 @@ def test_input_domain():
     with pytest.raises(DomainError):
         sim.run(c, [0.0, 0.0], [1.2])
     with pytest.raises(DomainError):
-        sim.run(c, [0.0, 0.0], [Dual2.seed(1.0)])  # duals need the open interval
+        sim.run(c, [0.0, 0.0], _seed(1.0))  # duals need the open interval
 
 
 def _channel_circuit(rng, width):
@@ -135,7 +157,7 @@ def test_dual_value_channel_bit_identical():
     th = rng.normal(size=5)
     x = 0.37
     plain = sim.run(circ, th, [x])
-    dual = sim.run(circ, th, [Dual2.seed(x)])
+    dual = sim.run(circ, th, _seed(x))
     assert np.array_equal(plain.amps, dual.amps)
 
     # dual inputs, dual params and both, on circuits with every gate and angle kind
@@ -146,13 +168,13 @@ def test_dual_value_channel_bit_identical():
         xs, dxs = rng.uniform(-0.9, 0.9, size=2), rng.normal(size=2)
         plain = sim.run(circ, th, xs)
         for p_dir, x_dir in ((np.zeros(2), dxs), (dth, np.zeros(2)), (dth, dxs)):
-            p = [Dual2(v, d) for v, d in zip(th, p_dir)] if p_dir.any() else th
-            i = [Dual2(v, d) for v, d in zip(xs, x_dir)] if x_dir.any() else xs
+            p = (th, p_dir, np.zeros(2)) if p_dir.any() else th
+            i = (xs, x_dir, np.zeros(2)) if x_dir.any() else xs
             dual = sim.run(circ, p, i)
             assert np.array_equal(plain.amps, dual.amps)
             f = lambda s: sim.expect_z0(sim.run(circ, th + s * p_dir, xs + s * x_dir))
             fd1 = (f(h) - f(-h)) / (2 * h)
-            assert sim.expect_z0(dual).d1 == pytest.approx(fd1, rel=1e-6, abs=1e-9)
+            assert sim.expect_z0(dual)[1] == pytest.approx(fd1, rel=1e-6, abs=1e-9)
 
 
 def test_dual_derivative_matches_finite_difference():
@@ -160,22 +182,22 @@ def test_dual_derivative_matches_finite_difference():
     circ = qsp.univariate_model_circuit(2)
     th = rng.normal(size=5)
     x = 0.41
-    dual = sim.expect_z0(sim.run(circ, th, [Dual2.seed(x)]))
+    dual = sim.expect_z0(sim.run(circ, th, _seed(x)))
     f = lambda t: sim.expect_z0(sim.run(circ, th, [t]))
     h = 1e-5
     fd1 = (f(x + h) - f(x - h)) / (2 * h)
-    assert dual.d1 == pytest.approx(fd1, rel=1e-6)
+    assert dual[1] == pytest.approx(fd1, rel=1e-6)
     h2 = 1e-4
     fd2 = (f(x + h2) - 2 * f(x) + f(x - h2)) / h2**2
-    assert dual.d2 == pytest.approx(fd2, rel=1e-3)
+    assert dual[2] == pytest.approx(fd2, rel=1e-3)
 
 
 def test_dual_params_flow():
     circ = cir.Circuit(1, (cir.rx(0, cir.Param(0)),), n_params=1)
-    out = sim.expect_z0(sim.run(circ, [Dual2.seed(0.6)], []))
-    assert out.v == pytest.approx(math.cos(0.6))
-    assert out.d1 == pytest.approx(-math.sin(0.6))
-    assert out.d2 == pytest.approx(-math.cos(0.6))
+    out = sim.expect_z0(sim.run(circ, _seed(0.6), []))
+    assert out[0] == pytest.approx(math.cos(0.6))
+    assert out[1] == pytest.approx(-math.sin(0.6))
+    assert out[2] == pytest.approx(-math.cos(0.6))
 
 
 def test_batched_matches_scalar_runs():

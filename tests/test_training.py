@@ -100,6 +100,22 @@ class _FrozenAnalytical:
         return self.bundles(params, t_i, x_i), self.values(params, t_b, x_b)
 
 
+class _RecordingAnalytical(_FrozenAnalytical):
+    """Records the t of the points each epoch evaluates."""
+
+    def batched_eval(self, params, t_i, x_i, t_b, x_b):
+        self.t_seen = np.concatenate([t_i, t_b])
+        return super().batched_eval(params, t_i, x_i, t_b, x_b)
+
+
+def test_run_training_collocates_within_horizon():
+    m = merton.MarketParams(T=0.5)
+    ev = _RecordingAnalytical(m)
+    training.run_training(ev, np.zeros(0), TrainConfig(epochs=1), m,
+                          merton.LossWeights(), seed=0)
+    assert ev.t_seen.max() <= 0.5
+
+
 def test_frozen_analytical_model_has_constant_zero_loss():
     m = merton.MarketParams()
     cfg = TrainConfig(epochs=5)
