@@ -111,9 +111,12 @@ def t_arccos(a: Triple) -> Triple:
 
 
 def t_tanh(a: Triple) -> Triple:
+    """tanh of a triple; channels after the third are first derivatives in
+    further directions, each scaled by sech²."""
     y = np.tanh(a[0])
     sech2 = 1.0 - y * y
-    return (y, sech2 * a[1], sech2 * a[2] - 2.0 * y * sech2 * a[1] * a[1])
+    return (y, sech2 * a[1], sech2 * a[2] - 2.0 * y * sech2 * a[1] * a[1],
+            *(sech2 * c for c in a[3:]))
 
 
 def t_pow(a: Triple, p) -> Triple:

@@ -42,6 +42,18 @@ against the collocation features.  Those features depend on the points
 alone, so they are built once per point set: ``batched_eval`` keeps them
 until its points change, and a training run builds them in epoch 0.
 
+The network runs forward mode on channel tuples, ``(v,)`` for values and
+(v, v_x, v_xx, v_t) for derivatives: ``_trace`` takes one parameter row
+through every layer, with ``duals.t_tanh`` as the activation (v_t rides
+along as a first derivative in a second direction), and records each
+layer's (input, pre-activation) pair.  A finite-difference stack perturbs one coordinate
+per row, so up to the perturbed layer its activations equal the base
+row's.  Every evaluation traces row 0 once; rows that perturb one
+coordinate of it are grouped by layer, rebuild that layer's
+pre-activation from the base record and share one ``_tail`` with the base
+weights (a few flat matmuls instead of 963 tiny ones); any other row runs
+its own ``_trace``.
+
 Parameter layouts (one flat vector per model):
 qpinn / quantum_inspired: [θ1x, θ2x(2) | θ1t, θ2t(2) | λ (qpinn only)];
 counterpart: [p1 c0..c2 | p2 c0..c2];
@@ -54,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuits as cir
-from . import qsp
+from . import duals, qsp
 from .errors import DomainError
 
 KINDS = ("qpinn", "quantum_inspired", "counterpart", "fully_connected")
@@ -293,159 +305,117 @@ class _CounterpartEvaluator(_EvaluatorBase):
         return sc * p1 * p2, sc * p1 * dp2, sc * dp1 * p2, sc * ddp1 * p2
 
 
+def _affine(chans, w, b) -> tuple:
+    """chans·w over a channel tuple, plus b on the value channel."""
+    return (chans[0] @ w + b,) + tuple(c @ w for c in chans[1:])
+
+
+def _tanh(z) -> tuple:
+    """tanh over ``(v,)`` or ``(v, v_x, v_xx, v_t)``."""
+    return duals.c_lift(z, np.tanh, duals.t_tanh)
+
+
+def _trace(layers, chans):
+    """Run the network's (w, b) ``layers`` over a channel tuple of (N, 2)
+    inputs; returns the output channels and each layer's (input,
+    pre-activation) pair."""
+    record = []
+    for i, (w, b) in enumerate(layers):
+        if i:
+            chans = _tanh(z)
+        z = _affine(chans, w, b)
+        record.append((chans, z))
+    return z, record
+
+
+def _tail(layers, z, start: int):
+    """Finish a forward from the pre-activation ``z`` of layer ``start``."""
+    for w, b in layers[start + 1:]:
+        z = _affine(_tanh(z), w, b)
+    return z
+
+
+def _perturbed(inp, z, coords, amounts):
+    """Pre-activations of one layer, recorded as (``inp``, ``z``), for rows
+    that each add ``amounts`` to one weight (in, out) or bias (fan_in, out)
+    of it: channels of shape (G, N, fan_out)."""
+    out = tuple(np.repeat(c[None], len(amounts), axis=0) for c in z)
+    i_in, j_out, fan_in = coords[:, 1], coords[:, 2], inp[0].shape[1]
+    w = np.nonzero(i_in < fan_in)[0]
+    for o, a in zip(out, inp):
+        o[w, :, j_out[w]] += amounts[w, None] * a[:, i_in[w]].T
+    b = np.nonzero(i_in == fan_in)[0]
+    out[0][b, :, j_out[b]] += amounts[b, None]
+    return out
+
+
 class _FullyConnectedEvaluator(_EvaluatorBase):
+    """The tanh network over channel tuples, with the finite-difference fast
+    path of the module docstring."""
+
     kind = "fully_connected"
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
-        self.groups = []
-        self._slices = []
-        self._coord_layer = np.empty(_PARAM_COUNTS["fully_connected"], dtype=int)
-        self._coord_in = np.empty_like(self._coord_layer)   # -1 for bias coords
-        self._coord_out = np.empty_like(self._coord_layer)
-        off = 0
+        self.groups, coords, off = [], [], 0
         for layer, (fi, fo) in enumerate(_FC_LAYERS):
-            w = slice(off, off + fi * fo)
-            b = slice(off + fi * fo, off + fi * fo + fo)
-            self._slices.append((w, b, fi, fo))
-            self.groups += [w, b]
-            idx = np.arange(fi * fo)
-            self._coord_layer[w] = layer
-            self._coord_in[w] = idx // fo
-            self._coord_out[w] = idx % fo
-            self._coord_layer[b] = layer
-            self._coord_in[b] = -1
-            self._coord_out[b] = np.arange(fo)
-            off = b.stop
+            self.groups += [slice(off, off + fi * fo), slice(off + fi * fo, off + fi * fo + fo)]
+            idx = np.arange(fi * fo + fo)   # a bias's input index is fan_in
+            coords.append(np.stack([np.full(idx.size, layer), idx // fo, idx % fo], axis=1))
+            off += fi * fo + fo
+        self._coords = np.concatenate(coords)   # (layer, input, output) per coordinate
 
-    def _weights(self, params):
-        out = []
-        for w, b, fi, fo in self._slices:
-            out.append((params[:, w].reshape(-1, fi, fo), params[:, b][:, None, :]))
-        return out
-
-    def _forward(self, params, t, x, seed: np.ndarray | None):
-        """Batched forward; ``seed`` is an optional (N, 2) d1 seed matrix."""
-        params = np.atleast_2d(params)
-        a = np.stack([np.asarray(t, float), np.asarray(x, float)], axis=1)[None, :, :]
-        if seed is None:
-            for i, (w, b) in enumerate(self._weights(params)):
-                a = np.matmul(a, w) + b
-                if i < len(_FC_LAYERS) - 1:
-                    a = np.tanh(a)
-            return self.spec.output_scale * a[..., 0]
-        d1 = seed[None, :, :]
-        d2 = np.zeros_like(d1)
-        for i, (w, b) in enumerate(self._weights(params)):
-            a, d1, d2 = np.matmul(a, w) + b, np.matmul(d1, w), np.matmul(d2, w)
-            if i < len(_FC_LAYERS) - 1:
-                y = np.tanh(a)
-                s = 1.0 - y * y
-                a, d1, d2 = y, s * d1, s * d2 - 2.0 * y * s * d1 * d1
-        sc = self.spec.output_scale
-        return sc * a[..., 0], sc * d1[..., 0], sc * d2[..., 0]
-
-    def values(self, params, t, x):
-        return self._forward(params, t, x, None)
-
-    def bundles(self, params, t, x):
-        # one pass: rows 0..N-1 seeded on x (input column 1), rows N.. on t
-        x = np.asarray(x, float)
-        t = np.asarray(t, float)
-        n = x.size
-        seed = np.zeros((2 * n, 2))
-        seed[:n, 1] = 1.0
-        seed[n:, 0] = 1.0
-        v, d1, d2 = self._forward(params, np.concatenate([t, t]),
-                                  np.concatenate([x, x]), seed)
-        return v[:, :n], d1[:, n:], d1[:, :n], d2[:, :n]
-
-    # -- finite-difference fast path -------------------------------------
-    # A gradient stack perturbs one coordinate per row, so activations up to
-    # the perturbed layer equal the base run's; only the tail is recomputed,
-    # with shared weights, which turns 963 tiny matmuls into a few flat ones.
-
-    def batched_eval(self, params2d, t_int, x_int, t_bnd, x_bnd):
-        params2d = np.atleast_2d(params2d)
-        delta = params2d - params2d[0]
-        changed = delta != 0
-        if params2d.shape[0] == 1 or np.any(np.count_nonzero(changed[1:], axis=1) != 1) \
-                or changed[0].any():
-            return super().batched_eval(params2d, t_int, x_int, t_bnd, x_bnd)
-        rows = np.arange(1, params2d.shape[0])
-        coords = np.argmax(changed[1:], axis=1)
-        amounts = delta[rows, coords]
-
-        base_w = self._weights(params2d[0:1])
-        n = len(x_int)
-        # channels: value, d1 in x, d2 in x, d1 in t (d2 in t is never needed)
-        a0 = np.stack([np.asarray(t_int, float), np.asarray(x_int, float)], axis=1)
-        sx = np.zeros((n, 2))
-        sx[:, 1] = 1.0
-        st = np.zeros((n, 2))
-        st[:, 0] = 1.0
-        chans = (a0, sx, np.zeros((n, 2)), st)
-        a_bnd = np.stack([np.asarray(t_bnd, float), np.asarray(x_bnd, float)], axis=1)
-        in_int, in_bnd, z_int, z_bnd = [], [], [], []
-        for i, (w, b) in enumerate(base_w):
-            w2, b2 = w[0], b[0]
-            in_int.append(chans)
-            in_bnd.append(a_bnd)
-            z = (chans[0] @ w2 + b2, chans[1] @ w2, chans[2] @ w2, chans[3] @ w2)
-            zb = a_bnd @ w2 + b2
-            z_int.append(z)
-            z_bnd.append(zb)
-            if i < len(_FC_LAYERS) - 1:
-                chans = self._tanh_chans(z)
-                a_bnd = np.tanh(zb)
-        out = np.empty((params2d.shape[0], 4, n))
-        out_b = np.empty((params2d.shape[0], len(t_bnd)))
-        out[0] = np.stack([z_int[-1][c][:, 0] for c in range(4)])
-        out_b[0] = z_bnd[-1][:, 0]
-
-        for layer in range(len(_FC_LAYERS)):
-            sel = np.nonzero(self._coord_layer[coords] == layer)[0]
-            if sel.size == 0:
-                continue
-            g = sel.size
-            i_in = self._coord_in[coords[sel]]
-            j_out = self._coord_out[coords[sel]]
-            amt = amounts[sel]
-            zc = [np.repeat(z_int[layer][c][None], g, axis=0) for c in range(4)]
-            zbc = np.repeat(z_bnd[layer][None], g, axis=0)
-            w_rows = np.nonzero(i_in >= 0)[0]
-            if w_rows.size:
-                gi, jw, iw = w_rows, j_out[w_rows], i_in[w_rows]
-                aw = amt[w_rows][:, None]
-                for c in range(4):
-                    zc[c][gi, :, jw] += aw * in_int[layer][c][:, iw].T
-                zbc[gi, :, jw] += aw * in_bnd[layer][:, iw].T
-            b_rows = np.nonzero(i_in < 0)[0]
-            if b_rows.size:
-                gb, jb = b_rows, j_out[b_rows]
-                ab = amt[b_rows][:, None]
-                zc[0][gb, :, jb] += ab
-                zbc[gb, :, jb] += ab
-            for m in range(layer, len(_FC_LAYERS)):
-                if m > layer:
-                    w2, b2 = base_w[m][0][0], base_w[m][1][0]
-                    zc = [zc[0] @ w2 + b2, zc[1] @ w2, zc[2] @ w2, zc[3] @ w2]
-                    zbc = zbc @ w2 + b2
-                if m < len(_FC_LAYERS) - 1:
-                    zc = list(self._tanh_chans(tuple(zc)))
-                    zbc = np.tanh(zbc)
-            out[1 + sel] = np.stack([z[..., 0] for z in zc], axis=1)
-            out_b[1 + sel] = zbc[..., 0]
-
-        sc = self.spec.output_scale
-        return (sc * out[:, 0], sc * out[:, 3], sc * out[:, 1], sc * out[:, 2]), sc * out_b
+    def _layers(self, row):
+        return [(row[w].reshape(fi, fo), row[b])
+                for w, b, (fi, fo) in zip(self.groups[0::2], self.groups[1::2], _FC_LAYERS)]
 
     @staticmethod
-    def _tanh_chans(z):
-        y = np.tanh(z[0])
-        s = 1.0 - y * y
-        ys = -2.0 * y * s
-        return (y, s * z[1], s * z[2] + ys * z[1] * z[1], s * z[3])
+    def _inputs(t, x, dual: bool) -> tuple:
+        """``(a,)`` with rows (t, x), or (a, ∂a/∂x, ∂²a/∂x², ∂a/∂t) when ``dual``."""
+        a = np.stack([np.asarray(t, float), np.asarray(x, float)], axis=1)
+        if not dual:
+            return (a,)
+        seeds = np.zeros((3,) + a.shape)
+        seeds[0, :, 1] = seeds[2, :, 0] = 1.0
+        return (a, *seeds)
+
+    def _eval(self, params2d, *inputs) -> list:
+        """Scaled (channels, B, N) outputs of every parameter row, one array
+        per channel tuple in ``inputs``."""
+        params2d = np.atleast_2d(params2d)
+        base = self._layers(params2d[0])
+        delta = params2d - params2d[0]
+        changed = delta != 0
+        coord = np.argmax(changed, axis=1)
+        single = np.count_nonzero(changed, axis=1) == 1
+        by_layer = [np.nonzero(single & (self._coords[coord, 0] == layer))[0]
+                    for layer in range(len(_FC_LAYERS))]
+        outs = []
+        for chans in inputs:
+            z, record = _trace(base, chans)
+            out = np.empty((len(chans), params2d.shape[0], chans[0].shape[0]))
+            out[:, 0] = [c[:, 0] for c in z]
+            for layer, rows in enumerate(by_layer):
+                if rows.size:
+                    zg = _perturbed(*record[layer], self._coords[coord[rows]],
+                                    delta[rows, coord[rows]])
+                    out[:, rows] = [c[..., 0] for c in _tail(base, zg, layer)]
+            for r in np.nonzero(~single)[0][1:]:   # row 0 is the base
+                out[:, r] = [c[:, 0] for c in _trace(self._layers(params2d[r]), chans)[0]]
+            outs.append(self.spec.output_scale * out)
+        return outs
+
+    def values(self, params, t, x):
+        return self._eval(params, self._inputs(t, x, False))[0][0]
+
+    def bundles(self, params, t, x):
+        (v, v_x, v_xx, v_t), = self._eval(params, self._inputs(t, x, True))
+        return v, v_t, v_x, v_xx
+
+    def batched_eval(self, params2d, t_int, x_int, t_bnd, x_bnd):
+        (v, v_x, v_xx, v_t), (bnd,) = self._eval(
+            params2d, self._inputs(t_int, x_int, True), self._inputs(t_bnd, x_bnd, False))
+        return (v, v_t, v_x, v_xx), bnd
 
 
 _EVALUATORS = {

@@ -180,10 +180,10 @@ def _apply_gate(g: cir.Gate, state, params, inputs, width: int, controls=()):
 def _as_batch(vec, n_cols: int) -> tuple:
     """Normalize a parameter/input spec to channels of (B, n_cols) arrays.
 
-    A (v, d1, d2) tuple whose first entry is an array is a dual argument;
-    its three channels must share one shape.
+    Any (v, d1, d2) tuple is a dual argument, whatever its entries are;
+    its three channels must share one shape.  Lists and arrays are plain.
     """
-    if isinstance(vec, tuple) and len(vec) == 3 and isinstance(vec[0], np.ndarray):
+    if isinstance(vec, tuple) and len(vec) == 3:
         chans = tuple(np.atleast_2d(np.asarray(c, dtype=float)) for c in vec)
         if any(c.shape != chans[0].shape for c in chans[1:]):
             raise SizeError(f"dual channels differ in shape: {[c.shape for c in chans]}")

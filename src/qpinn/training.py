@@ -48,8 +48,6 @@ class TrainConfig:
     epochs: int = 1000
     n_runs: int = 10
     base_seed: int = 0
-    betas: tuple[float, float] = (0.0, 0.0)
-    weight_decay: float = 0.0
     eps: float = 1e-6
     n_interior: int = 50
     n_boundary: int = 50
@@ -83,35 +81,25 @@ class AggregateStats:
     geo_std: np.ndarray
 
 
-def lamb_step(params, grads, state, lr: float, groups, *, betas=(0.0, 0.0),
-              eps: float = 1e-6, weight_decay: float = 0.0):
-    """One LAMB update; returns (new params, new state).
+def lamb_step(params, grads, lr: float, groups, *, eps: float = 1e-6) -> np.ndarray:
+    """One LAMB update with β = (0, 0) and no weight decay; returns the new params.
 
-    update u = m/(√v+ε)+wd·w per coordinate, scaled per group by the trust
-    ratio ‖w‖/‖u‖ (1 when either norm vanishes).  No bias correction, as in
-    the reference implementation; with β=(0,0) this reduces to m=g, v=g².
+    update u = g/(√(g²)+ε) per coordinate, scaled per group by the trust
+    ratio ‖w‖/‖u‖ (1 when either norm vanishes).  With both moment decays at
+    zero, LAMB's moments are m = g and v = g², so no optimizer state is kept.
     """
     params = np.asarray(params, dtype=float)
     grads = np.asarray(grads, dtype=float)
     if not np.all(np.isfinite(grads)):
         raise TrainingAbortError("non-finite gradient")
-    if state is None:
-        state = {"m": np.zeros_like(params), "v": np.zeros_like(params)}
-    b1, b2 = betas
-    state = {
-        "m": b1 * state["m"] + (1.0 - b1) * grads,
-        "v": b2 * state["v"] + (1.0 - b2) * grads**2,
-    }
-    update = state["m"] / (np.sqrt(state["v"]) + eps)
-    if weight_decay:
-        update = update + weight_decay * params
+    update = grads / (np.sqrt(grads**2) + eps)
     out = params.copy()
     for g in groups:
         p, u = params[g], update[g]
         wn, un = math.sqrt(p.dot(p)), math.sqrt(u.dot(u))
         trust = wn / un if wn > 0 and un > 0 else 1.0
         out[g] = params[g] - lr * trust * update[g]
-    return out, state
+    return out
 
 
 def loss_terms(evaluator, params2d, colloc: merton.CollocationSet,
@@ -141,7 +129,6 @@ def run_training(evaluator, init: np.ndarray, cfg: TrainConfig,
     colloc = merton.sample_collocation(seed, cfg.n_interior, cfg.n_boundary, m.T)
     params = np.asarray(init, dtype=float).copy()
     n = params.size
-    state = None
     log = RunLog(seed=seed, losses=[], lrs=[], wall_ms=[], final_params=params)
     for epoch in range(cfg.epochs):
         tic = time.perf_counter()
@@ -158,9 +145,7 @@ def run_training(evaluator, init: np.ndarray, cfg: TrainConfig,
             break
         grads = (total[1::2] - total[2::2]) / (2.0 * steps) if n else np.zeros(0)
         try:
-            params, state = lamb_step(params, grads, state, lr, evaluator.groups,
-                                      betas=cfg.betas, eps=cfg.eps,
-                                      weight_decay=cfg.weight_decay)
+            params = lamb_step(params, grads, lr, evaluator.groups, eps=cfg.eps)
         except TrainingAbortError as exc:
             log.aborted = f"{exc} at epoch {epoch}"
             log.wall_ms.append(1e3 * (time.perf_counter() - tic))

@@ -35,6 +35,15 @@ def test_tanh_at_origin():
     assert (y[1], y[2]) == (1.0, 0.0)
 
 
+def test_tanh_scales_trailing_first_derivative_channels():
+    # channels after the triple are first derivatives in further directions
+    y = duals.t_tanh((0.4, 1.0, 0.0, 2.0, -3.0))
+    sech2 = 1.0 - math.tanh(0.4) ** 2
+    assert len(y) == 5
+    assert y[3] == pytest.approx(2.0 * sech2, rel=1e-15)
+    assert y[4] == pytest.approx(-3.0 * sech2, rel=1e-15)
+
+
 def test_derive2_cube():
     x = seed(2.0)
     assert duals.t_mul(duals.t_mul(x, x), x) == pytest.approx((8.0, 12.0, 12.0))
@@ -63,34 +72,36 @@ def test_derive2_analytic_hjb_slice():
 
 
 def test_random_compositions_match_finite_differences():
-    rng = np.random.default_rng(5)
     t_add, t_mul, t_scale = duals.t_add, duals.t_mul, duals.t_scale
+    # every op is defined on all of ℝ, so chains of any length stay in domain
     ops = [
         lambda u: t_add(t_scale(0.7, duals.t_sin(u)), u),
         lambda u: duals.t_cos(t_scale(0.9, u)),
         duals.t_tanh,
         lambda u: duals.t_exp(t_scale(0.3, u)),
         lambda u: t_add(t_mul(u, u), const(0.1)),
-        lambda u: duals.t_arccos(t_scale(0.5, u)),
+        lambda u: duals.t_arccos(t_scale(0.5, duals.t_tanh(u))),
         lambda u: duals.t_sqrt(t_add(t_mul(u, u), const(0.5))),
         lambda u: t_mul(t_add(u, const(2.5)), duals.t_pow(t_add(t_mul(u, u), const(1.5)), -1.0)),
     ]
-    for _ in range(50):
-        chain = [ops[i] for i in rng.integers(0, len(ops), size=3)]
-        x0 = float(rng.uniform(-0.9, 0.9))
+    for n_ops in (3, 7):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            chain = [ops[i] for i in rng.integers(0, len(ops), size=n_ops)]
+            x0 = float(rng.uniform(-0.9, 0.9))
 
-        def f(u):
-            for op in chain:
-                u = op(u)
-            return u
+            def f(u):
+                for op in chain:
+                    u = op(u)
+                return u
 
-        v, d1, d2 = f(seed(x0))
-        g = lambda t: f(const(t))[0]
-        h1, h2 = 1e-5, 1e-4
-        fd1 = (g(x0 + h1) - g(x0 - h1)) / (2 * h1)
-        fd2 = (g(x0 + h2) - 2 * g(x0) + g(x0 - h2)) / h2**2
-        assert d1 == pytest.approx(fd1, rel=1e-5, abs=1e-8)
-        assert d2 == pytest.approx(fd2, rel=1e-3, abs=1e-4)
+            v, d1, d2 = f(seed(x0))
+            g = lambda t: f(const(t))[0]
+            h1, h2 = 1e-5, 1e-4
+            fd1 = (g(x0 + h1) - g(x0 - h1)) / (2 * h1)
+            fd2 = (g(x0 + h2) - 2 * g(x0) + g(x0 - h2)) / h2**2
+            assert d1 == pytest.approx(fd1, rel=1e-5, abs=1e-8)
+            assert d2 == pytest.approx(fd2, rel=1e-3, abs=1e-4)
 
 
 def test_derive2_linearity():

@@ -253,20 +253,35 @@ def test_quantum_inspired_matches_chains_property(params, t, x):
 
 
 @PROPERTY
-@given(kind=st.sampled_from(["qpinn", "quantum_inspired"]), base=_angles(7),
+@given(kind=st.sampled_from(["qpinn", "quantum_inspired", "fully_connected"]), base=_angles(7),
        seed=st.integers(0, 2**16))
 def test_batched_eval_row_matches_model_function(kind, base, seed):
     spec = ModelSpec(kind)
     rng = np.random.default_rng(seed)
-    stack = np.repeat(base[None, :spec.n_params], 15, axis=0)
-    coords = rng.integers(0, spec.n_params, 14)  # one perturbed coordinate per row
-    stack[1 + np.arange(14), coords] += rng.uniform(-1e-3, 1e-3, 14)
+    if kind == "fully_connected":
+        # a weight and a bias row in every layer, two unperturbed rows, and two
+        # rows that change two coordinates (those take their own trace), shuffled
+        groups = models.make_evaluator(spec).groups
+        base = models.init_params(spec, seed)
+        stack = np.repeat(base[None, :], 1 + len(groups) + 4, axis=0)
+        rows = 1 + rng.permutation(len(groups) + 4)
+        coords = [rng.integers(g.start, g.stop) for g in groups]
+        stack[rows[:len(groups)], coords] += rng.uniform(-1e-3, 1e-3, len(groups))
+        pairs = rng.choice(spec.n_params, (2, 2), replace=False)
+        stack[rows[-2:, None], pairs] += rng.uniform(-1e-3, 1e-3, (2, 2))
+    else:
+        stack = np.repeat(base[None, :spec.n_params], 15, axis=0)
+        coords = rng.integers(0, spec.n_params, 14)  # one perturbed coordinate per row
+        stack[1 + np.arange(14), coords] += rng.uniform(-1e-3, 1e-3, 14)
     t_int, x_int = rng.uniform(0.01, 0.99, (2, 20))
     t_bnd = np.concatenate([np.ones(10), rng.uniform(0.01, 0.99, 10)])
     x_bnd = np.concatenate([rng.uniform(0.01, 0.99, 10), np.ones(10)])
     bundles, bnd = models.make_evaluator(spec).batched_eval(stack, t_int, x_int, t_bnd, x_bnd)
-    for i in range(15):
+    for i in range(len(stack)):
         fn = models.ModelFunction(spec, stack[i])
         for got, want in zip(bundles + (bnd,),
                              fn.derivatives(t_int, x_int) + (fn.values(t_bnd, x_bnd),)):
-            np.testing.assert_allclose(got[i], want, rtol=1e-14, atol=0.0)
+            if kind == "fully_connected":
+                assert _max_rel(got[i], want) <= 1e-13
+            else:
+                np.testing.assert_allclose(got[i], want, rtol=1e-14, atol=0.0)

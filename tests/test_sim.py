@@ -192,6 +192,17 @@ def test_dual_derivative_matches_finite_difference():
     assert dual[2] == pytest.approx(fd2, rel=1e-3)
 
 
+def test_tuple_of_lists_is_a_dual_input():
+    # a (v, d1, d2) tuple is dual whatever its entries are, not three plain rows
+    circ = qsp.univariate_model_circuit(2)
+    th = np.random.default_rng(16).normal(size=5)
+    got = sim.run(circ, th, ([0.3], [1.0], [0.0]))
+    want = sim.run(circ, th, _seed(0.3))
+    assert got.is_dual
+    for a, b in ((got.amps, want.amps), (got.d1, want.d1), (got.d2, want.d2)):
+        assert np.array_equal(a, b)
+
+
 def test_dual_params_flow():
     circ = cir.Circuit(1, (cir.rx(0, cir.Param(0)),), n_params=1)
     out = sim.expect_z0(sim.run(circ, _seed(0.6), []))
