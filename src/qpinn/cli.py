@@ -262,7 +262,7 @@ def cmd_train(cfg: dict) -> int:
     tcfg = training.TrainConfig(
         epochs=cfg["epochs"], n_runs=cfg["n_runs"], base_seed=cfg["base_seed"],
         eps=cfg["eps"], n_interior=cfg["n_interior"], n_boundary=cfg["n_boundary"],
-        grad_step=cfg["grad_step"], checkpoint_every=cfg["checkpoint_every"],
+        checkpoint_every=cfg["checkpoint_every"],
     )
     jobs = [(kind, cfg["output_scale"], tcfg, market, weights, tcfg.base_seed + i)
             for kind in cfg["models"] for i in range(tcfg.n_runs)]

@@ -25,7 +25,7 @@ where ⊕λ adds λ to the chain's last angle.  ``sim.simulate_amps`` on
 ``qpinn_circuit`` stays the oracle this form is tested against.
 
 Both chain models are the polynomial the paper describes.  A chain of
-degree d is v(θ, u) = Σ_b C_b(θ)·u^(d−b)·(i√(1 − u²))^b
+degree d is v(θ, u) = Σ_b C_b(θ)·u^(d−b)·(i√(1 − u²))^b with real C
 (``qsp.chain_coefficients``), so at L = 1 (chains of degree 0 and 1) each
 model is W(θ)·[ψ(x) ⊗ ψ(t)] with ψ(u) = [1, u, √(1 − u²)] and a real 3×3
 coefficient matrix W that depends on the angles alone:
@@ -35,24 +35,18 @@ coefficient matrix W that depends on the angles alone:
 
 where a degree-0 chain contributes C₀ to ψ₀ and a degree-1 chain C₀ to ψ₁
 and i·C₁ to ψ₂; P and M are the x branches at ±λ and T₁, T₂ the t chains
-of the closed form above.  Values and derivatives are W contracted with
-products of ψ, ψ′ = [0, 1, −u/s] and ψ″ = [0, 0, −1/s³] (s = √(1 − u²)), so
-a training epoch computes W once per parameter row and contracts it once
-against the collocation features.  Those features depend on the points
-alone, so they are built once per point set: ``batched_eval`` keeps them
-until its points change, and a training run builds them in epoch 0.
+of the closed form above.  The counterpart is W = c₁ ⊗ c₂ over
+ψ(u) = [1, u, u²].  Outputs are W contracted with features, products of ψ
+and its derivatives.  ``pullback``, the exact gradient of a cotangent on
+one row's outputs, contracts it with the features and then with ∂W/∂θ:
+the ±π shift rule for the chains (each angle enters W as e^{±iθ/2}), a
+central difference for the bilinear counterpart.
 
 The network runs forward mode on channel tuples, ``(v,)`` for values and
-(v, v_x, v_xx, v_t) for derivatives: ``_trace`` takes one parameter row
-through every layer, with ``duals.t_tanh`` as the activation (v_t rides
-along as a first derivative in a second direction), and records each
-layer's (input, pre-activation) pair.  A finite-difference stack perturbs one coordinate
-per row, so up to the perturbed layer its activations equal the base
-row's.  Every evaluation traces row 0 once; rows that perturb one
-coordinate of it are grouped by layer, rebuild that layer's
-pre-activation from the base record and share one ``_tail`` with the base
-weights (a few flat matmuls instead of 963 tiny ones); any other row runs
-its own ``_trace``.
+(v, v_x, v_xx, v_t) for derivatives (v_t rides along as a first derivative
+in a second direction): ``_trace`` takes one parameter row through every
+layer and records each layer's (input, pre-activation) pair for the
+reverse pass, ``_reverse``.
 
 Parameter layouts (one flat vector per model):
 qpinn / quantum_inspired: [θ1x, θ2x(2) | θ1t, θ2t(2) | λ (qpinn only)];
@@ -136,66 +130,55 @@ def init_params(spec: ModelSpec, seed) -> np.ndarray:
 # batched evaluators
 
 
-class _EvaluatorBase:
-    def batched_eval(self, params2d, t_int, x_int, t_bnd, x_bnd):
-        """((v, v_t, v_x, v_xx) at interior, plain values at boundary)."""
-        return self.bundles(params2d, t_int, x_int), self.values(params2d, t_bnd, x_bnd)
+def _points_key(*arrays) -> tuple:
+    """Bytes copies of arrays: a cache key that changes when one is replaced
+    or mutated in place."""
+    return tuple(np.asarray(p, dtype=float).tobytes() for p in arrays)
 
 
-def _psi(u, order: int) -> np.ndarray:
-    """ψ(u) = [1, u, s] with s = √(1 − u²), then ``order`` derivatives:
-    ψ′ = [0, 1, −u/s] and ψ″ = [0, 0, −1/s³]: an (order + 1, 3, N) array.
-
-    Values need |u| ≤ 1; derivatives, which divide by s, need |u| < 1.
+def _psi(u, order: int, square: bool = False) -> np.ndarray:
+    """ψ(u) = [1, u, q] and ``order`` derivatives, an (order + 1, 3, N) array:
+    q = s = √(1 − u²) for the chains (q′ = −u/s, q″ = −1/s³), or q = u² when
+    ``square``.  Chain values need |u| ≤ 1; derivatives, which divide by s,
+    need |u| < 1.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    top = np.max(np.abs(u), initial=0.0)
-    if order and top >= 1.0:
-        raise DomainError("chain derivatives require |u| < 1")
-    if top > 1.0:
-        raise DomainError("chain evaluation requires |u| <= 1")
-    s = np.sqrt(1.0 - u * u)
-    out = np.zeros((order + 1, 3, u.size))
-    out[0, 0], out[0, 1], out[0, 2] = 1.0, u, s
-    if order >= 1:
-        out[1, 1], out[1, 2] = 1.0, -u / s
-    if order >= 2:
-        out[2, 2] = -1.0 / (s * s * s)
-    return out
-
-
-def _on_psi(coeffs) -> np.ndarray:
-    """Chain coefficients (n, d+1) as a complex (n, 3) vector over ψ: a
-    degree-0 chain is C₀·ψ₀, a degree-1 chain C₀·ψ₁ + i·C₁·ψ₂."""
-    out = np.zeros((coeffs.shape[0], 3), dtype=complex)
-    if coeffs.shape[1] == 1:
-        out[:, 0] = coeffs[:, 0]
+    if square:
+        q = (u * u, 2.0 * u, 2.0)
     else:
-        out[:, 1] = coeffs[:, 0]
-        out[:, 2] = 1j * coeffs[:, 1]
+        top = np.max(np.abs(u), initial=0.0)
+        if order and top >= 1.0:
+            raise DomainError("chain derivatives require |u| < 1")
+        if top > 1.0:
+            raise DomainError("chain evaluation requires |u| <= 1")
+        s = np.sqrt(1.0 - u * u)
+        q = (s, -u / s, -1.0 / (s * s * s)) if order else (s,)
+    out = np.zeros((order + 1, 3, u.size))
+    out[0, 0], out[0, 1], out[1:2, 1] = 1.0, u, 1.0
+    out[:, 2] = np.broadcast_arrays(*q[:order + 1])
     return out
 
 
-def _outer(a, b) -> np.ndarray:
-    """Row-wise outer products of (n, 3) vectors: (n, 3, 3)."""
-    return a[:, :, None] * b[:, None, :]
+# Re(a ⊗ b) of ψ vectors [C₀ of a degree-0 chain, C₀ and i·C₁ of a degree-1
+# one], stored without the i: i·i = −1, and i times a real entry is not real
+_RE_OUTER = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
 
 
-class _SeparableEvaluator(_EvaluatorBase):
-    """A chain model as its polynomial: output_scale·Σ_ij W_ij(θ)·ψ_i(x)·ψ_j(t).
+class _SeparableEvaluator:
+    """A model Σ_ij W_ij(θ)·ψ_i(x)·ψ_j(t), scaled by output_scale.
 
     Subclasses supply ``coefficients(params2d)``, the real (B, 3, 3) matrix
     W; every output is W contracted with a feature matrix F of ψ products
-    (the module docstring).  ``batched_eval`` keeps F for the points of its
-    last call and rebuilds it only when a point array changes (compared bit
-    for bit against a private copy), so a training run builds its
-    collocation features once.
+    (the module docstring).  ``batched_eval`` and ``pullback`` rebuild F
+    only when a point array changes, so a training run builds it once.
     """
+
+    square = False   # ψ₂ = u² rather than √(1 − u²)
+    shift_scale = 0.25
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
-        self._points = None   # bytes of the points that ``_feats`` was built from
-        self._feats = None
+        self._points = self._feats = None   # ``_feats`` and the key of its points
 
     @staticmethod
     def _features(blocks):
@@ -205,6 +188,23 @@ class _SeparableEvaluator(_EvaluatorBase):
                                 for fx, ft in blocks], axis=1)
         return feats, np.cumsum([0] + [fx.shape[1] for fx, _ in blocks]).tolist()
 
+    def _blocks(self, t, x, dual: bool):
+        """Feature blocks of v, or of (v, v_t, v_x, v_xx) when ``dual``."""
+        if not dual:
+            return [(_psi(x, 0, self.square)[0], _psi(t, 0, self.square)[0])]
+        (px, dpx, ddpx), (pt, dpt) = _psi(x, 2, self.square), _psi(t, 1, self.square)
+        return [(px, pt), (px, dpt), (dpx, pt), (ddpx, pt)]
+
+    def _collocation_features(self, t_int, x_int, t_bnd, x_bnd):
+        """``_features`` of the bundles at the interior and the values at the
+        boundary, rebuilt only when the points change."""
+        points = _points_key(t_int, x_int, t_bnd, x_bnd)
+        if points != self._points:
+            self._feats = self._features(self._blocks(t_int, x_int, True)
+                                         + self._blocks(t_bnd, x_bnd, False))
+            self._points = points
+        return self._feats
+
     def _contract(self, params, feats, bounds):
         """W·F sliced into one (B, N) view per block."""
         w = self.spec.output_scale * self.coefficients(np.atleast_2d(params))
@@ -212,26 +212,30 @@ class _SeparableEvaluator(_EvaluatorBase):
         out = np.einsum("bk,kn->bn", w.reshape(-1, 9), feats)
         return [out[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-    @staticmethod
-    def _bundle_blocks(t, x):
-        """Features of (v, v_t, v_x, v_xx)."""
-        (px, dpx, ddpx), (pt, dpt) = _psi(x, 2), _psi(t, 1)
-        return [(px, pt), (px, dpt), (dpx, pt), (ddpx, pt)]
-
     def values(self, params, t, x):
-        return self._contract(params, *self._features([(_psi(x, 0)[0], _psi(t, 0)[0])]))[0]
+        return self._contract(params, *self._features(self._blocks(t, x, False)))[0]
 
     def bundles(self, params, t, x):
-        return tuple(self._contract(params, *self._features(self._bundle_blocks(t, x))))
+        return tuple(self._contract(params, *self._features(self._blocks(t, x, True))))
 
     def batched_eval(self, params2d, t_int, x_int, t_bnd, x_bnd):
-        points = tuple(np.asarray(p, dtype=float).tobytes() for p in (t_int, x_int, t_bnd, x_bnd))
-        if points != self._points:
-            blocks = self._bundle_blocks(t_int, x_int) + [(_psi(x_bnd, 0)[0], _psi(t_bnd, 0)[0])]
-            self._feats = self._features(blocks)
-            self._points = points
-        *bundles, bnd = self._contract(params2d, *self._feats)
+        *bundles, bnd = self._contract(params2d, *self._collocation_features(
+            t_int, x_int, t_bnd, x_bnd))
         return tuple(bundles), bnd
+
+    def jacobian(self, params) -> np.ndarray:
+        """∂W/∂θ, (P, 3, 3), of one parameter row: the ±π shift rule, or for a
+        W linear in each parameter the central difference over ±π."""
+        w = self.coefficients(duals.shift_stack(params, np.pi)[1:])
+        return self.shift_scale * (w[0::2] - w[1::2])
+
+    def pullback(self, params, t_int, x_int, t_bnd, x_bnd, cotangent) -> np.ndarray:
+        """Gradient over one row of Σ cotangent·output for a ``cotangent``
+        shaped as one row of ``batched_eval``'s ((v, v_t, v_x, v_xx), bnd)."""
+        feats, _ = self._collocation_features(t_int, x_int, t_bnd, x_bnd)
+        g = np.einsum("kn,n->k", feats, np.concatenate([*cotangent[0], cotangent[1]]))
+        jac = self.jacobian(np.asarray(params, dtype=float)).reshape(-1, 9)
+        return self.spec.output_scale * np.einsum("pk,k->p", jac, g)
 
 
 class _QpinnEvaluator(_SeparableEvaluator):
@@ -243,17 +247,15 @@ class _QpinnEvaluator(_SeparableEvaluator):
     @staticmethod
     def coefficients(params):
         """W = ¼·Re(P ⊗ T₁ + M ⊗ T₂): P, M the x branches at ±λ, T₁, T₂ the t chains."""
-        b = params.shape[0]
-        lam = params[:, 6:7]
-        x1 = params[:, 0:1]
+        b, lam, x1 = params.shape[0], params[:, 6:7], params[:, 0:1]
         deg1 = np.concatenate([params[:, 1:3], params[:, 1:3], params[:, 4:6]])
         deg1[:2 * b, 1:] += np.concatenate([lam, -lam])
         c0 = qsp.chain_coefficients(np.concatenate([x1 + lam, x1 - lam, params[:, 3:4]]))
-        c1 = qsp.chain_coefficients(deg1)
-        x_branches = _on_psi(c0[:2 * b]) + _on_psi(c1[:2 * b])
-        plus, minus = x_branches[:b], x_branches[b:]
-        t1, t2 = _on_psi(c0[2 * b:]), _on_psi(c1[2 * b:])
-        return 0.25 * (_outer(plus, t1) + _outer(minus, t2)).real
+        # rows P, M, then the t chains: T₁ lies on ψ₀ and T₂ on ψ₁, ψ₂, so
+        # column 0 of W takes P and columns 1 and 2 take M
+        c = np.concatenate([c0, qsp.chain_coefficients(deg1)], axis=1)
+        x_cols = np.stack([c[:b], c[b:2 * b], c[b:2 * b]], axis=2)
+        return 0.25 * x_cols * c[2 * b:, None, :] * _RE_OUTER
 
 
 class _QuantumInspiredEvaluator(_SeparableEvaluator):
@@ -268,102 +270,77 @@ class _QuantumInspiredEvaluator(_SeparableEvaluator):
         b = params.shape[0]
         c0 = qsp.chain_coefficients(np.concatenate([params[:, 0:1], params[:, 3:4]]))
         c1 = qsp.chain_coefficients(np.concatenate([params[:, 1:3], params[:, 4:6]]))
-        a = 0.5 * (_on_psi(c0) + _on_psi(c1))
-        return _outer(a[:b], a[b:]).real
+        a = 0.5 * np.concatenate([c0, c1], axis=1)
+        return a[:b, :, None] * a[b:, None, :] * _RE_OUTER
 
 
-class _CounterpartEvaluator(_EvaluatorBase):
+class _CounterpartEvaluator(_SeparableEvaluator):
+    """p1(x)·p2(t) as W = c₁ ⊗ c₂ over ψ(u) = [1, u, u²]."""
+
     kind = "counterpart"
-
-    def __init__(self, spec: ModelSpec):
-        self.spec = spec
-        self.groups = [slice(0, 3), slice(3, 6)]
+    groups = (slice(0, 3), slice(3, 6))
+    square = True
+    shift_scale = 0.5 / np.pi   # W is bilinear
 
     @staticmethod
-    def _horner(c, u):
-        # c: (B, 3) coefficient columns, u: (N,) points → (B, N)
-        u = u[None, :]
-        return c[:, [0]] + u * (c[:, [1]] + u * c[:, [2]])
-
-    def values(self, params, t, x):
-        params = np.atleast_2d(params)
-        p1 = self._horner(params[:, :3], np.asarray(x, float))
-        p2 = self._horner(params[:, 3:], np.asarray(t, float))
-        return self.spec.output_scale * p1 * p2
-
-    def bundles(self, params, t, x):
-        params = np.atleast_2d(params)
-        x = np.asarray(x, float)
-        t = np.asarray(t, float)
-        c1, c2 = params[:, :3], params[:, 3:]
-        p1 = self._horner(c1, x)
-        p2 = self._horner(c2, t)
-        dp1 = c1[:, [1]] + 2.0 * c1[:, [2]] * x[None, :]
-        ddp1 = np.broadcast_to(2.0 * c1[:, [2]], p1.shape)
-        dp2 = c2[:, [1]] + 2.0 * c2[:, [2]] * t[None, :]
-        sc = self.spec.output_scale
-        return sc * p1 * p2, sc * p1 * dp2, sc * dp1 * p2, sc * ddp1 * p2
-
-
-def _affine(chans, w, b) -> tuple:
-    """chans·w over a channel tuple, plus b on the value channel."""
-    return (chans[0] @ w + b,) + tuple(c @ w for c in chans[1:])
-
-
-def _tanh(z) -> tuple:
-    """tanh over ``(v,)`` or ``(v, v_x, v_xx, v_t)``."""
-    return duals.c_lift(z, np.tanh, duals.t_tanh)
+    def coefficients(params):
+        return params[:, :3, None] * params[:, None, 3:]
 
 
 def _trace(layers, chans):
     """Run the network's (w, b) ``layers`` over a channel tuple of (N, 2)
     inputs; returns the output channels and each layer's (input,
-    pre-activation) pair."""
+    pre-activation) pair.  The activation is tanh on ``(v,)``, or
+    ``duals.t_tanh`` on (v, v_x, v_xx, v_t)."""
     record = []
     for i, (w, b) in enumerate(layers):
         if i:
-            chans = _tanh(z)
-        z = _affine(chans, w, b)
+            chans = duals.c_lift(z, np.tanh, duals.t_tanh)
+        z = (chans[0] @ w + b,) + tuple(c @ w for c in chans[1:])
         record.append((chans, z))
     return z, record
 
 
-def _tail(layers, z, start: int):
-    """Finish a forward from the pre-activation ``z`` of layer ``start``."""
-    for w, b in layers[start + 1:]:
-        z = _affine(_tanh(z), w, b)
-    return z
+def _tanh_pullback(y, z, g) -> tuple:
+    """Cotangent on the pre-activation channels ``z`` from the cotangent ``g``
+    on the activations ``y``: y₀ = tanh z₀, y₁ = s·z₁, y₂ = s·z₂ − 2y₀·s·z₁²
+    and yₖ = s·zₖ for k ≥ 3, with s = 1 − y₀² and ds/dz₀ = −2y₀·s."""
+    y0, s = y[0], 1.0 - y[0] * y[0]
+    if len(z) == 1:
+        return (s * g[0],)
+    first = sum(gk * zk for gk, zk in zip(g[1:], z[1:]))
+    g0 = s * (g[0] - 2.0 * y0 * first - 2.0 * g[2] * z[1] * z[1] * (s - 2.0 * y0 * y0))
+    return (g0, s * (g[1] - 4.0 * y0 * g[2] * z[1])) + tuple(s * gk for gk in g[2:])
 
 
-def _perturbed(inp, z, coords, amounts):
-    """Pre-activations of one layer, recorded as (``inp``, ``z``), for rows
-    that each add ``amounts`` to one weight (in, out) or bias (fan_in, out)
-    of it: channels of shape (G, N, fan_out)."""
-    out = tuple(np.repeat(c[None], len(amounts), axis=0) for c in z)
-    i_in, j_out, fan_in = coords[:, 1], coords[:, 2], inp[0].shape[1]
-    w = np.nonzero(i_in < fan_in)[0]
-    for o, a in zip(out, inp):
-        o[w, :, j_out[w]] += amounts[w, None] * a[:, i_in[w]].T
-    b = np.nonzero(i_in == fan_in)[0]
-    out[0][b, :, j_out[b]] += amounts[b, None]
-    return out
+def _reverse(layers, records, cots) -> np.ndarray:
+    """The flat (w, b) gradient by the reverse pass through ``_trace``
+    ``records`` of the ``layers`` from cotangents ``cots`` on their outputs."""
+    grads = []
+    for i in reversed(range(len(layers))):
+        w = layers[i][0]
+        grads[:0] = [sum(c.T @ g for rec, cot in zip(records, cots)
+                         for c, g in zip(rec[i][0], cot)).ravel(),
+                     sum(cot[0].sum(axis=0) for cot in cots)]
+        if i:
+            cots = [_tanh_pullback(rec[i][0], rec[i - 1][1], tuple(g @ w.T for g in cot))
+                    for rec, cot in zip(records, cots)]
+    return np.concatenate(grads)
 
 
-class _FullyConnectedEvaluator(_EvaluatorBase):
-    """The tanh network over channel tuples, with the finite-difference fast
-    path of the module docstring."""
+class _FullyConnectedEvaluator:
+    """The tanh network: one ``_trace`` per parameter row; ``pullback`` runs
+    ``_reverse`` through the traces of the last row evaluated."""
 
     kind = "fully_connected"
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
-        self.groups, coords, off = [], [], 0
-        for layer, (fi, fo) in enumerate(_FC_LAYERS):
+        self.groups, off = [], 0
+        for fi, fo in _FC_LAYERS:
             self.groups += [slice(off, off + fi * fo), slice(off + fi * fo, off + fi * fo + fo)]
-            idx = np.arange(fi * fo + fo)   # a bias's input index is fan_in
-            coords.append(np.stack([np.full(idx.size, layer), idx // fo, idx % fo], axis=1))
             off += fi * fo + fo
-        self._coords = np.concatenate(coords)   # (layer, input, output) per coordinate
+        self._saved = (None,)   # (key of a row and its inputs, layers, records)
 
     def _layers(self, row):
         return [(row[w].reshape(fi, fo), row[b])
@@ -373,37 +350,22 @@ class _FullyConnectedEvaluator(_EvaluatorBase):
     def _inputs(t, x, dual: bool) -> tuple:
         """``(a,)`` with rows (t, x), or (a, ∂a/∂x, ∂²a/∂x², ∂a/∂t) when ``dual``."""
         a = np.stack([np.asarray(t, float), np.asarray(x, float)], axis=1)
-        if not dual:
-            return (a,)
         seeds = np.zeros((3,) + a.shape)
         seeds[0, :, 1] = seeds[2, :, 0] = 1.0
-        return (a, *seeds)
+        return (a, *seeds) if dual else (a,)
 
-    def _eval(self, params2d, *inputs) -> list:
+    def _eval(self, params2d, *inputs):
         """Scaled (channels, B, N) outputs of every parameter row, one array
-        per channel tuple in ``inputs``."""
+        per channel tuple in ``inputs``; keeps the last row's traces."""
         params2d = np.atleast_2d(params2d)
-        base = self._layers(params2d[0])
-        delta = params2d - params2d[0]
-        changed = delta != 0
-        coord = np.argmax(changed, axis=1)
-        single = np.count_nonzero(changed, axis=1) == 1
-        by_layer = [np.nonzero(single & (self._coords[coord, 0] == layer))[0]
-                    for layer in range(len(_FC_LAYERS))]
-        outs = []
-        for chans in inputs:
-            z, record = _trace(base, chans)
-            out = np.empty((len(chans), params2d.shape[0], chans[0].shape[0]))
-            out[:, 0] = [c[:, 0] for c in z]
-            for layer, rows in enumerate(by_layer):
-                if rows.size:
-                    zg = _perturbed(*record[layer], self._coords[coord[rows]],
-                                    delta[rows, coord[rows]])
-                    out[:, rows] = [c[..., 0] for c in _tail(base, zg, layer)]
-            for r in np.nonzero(~single)[0][1:]:   # row 0 is the base
-                out[:, r] = [c[:, 0] for c in _trace(self._layers(params2d[r]), chans)[0]]
-            outs.append(self.spec.output_scale * out)
-        return outs
+        outs = [np.empty((len(c), params2d.shape[0], c[0].shape[0])) for c in inputs]
+        for r, row in enumerate(params2d):
+            layers = self._layers(row)
+            traces = [_trace(layers, chans) for chans in inputs]
+            for out, (z, _) in zip(outs, traces):
+                out[:, r] = [c[:, 0] for c in z]
+        self._saved = (_points_key(row, *(c[0] for c in inputs)), layers, [r for _, r in traces])
+        return [self.spec.output_scale * out for out in outs]
 
     def values(self, params, t, x):
         return self._eval(params, self._inputs(t, x, False))[0][0]
@@ -416,6 +378,17 @@ class _FullyConnectedEvaluator(_EvaluatorBase):
         (v, v_x, v_xx, v_t), (bnd,) = self._eval(
             params2d, self._inputs(t_int, x_int, True), self._inputs(t_bnd, x_bnd, False))
         return (v, v_t, v_x, v_xx), bnd
+
+    def pullback(self, params, t_int, x_int, t_bnd, x_bnd, cotangent) -> np.ndarray:
+        """As ``_SeparableEvaluator.pullback``, by the reverse pass through
+        the traces of this row if the last evaluation kept them."""
+        inputs = (self._inputs(t_int, x_int, True), self._inputs(t_bnd, x_bnd, False))
+        if self._saved[0] != _points_key(params, *(c[0] for c in inputs)):
+            self._eval(params, *inputs)
+        (g_v, g_t, g_x, g_xx), g_bnd = cotangent
+        cots = [(g_v, g_x, g_xx, g_t), (g_bnd,)]
+        cots = [tuple(self.spec.output_scale * np.reshape(g, (-1, 1)) for g in c) for c in cots]
+        return _reverse(*self._saved[1:], cots)
 
 
 _EVALUATORS = {

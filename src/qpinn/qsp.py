@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iter_product
 from typing import NamedTuple
 
@@ -134,6 +135,14 @@ def _angles_of(a) -> np.ndarray:
 # 2×2 chain evaluation (the dequantized path)
 
 
+@lru_cache(maxsize=None)
+def _sign_patterns(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """½·sᵀ for the 2^d sign patterns s ∈ {±1}^(d+1) with s₀ = +1, (d+1, 2^d),
+    and the one-hot rows of their sign-change counts, (2^d, d+1)."""
+    s = np.array([(1,) + p for p in iter_product((1, -1), repeat=d)], dtype=float)
+    return 0.5 * s.T, np.eye(d + 1)[np.count_nonzero(s[:, 1:] != s[:, :-1], axis=1)]
+
+
 def chain_coefficients(thetas) -> np.ndarray:
     """Path-sum coefficients C of the chains of degree d = len(θ) − 1.
 
@@ -141,23 +150,16 @@ def chain_coefficients(thetas) -> np.ndarray:
 
         ⟨+|U_θ(x)|+⟩ = Σ_b C_b(θ)·x^(d−b)·(i√(1 − x²))^b,
 
-    with C depending on θ alone.  ``thetas``: (k,) or (B, k) angles; returns
-    complex (B, d+1).  The recursion carries, for each amplitude, the sum
-    over paths with b off-diagonal steps so far.
+    with C depending on θ alone.  A path is a sign pattern s ∈ {±1}^(d+1),
+    angle θⱼ contributing e^{i·sⱼ·θⱼ/2} and each sign flip an off-diagonal
+    step; pairing s with −s makes C real: C_b(θ) = Σ cos(½·s·θ) over the
+    2^d patterns with s₀ = +1 and b sign changes.  ``thetas``: (k,) or
+    (B, k) angles; returns real (B, d+1).
     """
     th = np.atleast_2d(np.asarray(thetas, dtype=float))
-    lo, hi = np.exp(-0.5j * th), np.exp(0.5j * th)
-    u = np.zeros(th.shape, dtype=complex)
-    u[:, 0] = 1.0 / math.sqrt(2.0)
-    v = u.copy()
-    for j in range(th.shape[1]):
-        u *= lo[:, j:j + 1]
-        v *= hi[:, j:j + 1]
-        if j < th.shape[1] - 1:
-            shifted_v = v[:, :-1].copy()
-            v[:, 1:] += u[:, :-1]
-            u[:, 1:] += shifted_v
-    return (u + v) / math.sqrt(2.0)
+    half_signs, by_changes = _sign_patterns(th.shape[1] - 1)
+    phases = np.einsum("bj,jp->bp", th, half_signs)
+    return np.einsum("bp,pc->bc", np.cos(phases), by_changes)
 
 
 def _powers(z: tuple, n: int, ones: tuple) -> list[tuple]:

@@ -1,11 +1,10 @@
 """LAMB training runs, the 3-phase learning-rate schedule, and aggregation.
 
-Gradients are central finite differences over parameters (step
-h·max(1, |θᵢ|), ``duals.fd_stack``), evaluated for all 2P+1 perturbed
-parameter vectors in one batched pass through the model evaluator and one
-exact loss reduction.  Runs are deterministic per seed:
-the collocation set is drawn once, parameters are drawn from a spawned
-child seed, and every reduction has a fixed order.
+An epoch evaluates the parameters once, reduces their loss exactly, and
+takes the exact gradient: the evaluator's ``pullback`` of the loss's
+derivative on its outputs (finite differences stay the oracle).  Runs are
+deterministic per seed: the collocation set is drawn once, parameters are
+drawn from a spawned child seed, and every reduction has a fixed order.
 """
 from __future__ import annotations
 
@@ -15,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import duals, merton, models
+from . import merton, models
 from .errors import AggregationError, TrainingAbortError
 
 
@@ -51,7 +50,6 @@ class TrainConfig:
     eps: float = 1e-6
     n_interior: int = 50
     n_boundary: int = 50
-    grad_step: float = 1e-5
     checkpoint_every: int | None = None
     schedule: LrSchedule = field(default_factory=LrSchedule)
 
@@ -102,49 +100,74 @@ def lamb_step(params, grads, lr: float, groups, *, eps: float = 1e-6) -> np.ndar
     return out
 
 
+class Objective:
+    """The weighted loss on one collocation set, with its constants built once.
+
+    ``points`` = (t_int, x_int, t_bnd, x_bnd) for ``batched_eval``: the
+    interior, then the terminal points (t = T) and the lateral ones (x = 1).
+    """
+
+    def __init__(self, colloc: merton.CollocationSet, w: merton.LossWeights,
+                 m: merton.MarketParams):
+        t_i, x_i = colloc.interior[:, 0], colloc.interior[:, 1]
+        n_b = len(colloc.terminal_x)
+        self.points = (t_i, x_i, np.concatenate([np.full(n_b, m.T), colloc.lateral_t]),
+                       np.concatenate([colloc.terminal_x, np.ones(n_b)]))
+        self.target = np.concatenate([merton.terminal_target(colloc.terminal_x, m),
+                                      merton.lateral_target(colloc.lateral_t, m)])
+        self.m, self.widths, self.w = m, (len(x_i), n_b, n_b), (w.w_d, w.w_1, w.w_2)
+        # ∂loss/∂error = 2·(w/n)·error; r·x and θ² enter ∂res/∂(v_t, v_x, v_xx)
+        self.err_weight = np.repeat(2.0 * np.divide(self.w, self.widths), self.widths)
+        self.rx, self.theta2 = m.r * x_i, ((m.mu - m.r) / m.sigma) ** 2
+
+    def terms(self, outputs):
+        """(l_d, l_1b, l_2b), one entry per row of the ``batched_eval``
+        ``outputs``, by one exact ``fsum_rows``; and the errors they square."""
+        (_, v_t, v_x, v_xx), f_bnd = outputs
+        err = np.concatenate([merton.hjb_residual_arrays(v_t, v_x, v_xx, self.points[1], self.m),
+                              f_bnd - self.target], axis=-1)
+        sums = merton.fsum_rows(err * err, self.widths)
+        return tuple(wt * sums[:, k] / n for k, (wt, n) in enumerate(zip(self.w, self.widths))), err
+
+    def cotangent(self, outputs, err):
+        """∂(l_d + l_1b + l_2b) on row 0 of ``outputs``, for ``pullback``: the chain
+        rule through the boundary errors and res = v_t·v_xx + r·x·v_x·v_xx − ½θ²·v_x²."""
+        v_t, v_x, v_xx = (c[0] for c in outputs[0][1:])
+        g = self.err_weight * err[0]
+        res = g[:self.widths[0]]
+        return ((np.zeros_like(v_t), res * v_xx, res * (self.rx * v_xx - self.theta2 * v_x),
+                 res * (v_t + self.rx * v_x)), g[self.widths[0]:])
+
+
 def loss_terms(evaluator, params2d, colloc: merton.CollocationSet,
                w: merton.LossWeights, m: merton.MarketParams):
-    """(l_d, l_1b, l_2b) arrays, one row per parameter vector in the batch.
-
-    One pass: a single ``batched_eval``, one residual, and one exact
-    ``fsum_rows`` reduction of the (B, N_d + 2·N_b) squared residuals and
-    boundary errors.
-    """
-    t_i, x_i = colloc.interior[:, 0], colloc.interior[:, 1]
-    n_d, n_b = len(x_i), len(colloc.terminal_x)
-    t_bnd = np.concatenate([np.full(n_b, m.T), colloc.lateral_t])
-    x_bnd = np.concatenate([colloc.terminal_x, np.ones(n_b)])
-    (_, v_t, v_x, v_xx), f_bnd = evaluator.batched_eval(params2d, t_i, x_i, t_bnd, x_bnd)
-    tgt = np.concatenate([merton.terminal_target(colloc.terminal_x, m),
-                          merton.lateral_target(colloc.lateral_t, m)])
-    err = np.concatenate([merton.hjb_residual_arrays(v_t, v_x, v_xx, x_i[None, :], m),
-                          f_bnd - tgt], axis=1)
-    sums = merton.fsum_rows(err * err, (n_d, n_b, n_b))
-    return w.w_d * sums[:, 0] / n_d, w.w_1 * sums[:, 1] / n_b, w.w_2 * sums[:, 2] / n_b
+    """(l_d, l_1b, l_2b) arrays, one row per parameter vector in the batch."""
+    obj = Objective(colloc, w, m)
+    return obj.terms(evaluator.batched_eval(params2d, *obj.points))[0]
 
 
 def run_training(evaluator, init: np.ndarray, cfg: TrainConfig,
                  m: merton.MarketParams, w: merton.LossWeights, seed: int) -> RunLog:
-    """Core training loop over a prepared evaluator and initial parameters."""
+    """Core training loop over a prepared evaluator and initial parameters
+    (an evaluator without parameters needs no ``pullback``)."""
     colloc = merton.sample_collocation(seed, cfg.n_interior, cfg.n_boundary, m.T)
+    obj = Objective(colloc, w, m)
     params = np.asarray(init, dtype=float).copy()
     n = params.size
     log = RunLog(seed=seed, losses=[], lrs=[], wall_ms=[], final_params=params)
     for epoch in range(cfg.epochs):
         tic = time.perf_counter()
-        stack, steps = duals.fd_stack(params, cfg.grad_step)
-        l_d, l_1b, l_2b = loss_terms(evaluator, stack, colloc, w, m)
-        total = l_d + l_1b + l_2b
-        breakdown = merton.LossBreakdown(float(l_d[0]), float(l_1b[0]), float(l_2b[0]))
+        outputs = evaluator.batched_eval(params[None, :], *obj.points)
+        terms, err = obj.terms(outputs)
+        breakdown = merton.LossBreakdown(*(float(t[0]) for t in terms))
         lr = lr_at(cfg.schedule, epoch)
         log.losses.append(breakdown)
         log.lrs.append(lr)
-        if not np.all(np.isfinite(total)):
-            log.aborted = f"non-finite loss at epoch {epoch}"
-            log.wall_ms.append(1e3 * (time.perf_counter() - tic))
-            break
-        grads = (total[1::2] - total[2::2]) / (2.0 * steps) if n else np.zeros(0)
         try:
+            if not math.isfinite(breakdown.total):
+                raise TrainingAbortError("non-finite loss")
+            grads = (evaluator.pullback(params, *obj.points, obj.cotangent(outputs, err))
+                     if n else np.zeros(0))
             params = lamb_step(params, grads, lr, evaluator.groups, eps=cfg.eps)
         except TrainingAbortError as exc:
             log.aborted = f"{exc} at epoch {epoch}"

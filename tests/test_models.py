@@ -253,26 +253,16 @@ def test_quantum_inspired_matches_chains_property(params, t, x):
 
 
 @PROPERTY
-@given(kind=st.sampled_from(["qpinn", "quantum_inspired", "fully_connected"]), base=_angles(7),
-       seed=st.integers(0, 2**16))
+@given(kind=st.sampled_from(models.KINDS), base=_angles(7), seed=st.integers(0, 2**16))
 def test_batched_eval_row_matches_model_function(kind, base, seed):
     spec = ModelSpec(kind)
     rng = np.random.default_rng(seed)
     if kind == "fully_connected":
-        # a weight and a bias row in every layer, two unperturbed rows, and two
-        # rows that change two coordinates (those take their own trace), shuffled
-        groups = models.make_evaluator(spec).groups
         base = models.init_params(spec, seed)
-        stack = np.repeat(base[None, :], 1 + len(groups) + 4, axis=0)
-        rows = 1 + rng.permutation(len(groups) + 4)
-        coords = [rng.integers(g.start, g.stop) for g in groups]
-        stack[rows[:len(groups)], coords] += rng.uniform(-1e-3, 1e-3, len(groups))
-        pairs = rng.choice(spec.n_params, (2, 2), replace=False)
-        stack[rows[-2:, None], pairs] += rng.uniform(-1e-3, 1e-3, (2, 2))
-    else:
-        stack = np.repeat(base[None, :spec.n_params], 15, axis=0)
-        coords = rng.integers(0, spec.n_params, 14)  # one perturbed coordinate per row
-        stack[1 + np.arange(14), coords] += rng.uniform(-1e-3, 1e-3, 14)
+    # an FD-shaped stack: one perturbed coordinate per row after the base row
+    stack = np.repeat(base[None, :spec.n_params], 15, axis=0)
+    coords = rng.integers(0, spec.n_params, 14)
+    stack[1 + np.arange(14), coords] += rng.uniform(-1e-3, 1e-3, 14)
     t_int, x_int = rng.uniform(0.01, 0.99, (2, 20))
     t_bnd = np.concatenate([np.ones(10), rng.uniform(0.01, 0.99, 10)])
     x_bnd = np.concatenate([rng.uniform(0.01, 0.99, 10), np.ones(10)])
@@ -285,3 +275,45 @@ def test_batched_eval_row_matches_model_function(kind, base, seed):
                 assert _max_rel(got[i], want) <= 1e-13
             else:
                 np.testing.assert_allclose(got[i], want, rtol=1e-14, atol=0.0)
+
+
+@PROPERTY
+@given(params=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6).map(np.array),
+       t=_points, x=_points)
+def test_counterpart_matches_horner_product_property(params, t, x):
+    # W = c₁ ⊗ c₂ over ψ = [1, u, u²] against p1(x)·p2(t) and its derivatives
+    n = min(len(t), len(x))
+    t, x = np.array(t[:n]), np.array(x[:n])
+    (a0, a1, a2), (b0, b1, b2) = params[:3], params[3:]
+    p1, dp1, ddp1 = a0 + x * (a1 + x * a2), a1 + 2.0 * a2 * x, 2.0 * a2
+    p2, dp2 = b0 + t * (b1 + t * b2), b1 + 2.0 * b2 * t
+    ev = models.make_evaluator(ModelSpec("counterpart"))
+    want = (p1 * p2, p1 * dp2, dp1 * p2, ddp1 * p2)
+    for got, ref in zip(ev.bundles(params, t, x), want):
+        assert _max_rel(got[0], 10.0 * ref) <= 1e-14
+    assert _max_rel(ev.values(params, t, x)[0], 10.0 * want[0]) <= 1e-14
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["qpinn", "quantum_inspired"]), params=_angles(7))
+def test_chain_coefficient_shift_rule_property(kind, params):
+    # each angle enters W as e^{±iθ/2}: the ±π rule is ∂W/∂θ, against central FD
+    ev = models.make_evaluator(ModelSpec(kind))
+    params = params[:ev.spec.n_params]
+    jac = ev.jacobian(params)
+    h = 1e-6
+    for j in range(params.size):
+        up, dn = params.copy(), params.copy()
+        up[j] += h
+        dn[j] -= h
+        fd = (ev.coefficients(up[None, :]) - ev.coefficients(dn[None, :]))[0] / (2 * h)
+        assert np.max(np.abs(jac[j] - fd)) <= 1e-9
+
+
+def test_counterpart_jacobian_is_bilinear():
+    # ∂W/∂c₁ᵢ = eᵢ ⊗ c₂ and ∂W/∂c₂ⱼ = c₁ ⊗ eⱼ
+    params = np.random.default_rng(57).normal(size=6)
+    jac = models.make_evaluator(ModelSpec("counterpart")).jacobian(params)
+    eye = np.eye(3)
+    want = np.concatenate([eye[:, :, None] * params[3:], params[:3, None] * eye[:, None, :]])
+    np.testing.assert_allclose(jac, want, rtol=1e-14, atol=1e-15)

@@ -442,6 +442,36 @@ def test_chain_value_matches_matrix_oracle_property(th, x):
     assert got.shape == (1, 2) and qsp.chain_coefficients(th).shape == (1, len(th))
 
 
+def _path_sum_coefficients(thetas):
+    """The chain coefficients by the path-sum recursion: for each of the two
+    amplitudes, the sum over paths with b off-diagonal S(x) steps so far."""
+    th = np.atleast_2d(np.asarray(thetas, dtype=float))
+    lo, hi = np.exp(-0.5j * th), np.exp(0.5j * th)
+    u = np.zeros(th.shape, dtype=complex)
+    u[:, 0] = 1.0 / math.sqrt(2.0)
+    v = u.copy()
+    for j in range(th.shape[1]):
+        u *= lo[:, j:j + 1]
+        v *= hi[:, j:j + 1]
+        if j < th.shape[1] - 1:
+            shifted_v = v[:, :-1].copy()
+            v[:, 1:] += u[:, :-1]
+            u[:, 1:] += shifted_v
+    return (u + v) / math.sqrt(2.0)
+
+
+@PROPERTY
+@given(th=st.lists(st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi), min_size=6, max_size=6),
+                   min_size=1, max_size=4),
+       degree=st.integers(0, 5))
+def test_chain_coefficients_match_path_sum_recursion_property(th, degree):
+    # the closed form (one cos per sign pattern) against the recursion, d ≤ 5
+    th = np.array(th)[:, :degree + 1]
+    got = qsp.chain_coefficients(th)
+    assert got.dtype == float and got.shape == (th.shape[0], degree + 1)
+    assert np.max(np.abs(got - _path_sum_coefficients(th))) <= 1e-14
+
+
 @PROPERTY
 @given(th=_angles, x=st.floats(-0.9, 0.9))
 def test_chain_value_dual_matches_fd_property(th, x):

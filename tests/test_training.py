@@ -1,7 +1,10 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpinn import duals, merton, models, training
 from qpinn.errors import AggregationError, TrainingAbortError
@@ -248,6 +251,128 @@ def test_loss_terms_follow_changed_and_mutated_points(kind):
     for points in (a.interior[:, 0], a.interior[:, 1], a.terminal_x, a.lateral_t):
         points *= 0.9
         _assert_rows_match_total_loss(ev, spec, stack, a, w, m)
+
+
+# ---------------------------------------------------------------------------
+# exact gradients: the pullback of the loss cotangent
+
+
+def _exact_gradient(ev, params, colloc, w, m):
+    """The gradient one training epoch takes: one forward row, the loss
+    cotangent and the evaluator's pullback."""
+    obj = training.Objective(colloc, w, m)
+    out = ev.batched_eval(params[None, :], *obj.points)
+    _, err = obj.terms(out)
+    return ev.pullback(params, *obj.points, obj.cotangent(out, err))
+
+
+def _fd_loss_gradient(spec, params, colloc, w, m):
+    loss = lambda p: merton.total_loss(models.ModelFunction(spec, p), colloc, w, m).total
+    return duals.fd_gradient(loss, params)
+
+
+def _random_params(spec, rng):
+    if spec.kind in ("qpinn", "quantum_inspired"):
+        return rng.uniform(0.0, 2.0 * np.pi, spec.n_params)
+    if spec.kind == "counterpart":
+        return rng.uniform(-1.0, 1.0, spec.n_params)
+    # Glorot weights with biases and weights moved off their initial values
+    return models.init_params(spec, rng) + rng.normal(0.0, 0.1, spec.n_params)
+
+
+GRADIENT = settings(derandomize=True, database=None, deadline=None, max_examples=8)
+
+
+@pytest.mark.parametrize("kind", models.KINDS)
+@GRADIENT
+@given(seed=st.integers(0, 2**16))
+def test_pullback_gradient_matches_fd_of_total_loss(kind, seed):
+    m = merton.MarketParams()
+    w = merton.LossWeights()
+    spec = ModelSpec(kind)
+    rng = np.random.default_rng(seed)
+    params = _random_params(spec, rng)
+    colloc = merton.sample_collocation(seed, 20, 20)
+    exact = _exact_gradient(models.make_evaluator(spec), params, colloc, w, m)
+    fd = _fd_loss_gradient(spec, params, colloc, w, m)
+    assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_exact_gradient_matches_parameter_shift_gradient():
+    m = merton.MarketParams()
+    w = merton.LossWeights()
+    ev = models.make_evaluator(ModelSpec("quantum_inspired"))
+    for seed in range(3):
+        colloc = merton.sample_collocation(seed, 20, 20)
+        params = models.init_params(ModelSpec("quantum_inspired"), seed)
+        exact = _exact_gradient(ev, params, colloc, w, m)
+        shift = _shift_loss_gradient(ev, params, colloc, w, m)
+        assert np.max(np.abs(exact - shift)) <= 1e-10 * max(1.0, np.max(np.abs(shift)))
+
+
+@pytest.mark.parametrize("kind", models.KINDS)
+def test_pullback_follows_changed_and_mutated_points(kind):
+    # one evaluator across collocation sets A, B, A, then A mutated in place
+    # one point array at a time, each time with and without a forward at
+    # those points first: what the evaluator kept from an earlier call must
+    # never stand in for points or parameters that changed
+    m = merton.MarketParams()
+    w = merton.LossWeights()
+    spec = ModelSpec(kind)
+    ev = models.make_evaluator(spec)
+    params = _random_params(spec, np.random.default_rng(5))
+    other = _random_params(spec, np.random.default_rng(6))
+    a, b = merton.sample_collocation(11, 20, 20), merton.sample_collocation(12, 20, 20)
+
+    def check(colloc):
+        want = _exact_gradient(models.make_evaluator(spec), params, colloc, w, m)
+        np.testing.assert_array_equal(_exact_gradient(ev, params, colloc, w, m), want)
+        obj = training.Objective(colloc, w, m)
+        out = models.make_evaluator(spec).batched_eval(params[None, :], *obj.points)
+        _, err = obj.terms(out)
+        ev.batched_eval(other[None, :], *obj.points)   # a forward of other parameters
+        np.testing.assert_array_equal(
+            ev.pullback(params, *obj.points, obj.cotangent(out, err)), want)
+        assert np.max(np.abs(want - _fd_loss_gradient(spec, params, colloc, w, m))
+                      ) <= 1e-6 * np.max(np.abs(want))
+
+    for colloc in (a, b, a):
+        check(colloc)
+    for points in (a.interior[:, 0], a.interior[:, 1], a.terminal_x, a.lateral_t):
+        points *= 0.9
+        check(a)
+
+
+@pytest.mark.parametrize("kind", models.KINDS)
+def test_training_evaluates_one_row_per_epoch_and_no_fd(kind, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("training must not take finite differences")
+
+    for module, name in ((training, "loss_terms"), (duals, "fd_stack"), (duals, "fd_gradient")):
+        monkeypatch.setattr(module, name, forbidden)
+    spec = ModelSpec(kind)
+    ev = models.make_evaluator(spec)
+    rows = []
+    real = ev.batched_eval
+
+    def counting(params2d, *points):
+        rows.append(np.atleast_2d(params2d).shape[0])
+        return real(params2d, *points)
+
+    ev.batched_eval = counting
+    m, w = merton.MarketParams(), merton.LossWeights()
+    log = training.run_training(ev, models.init_params(spec, 1), TrainConfig(epochs=4), m, w, 0)
+    assert log.aborted is None and rows == [1] * 4
+    # epoch 0 logs the loss of the initial parameters exactly
+    ref = merton.total_loss(models.ModelFunction(spec, models.init_params(spec, 1)),
+                            merton.sample_collocation(0, 50, 50), w, m)
+    for got, want in zip(astuple(log.losses[0]), astuple(ref)):
+        assert abs(got - want) <= 1e-12 * abs(want)
+    # evaluators without parameters train with no pullback at all
+    assert not hasattr(_FrozenAnalytical, "pullback")
+    frozen = training.run_training(_FrozenAnalytical(m), np.zeros(0), TrainConfig(epochs=3),
+                                   m, w, 0)
+    assert frozen.aborted is None and len(frozen.losses) == 3
 
 
 # ---------------------------------------------------------------------------
