@@ -13,7 +13,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -193,33 +193,26 @@ class ResourceReport:
     n_params: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "width": self.width,
-            "depth": self.depth,
-            "n_single_qubit": self.n_single_qubit,
-            "n_cnot": self.n_cnot,
-            "n_multi_controlled": self.n_multi_controlled,
-            "n_params": self.n_params,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
 # operations
 
 
-def build_qsp_chain(L: int, param_base: int = 0, input_var: int = 0) -> Circuit:
+def build_qsp_chain(L: int) -> Circuit:
     """Single-qubit chain R_z(θ_L)·∏_{j<L}[R_x(-2 arccos x)·R_z(θ_j)].
 
-    Uses parameter slots ``param_base..param_base+L``; 2L+1 gates in
-    application order R_z(θ_0), R_x, R_z(θ_1), ..., R_x, R_z(θ_L).
+    Uses parameter slots 0..L and input 0; 2L+1 gates in application order
+    R_z(θ_0), R_x, R_z(θ_1), ..., R_x, R_z(θ_L).
     """
     if L < 0:
         raise ValueError("degree L must be >= 0")
-    gates = [rz(0, Param(param_base))]
+    gates = [rz(0, Param(0))]
     for j in range(1, L + 1):
-        gates.append(rx(0, InputArccos(input_var)))
-        gates.append(rz(0, Param(param_base + j)))
-    return Circuit(1, tuple(gates), n_params=param_base + L + 1, n_inputs=input_var + 1)
+        gates.append(rx(0, InputArccos(0)))
+        gates.append(rz(0, Param(j)))
+    return Circuit(1, tuple(gates), n_params=L + 1, n_inputs=1)
 
 
 def bind(circuit: Circuit, angles) -> Circuit:
@@ -472,65 +465,3 @@ def phase_aligned_distance(u: np.ndarray, v: np.ndarray) -> float:
     phase = ref_u / ref_v
     phase /= abs(phase)
     return float(np.abs(u - phase * v).max())
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _angle_to_dict(expr: AngleExpr | None):
-    if expr is None:
-        return None
-    if isinstance(expr, Const):
-        return {"type": "const", "value": expr.value}
-    if isinstance(expr, Param):
-        return {"type": "param", "index": expr.index, "scale": expr.scale, "offset": expr.offset}
-    return {"type": "arccos", "var": expr.var, "scale": expr.scale, "offset": expr.offset}
-
-
-def _angle_from_dict(d):
-    if d is None:
-        return None
-    if d["type"] == "const":
-        return Const(d["value"])
-    if d["type"] == "param":
-        return Param(d["index"], d.get("scale", 1.0), d.get("offset", 0.0))
-    return InputArccos(d["var"], d.get("scale", -2.0), d.get("offset", 0.0))
-
-
-def circuit_to_json_dict(circuit: Circuit) -> dict:
-    gates = []
-    for g in circuit.gates:
-        inner = g.inner if g.kind == "controlled" else g
-        entry = {
-            "kind": inner.kind,
-            "qubits": list(inner.qubits),
-            "angle": _angle_to_dict(inner.angle),
-            "controls": [list(c) for c in g.controls],
-        }
-        if inner.kind == "prepare":
-            entry["amplitudes"] = list(inner.amplitudes)
-        gates.append(entry)
-    return {
-        "width": circuit.width,
-        "n_params": circuit.n_params,
-        "n_inputs": circuit.n_inputs,
-        "gates": gates,
-    }
-
-
-def circuit_from_json_dict(doc: dict) -> Circuit:
-    gates = []
-    for entry in doc["gates"]:
-        kind = entry["kind"]
-        qubits = tuple(entry["qubits"])
-        angle = _angle_from_dict(entry.get("angle"))
-        if kind == "prepare":
-            g = prepare_amplitudes(qubits, entry["amplitudes"])
-        else:
-            g = Gate(kind, qubits, angle=angle)
-        ctrls = entry.get("controls") or []
-        if ctrls:
-            g = controlled(g, ctrls)
-        gates.append(g)
-    return Circuit(doc["width"], tuple(gates), doc["n_params"], doc["n_inputs"])

@@ -76,8 +76,13 @@ def _check_types(cfg: dict) -> None:
 def load_config(path: str | None, overrides: dict) -> dict:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))
     if path is not None:
-        with open(path) as f:
-            doc = json.load(f)
+        try:
+            with open(path) as f:
+                doc = json.load(f)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path!r}: {exc.strerror}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
         for key, val in doc.items():
@@ -394,9 +399,9 @@ def main(argv=None) -> int:
     p.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        return cmd_verify(args.suite, args.seed, args.out)
     try:
+        if args.command == "verify":
+            return cmd_verify(args.suite, args.seed, args.out)
         if args.command == "resources":
             return cmd_resources(args.construction, args.L, args.D, args.R,
                                  args.native, args.out)

@@ -81,15 +81,11 @@ class AnalyticalSolution:
         self.k = k_constant(m)
 
     def values(self, t, x):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= 0.0):
-            raise DomainError("analytical solution requires x > 0")
+        t, x = self._checked(t, x)
         return np.exp(-self.k * (self.m.T - t)) * x**self.m.gamma / self.m.gamma
 
     def derivatives(self, t, x):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
+        t, x = self._checked(t, x)
         g = self.m.gamma
         env = np.exp(-self.k * (self.m.T - t))
         v = env * x**g / g
@@ -97,6 +93,13 @@ class AnalyticalSolution:
         v_x = env * x ** (g - 1.0)
         v_xx = (g - 1.0) * env * x ** (g - 2.0)
         return v, v_t, v_x, v_xx
+
+    @staticmethod
+    def _checked(t, x):
+        x = np.asarray(x, dtype=float)
+        if np.any(x <= 0.0):
+            raise DomainError("analytical solution requires x > 0")
+        return np.asarray(t, dtype=float), x
 
 
 def hjb_residual_arrays(v_t, v_x, v_xx, x, m: MarketParams):

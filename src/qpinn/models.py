@@ -424,11 +424,3 @@ class ModelFunction:
 
 def params_to_json_dict(spec: ModelSpec, params) -> dict:
     return {"kind": spec.kind, "values": [float(v) for v in np.asarray(params)]}
-
-
-def params_from_json_dict(doc: dict) -> tuple[ModelSpec, np.ndarray]:
-    spec = ModelSpec(doc["kind"])
-    values = np.asarray(doc["values"], dtype=float)
-    if values.size != spec.n_params:
-        raise ValueError("parameter vector length does not match model kind")
-    return spec, values

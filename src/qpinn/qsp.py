@@ -47,8 +47,9 @@ class UnivariatePoly:
     def __call__(self, x):
         return _poly.polyval(x, np.asarray(self.coeffs))
 
-    def sup_norm_grid(self, n: int = 512) -> float:
-        return float(np.max(np.abs(self(np.linspace(-1.0, 1.0, n)))))
+    def sup_norm_grid(self) -> float:
+        """max |p| on 512 evenly spaced points of [-1, 1]."""
+        return float(np.max(np.abs(self(np.linspace(-1.0, 1.0, 512)))))
 
 
 @dataclass(frozen=True)
@@ -108,27 +109,6 @@ class MonomialList:
                 term = term * pts[:, j] ** nj
             acc += term
         return acc if x.ndim > 1 else float(acc[0])
-
-    def nonzero(self, tol: float = 0.0) -> "MonomialList":
-        return MonomialList(tuple(e for e in self.entries if abs(e[1]) > tol))
-
-
-@dataclass(frozen=True)
-class QspAngles:
-    """Rotation angles of one chain; length L or L+1 per parity branch."""
-
-    theta: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", tuple(float(t) for t in self.theta))
-
-    def __len__(self) -> int:
-        return len(self.theta)
-
-
-def _angles_of(a) -> np.ndarray:
-    theta = a.theta if isinstance(a, QspAngles) else a
-    return np.asarray(theta, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +187,7 @@ def qsp_value(theta, x: float) -> complex:
     """⟨+|U_θ(x)|+⟩ at a single point via the 2×2 matrix chain."""
     if abs(x) > 1.0:
         raise DomainError("qsp_value requires |x| <= 1")
-    val = chain_value(_angles_of(theta), float(x))
+    val = chain_value(theta, float(x))
     return complex(val[0, 0])
 
 
@@ -279,8 +259,13 @@ def _chain_residual_jac(theta: np.ndarray, basis: np.ndarray, target: np.ndarray
     return vals[0] - target, ((vals[1::2] - vals[2::2]) / 4.0).T
 
 
-def _synthesize_branch(target: UnivariatePoly, degree: int, rng: np.random.Generator,
-                       restarts: int = 16, iters: int = 500, tol: float = 1e-10) -> np.ndarray:
+_RESTARTS = 16      # Gauss–Newton starts per branch: zeros, then N(0, 0.6²) draws
+_ITERS = 500        # damped steps per start
+_TOL = 1e-10        # max node residual that ends a start early
+
+
+def _synthesize_branch(target: UnivariatePoly, degree: int,
+                       rng: np.random.Generator) -> np.ndarray:
     """Angles of a degree-``degree`` chain with ⟨+|U_θ(x)|+⟩ ≈ target(x) (real)."""
     if degree == 0:
         c = float(np.clip(target.coeffs[0] if target.coeffs else 0.0, -1.0, 1.0))
@@ -290,12 +275,12 @@ def _synthesize_branch(target: UnivariatePoly, degree: int, rng: np.random.Gener
     tv = target(xs)
     basis = _chain_basis((xs,), degree)[0]
     best, best_err = None, np.inf
-    for attempt in range(restarts):
+    for attempt in range(_RESTARTS):
         theta = np.zeros(degree + 1) if attempt == 0 else rng.normal(0.0, 0.6, degree + 1)
         mu = 1e-3
         res, jac = _chain_residual_jac(theta, basis, tv)
         err = np.max(np.abs(res))
-        for _ in range(iters):
+        for _ in range(_ITERS):
             jr = np.concatenate([jac.real, jac.imag], axis=0)
             rr = np.concatenate([res.real, res.imag])
             jtj = jr.T @ jr
@@ -306,7 +291,7 @@ def _synthesize_branch(target: UnivariatePoly, degree: int, rng: np.random.Gener
             if c_err < err:
                 theta, res, jac, err = cand, c_res, c_jac, c_err
                 mu = max(mu * 0.3, 1e-12)
-                if err < tol:
+                if err < _TOL:
                     break
             else:
                 mu *= 10.0
@@ -314,7 +299,7 @@ def _synthesize_branch(target: UnivariatePoly, degree: int, rng: np.random.Gener
                     break
         if err < best_err:
             best, best_err = theta, err
-        if best_err < tol:
+        if best_err < _TOL:
             break
     if best_err > 1e-9:
         raise SynthesisError(
@@ -324,11 +309,12 @@ def _synthesize_branch(target: UnivariatePoly, degree: int, rng: np.random.Gener
 
 
 def synthesize_angles(target: UnivariatePoly, L: int, seed: int = 0
-                      ) -> tuple[QspAngles, QspAngles]:
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Parity-split angle pair: ½[Re v(θ1,x) + Re v(θ2,x)] = target(x).
 
-    θ1 drives the degree-(L-1) chain for the parity-(L-1 mod 2) component,
-    θ2 the degree-L chain for the parity-(L mod 2) component.
+    θ1 (L angles) drives the degree-(L-1) chain for the parity-(L-1 mod 2)
+    component, θ2 (L+1 angles) the degree-L chain for the parity-(L mod 2)
+    component.
     """
     if L < 1:
         raise ValueError("synthesis requires L >= 1")
@@ -348,7 +334,7 @@ def synthesize_angles(target: UnivariatePoly, L: int, seed: int = 0
     residual = float(np.max(np.abs(combo - target(nodes))))
     if residual > 1e-8:
         raise SynthesisError(f"combined synthesis residual {residual:.3e} exceeds 1e-8")
-    return QspAngles(tuple(theta1)), QspAngles(tuple(theta2))
+    return theta1, theta2
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +442,7 @@ def build_td_circuit(p: TdPoly, seed: int = 0) -> tuple[cir.Circuit, float]:
             if p.lambdas[r] < 0 and j == 0:
                 poly = UnivariatePoly(tuple(-c for c in poly.coeffs))
             theta1, theta2 = synthesize_angles(poly, p.L, seed=seed + 101 * r + j)
-            angles += theta1.theta + theta2.theta
+            angles += theta1.tolist() + theta2.tolist()
     weights = np.sqrt(np.abs(np.asarray(p.lambdas)) / lam_total)
     return cir.bind(_td_circuit(p.R, p.D, p.L, weights), angles), lam_total
 
@@ -498,7 +484,7 @@ def _td_circuit(R: int, D: int, L: int, weights) -> cir.Circuit:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# JSON writers (nothing reads these documents back)
 
 
 def td_poly_to_json_dict(p: TdPoly) -> dict:
@@ -511,21 +497,5 @@ def td_poly_to_json_dict(p: TdPoly) -> dict:
     }
 
 
-def td_poly_from_json_dict(doc: dict) -> TdPoly:
-    return TdPoly(
-        R=doc["R"],
-        D=doc["D"],
-        L=doc["L"],
-        lambdas=tuple(doc["lambdas"]),
-        factors=tuple(
-            tuple(UnivariatePoly(tuple(cs)) for cs in row) for row in doc["factors"]
-        ),
-    )
-
-
 def monomials_to_json_dict(m: MonomialList) -> dict:
     return {"entries": [{"n": list(n), "c": c} for n, c in m.entries]}
-
-
-def monomials_from_json_dict(doc: dict) -> MonomialList:
-    return MonomialList(tuple((tuple(e["n"]), float(e["c"])) for e in doc["entries"]))

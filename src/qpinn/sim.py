@@ -32,7 +32,7 @@ from . import circuits as cir
 from .duals import c_add, c_lift, c_mul, t_arccos, t_cos, t_expj, t_sin
 from .errors import DomainError, SizeError
 
-DEFAULT_WIDTH_CAP = 24
+_WIDTH_CAP = 24
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -195,16 +195,15 @@ def _as_batch(vec, n_cols: int) -> tuple:
     return chans
 
 
-def simulate_amps(circuit: cir.Circuit, params, inputs, *, check_norm: bool = False,
-                  width_cap: int = DEFAULT_WIDTH_CAP):
+def simulate_amps(circuit: cir.Circuit, params, inputs, *, check_norm: bool = False):
     """Run a circuit from |0…0⟩; returns amplitudes shaped (Bp, N, 2^width).
 
     ``params``/``inputs`` may be 1-D vectors, (batch, size) arrays, or
     (value, d1, d2) triples of such arrays for a dual run.  The result is a
     complex array, or a triple of them when any argument is dual.
     """
-    if circuit.width > width_cap:
-        raise SizeError(f"width {circuit.width} exceeds cap {width_cap}")
+    if circuit.width > _WIDTH_CAP:
+        raise SizeError(f"width {circuit.width} exceeds cap {_WIDTH_CAP}")
     p = _as_batch(params, circuit.n_params)
     i = _as_batch(inputs, circuit.n_inputs)
     v = np.zeros((p[0].shape[0], i[0].shape[0], 1 << circuit.width), dtype=complex)
@@ -220,11 +219,10 @@ def simulate_amps(circuit: cir.Circuit, params, inputs, *, check_norm: bool = Fa
     return state if len(state) == 3 else state[0]
 
 
-def run(circuit: cir.Circuit, params=(), inputs=(), *,
-        width_cap: int = DEFAULT_WIDTH_CAP) -> StateVector:
+def run(circuit: cir.Circuit, params=(), inputs=()) -> StateVector:
     """Execute a circuit on |0…0⟩ with one parameter vector and one input
     point, either of which may be a (v, d1, d2) triple of 1-D arrays."""
-    state = simulate_amps(circuit, params, inputs, check_norm=True, width_cap=width_cap)
+    state = simulate_amps(circuit, params, inputs, check_norm=True)
     if isinstance(state, tuple):
         return StateVector(circuit.width, state[0][0, 0], state[1][0, 0], state[2][0, 0])
     return StateVector(circuit.width, state[0, 0])

@@ -18,28 +18,25 @@ from . import merton, models
 from .errors import AggregationError, TrainingAbortError
 
 
-@dataclass(frozen=True)
-class LrSchedule:
-    cosine_epochs: int = 150
-    cosine_start: float = 1e-2
-    cosine_end: float = 1e-3
-    plateau_epochs: int = 100
-    plateau_lr: float = 1e-3
-    final_lr: float = 2e-4
-    total_epochs: int = 1000
+# the learning-rate schedule: cosine decay, a plateau, then a final rate
+COSINE_EPOCHS = 150
+COSINE_START = 1e-2
+COSINE_END = 1e-3
+PLATEAU_EPOCHS = 100
+PLATEAU_LR = 1e-3
+FINAL_LR = 2e-4
+TOTAL_EPOCHS = 1000
 
 
-def lr_at(schedule: LrSchedule, epoch: int) -> float:
-    if not 0 <= epoch < schedule.total_epochs:
-        raise ValueError(f"epoch {epoch} outside [0, {schedule.total_epochs})")
-    if epoch < schedule.cosine_epochs:
-        span = schedule.cosine_start - schedule.cosine_end
-        return schedule.cosine_end + 0.5 * span * (
-            1.0 + math.cos(math.pi * epoch / schedule.cosine_epochs)
-        )
-    if epoch < schedule.cosine_epochs + schedule.plateau_epochs:
-        return schedule.plateau_lr
-    return schedule.final_lr
+def lr_at(epoch: int) -> float:
+    if not 0 <= epoch < TOTAL_EPOCHS:
+        raise ValueError(f"epoch {epoch} outside [0, {TOTAL_EPOCHS})")
+    if epoch < COSINE_EPOCHS:
+        span = COSINE_START - COSINE_END
+        return COSINE_END + 0.5 * span * (1.0 + math.cos(math.pi * epoch / COSINE_EPOCHS))
+    if epoch < COSINE_EPOCHS + PLATEAU_EPOCHS:
+        return PLATEAU_LR
+    return FINAL_LR
 
 
 @dataclass(frozen=True)
@@ -51,14 +48,13 @@ class TrainConfig:
     n_interior: int = 50
     n_boundary: int = 50
     checkpoint_every: int | None = None
-    schedule: LrSchedule = field(default_factory=LrSchedule)
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        if self.epochs > self.schedule.total_epochs:
+        if self.epochs > TOTAL_EPOCHS:
             raise ValueError("epochs exceeds the schedule's defined range")
 
 
@@ -160,7 +156,7 @@ def run_training(evaluator, init: np.ndarray, cfg: TrainConfig,
         outputs = evaluator.batched_eval(params[None, :], *obj.points)
         terms, err = obj.terms(outputs)
         breakdown = merton.LossBreakdown(*(float(t[0]) for t in terms))
-        lr = lr_at(cfg.schedule, epoch)
+        lr = lr_at(epoch)
         log.losses.append(breakdown)
         log.lrs.append(lr)
         try:

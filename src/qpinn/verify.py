@@ -10,12 +10,14 @@ import numpy as np
 
 from . import circuits as cir
 from . import duals, merton, models, qsp, sim
+from .errors import ConfigError
 
 
-def _random_bounded_poly(rng, degree: int, bound: float = 0.45) -> qsp.UnivariatePoly:
+def _random_bounded_poly(rng, degree: int) -> qsp.UnivariatePoly:
+    """Random polynomial scaled to sup-norm 0.45 on [-1, 1] (QSP needs ≤ 1/2)."""
     coeffs = rng.normal(size=degree + 1)
     p = qsp.UnivariatePoly(tuple(coeffs))
-    return qsp.UnivariatePoly(tuple(bound * np.asarray(coeffs) / p.sup_norm_grid()))
+    return qsp.UnivariatePoly(tuple(0.45 * np.asarray(coeffs) / p.sup_norm_grid()))
 
 
 # ---------------------------------------------------------------------------
@@ -29,8 +31,8 @@ def _check_univariate_identity(seed):
         for _ in range(2):
             target = _random_bounded_poly(rng, L)
             th1, th2 = qsp.synthesize_angles(target, L, seed=int(rng.integers(1 << 30)))
-            circ = qsp.univariate_model_circuit(len(th1.theta))
-            params = np.concatenate([th1.theta, th2.theta])
+            circ = qsp.univariate_model_circuit(len(th1))
+            params = np.concatenate([th1, th2])
             xs = np.linspace(-1.0, 1.0, 50)[:, None]
             vals = sim.z0_from_amps(sim.simulate_amps(circ, params, xs))[0]
             worst = max(worst, float(np.max(np.abs(vals - target(xs[:, 0])))))
@@ -327,6 +329,8 @@ SUITES = {
 def run_suite(name: str, seed: int = 0) -> dict:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if seed < 0:  # the checks seed numpy generators, which take no negative seed
+        raise ConfigError(f"seed must be an integer >= 0, got {seed}")
     checks = []
     for check_name, fn in SUITES[name]:
         try:

@@ -37,8 +37,8 @@ def test_criterion_1_circuit_identities():
         for _ in range(20):
             target = bounded_poly(rng, L)
             th1, th2 = qsp.synthesize_angles(target, L, seed=int(rng.integers(1 << 30)))
-            circ = qsp.univariate_model_circuit(len(th1.theta))
-            params = np.concatenate([th1.theta, th2.theta])
+            circ = qsp.univariate_model_circuit(len(th1))
+            params = np.concatenate([th1, th2])
             vals = sim.z0_from_amps(sim.simulate_amps(circ, params, xs))[0]
             worst_prop1 = max(worst_prop1, float(np.max(np.abs(vals - target(xs[:, 0])))))
     ok1 = worst_prop1 < 1e-6

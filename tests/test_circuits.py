@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpinn import circuits as cir
 from qpinn.errors import DomainError, IndexCollisionError, LoweringError, SizeError
@@ -317,23 +319,51 @@ def test_lowering_keeps_symbolic_params():
     assert low.n_params == circ.n_params == 5
 
 
+# every gate ``lower_to_cnot_single`` accepts: (kind, controls) → qubits it needs
+_LOWERABLE = {("h", 0): 1, ("x", 0): 1, ("rx", 0): 1, ("rz", 0): 1, ("cnot", 0): 2,
+              ("rzz", 0): 2, ("rz", 1): 2, ("rz", 2): 3, ("rx", 1): 2, ("rx", 2): 3,
+              ("x", 1): 2, ("rzz", 1): 3}
+
+
+@st.composite
+def _lowerable_circuits(draw):
+    """A circuit of up to 4 qubits and 12 lowerable gates whose angles are
+    constants, affine parameter slots or arccos inputs, with values for both."""
+    width = draw(st.integers(1, 4))
+    kinds = [k for k, need in _LOWERABLE.items() if need <= width]
+    turn = st.floats(-7.0, 7.0)
+    angle = st.one_of(st.builds(cir.Const, turn),
+                      st.builds(cir.Param, st.integers(0, 1), turn, turn),
+                      st.builds(cir.InputArccos, st.just(0), turn, turn))
+    gates = []
+    for kind, n_ctrl in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=12)):
+        qs = draw(st.permutations(range(width)))[:_LOWERABLE[kind, n_ctrl]]
+        ctrls, qs = qs[:n_ctrl], qs[n_ctrl:]
+        if kind in ("h", "x"):
+            g = cir.Gate(kind, (qs[0],))
+        elif kind == "cnot":
+            g = cir.cnot(*qs)
+        else:
+            g = cir.Gate(kind, tuple(qs), angle=draw(angle))
+        gates.append(cir.controlled(g, [(q, draw(st.integers(0, 1))) for q in ctrls]))
+    params = draw(st.lists(turn, min_size=2, max_size=2))
+    return cir.Circuit(width, tuple(gates), n_params=2, n_inputs=1), params, [draw(
+        st.floats(-1.0, 1.0))]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_lowerable_circuits())
+def test_lowering_preserves_unitary_property(case):
+    circ, params, inputs = case
+    low = cir.lower_to_cnot_single(circ)
+    assert {g.kind for g in low.gates} <= {"h", "x", "rx", "rz", "cnot"}
+    d = cir.phase_aligned_distance(cir.unitary_of(circ, params, inputs),
+                                   cir.unitary_of(low, params, inputs))
+    assert d <= 1e-10
+
+
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def test_circuit_json_roundtrip():
-    from qpinn import models
-
-    circ = models.qpinn_circuit()
-    doc = cir.circuit_to_json_dict(circ)
-    back = cir.circuit_from_json_dict(doc)
-    assert back == circ
-
-
-def test_prepare_json_roundtrip():
-    c = cir.Circuit(3, (cir.prepare_amplitudes((1, 2), [0.5, 0.5, 0.5, 0.5]),
-                        cir.h(0)))
-    assert cir.circuit_from_json_dict(cir.circuit_to_json_dict(c)) == c
+# resource report
 
 
 def test_resource_report_json():

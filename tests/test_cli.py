@@ -34,6 +34,17 @@ def test_verify_unknown_suite():
         verify.run_suite("nope")
 
 
+def test_verify_rejects_negative_seed(tmp_path, capsys):
+    # a bad seed is a config error, not four failed properties
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--suite", "hjb", "--seed", "-1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and "seed" in captured.err
+    assert "[FAIL]" not in captured.out and not out.exists()
+    with pytest.raises(ConfigError):
+        verify.run_suite("circuits", -3)
+
+
 def test_resources_examples():
     doc = cli.resource_report("prop1", 3, 2, 1, "double-controlled")
     depth = next(r for r in doc["checks"] if r["metric"] == "depth")
@@ -196,6 +207,34 @@ def test_config_rejects_horizon_above_one(tmp_path, capsys):
     path = tmp_path / "ok.json"
     path.write_text(json.dumps({"market": {"T": 1.0}}))
     assert cli.load_config(str(path), {})["market"]["T"] == 1.0
+
+
+def _train_file_error(tmp_path, capsys, cfg) -> str:
+    out = tmp_path / "out"
+    rc = cli.main(["train", "--config", str(cfg), "--epochs", "2", "--runs", "1",
+                   "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    return err
+
+
+def test_config_file_missing_is_a_config_error(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    assert "absent.json" in _train_file_error(tmp_path, capsys, missing)
+    assert "cannot read" in _train_file_error(tmp_path, capsys, tmp_path)  # a directory
+    with pytest.raises(ConfigError):
+        cli.load_config(str(missing), {})
+
+
+def test_config_file_malformed_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    for text in ('{"epochs": 10,', "", "not json"):
+        bad.write_text(text)
+        assert "not valid JSON" in _train_file_error(tmp_path, capsys, bad)
+    bad.write_bytes(b"\xff\xfe{")
+    with pytest.raises(ConfigError):
+        cli.load_config(str(bad), {})
 
 
 def test_config_rejects_duplicate_models(tmp_path, capsys):

@@ -62,6 +62,13 @@ def test_analytical_domain():
         AnalyticalSolution(MarketParams()).values(0.5, 0.0)
 
 
+@pytest.mark.parametrize("x", [0.0, -0.5, [0.3, 0.0]])
+def test_analytical_derivatives_domain(x):
+    # the same x > 0 check as ``values``, in place of numpy inf/nan warnings
+    with pytest.raises(DomainError):
+        AnalyticalSolution(MarketParams()).derivatives(np.full(np.shape(x), 0.5), x)
+
+
 def test_residual_vanishes_on_analytical_solution():
     m = MarketParams()
     sol = AnalyticalSolution(m)

@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import product
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from qpinn import circuits as cir
 from qpinn import qsp, sim
 from qpinn.errors import BoundError, DomainError, SizeError
-from qpinn.qsp import MonomialList, QspAngles, TdPoly, UnivariatePoly
+from qpinn.qsp import MonomialList, TdPoly, UnivariatePoly
 
 from test_circuits import chain_matrix
 
@@ -25,19 +26,19 @@ def bounded_poly(rng, degree, bound=0.45):
 
 
 def test_qsp_value_chebyshev():
-    val = qsp.qsp_value(QspAngles((0.0, 0.0, 0.0)), 0.5)
+    val = qsp.qsp_value((0.0, 0.0, 0.0), 0.5)
     assert val.real == pytest.approx(-0.5, abs=1e-12)  # T₂(½)
 
 
 def test_qsp_value_degree_zero():
     phi = 0.83
-    assert qsp.qsp_value(QspAngles((phi,)), 0.3).real == pytest.approx(math.cos(phi / 2))
+    assert qsp.qsp_value((phi,), 0.3).real == pytest.approx(math.cos(phi / 2))
 
 
 def test_qsp_value_at_x_one_collapses_to_rz_product():
     # S(1) = I, so the chain is R_z(Σθ) and ⟨+|R_z(Σθ)|+⟩ = cos(Σθ/2)
     th = (0.3, -0.7, 1.1)
-    val = qsp.qsp_value(QspAngles(th), 1.0)
+    val = qsp.qsp_value(th, 1.0)
     assert val == pytest.approx(math.cos(sum(th) / 2), abs=1e-12)
 
 
@@ -52,7 +53,7 @@ def test_qsp_value_matches_matrix_oracle():
 
 def test_qsp_value_domain():
     with pytest.raises(DomainError):
-        qsp.qsp_value(QspAngles((0.0,)), 1.2)
+        qsp.qsp_value((0.0,), 1.2)
 
 
 def test_qsp_value_bounded():
@@ -117,8 +118,8 @@ def test_extract_detects_non_polynomial():
 def test_synthesize_roundtrip_linear():
     th1, th2 = qsp.synthesize_angles(UnivariatePoly((0.0, 0.4)), 1)
     assert (len(th1), len(th2)) == (1, 2)
-    combo = lambda xs: 0.5 * (qsp.chain_value(np.asarray(th1.theta), xs)[0].real
-                              + qsp.chain_value(np.asarray(th2.theta), xs)[0].real)
+    combo = lambda xs: 0.5 * (qsp.chain_value(th1, xs)[0].real
+                              + qsp.chain_value(th2, xs)[0].real)
     fit = qsp.extract_polynomial(combo, 1)
     assert np.allclose(fit.poly.coeffs, (0.0, 0.4), atol=1e-7)
 
@@ -127,16 +128,16 @@ def test_synthesize_chebyshev_half():
     target = UnivariatePoly((-0.5, 0.0, 1.0))  # T₂/2
     th1, th2 = qsp.synthesize_angles(target, 2)
     nodes = np.cos(np.pi * (2 * np.arange(12) + 1) / 24)
-    combo = 0.5 * (qsp.chain_value(np.asarray(th1.theta), nodes).real[0]
-                   + qsp.chain_value(np.asarray(th2.theta), nodes).real[0])
+    combo = 0.5 * (qsp.chain_value(th1, nodes).real[0]
+                   + qsp.chain_value(th2, nodes).real[0])
     assert np.max(np.abs(combo - target(nodes))) < 1e-8
 
 
 def test_synthesize_zero_target():
     th1, th2 = qsp.synthesize_angles(UnivariatePoly((0.0, 0.0)), 1)
     xs = np.linspace(-1, 1, 40)
-    combo = 0.5 * (qsp.chain_value(np.asarray(th1.theta), xs).real[0]
-                   + qsp.chain_value(np.asarray(th2.theta), xs).real[0])
+    combo = 0.5 * (qsp.chain_value(th1, xs).real[0]
+                   + qsp.chain_value(th2, xs).real[0])
     assert np.max(np.abs(combo)) < 1e-8
 
 
@@ -146,8 +147,8 @@ def test_synthesize_random_targets():
         target = bounded_poly(rng, L)
         th1, th2 = qsp.synthesize_angles(target, L, seed=int(rng.integers(1 << 30)))
         xs = np.linspace(-1, 1, 60)
-        combo = 0.5 * (qsp.chain_value(np.asarray(th1.theta), xs).real[0]
-                       + qsp.chain_value(np.asarray(th2.theta), xs).real[0])
+        combo = 0.5 * (qsp.chain_value(th1, xs).real[0]
+                       + qsp.chain_value(th2, xs).real[0])
         assert np.max(np.abs(combo - target(xs))) < 1e-7
 
 
@@ -221,8 +222,8 @@ def test_univariate_model_parameter_count():
 
 def test_univariate_model_synthesized_value():
     th1, th2 = qsp.synthesize_angles(UnivariatePoly((0.0, 0.4)), 1)
-    circ = qsp.univariate_model_circuit(len(th1.theta))
-    params = np.concatenate([th1.theta, th2.theta])
+    circ = qsp.univariate_model_circuit(len(th1))
+    params = np.concatenate([th1, th2])
     val = sim.expect_z0(sim.run(circ, params, [0.25]))
     assert val == pytest.approx(0.1, abs=1e-8)
 
@@ -280,7 +281,7 @@ def test_td_rank1_reduces_to_rank1_circuit():
     assert lam == 1.0
     pairs = [qsp.synthesize_angles(factors[0][j], 1, seed=4 + j) for j in range(2)]
     rank1 = qsp.td_circuit_template(1, 2, 1)
-    params = np.concatenate([np.concatenate([a.theta, b.theta]) for a, b in pairs])
+    params = np.concatenate([np.concatenate([a, b]) for a, b in pairs])
     assert circ.width == rank1.width == 5
     for pt in rng.uniform(-1, 1, size=(10, 2)):
         a = sim.expect_z0(sim.run(circ, [], pt))
@@ -357,7 +358,7 @@ def test_td_builder_binds_the_audited_template(R, D, L):
             if lambdas[r] < 0 and j == 0:
                 poly = UnivariatePoly(tuple(-c for c in poly.coeffs))
             th1, th2 = qsp.synthesize_angles(poly, L, seed=9 + 101 * r + j)
-            expected += th1.theta + th2.theta
+            expected += th1.tolist() + th2.tolist()
     assert angles == expected
 
 
@@ -416,12 +417,17 @@ def test_td_poly_json_roundtrip():
     td = TdPoly(2, 2, 1, (0.5, -0.25),
                 ((UnivariatePoly((0.1, 0.2)), UnivariatePoly((0.3, 0.0))),
                  (UnivariatePoly((0.0, -0.1)), UnivariatePoly((0.2, 0.2)))))
-    assert qsp.td_poly_from_json_dict(qsp.td_poly_to_json_dict(td)) == td
+    doc = qsp.td_poly_to_json_dict(td)
+    assert json.loads(json.dumps(doc)) == doc == {
+        "R": 2, "D": 2, "L": 1, "lambdas": [0.5, -0.25],
+        "factors": [[[0.1, 0.2], [0.3, 0.0]], [[0.0, -0.1], [0.2, 0.2]]]}
 
 
 def test_monomials_json_roundtrip():
     mono = MonomialList((((0, 1), 0.25), ((2, 0), -0.5)))
-    assert qsp.monomials_from_json_dict(qsp.monomials_to_json_dict(mono)) == mono
+    doc = qsp.monomials_to_json_dict(mono)
+    assert json.loads(json.dumps(doc)) == doc == {
+        "entries": [{"n": [0, 1], "c": 0.25}, {"n": [2, 0], "c": -0.5}]}
 
 
 # ---------------------------------------------------------------------------

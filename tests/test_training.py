@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qpinn import duals, merton, models, training
 from qpinn.errors import AggregationError, TrainingAbortError
 from qpinn.models import ModelSpec
-from qpinn.training import LrSchedule, TrainConfig, lamb_step, lr_at
+from qpinn.training import TrainConfig, lamb_step, lr_at
 
 
 # ---------------------------------------------------------------------------
@@ -17,23 +17,21 @@ from qpinn.training import LrSchedule, TrainConfig, lamb_step, lr_at
 
 
 def test_lr_schedule_endpoints():
-    s = LrSchedule()
-    assert lr_at(s, 0) == pytest.approx(1e-2)
-    assert lr_at(s, 75) == pytest.approx(5.5e-3)
-    assert abs(lr_at(s, 149) - 1e-3) < 1e-5  # continuous into the plateau
-    assert lr_at(s, 150) == 1e-3
-    assert lr_at(s, 200) == 1e-3
-    assert lr_at(s, 250) == 2e-4
-    assert lr_at(s, 999) == 2e-4
+    assert lr_at(0) == pytest.approx(1e-2)
+    assert lr_at(75) == pytest.approx(5.5e-3)
+    assert abs(lr_at(149) - 1e-3) < 1e-5  # continuous into the plateau
+    assert lr_at(150) == 1e-3
+    assert lr_at(200) == 1e-3
+    assert lr_at(250) == 2e-4
+    assert lr_at(999) == 2e-4
 
 
 def test_lr_schedule_range():
-    s = LrSchedule()
     with pytest.raises(ValueError):
-        lr_at(s, 1000)
+        lr_at(1000)
     with pytest.raises(ValueError):
-        lr_at(s, -1)
-    assert all(lr_at(s, e) > 0 for e in range(1000))
+        lr_at(-1)
+    assert all(lr_at(e) > 0 for e in range(1000))
 
 
 # ---------------------------------------------------------------------------
