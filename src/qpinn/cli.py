@@ -132,7 +132,18 @@ def _check_market_and_weights(cfg: dict) -> None:
 # verify
 
 
+def _check_out_file(out: str | None) -> None:
+    """Refuse an ``--out`` file that cannot be written, before any work runs."""
+    if out is None:
+        return
+    path = Path(out)
+    if path.is_dir() or not path.parent.is_dir() or not os.access(path.parent, os.W_OK):
+        raise ConfigError(f"cannot write --out {out!r}: its directory is missing or "
+                          "not writable, or it is a directory")
+
+
 def cmd_verify(suite: str, seed: int = 0, out: str | None = None) -> int:
+    _check_out_file(out)
     report = verify.run_suite(suite, seed)
     for c in report["checks"]:
         print(f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}: {c['detail']}")
@@ -226,6 +237,7 @@ def resource_report(construction: str, L: int, D: int, R: int, native: str) -> d
 
 def cmd_resources(construction: str, L: int, D: int, R: int, native: str,
                   out: str | None = None) -> int:
+    _check_out_file(out)
     doc = resource_report(construction, L, D, R, native)
     print(f"{construction} (L={L}, D={D}, R={R}, native={native})")
     for r in doc["checks"]:
@@ -273,7 +285,10 @@ def cmd_train(cfg: dict) -> int:
             for kind in cfg["models"] for i in range(tcfg.n_runs)]
     workers = _pool_size(len(jobs))
     out = Path(cfg["out_dir"])
-    (out / "runs").mkdir(parents=True, exist_ok=True)
+    try:
+        (out / "runs").mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create --out directory {str(out)!r}: {exc.strerror}") from exc
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_train_job, jobs))

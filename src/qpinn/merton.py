@@ -55,7 +55,6 @@ class CollocationSet:
     interior: np.ndarray   # (N_d, 2) columns (t, x)
     terminal_x: np.ndarray  # (N_b,) x at t = T
     lateral_t: np.ndarray   # (N_b,) t at x = 1
-    seed: object = None
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,7 @@ def sample_collocation(seed, n_interior: int = 50, n_boundary: int = 50,
     lateral_t = rng.uniform(0.01, 0.99, size=n_boundary)
     interior[:, 0] *= T
     lateral_t *= T
-    return CollocationSet(interior, terminal_x, lateral_t, seed)
+    return CollocationSet(interior, terminal_x, lateral_t)
 
 
 def total_loss(model, c: CollocationSet, w: LossWeights, m: MarketParams) -> LossBreakdown:

@@ -30,12 +30,15 @@ degree d is v(θ, u) = Σ_b C_b(θ)·u^(d−b)·(i√(1 − u²))^b with real C
 model is W(θ)·[ψ(x) ⊗ ψ(t)] with ψ(u) = [1, u, √(1 − u²)] and a real 3×3
 coefficient matrix W that depends on the angles alone:
 
-    quantum_inspired:  W = Re(A ⊗ B),  A = ½(a₁ + a₂) over x, B likewise over t;
-    qpinn:             W = ¼·Re(P ⊗ T₁ + M ⊗ T₂),
+    quantum_inspired:  W(θ) = Re(A ⊗ B),  A = ½(a₁ + a₂) over x, B likewise over t;
+    qpinn:             W[:, 0] = W(θˣ⊕λ, θᵗ)[:, 0],  W[:, 1:] = W(θˣ⊖λ, θᵗ)[:, 1:],
 
 where a degree-0 chain contributes C₀ to ψ₀ and a degree-1 chain C₀ to ψ₁
-and i·C₁ to ψ₂; P and M are the x branches at ±λ and T₁, T₂ the t chains
-of the closed form above.  The counterpart is W = c₁ ⊗ c₂ over
+and i·C₁ to ψ₂, and θˣ⊕λ adds λ to the last angle of both x chains.  The
+QPINN's form is the closed form above: T₁ = v(θ₁ᵗ) lies on ψ₀(t) and
+T₂ = v(θ₂ᵗ) on ψ₁(t), ψ₂(t), so column 0 sees only the +λ branch and
+columns 1, 2 only the −λ one, each averaged over p like A.  At λ = 0 the
+two chain models coincide.  The counterpart is W = c₁ ⊗ c₂ over
 ψ(u) = [1, u, u²].  Outputs are W contracted with features, products of ψ
 and its derivatives.  ``pullback``, the exact gradient of a cotangent on
 one row's outputs, contracts it with the features and then with ∂W/∂θ:
@@ -56,6 +59,7 @@ fully_connected: per layer, weights (fan_in×fan_out, row-major) then biases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -67,12 +71,8 @@ KINDS = ("qpinn", "quantum_inspired", "counterpart", "fully_connected")
 
 _FC_LAYERS = [(2, 10), (10, 10), (10, 10), (10, 10), (10, 10), (10, 1)]
 
-_PARAM_COUNTS = {
-    "qpinn": 7,
-    "quantum_inspired": 6,
-    "counterpart": 6,
-    "fully_connected": sum(fi * fo + fo for fi, fo in _FC_LAYERS),
-}
+# per layer, the bounds of its weights and then of its biases
+_FC_BOUNDS = list(accumulate((n for fi, fo in _FC_LAYERS for n in (fi * fo, fo)), initial=0))
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class ModelSpec:
 
     @property
     def n_params(self) -> int:
-        return _PARAM_COUNTS[self.kind]
+        return _EVALUATORS[self.kind].groups[-1].stop
 
 
 def qpinn_circuit() -> cir.Circuit:
@@ -112,10 +112,8 @@ def init_params(spec: ModelSpec, seed) -> np.ndarray:
     The network uses Glorot-uniform weights with zero biases.
     """
     rng = np.random.default_rng(seed)
-    if spec.kind == "quantum_inspired":
-        return rng.uniform(0.0, 2.0 * np.pi, 6)
-    if spec.kind == "qpinn":
-        return rng.uniform(0.0, 2.0 * np.pi, 7)
+    if spec.kind in ("qpinn", "quantum_inspired"):
+        return rng.uniform(0.0, 2.0 * np.pi, spec.n_params)
     if spec.kind == "counterpart":
         return rng.uniform(-0.5, 0.5, 6)
     chunks = []
@@ -238,30 +236,9 @@ class _SeparableEvaluator:
         return self.spec.output_scale * np.einsum("pk,k->p", jac, g)
 
 
-class _QpinnEvaluator(_SeparableEvaluator):
-    """Exact closed form from four 2×2 chains (module docstring)."""
-
-    kind = "qpinn"
-    groups = (slice(0, 3), slice(3, 6), slice(6, 7))
-
-    @staticmethod
-    def coefficients(params):
-        """W = ¼·Re(P ⊗ T₁ + M ⊗ T₂): P, M the x branches at ±λ, T₁, T₂ the t chains."""
-        b, lam, x1 = params.shape[0], params[:, 6:7], params[:, 0:1]
-        deg1 = np.concatenate([params[:, 1:3], params[:, 1:3], params[:, 4:6]])
-        deg1[:2 * b, 1:] += np.concatenate([lam, -lam])
-        c0 = qsp.chain_coefficients(np.concatenate([x1 + lam, x1 - lam, params[:, 3:4]]))
-        # rows P, M, then the t chains: T₁ lies on ψ₀ and T₂ on ψ₁, ψ₂, so
-        # column 0 of W takes P and columns 1 and 2 take M
-        c = np.concatenate([c0, qsp.chain_coefficients(deg1)], axis=1)
-        x_cols = np.stack([c[:b], c[b:2 * b], c[b:2 * b]], axis=2)
-        return 0.25 * x_cols * c[2 * b:, None, :] * _RE_OUTER
-
-
 class _QuantumInspiredEvaluator(_SeparableEvaluator):
     """Dequantized evaluation: two 2×2 chains, never the 5-qubit simulator."""
 
-    kind = "quantum_inspired"
     groups = (slice(0, 3), slice(3, 6))
 
     @staticmethod
@@ -274,10 +251,25 @@ class _QuantumInspiredEvaluator(_SeparableEvaluator):
         return a[:b, :, None] * a[b:, None, :] * _RE_OUTER
 
 
+class _QpinnEvaluator(_QuantumInspiredEvaluator):
+    """Exact closed form from four 2×2 chains (module docstring)."""
+
+    groups = (slice(0, 3), slice(3, 6), slice(6, 7))
+
+    @staticmethod
+    def coefficients(params):
+        """The quantum-inspired W with λ added to the x chains' last angles in
+        column 0 and subtracted in columns 1 and 2."""
+        b, lam = params.shape[0], params[:, 6:7]
+        shifted = np.concatenate([params[:, :6], params[:, :6]])
+        shifted[:, [0, 2]] += np.concatenate([lam, -lam])
+        w = _QuantumInspiredEvaluator.coefficients(shifted)
+        return np.concatenate([w[:b, :, :1], w[b:, :, 1:]], axis=2)
+
+
 class _CounterpartEvaluator(_SeparableEvaluator):
     """p1(x)·p2(t) as W = c₁ ⊗ c₂ over ψ(u) = [1, u, u²]."""
 
-    kind = "counterpart"
     groups = (slice(0, 3), slice(3, 6))
     square = True
     shift_scale = 0.5 / np.pi   # W is bilinear
@@ -332,14 +324,10 @@ class _FullyConnectedEvaluator:
     """The tanh network: one ``_trace`` per parameter row; ``pullback`` runs
     ``_reverse`` through the traces of the last row evaluated."""
 
-    kind = "fully_connected"
+    groups = tuple(slice(lo, hi) for lo, hi in zip(_FC_BOUNDS, _FC_BOUNDS[1:]))
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
-        self.groups, off = [], 0
-        for fi, fo in _FC_LAYERS:
-            self.groups += [slice(off, off + fi * fo), slice(off + fi * fo, off + fi * fo + fo)]
-            off += fi * fo + fo
         self._saved = (None,)   # (key of a row and its inputs, layers, records)
 
     def _layers(self, row):

@@ -3,7 +3,10 @@
 Amplitudes live in arrays of shape ``(Bp, N, 2^width)``: ``Bp`` batches
 parameter vectors, ``N`` batches input points, and both default to 1.
 Qubit 0 is the most significant index bit, so the Pauli-Z expectation on
-qubit 0 splits the amplitude array in half.
+qubit 0 splits the amplitude array in half.  ``simulate_amps`` returns
+that array, or a ``(v, d1, d2)`` tuple of them in a dual run; ``run``
+returns the same form for its one point, of shape ``(2^width,)``, and
+``z0_from_amps`` and ``expect_z0`` read either.
 
 The state, the angles and the gate entries are tuples of channel arrays:
 ``(v,)`` in a plain run and ``(v, d1, d2)`` in a dual run, where d1 and d2
@@ -35,20 +38,6 @@ from .errors import DomainError, SizeError
 _WIDTH_CAP = 24
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Statevector; ``d1``/``d2`` carry the seeded-direction derivatives."""
-
-    width: int
-    amps: np.ndarray
-    d1: np.ndarray | None = None
-    d2: np.ndarray | None = None
-
-    @property
-    def is_dual(self) -> bool:
-        return self.d1 is not None
 
 
 @dataclass(frozen=True)
@@ -219,17 +208,21 @@ def simulate_amps(circuit: cir.Circuit, params, inputs, *, check_norm: bool = Fa
     return state if len(state) == 3 else state[0]
 
 
-def run(circuit: cir.Circuit, params=(), inputs=()) -> StateVector:
+def run(circuit: cir.Circuit, params=(), inputs=()):
     """Execute a circuit on |0…0⟩ with one parameter vector and one input
-    point, either of which may be a (v, d1, d2) triple of 1-D arrays."""
+    point, either of which may be a (v, d1, d2) triple of 1-D arrays, and
+    check the norm after every gate.  Returns the point's amplitudes in
+    ``simulate_amps``'s form: a (2^width,) complex array, or a (v, d1, d2)
+    triple of them."""
     state = simulate_amps(circuit, params, inputs, check_norm=True)
     if isinstance(state, tuple):
-        return StateVector(circuit.width, state[0][0, 0], state[1][0, 0], state[2][0, 0])
-    return StateVector(circuit.width, state[0, 0])
+        return tuple(c[0, 0] for c in state)
+    return state[0, 0]
 
 
 def z0_from_amps(amps):
-    """⟨Z⁽⁰⁾⟩ from an amplitude array (plain or dual triple); shape (Bp, N)."""
+    """⟨Z⁽⁰⁾⟩ from an amplitude array (plain or dual triple), over its leading
+    axes: (Bp, N) for ``simulate_amps``, a 0-d array for ``run``."""
     if isinstance(amps, tuple):
         v, d1, d2 = amps
         vr, vi = v.real, v.imag
@@ -246,13 +239,11 @@ def z0_from_amps(amps):
     return np.sum(probs[..., :half], axis=-1) - np.sum(probs[..., half:], axis=-1)
 
 
-def expect_z0(state: StateVector):
-    """Pauli-Z expectation on qubit 0; a (v, d1, d2) float tuple when the
-    state carries duals."""
-    if state.is_dual:
-        amps = tuple(c[None, None, :] for c in (state.amps, state.d1, state.d2))
-        return tuple(float(c[0, 0]) for c in z0_from_amps(amps))
-    return float(z0_from_amps(state.amps[None, None, :])[0, 0])
+def expect_z0(amps):
+    """Pauli-Z expectation on qubit 0 of one point's amplitudes as ``run``
+    returns them; a (v, d1, d2) float tuple when they are dual."""
+    z = z0_from_amps(amps)
+    return tuple(float(c) for c in z) if isinstance(z, tuple) else float(z)
 
 
 def hadamard_test_shots(circuit: cir.Circuit, params, inputs, n_shots: int,

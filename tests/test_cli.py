@@ -45,6 +45,30 @@ def test_verify_rejects_negative_seed(tmp_path, capsys):
         verify.run_suite("circuits", -3)
 
 
+def test_verify_rejects_unwritable_out(tmp_path, capsys):
+    # a missing --out directory is a config error before any check runs
+    rc = cli.main(["verify", "--suite", "hjb", "--out", str(tmp_path / "missing" / "r.json")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.err.startswith("config error: ") and "--out" in captured.err
+    assert "[PASS]" not in captured.out and "[FAIL]" not in captured.out
+
+
+def test_resources_rejects_unwritable_out(tmp_path, capsys):
+    rc = cli.main(["resources", "--construction", "prop1",
+                   "--out", str(tmp_path / "missing" / "r.json")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.err.startswith("config error: ") and "--out" in captured.err
+    assert "[PASS]" not in captured.out and "[FAIL]" not in captured.out
+
+
+def test_train_rejects_out_below_a_file(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    rc = cli.main(["train", "--models", "counterpart", "--epochs", "2", "--runs", "1",
+                   "--out", str(tmp_path / "file" / "out")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.err.startswith("config error: ") and "--out" in captured.err
+
+
 def test_resources_examples():
     doc = cli.resource_report("prop1", 3, 2, 1, "double-controlled")
     depth = next(r for r in doc["checks"] if r["metric"] == "depth")

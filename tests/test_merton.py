@@ -141,7 +141,7 @@ def test_total_loss_permutation_invariant():
     c = sample_collocation(5, 30, 30)
     perm = np.random.default_rng(0).permutation(30)
     shuffled = merton.CollocationSet(c.interior[perm], c.terminal_x[perm],
-                                     c.lateral_t[perm], c.seed)
+                                     c.lateral_t[perm])
     sol = AnalyticalSolution(m)
     a, b = total_loss(sol, c, LossWeights(), m), total_loss(sol, shuffled, LossWeights(), m)
     assert a.l_d == b.l_d and a.l_1b == b.l_1b and a.l_2b == b.l_2b

@@ -278,6 +278,26 @@ def test_batched_eval_row_matches_model_function(kind, base, seed):
 
 
 @PROPERTY
+@given(stack=st.lists(_angles(6), min_size=1, max_size=5), t=_points, x=_points)
+def test_qpinn_at_lambda_zero_is_quantum_inspired_property(stack, t, x):
+    # the QPINN's W is the quantum-inspired W at ±λ, so λ = 0 gives it bit for bit
+    n = min(len(t), len(x))
+    t, x = np.array(t[:n]), np.array(x[:n])
+    stack = np.array(stack)
+    qp = models.make_evaluator(ModelSpec("qpinn"))
+    qi = models.make_evaluator(ModelSpec("quantum_inspired"))
+    with_lam = np.concatenate([stack, np.zeros((len(stack), 1))], axis=1)
+    assert np.array_equal(qp.values(with_lam[0], t, x), qi.values(stack[0], t, x))
+    for a, b in zip(qp.bundles(with_lam[0], t, x), qi.bundles(stack[0], t, x)):
+        assert np.array_equal(a, b)
+    pts = (t, x, np.ones(n), x)
+    (qp_b, qp_bnd), (qi_b, qi_bnd) = qp.batched_eval(with_lam, *pts), qi.batched_eval(stack, *pts)
+    for i in range(len(stack)):
+        assert all(np.array_equal(a[i], b[i]) for a, b in zip(qp_b + (qp_bnd,), qi_b + (qi_bnd,)))
+    assert np.array_equal(qp.jacobian(with_lam[0])[:6], qi.jacobian(stack[0]))
+
+
+@PROPERTY
 @given(params=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6).map(np.array),
        t=_points, x=_points)
 def test_counterpart_matches_horner_product_property(params, t, x):
