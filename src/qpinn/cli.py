@@ -295,13 +295,15 @@ def cmd_train(cfg: dict) -> int:
     else:
         results = [_train_job(j) for j in jobs]
 
+    # the summary grid spans the training domain, t scaled by T as in the collocation
     grid = np.linspace(0.01, 0.99, 50)
-    tg, xg = np.meshgrid(grid, grid, indexing="ij")
+    t_grid, slice_t = market.T * grid, 0.5 * market.T
+    tg, xg = np.meshgrid(t_grid, grid, indexing="ij")
     sol = merton.AnalyticalSolution(market)
     analytic_surface = sol.values(tg.ravel(), xg.ravel())
-    _write_surface(out / "surface_analytical.csv", grid, grid, analytic_surface)
+    _write_surface(out / "surface_analytical.csv", t_grid, grid, analytic_surface)
     slice_x = grid
-    slice_cols = {"analytical": sol.values(np.full_like(slice_x, 0.5), slice_x)}
+    slice_cols = {"analytical": sol.values(np.full_like(slice_x, slice_t), slice_x)}
 
     summary = {"models": {}, "config": cfg,
                "metadata": {"timestamp": datetime.datetime.now().isoformat(),
@@ -328,8 +330,8 @@ def cmd_train(cfg: dict) -> int:
             spec = models.ModelSpec(kind, output_scale=cfg["output_scale"])
             fn = models.ModelFunction(spec, best.final_params)
             surf = fn.values(tg.ravel(), xg.ravel())
-            _write_surface(out / f"surface_{kind}.csv", grid, grid, surf)
-            slice_cols[kind] = fn.values(np.full_like(slice_x, 0.5), slice_x)
+            _write_surface(out / f"surface_{kind}.csv", t_grid, grid, surf)
+            slice_cols[kind] = fn.values(np.full_like(slice_x, slice_t), slice_x)
             rel_err = float(np.mean(np.abs(surf - analytic_surface)
                                     / np.abs(analytic_surface)))
             entry.update({
@@ -353,8 +355,10 @@ def cmd_train(cfg: dict) -> int:
 
 
 def _recover_controls(fn: models.ModelFunction, market: merton.MarketParams) -> list:
+    """α̂ at the probe points, their t scaled by the horizon T."""
     controls = []
     for t, x in _probe_points():
+        t *= market.T
         _, _, v_x, v_xx = (a[0] for a in fn.derivatives(np.array([t]), np.array([x])))
         try:
             controls.append({"t": t, "x": x,
@@ -367,20 +371,15 @@ def _recover_controls(fn: models.ModelFunction, market: merton.MarketParams) -> 
 def _write_surface(path, t_axis, x_axis, values):
     """Rows (t, x, value) over the t-major grid t_axis × x_axis; each
     coordinate is formatted once."""
-    ts = [f"{t:.17g}," for t in t_axis]
-    xs = [f"{x:.17g}," for x in x_axis]
-    vals = iter(np.asarray(values, dtype=float).ravel().tolist())
-    with open(path, "w") as f:
-        f.write("t,x,value\n")
-        f.writelines(f"{t}{x}{next(vals):.17g}\n" for t in ts for x in xs)
+    ts = ["%.17g," % t for t in t_axis]
+    xs = ["%.17g," % x for x in x_axis]
+    training.write_csv(path, "t,x,value\n", "%s%.17g\n",
+                       zip([t + x for t in ts for x in xs], np.ravel(values).tolist()))
 
 
 def _write_slice(path, xs, cols: dict):
-    names = list(cols)
-    with open(path, "w") as f:
-        f.write("x," + ",".join(names) + "\n")
-        for i, x in enumerate(xs):
-            f.write(f"{x:.17g}," + ",".join(f"{cols[n][i]:.17g}" for n in names) + "\n")
+    training.write_csv(path, "x," + ",".join(cols) + "\n", "%.17g," * len(cols) + "%.17g\n",
+                       zip(xs.tolist(), *(c.tolist() for c in cols.values())))
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,10 @@ class _SeparableEvaluator:
     Subclasses supply ``coefficients(params2d)``, the real (B, 3, 3) matrix
     W; every output is W contracted with a feature matrix F of ψ products
     (the module docstring).  ``batched_eval`` and ``pullback`` rebuild F
-    only when a point array changes, so a training run builds it once.
+    only when a point array changes, so a training run builds it once.  A
+    one-row ``batched_eval``, a training epoch's forward, takes W and ∂W/∂θ
+    from one ``coefficients`` call on the row's ±π shift stack and keeps ∂W
+    for a ``pullback`` of that same row.
     """
 
     square = False   # ψ₂ = u² rather than √(1 − u²)
@@ -177,6 +180,7 @@ class _SeparableEvaluator:
     def __init__(self, spec: ModelSpec):
         self.spec = spec
         self._points = self._feats = None   # ``_feats`` and the key of its points
+        self._jac = (None, None)   # (bytes of a row, its ``jacobian``)
 
     @staticmethod
     def _features(blocks):
@@ -203,22 +207,31 @@ class _SeparableEvaluator:
             self._points = points
         return self._feats
 
-    def _contract(self, params, feats, bounds):
-        """W·F sliced into one (B, N) view per block."""
-        w = self.spec.output_scale * self.coefficients(np.atleast_2d(params))
+    def _contract(self, w, feats, bounds):
+        """output_scale·W·F sliced into one (B, N) view per block."""
+        w = self.spec.output_scale * w
         # einsum, not BLAS ``@``: BLAS sums a row differently for another batch size
         out = np.einsum("bk,kn->bn", w.reshape(-1, 9), feats)
         return [out[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def values(self, params, t, x):
-        return self._contract(params, *self._features(self._blocks(t, x, False)))[0]
+        return self._contract(self.coefficients(np.atleast_2d(params)),
+                              *self._features(self._blocks(t, x, False)))[0]
 
     def bundles(self, params, t, x):
-        return tuple(self._contract(params, *self._features(self._blocks(t, x, True))))
+        return tuple(self._contract(self.coefficients(np.atleast_2d(params)),
+                                    *self._features(self._blocks(t, x, True))))
 
     def batched_eval(self, params2d, t_int, x_int, t_bnd, x_bnd):
-        *bundles, bnd = self._contract(params2d, *self._collocation_features(
-            t_int, x_int, t_bnd, x_bnd))
+        params2d = np.atleast_2d(params2d)
+        if len(params2d) == 1:   # W is row 0 of the shift stack, whose rest gives ∂W
+            stack = duals.shift_stack(params2d[0], np.pi)
+            w = self.coefficients(stack)
+            self._jac = (stack[0].tobytes(), self.shift_scale * (w[1::2] - w[2::2]))
+            w = w[:1]
+        else:
+            w = self.coefficients(params2d)
+        *bundles, bnd = self._contract(w, *self._collocation_features(t_int, x_int, t_bnd, x_bnd))
         return tuple(bundles), bnd
 
     def jacobian(self, params) -> np.ndarray:
@@ -232,8 +245,11 @@ class _SeparableEvaluator:
         shaped as one row of ``batched_eval``'s ((v, v_t, v_x, v_xx), bnd)."""
         feats, _ = self._collocation_features(t_int, x_int, t_bnd, x_bnd)
         g = np.einsum("kn,n->k", feats, np.concatenate([*cotangent[0], cotangent[1]]))
-        jac = self.jacobian(np.asarray(params, dtype=float)).reshape(-1, 9)
-        return self.spec.output_scale * np.einsum("pk,k->p", jac, g)
+        params = np.asarray(params, dtype=float)
+        key, jac = self._jac
+        if key != params.tobytes():
+            jac = self.jacobian(params)
+        return self.spec.output_scale * np.einsum("pk,k->p", jac.reshape(-1, 9), g)
 
 
 class _QuantumInspiredEvaluator(_SeparableEvaluator):

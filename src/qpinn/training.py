@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -206,20 +207,21 @@ def aggregate(runs: list[RunLog]) -> AggregateStats:
 # CSV export (17 significant digits for reproducibility diffs)
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+def write_csv(path, header: str, fmt: str, rows) -> None:
+    """Write ``header`` and then every row of ``rows`` by the %-format
+    ``fmt``, all rows formatted in one pass."""
+    rows = list(rows)
+    with open(path, "w") as f:
+        f.write(header + fmt * len(rows) % tuple(chain.from_iterable(rows)))
 
 
 def write_run_csv(path, log: RunLog) -> None:
-    with open(path, "w") as f:
-        f.write("epoch,l_d,l_1b,l_2b,total,lr,wall_ms\n")
-        for e, (lb, lr, ms) in enumerate(zip(log.losses, log.lrs, log.wall_ms)):
-            f.write(",".join([str(e), _fmt(lb.l_d), _fmt(lb.l_1b), _fmt(lb.l_2b),
-                              _fmt(lb.total), _fmt(lr), _fmt(ms)]) + "\n")
+    write_csv(path, "epoch,l_d,l_1b,l_2b,total,lr,wall_ms\n", "%d" + ",%.17g" * 6 + "\n",
+              ((e, lb.l_d, lb.l_1b, lb.l_2b, lb.total, lr, ms)
+               for e, (lb, lr, ms) in enumerate(zip(log.losses, log.lrs, log.wall_ms))))
 
 
 def write_aggregate_csv(path, agg: AggregateStats) -> None:
-    with open(path, "w") as f:
-        f.write("epoch,geomean,geostd_lo,geostd_hi\n")
-        for e, (gm, gs) in enumerate(zip(agg.geo_mean, agg.geo_std)):
-            f.write(",".join([str(e), _fmt(gm), _fmt(gm / gs), _fmt(gm * gs)]) + "\n")
+    gm, gs = agg.geo_mean, agg.geo_std
+    write_csv(path, "epoch,geomean,geostd_lo,geostd_hi\n", "%d,%.17g,%.17g,%.17g\n",
+              zip(range(len(gm)), gm.tolist(), (gm / gs).tolist(), (gm * gs).tolist()))

@@ -353,3 +353,18 @@ def test_train_smoke_artifacts_and_determinism(tmp_path, monkeypatch):
     sa["config"].pop("out_dir")
     sb["config"].pop("out_dir")
     assert sa == sb
+
+
+def test_train_summary_grid_spans_the_horizon(tmp_path, monkeypatch):
+    # a model trained on t ∈ [0, T] is scored on that domain, not beyond it
+    monkeypatch.setenv("QPINN_THREADS", "1")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"market": {"T": 0.5}}))
+    assert cli.main(["train", "--config", str(cfg), "--models", "counterpart", "--runs", "1",
+                     "--epochs", "2", "--out", str(tmp_path / "a")]) == 0
+    for name in ("surface_analytical.csv", "surface_counterpart.csv"):
+        rows = (tmp_path / "a" / name).read_text().splitlines()[1:]
+        ts = sorted({float(row.split(",")[0]) for row in rows})
+        assert len(ts) == 50 and ts[0] == 0.5 * 0.01 and ts[-1] == 0.5 * 0.99
+    summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+    assert all(p["t"] <= 0.5 for p in summary["models"]["counterpart"]["alpha_hat"])

@@ -312,8 +312,9 @@ def test_exact_gradient_matches_parameter_shift_gradient():
 def test_pullback_follows_changed_and_mutated_points(kind):
     # one evaluator across collocation sets A, B, A, then A mutated in place
     # one point array at a time, each time with and without a forward at
-    # those points first: what the evaluator kept from an earlier call must
-    # never stand in for points or parameters that changed
+    # those points first, and with the parameter row mutated in place between
+    # its forward and its pullback: what the evaluator kept from an earlier
+    # call must never stand in for points or parameters that changed
     m = merton.MarketParams()
     w = merton.LossWeights()
     spec = ModelSpec(kind)
@@ -329,8 +330,13 @@ def test_pullback_follows_changed_and_mutated_points(kind):
         out = models.make_evaluator(spec).batched_eval(params[None, :], *obj.points)
         _, err = obj.terms(out)
         ev.batched_eval(other[None, :], *obj.points)   # a forward of other parameters
-        np.testing.assert_array_equal(
-            ev.pullback(params, *obj.points, obj.cotangent(out, err)), want)
+        cot = obj.cotangent(out, err)
+        np.testing.assert_array_equal(ev.pullback(params, *obj.points, cot), want)
+        row = params.copy()
+        ev.batched_eval(row[None, :], *obj.points)
+        row *= 0.75
+        np.testing.assert_array_equal(ev.pullback(row, *obj.points, cot),
+                                      models.make_evaluator(spec).pullback(row, *obj.points, cot))
         assert np.max(np.abs(want - _fd_loss_gradient(spec, params, colloc, w, m))
                       ) <= 1e-6 * np.max(np.abs(want))
 
@@ -358,9 +364,22 @@ def test_training_evaluates_one_row_per_epoch_and_no_fd(kind, monkeypatch):
         return real(params2d, *points)
 
     ev.batched_eval = counting
+    # the chain models and the counterpart build W and ∂W in one coefficients
+    # call on the ±π shift rows, and pullback reuses that ∂W
+    coefficients = []
+    if kind != "fully_connected":
+        real_coefficients = type(ev).coefficients
+
+        def counting_coefficients(params2d):
+            coefficients.append(len(params2d))
+            return real_coefficients(params2d)
+
+        monkeypatch.setattr(type(ev), "coefficients", staticmethod(counting_coefficients))
     m, w = merton.MarketParams(), merton.LossWeights()
     log = training.run_training(ev, models.init_params(spec, 1), TrainConfig(epochs=4), m, w, 0)
     assert log.aborted is None and rows == [1] * 4
+    if kind != "fully_connected":
+        assert coefficients == [2 * spec.n_params + 1] * 4
     # epoch 0 logs the loss of the initial parameters exactly
     ref = merton.total_loss(models.ModelFunction(spec, models.init_params(spec, 1)),
                             merton.sample_collocation(0, 50, 50), w, m)
@@ -371,6 +390,35 @@ def test_training_evaluates_one_row_per_epoch_and_no_fd(kind, monkeypatch):
     frozen = training.run_training(_FrozenAnalytical(m), np.zeros(0), TrainConfig(epochs=3),
                                    m, w, 0)
     assert frozen.aborted is None and len(frozen.losses) == 3
+
+
+@pytest.mark.parametrize("kind", ["qpinn", "quantum_inspired", "counterpart"])
+def test_kept_jacobian_trains_as_a_fresh_jacobian(kind):
+    # the ∂W kept from each epoch's forward against one recomputed every epoch
+    spec = ModelSpec(kind)
+    m, w = merton.MarketParams(), merton.LossWeights()
+    runs = []
+    for forced in (False, True):
+        ev = models.make_evaluator(spec)
+        real_jacobian, real_pullback, jacobians = ev.jacobian, ev.pullback, []
+
+        def jacobian(params):
+            jacobians.append(1)
+            return real_jacobian(params)
+
+        def pullback(*args):
+            if forced:
+                ev._jac = (None, None)   # forget the kept ∂W
+            return real_pullback(*args)
+
+        ev.jacobian, ev.pullback = jacobian, pullback
+        log = training.run_training(ev, models.init_params(spec, 2), TrainConfig(epochs=200),
+                                    m, w, 3)
+        assert log.aborted is None and len(jacobians) == (200 if forced else 0)
+        runs.append(log)
+    kept, fresh = runs
+    assert kept.losses == fresh.losses
+    np.testing.assert_array_equal(kept.final_params, fresh.final_params)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +461,17 @@ def test_csv_schemas(tmp_path):
     assert lines[0] == "epoch,l_d,l_1b,l_2b,total,lr,wall_ms"
     assert len(lines) == 3
     assert lines[1].split(",")[4] == "0.5"
+
+    # every value reads back exactly, nan, inf and -0 included
+    odd = _fake_log([1.0 / 3.0, float("nan"), float("inf"), -0.0, 5e-324], seed=3)
+    training.write_run_csv(run_path, odd)
+    rows = [line.split(",") for line in run_path.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["0", "1", "2", "3", "4"]
+    assert [row[1] for row in rows] == ["0.33333333333333331", "nan", "inf", "-0",
+                                        "4.9406564584124654e-324"]
+    for row, lb in zip(rows, odd.losses):
+        assert np.array_equal([float(v) for v in row[1:5]], [lb.l_d, lb.l_1b, lb.l_2b, lb.total],
+                              equal_nan=True)
 
     agg_path = tmp_path / "agg.csv"
     training.write_aggregate_csv(agg_path, training.aggregate([log]))
