@@ -40,10 +40,16 @@ T₂ = v(θ₂ᵗ) on ψ₁(t), ψ₂(t), so column 0 sees only the +λ branch a
 columns 1, 2 only the −λ one, each averaged over p like A.  At λ = 0 the
 two chain models coincide.  The counterpart is W = c₁ ⊗ c₂ over
 ψ(u) = [1, u, u²].  Outputs are W contracted with features, products of ψ
-and its derivatives.  ``pullback``, the exact gradient of a cotangent on
-one row's outputs, contracts it with the features and then with ∂W/∂θ:
-the ±π shift rule for the chains (each angle enters W as e^{±iθ/2}), a
-central difference for the bilinear counterpart.
+and its derivatives.  The chain models' W comes from one
+``qsp.coefficient_plan`` per class: the whole parameter stack gives every
+chain's coefficients in one gather, one einsum and one ``cos`` (the QPINN
+appends its ±λ-shifted x angles first), and two gathers and a product
+place them in W, which is C-ordered.  ``backward``, the exact gradient of a
+flat cotangent on one row's outputs, contracts it with the held features
+and then with the ∂W/∂θ its forward kept: the ±π shift rule for the chains
+(each angle enters W as e^{±iθ/2}), a central difference for the bilinear
+counterpart.  ``pullback`` is the same gradient for a row and points given
+explicitly.
 
 The network runs forward mode on channel tuples, ``(v,)`` for values and
 (v, v_x, v_xx, v_t) for derivatives (v_t rides along as a first derivative
@@ -158,8 +164,9 @@ def _psi(u, order: int, square: bool = False) -> np.ndarray:
 
 
 # Re(a ⊗ b) of ψ vectors [C₀ of a degree-0 chain, C₀ and i·C₁ of a degree-1
-# one], stored without the i: i·i = −1, and i times a real entry is not real
-_RE_OUTER = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
+# one], stored without the i (i·i = −1, and i times a real entry is not real)
+# and times the ½·½ of the two chain averages
+_W_SIGNS = 0.25 * np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
 
 
 class _SeparableEvaluator:
@@ -167,11 +174,11 @@ class _SeparableEvaluator:
 
     Subclasses supply ``coefficients(params2d)``, the real (B, 3, 3) matrix
     W; every output is W contracted with a feature matrix F of ψ products
-    (the module docstring).  ``batched_eval`` and ``pullback`` rebuild F
-    only when a point array changes, so a training run builds it once.  A
-    one-row ``batched_eval``, a training epoch's forward, takes W and ∂W/∂θ
-    from one ``coefficients`` call on the row's ±π shift stack and keeps ∂W
-    for a ``pullback`` of that same row.
+    (the module docstring).  The evaluator holds F for the collocation
+    points it was last given and rebuilds it only when a point array
+    changes, so a training run builds it once.  A one-row ``batched_eval``,
+    a training epoch's forward, takes W and ∂W/∂θ from one ``coefficients``
+    call on the row's ±π shift stack and keeps ∂W for ``backward``.
     """
 
     square = False   # ψ₂ = u² rather than √(1 − u²)
@@ -181,6 +188,9 @@ class _SeparableEvaluator:
         self.spec = spec
         self._points = self._feats = None   # ``_feats`` and the key of its points
         self._jac = (None, None)   # (bytes of a row, its ``jacobian``)
+        # added to a row, its ``duals.shift_stack(row, π)``: −0.0 leaves every
+        # angle as it is, −0.0 among them
+        self._shifts = duals.shift_stack(np.full(self.groups[-1].stop, -0.0), np.pi)
 
     @staticmethod
     def _features(blocks):
@@ -197,9 +207,9 @@ class _SeparableEvaluator:
         (px, dpx, ddpx), (pt, dpt) = _psi(x, 2, self.square), _psi(t, 1, self.square)
         return [(px, pt), (px, dpt), (dpx, pt), (ddpx, pt)]
 
-    def _collocation_features(self, t_int, x_int, t_bnd, x_bnd):
-        """``_features`` of the bundles at the interior and the values at the
-        boundary, rebuilt only when the points change."""
+    def _collocate(self, t_int, x_int, t_bnd, x_bnd):
+        """The held ``_features`` of the bundles at the interior and the values
+        at the boundary, rebuilt only when the points change."""
         points = _points_key(t_int, x_int, t_bnd, x_bnd)
         if points != self._points:
             self._feats = self._features(self._blocks(t_int, x_int, True)
@@ -223,64 +233,83 @@ class _SeparableEvaluator:
                                     *self._features(self._blocks(t, x, True))))
 
     def batched_eval(self, params2d, t_int, x_int, t_bnd, x_bnd):
+        """((v, v_t, v_x, v_xx) at the interior, v at the boundary), (B, N)
+        views of one output array, one row per parameter row."""
+        feats = self._collocate(t_int, x_int, t_bnd, x_bnd)
         params2d = np.atleast_2d(params2d)
         if len(params2d) == 1:   # W is row 0 of the shift stack, whose rest gives ∂W
-            stack = duals.shift_stack(params2d[0], np.pi)
-            w = self.coefficients(stack)
-            self._jac = (stack[0].tobytes(), self.shift_scale * (w[1::2] - w[2::2]))
+            w = self.coefficients(params2d + self._shifts)
+            self._jac = (params2d.tobytes(), self.shift_scale * (w[1::2] - w[2::2]))
             w = w[:1]
         else:
             w = self.coefficients(params2d)
-        *bundles, bnd = self._contract(w, *self._collocation_features(t_int, x_int, t_bnd, x_bnd))
+        *bundles, bnd = self._contract(w, *feats)
         return tuple(bundles), bnd
 
     def jacobian(self, params) -> np.ndarray:
         """∂W/∂θ, (P, 3, 3), of one parameter row: the ±π shift rule, or for a
         W linear in each parameter the central difference over ±π."""
-        w = self.coefficients(duals.shift_stack(params, np.pi)[1:])
+        w = self.coefficients(np.asarray(params, dtype=float) + self._shifts[1:])
         return self.shift_scale * (w[0::2] - w[1::2])
 
+    def backward(self, cotangent) -> np.ndarray:
+        """Gradient of Σ cotangent·output over the row of the last one-row
+        ``batched_eval`` (or ``pullback``) at the held points; ``cotangent`` is
+        one flat row laid out as the outputs: v, v_t, v_x, v_xx, boundary."""
+        g = np.einsum("kn,n->k", self._feats[0], cotangent)
+        return self.spec.output_scale * np.einsum("pk,k->p", self._jac[1].reshape(-1, 9), g)
+
     def pullback(self, params, t_int, x_int, t_bnd, x_bnd, cotangent) -> np.ndarray:
-        """Gradient over one row of Σ cotangent·output for a ``cotangent``
-        shaped as one row of ``batched_eval``'s ((v, v_t, v_x, v_xx), bnd)."""
-        feats, _ = self._collocation_features(t_int, x_int, t_bnd, x_bnd)
-        g = np.einsum("kn,n->k", feats, np.concatenate([*cotangent[0], cotangent[1]]))
-        params = np.asarray(params, dtype=float)
-        key, jac = self._jac
-        if key != params.tobytes():
-            jac = self.jacobian(params)
-        return self.spec.output_scale * np.einsum("pk,k->p", jac.reshape(-1, 9), g)
+        """``backward`` of one parameter row at the given points, with the ∂W
+        of a forward of that row kept or taken afresh."""
+        self._collocate(t_int, x_int, t_bnd, x_bnd)
+        key = np.asarray(params, dtype=float).tobytes()
+        if key != self._jac[0]:
+            self._jac = (key, self.jacobian(params))
+        return self.backward(cotangent)
 
 
 class _QuantumInspiredEvaluator(_SeparableEvaluator):
     """Dequantized evaluation: two 2×2 chains, never the 5-qubit simulator."""
 
     groups = (slice(0, 3), slice(3, 6))
+    # the chains θ₁ˣ, θ₂ˣ, θ₁ᵗ, θ₂ᵗ give the coefficients [a_x | a_t]; W_ij
+    # takes a_x[i] from column _X[i, j] and a_t[j] from column _T[i, j]
+    _plan = qsp.coefficient_plan([(0,), (1, 2), (3,), (4, 5)])
+    _X = np.array([[0, 0, 0], [1, 1, 1], [2, 2, 2]])
+    _T = np.array([[3, 4, 5]] * 3)
 
     @staticmethod
-    def coefficients(params):
-        """W = Re(A ⊗ B) with A = ½(a₁ + a₂) over x and B likewise over t."""
-        b = params.shape[0]
-        c0 = qsp.chain_coefficients(np.concatenate([params[:, 0:1], params[:, 3:4]]))
-        c1 = qsp.chain_coefficients(np.concatenate([params[:, 1:3], params[:, 4:6]]))
-        a = 0.5 * np.concatenate([c0, c1], axis=1)
-        return a[:b, :, None] * a[b:, None, :] * _RE_OUTER
+    def _angles(params):
+        return params
+
+    @classmethod
+    def coefficients(cls, params):
+        """W = Re(A ⊗ B) with A = ½(a₁ + a₂) over x and B likewise over t:
+        the plan's one cos, then two gathers and one product.  W must be
+        C-ordered, as every ``coefficients`` is: the einsum over ∂W's
+        reshape sums in memory order, and an F-ordered W of equal values
+        can round the gradient differently (``take`` keeps C order, where
+        ``c[:, self._X]`` would not)."""
+        c = qsp.plan_coefficients(cls._plan, cls._angles(params))
+        return c.take(cls._X, axis=1) * c.take(cls._T, axis=1) * _W_SIGNS
 
 
 class _QpinnEvaluator(_QuantumInspiredEvaluator):
     """Exact closed form from four 2×2 chains (module docstring)."""
 
     groups = (slice(0, 3), slice(3, 6), slice(6, 7))
+    # the angles [θˣ⊕λ | θᵗ | θˣ⊖λ]: column 0 of W from the x chains at +λ,
+    # columns 1 and 2 from the x chains at −λ
+    _plan = qsp.coefficient_plan([(0,), (1, 2), (3,), (4, 5), (6,), (7, 8)])
+    _X = np.array([[0, 6, 6], [1, 7, 7], [2, 8, 8]])
+    _ANGLES = [0, 1, 2, 3, 4, 5, 0, 1, 2]
+    _LAMBDA = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, -1.0])
 
-    @staticmethod
-    def coefficients(params):
-        """The quantum-inspired W with λ added to the x chains' last angles in
-        column 0 and subtracted in columns 1 and 2."""
-        b, lam = params.shape[0], params[:, 6:7]
-        shifted = np.concatenate([params[:, :6], params[:, :6]])
-        shifted[:, [0, 2]] += np.concatenate([lam, -lam])
-        w = _QuantumInspiredEvaluator.coefficients(shifted)
-        return np.concatenate([w[:b, :, :1], w[b:, :, 1:]], axis=2)
+    @classmethod
+    def _angles(cls, params):
+        """λ added to the x chains' last angles, then subtracted from them."""
+        return params[:, cls._ANGLES] + params[:, 6:7] * cls._LAMBDA
 
 
 class _CounterpartEvaluator(_SeparableEvaluator):
@@ -337,14 +366,15 @@ def _reverse(layers, records, cots) -> np.ndarray:
 
 
 class _FullyConnectedEvaluator:
-    """The tanh network: one ``_trace`` per parameter row; ``pullback`` runs
-    ``_reverse`` through the traces of the last row evaluated."""
+    """The tanh network: one ``_trace`` per parameter row; ``backward`` runs
+    ``_reverse`` through the traces of the last row ``batched_eval`` took."""
 
     groups = tuple(slice(lo, hi) for lo, hi in zip(_FC_BOUNDS, _FC_BOUNDS[1:]))
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
-        self._saved = (None,)   # (key of a row and its inputs, layers, records)
+        self._points = self._held = None   # the input channels and the key of their points
+        self._saved = (None,)   # (bytes of a row, layers, records)
 
     def _layers(self, row):
         return [(row[w].reshape(fi, fo), row[b])
@@ -358,9 +388,19 @@ class _FullyConnectedEvaluator:
         seeds[0, :, 1] = seeds[2, :, 0] = 1.0
         return (a, *seeds) if dual else (a,)
 
+    def _collocate(self, t_int, x_int, t_bnd, x_bnd):
+        """The held input channels of the interior (dual) and of the boundary,
+        rebuilt only when the points change, which drops the kept traces."""
+        points = _points_key(t_int, x_int, t_bnd, x_bnd)
+        if points != self._points:
+            self._held = (self._inputs(t_int, x_int, True), self._inputs(t_bnd, x_bnd, False))
+            self._points, self._saved = points, (None,)
+        return self._held
+
     def _eval(self, params2d, *inputs):
         """Scaled (channels, B, N) outputs of every parameter row, one array
-        per channel tuple in ``inputs``; keeps the last row's traces."""
+        per channel tuple in ``inputs``, and the last row's (bytes, layers,
+        records)."""
         params2d = np.atleast_2d(params2d)
         outs = [np.empty((len(c), params2d.shape[0], c[0].shape[0])) for c in inputs]
         for r, row in enumerate(params2d):
@@ -368,31 +408,39 @@ class _FullyConnectedEvaluator:
             traces = [_trace(layers, chans) for chans in inputs]
             for out, (z, _) in zip(outs, traces):
                 out[:, r] = [c[:, 0] for c in z]
-        self._saved = (_points_key(row, *(c[0] for c in inputs)), layers, [r for _, r in traces])
-        return [self.spec.output_scale * out for out in outs]
+        return ([self.spec.output_scale * out for out in outs],
+                (row.tobytes(), layers, [r for _, r in traces]))
 
     def values(self, params, t, x):
-        return self._eval(params, self._inputs(t, x, False))[0][0]
+        return self._eval(params, self._inputs(t, x, False))[0][0][0]
 
     def bundles(self, params, t, x):
-        (v, v_x, v_xx, v_t), = self._eval(params, self._inputs(t, x, True))
+        (v, v_x, v_xx, v_t), = self._eval(params, self._inputs(t, x, True))[0]
         return v, v_t, v_x, v_xx
 
     def batched_eval(self, params2d, t_int, x_int, t_bnd, x_bnd):
-        (v, v_x, v_xx, v_t), (bnd,) = self._eval(
-            params2d, self._inputs(t_int, x_int, True), self._inputs(t_bnd, x_bnd, False))
+        """As ``_SeparableEvaluator.batched_eval``; keeps the traces of the
+        last row for ``backward``."""
+        outs, self._saved = self._eval(params2d, *self._collocate(t_int, x_int, t_bnd, x_bnd))
+        (v, v_x, v_xx, v_t), (bnd,) = outs
         return (v, v_t, v_x, v_xx), bnd
 
-    def pullback(self, params, t_int, x_int, t_bnd, x_bnd, cotangent) -> np.ndarray:
-        """As ``_SeparableEvaluator.pullback``, by the reverse pass through
-        the traces of this row if the last evaluation kept them."""
-        inputs = (self._inputs(t_int, x_int, True), self._inputs(t_bnd, x_bnd, False))
-        if self._saved[0] != _points_key(params, *(c[0] for c in inputs)):
-            self._eval(params, *inputs)
-        (g_v, g_t, g_x, g_xx), g_bnd = cotangent
-        cots = [(g_v, g_x, g_xx, g_t), (g_bnd,)]
+    def backward(self, cotangent) -> np.ndarray:
+        """As ``_SeparableEvaluator.backward``, by the reverse pass through
+        the kept traces."""
+        n = len(self._held[0][0])
+        g_v, g_t, g_x, g_xx = (cotangent[lo:lo + n] for lo in range(0, 4 * n, n))
+        cots = [(g_v, g_x, g_xx, g_t), (cotangent[4 * n:],)]
         cots = [tuple(self.spec.output_scale * np.reshape(g, (-1, 1)) for g in c) for c in cots]
         return _reverse(*self._saved[1:], cots)
+
+    def pullback(self, params, t_int, x_int, t_bnd, x_bnd, cotangent) -> np.ndarray:
+        """As ``_SeparableEvaluator.pullback``: the traces of this row are
+        kept or taken afresh."""
+        inputs = self._collocate(t_int, x_int, t_bnd, x_bnd)
+        if np.asarray(params, dtype=float).tobytes() != self._saved[0]:
+            self._saved = self._eval(params, *inputs)[1]
+        return self.backward(cotangent)
 
 
 _EVALUATORS = {

@@ -120,7 +120,64 @@ def _sign_patterns(d: int) -> tuple[np.ndarray, np.ndarray]:
     """½·sᵀ for the 2^d sign patterns s ∈ {±1}^(d+1) with s₀ = +1, (d+1, 2^d),
     and the one-hot rows of their sign-change counts, (2^d, d+1)."""
     s = np.array([(1,) + p for p in iter_product((1, -1), repeat=d)], dtype=float)
-    return 0.5 * s.T, np.eye(d + 1)[np.count_nonzero(s[:, 1:] != s[:, :-1], axis=1)]
+    out = 0.5 * s.T, np.eye(d + 1)[np.count_nonzero(s[:, 1:] != s[:, :-1], axis=1)]
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+class CoefficientPlan(NamedTuple):
+    """The path sums of several chains, laid out once for ``plan_coefficients``.
+
+    ``index`` gathers the chains' angles from a parameter row in chain order
+    (a slice when they are consecutive columns), ``half_signs`` holds each
+    chain's ½·sᵀ rows on the block diagonal, and ``by_changes`` sums patterns
+    into coefficients, block-diagonally; it is None when every chain has
+    degree ≤ 1, where each pattern is its own coefficient.
+    """
+    index: slice | np.ndarray
+    half_signs: np.ndarray
+    by_changes: np.ndarray | None
+
+
+def _block_diag(mats) -> np.ndarray:
+    """``mats`` on the diagonal of a zero matrix; one matrix is returned as it
+    is, since its memory layout fixes the order of ``plan_coefficients``'s sums."""
+    if len(mats) == 1:
+        return mats[0]
+    out = np.zeros(tuple(map(sum, zip(*(m.shape for m in mats)))))
+    r = c = 0
+    for m in mats:
+        out[r:r + m.shape[0], c:c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
+    out.flags.writeable = False
+    return out
+
+
+def coefficient_plan(chains) -> CoefficientPlan:
+    """The plan of chains whose angles sit in the given columns of a parameter
+    row, one sequence of columns per chain (degree = length − 1)."""
+    chains = [np.asarray(c, dtype=np.intp).reshape(-1) for c in chains]
+    half_signs, by_changes = zip(*(_sign_patterns(len(c) - 1) for c in chains))
+    index = np.concatenate(chains)
+    if np.array_equal(index, np.arange(index[0], index[0] + index.size)):
+        index = slice(int(index[0]), int(index[0]) + index.size)
+    return CoefficientPlan(index, _block_diag(half_signs),
+                           None if max(map(len, chains)) <= 2 else _block_diag(by_changes))
+
+
+def plan_coefficients(plan: CoefficientPlan, params) -> np.ndarray:
+    """The real (B, n) coefficients of the planned chains on (B, P) parameter
+    rows, chain after chain: one gather, one einsum and one ``cos`` (and a
+    second einsum when a chain has degree > 1)."""
+    index, half_signs, by_changes = plan
+    c = np.cos(np.einsum("bj,jp->bp", params[:, index], half_signs))
+    return c if by_changes is None else np.einsum("bp,pc->bc", c, by_changes)
+
+
+@lru_cache(maxsize=None)
+def _chain_plan(k: int) -> CoefficientPlan:
+    return coefficient_plan([range(k)])
 
 
 def chain_coefficients(thetas) -> np.ndarray:
@@ -134,12 +191,11 @@ def chain_coefficients(thetas) -> np.ndarray:
     angle θⱼ contributing e^{i·sⱼ·θⱼ/2} and each sign flip an off-diagonal
     step; pairing s with −s makes C real: C_b(θ) = Σ cos(½·s·θ) over the
     2^d patterns with s₀ = +1 and b sign changes.  ``thetas``: (k,) or
-    (B, k) angles; returns real (B, d+1).
+    (B, k) angles; returns real (B, d+1).  This is the one-chain case of
+    ``plan_coefficients``.
     """
     th = np.atleast_2d(np.asarray(thetas, dtype=float))
-    half_signs, by_changes = _sign_patterns(th.shape[1] - 1)
-    phases = np.einsum("bj,jp->bp", th, half_signs)
-    return np.einsum("bp,pc->bc", np.cos(phases), by_changes)
+    return plan_coefficients(_chain_plan(th.shape[1]), th)
 
 
 def _powers(z: tuple, n: int, ones: tuple) -> list[tuple]:

@@ -1,10 +1,14 @@
 """LAMB training runs, the 3-phase learning-rate schedule, and aggregation.
 
-An epoch evaluates the parameters once, reduces their loss exactly, and
-takes the exact gradient: the evaluator's ``pullback`` of the loss's
-derivative on its outputs (finite differences stay the oracle).  Runs are
-deterministic per seed: the collocation set is drawn once, parameters are
-drawn from a spawned child seed, and every reduction has a fixed order.
+Every epoch of every model is one path: one forward (``batched_eval`` of
+the parameter row into one flat output row at the run's collocation
+points, whose features the evaluator holds), one loss-and-cotangent pass
+(``Objective.loss_and_cotangent``: one ``tolist`` and three exact
+``math.fsum`` sums, and the loss's derivative on the outputs as one flat
+cotangent), one ``backward`` to the exact gradient, and one LAMB step
+(finite differences stay the oracle).  Runs are deterministic per seed:
+the collocation set is drawn once, parameters are drawn from a spawned
+child seed, and every reduction has a fixed order.
 """
 from __future__ import annotations
 
@@ -79,21 +83,23 @@ class AggregateStats:
 def lamb_step(params, grads, lr: float, groups, *, eps: float = 1e-6) -> np.ndarray:
     """One LAMB update with β = (0, 0) and no weight decay; returns the new params.
 
-    update u = g/(√(g²)+ε) per coordinate, scaled per group by the trust
-    ratio ‖w‖/‖u‖ (1 when either norm vanishes).  With both moment decays at
-    zero, LAMB's moments are m = g and v = g², so no optimizer state is kept.
+    update u = g/(√(g²)+ε) per coordinate, taken as g/(|g|+ε), which is
+    the same number wherever g² neither overflows nor underflows and stays
+    finite where it would; scaled per group by the trust ratio ‖w‖/‖u‖ (1
+    when either norm vanishes).  With both moment decays at zero, LAMB's
+    moments are m = g and v = g², so no optimizer state is kept.
     """
     params = np.asarray(params, dtype=float)
     grads = np.asarray(grads, dtype=float)
-    if not np.all(np.isfinite(grads)):
+    if not np.isfinite(grads).all():
         raise TrainingAbortError("non-finite gradient")
-    update = grads / (np.sqrt(grads**2) + eps)
+    update = grads / (np.abs(grads) + eps)
     out = params.copy()
     for g in groups:
         p, u = params[g], update[g]
         wn, un = math.sqrt(p.dot(p)), math.sqrt(u.dot(u))
         trust = wn / un if wn > 0 and un > 0 else 1.0
-        out[g] = params[g] - lr * trust * update[g]
+        out[g] = p - lr * trust * u
     return out
 
 
@@ -102,51 +108,76 @@ class Objective:
 
     ``points`` = (t_int, x_int, t_bnd, x_bnd) for ``batched_eval``: the
     interior, then the terminal points (t = T) and the lateral ones (x = 1).
+    The errors are the residuals and then the boundary errors; each loss
+    term is the weighted mean square of one span of them.
     """
 
     def __init__(self, colloc: merton.CollocationSet, w: merton.LossWeights,
                  m: merton.MarketParams):
         t_i, x_i = colloc.interior[:, 0], colloc.interior[:, 1]
-        n_b = len(colloc.terminal_x)
+        n, n_b = len(x_i), len(colloc.terminal_x)
         self.points = (t_i, x_i, np.concatenate([np.full(n_b, m.T), colloc.lateral_t]),
                        np.concatenate([colloc.terminal_x, np.ones(n_b)]))
         self.target = np.concatenate([merton.terminal_target(colloc.terminal_x, m),
                                       merton.lateral_target(colloc.lateral_t, m)])
-        self.m, self.widths, self.w = m, (len(x_i), n_b, n_b), (w.w_d, w.w_1, w.w_2)
+        self.m, self.x, self.n = m, x_i, n
+        # (weight, count, first, end) of l_d, l_1b and l_2b over the errors
+        self.spans = ((w.w_d, n, 0, n), (w.w_1, n_b, n, n + n_b),
+                      (w.w_2, n_b, n + n_b, n + 2 * n_b))
         # ∂loss/∂error = 2·(w/n)·error; r·x and θ² enter ∂res/∂(v_t, v_x, v_xx)
-        self.err_weight = np.repeat(2.0 * np.divide(self.w, self.widths), self.widths)
+        self.err_weight = np.repeat([2.0 * (wt / k) for wt, k, _, _ in self.spans],
+                                    [k for _, k, _, _ in self.spans])
         self.rx, self.theta2 = m.r * x_i, ((m.mu - m.r) / m.sigma) ** 2
+        self.zeros = np.zeros(n)
+
+    def _errors(self, v_t, v_x, v_xx, bnd):
+        return np.concatenate([merton.hjb_residual_arrays(v_t, v_x, v_xx, self.x, self.m),
+                               bnd - self.target], axis=-1)
+
+    def _terms(self, squares: list) -> list:
+        """(l_d, l_1b, l_2b) of one row of squared errors, by exact sums."""
+        return [wt * math.fsum(squares[lo:hi]) / k for wt, k, lo, hi in self.spans]
 
     def terms(self, outputs):
-        """(l_d, l_1b, l_2b), one entry per row of the ``batched_eval``
-        ``outputs``, by one exact ``fsum_rows``; and the errors they square."""
-        (_, v_t, v_x, v_xx), f_bnd = outputs
-        err = np.concatenate([merton.hjb_residual_arrays(v_t, v_x, v_xx, self.points[1], self.m),
-                              f_bnd - self.target], axis=-1)
-        sums = merton.fsum_rows(err * err, self.widths)
-        return tuple(wt * sums[:, k] / n for k, (wt, n) in enumerate(zip(self.w, self.widths))), err
+        """(l_d, l_1b, l_2b) arrays, one entry per row of ``batched_eval``'s
+        ``outputs``."""
+        (_, v_t, v_x, v_xx), bnd = outputs
+        err = self._errors(v_t, v_x, v_xx, bnd)
+        rows = [self._terms(squares) for squares in (err * err).tolist()]
+        return tuple(np.array(rows).reshape(-1, 3).T.copy())
 
-    def cotangent(self, outputs, err):
-        """∂(l_d + l_1b + l_2b) on row 0 of ``outputs``, for ``pullback``: the chain
-        rule through the boundary errors and res = v_t·v_xx + r·x·v_x·v_xx − ½θ²·v_x²."""
-        v_t, v_x, v_xx = (c[0] for c in outputs[0][1:])
-        g = self.err_weight * err[0]
-        res = g[:self.widths[0]]
-        return ((np.zeros_like(v_t), res * v_xx, res * (self.rx * v_xx - self.theta2 * v_x),
-                 res * (v_t + self.rx * v_x)), g[self.widths[0]:])
+    def loss_and_cotangent(self, outputs):
+        """The (l_d, l_1b, l_2b) floats of row 0 of ``batched_eval``'s
+        ``outputs``, and ∂(l_d + l_1b + l_2b) on that row for ``backward``:
+        one flat row laid out as the outputs (v, v_t, v_x, v_xx, boundary),
+        by the chain rule through the boundary errors and the residual
+        res = v_t·v_xx + r·x·v_x·v_xx − ½θ²·v_x².  The cotangent is None
+        when the loss is not finite."""
+        (_, v_t, v_x, v_xx), bnd = outputs
+        v_t, v_x, v_xx = v_t[0], v_x[0], v_xx[0]
+        err = self._errors(v_t, v_x, v_xx, bnd[0])
+        terms = self._terms((err * err).tolist())
+        if not math.isfinite(terms[0] + terms[1] + terms[2]):
+            return terms, None
+        g = self.err_weight * err
+        res = g[:self.n]
+        return terms, np.concatenate([self.zeros, res * v_xx,
+                                      res * (self.rx * v_xx - self.theta2 * v_x),
+                                      res * (v_t + self.rx * v_x), g[self.n:]])
 
 
 def loss_terms(evaluator, params2d, colloc: merton.CollocationSet,
                w: merton.LossWeights, m: merton.MarketParams):
     """(l_d, l_1b, l_2b) arrays, one row per parameter vector in the batch."""
     obj = Objective(colloc, w, m)
-    return obj.terms(evaluator.batched_eval(params2d, *obj.points))[0]
+    return obj.terms(evaluator.batched_eval(params2d, *obj.points))
 
 
 def run_training(evaluator, init: np.ndarray, cfg: TrainConfig,
                  m: merton.MarketParams, w: merton.LossWeights, seed: int) -> RunLog:
-    """Core training loop over a prepared evaluator and initial parameters
-    (an evaluator without parameters needs no ``pullback``)."""
+    """Core training loop over a prepared evaluator and initial parameters,
+    one epoch as the module docstring describes (an evaluator without
+    parameters needs no ``backward``)."""
     colloc = merton.sample_collocation(seed, cfg.n_interior, cfg.n_boundary, m.T)
     obj = Objective(colloc, w, m)
     params = np.asarray(init, dtype=float).copy()
@@ -154,18 +185,15 @@ def run_training(evaluator, init: np.ndarray, cfg: TrainConfig,
     log = RunLog(seed=seed, losses=[], lrs=[], wall_ms=[], final_params=params)
     for epoch in range(cfg.epochs):
         tic = time.perf_counter()
-        outputs = evaluator.batched_eval(params[None, :], *obj.points)
-        terms, err = obj.terms(outputs)
-        breakdown = merton.LossBreakdown(*(float(t[0]) for t in terms))
+        terms, cot = obj.loss_and_cotangent(evaluator.batched_eval(params[None, :], *obj.points))
         lr = lr_at(epoch)
-        log.losses.append(breakdown)
+        log.losses.append(merton.LossBreakdown(*terms))
         log.lrs.append(lr)
         try:
-            if not math.isfinite(breakdown.total):
+            if cot is None:
                 raise TrainingAbortError("non-finite loss")
-            grads = (evaluator.pullback(params, *obj.points, obj.cotangent(outputs, err))
-                     if n else np.zeros(0))
-            params = lamb_step(params, grads, lr, evaluator.groups, eps=cfg.eps)
+            params = lamb_step(params, evaluator.backward(cot) if n else np.zeros(0), lr,
+                               evaluator.groups, eps=cfg.eps)
         except TrainingAbortError as exc:
             log.aborted = f"{exc} at epoch {epoch}"
             log.wall_ms.append(1e3 * (time.perf_counter() - tic))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpinn import circuits as cir
-from qpinn import models, qsp, verify
+from qpinn import duals, models, qsp, verify
 from qpinn.errors import DomainError
 from qpinn.models import ModelSpec
 
@@ -295,6 +295,46 @@ def test_qpinn_at_lambda_zero_is_quantum_inspired_property(stack, t, x):
     for i in range(len(stack)):
         assert all(np.array_equal(a[i], b[i]) for a, b in zip(qp_b + (qp_bnd,), qi_b + (qi_bnd,)))
     assert np.array_equal(qp.jacobian(with_lam[0])[:6], qi.jacobian(stack[0]))
+
+
+_RE_OUTER = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
+
+
+def _per_chain_coefficients(kind, params):
+    """The oracle: W assembled from one ``qsp.chain_coefficients`` call per
+    chain degree.  quantum_inspired: a = ½·[C(θ₁), C(θ₂)] per variable and
+    W = Re(a_x ⊗ a_t); qpinn: that W on the angles with +λ and with −λ on
+    the x chains' last angles, column 0 from the first, columns 1–2 from the
+    second."""
+    if kind == "qpinn":
+        b, lam = params.shape[0], params[:, 6:7]
+        shifted = np.concatenate([params[:, :6], params[:, :6]])
+        shifted[:, [0, 2]] += np.concatenate([lam, -lam])
+        w = _per_chain_coefficients("quantum_inspired", shifted)
+        return np.concatenate([w[:b, :, :1], w[b:, :, 1:]], axis=2)
+    b = params.shape[0]
+    c0 = qsp.chain_coefficients(np.concatenate([params[:, 0:1], params[:, 3:4]]))
+    c1 = qsp.chain_coefficients(np.concatenate([params[:, 1:3], params[:, 4:6]]))
+    a = 0.5 * np.concatenate([c0, c1], axis=1)
+    return a[:b, :, None] * a[b:, None, :] * _RE_OUTER
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(rows=st.lists(st.lists(st.floats(-50.0, 50.0), min_size=7, max_size=7),
+                     min_size=1, max_size=30).map(np.array))
+def test_fused_coefficients_equal_the_per_chain_assembly_property(rows):
+    # one gather, one einsum and one cos give W bit for bit, and every W is
+    # C-ordered: the gradient's einsum over ∂W sums in memory order
+    for kind in ("qpinn", "quantum_inspired", "counterpart"):
+        ev = models.make_evaluator(ModelSpec(kind))
+        params = rows[:, :ev.spec.n_params]
+        stacks = (params, params[:1] + ev._shifts)
+        for stack in stacks:
+            got = ev.coefficients(stack)
+            assert got.shape == (len(stack), 3, 3) and got.flags.c_contiguous
+            if kind != "counterpart":
+                assert np.array_equal(got, _per_chain_coefficients(kind, stack))
+        assert np.array_equal(stacks[1], duals.shift_stack(params[0], np.pi))
 
 
 @PROPERTY

@@ -509,3 +509,32 @@ def test_synthesis_jacobian_matches_fd_property(th, xs):
         dn[j] -= h
         fd = (qsp.chain_value(up, xs)[0] - qsp.chain_value(dn, xs)[0]) / (2 * h)
         assert np.max(np.abs(jac[:, j] - fd)) <= 1e-8
+
+
+def test_chain_coefficients_keep_the_one_chain_sums():
+    # the one-chain plan sums in the memory order of the ½·sᵀ and one-hot
+    # matrices, so it is bit-identical to the two einsums over them
+    rng = np.random.default_rng(83)
+    for degree in range(7):
+        half_signs, by_changes = qsp._sign_patterns(degree)
+        for th in (rng.uniform(-50.0, 50.0, (9, degree + 1)),
+                   np.asfortranarray(rng.uniform(-50.0, 50.0, (4, degree + 1)))):
+            want = np.einsum("bp,pc->bc", np.cos(np.einsum("bj,jp->bp", th, half_signs)),
+                             by_changes)
+            assert np.array_equal(qsp.chain_coefficients(th), want)
+
+
+@PROPERTY
+@given(degrees=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+       rows=st.integers(1, 5), seed=st.integers(0, 2**16))
+def test_coefficient_plan_matches_each_chain_property(degrees, rows, seed):
+    # chains on shuffled columns give each chain's coefficients, in chain order
+    rng = np.random.default_rng(seed)
+    cols = np.split(rng.permutation(sum(degrees) + len(degrees)),
+                    np.cumsum([d + 1 for d in degrees])[:-1])
+    params = rng.uniform(-50.0, 50.0, (rows, sum(degrees) + len(degrees)))
+    got = qsp.plan_coefficients(qsp.coefficient_plan(cols), params)
+    want = np.concatenate([qsp.chain_coefficients(params[:, c]) for c in cols], axis=1)
+    if max(degrees) <= 1:   # at most two phase terms: every summation order agrees
+        assert np.array_equal(got, want)
+    assert np.max(np.abs(got - want)) <= 1e-13

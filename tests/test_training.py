@@ -78,6 +78,14 @@ def test_lamb_nonfinite_gradient():
         lamb_step(np.ones(2), np.array([1.0, np.nan]), 1e-2, [slice(0, 2)])
 
 
+def test_lamb_steps_a_gradient_whose_square_overflows():
+    # g² overflows past |g| ≈ 1.3e154: u = g/(|g| + ε) still moves the coordinate
+    out = lamb_step([1.0, 2.0, 3.0], [1e200, 1.0, -1.0], 0.1, [slice(0, 3)])
+    assert out[0] < 1.0 and out[1] < 2.0 and out[2] > 3.0
+    np.testing.assert_array_equal(
+        out, lamb_step([1.0, 2.0, 3.0], [1e100, 1.0, -1.0], 0.1, [slice(0, 3)]))
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -256,12 +264,11 @@ def test_loss_terms_follow_changed_and_mutated_points(kind):
 
 
 def _exact_gradient(ev, params, colloc, w, m):
-    """The gradient one training epoch takes: one forward row, the loss
-    cotangent and the evaluator's pullback."""
+    """The gradient one training epoch takes: one forward row, the loss and
+    its flat cotangent, and the evaluator's backward."""
     obj = training.Objective(colloc, w, m)
-    out = ev.batched_eval(params[None, :], *obj.points)
-    _, err = obj.terms(out)
-    return ev.pullback(params, *obj.points, obj.cotangent(out, err))
+    _, cot = obj.loss_and_cotangent(ev.batched_eval(params[None, :], *obj.points))
+    return ev.backward(cot)
 
 
 def _fd_loss_gradient(spec, params, colloc, w, m):
@@ -327,10 +334,9 @@ def test_pullback_follows_changed_and_mutated_points(kind):
         want = _exact_gradient(models.make_evaluator(spec), params, colloc, w, m)
         np.testing.assert_array_equal(_exact_gradient(ev, params, colloc, w, m), want)
         obj = training.Objective(colloc, w, m)
-        out = models.make_evaluator(spec).batched_eval(params[None, :], *obj.points)
-        _, err = obj.terms(out)
+        _, cot = obj.loss_and_cotangent(
+            models.make_evaluator(spec).batched_eval(params[None, :], *obj.points))
         ev.batched_eval(other[None, :], *obj.points)   # a forward of other parameters
-        cot = obj.cotangent(out, err)
         np.testing.assert_array_equal(ev.pullback(params, *obj.points, cot), want)
         row = params.copy()
         ev.batched_eval(row[None, :], *obj.points)
@@ -350,22 +356,37 @@ def test_pullback_follows_changed_and_mutated_points(kind):
 @pytest.mark.parametrize("kind", models.KINDS)
 def test_training_evaluates_one_row_per_epoch_and_no_fd(kind, monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("training must not take finite differences")
+        raise AssertionError("an epoch takes no finite differences and no keyed pullback")
 
     for module, name in ((training, "loss_terms"), (duals, "fd_stack"), (duals, "fd_gradient")):
         monkeypatch.setattr(module, name, forbidden)
     spec = ModelSpec(kind)
     ev = models.make_evaluator(spec)
-    rows = []
-    real = ev.batched_eval
+    ev.pullback = ev.jacobian = forbidden
+    calls = {"rows": [], "loss_and_cotangent": 0, "backward": 0, "lamb_step": 0, "features": 0}
 
-    def counting(params2d, *points):
-        rows.append(np.atleast_2d(params2d).shape[0])
-        return real(params2d, *points)
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
 
-    ev.batched_eval = counting
+    real_eval = ev.batched_eval
+
+    def batched_eval(params2d, *points):
+        calls["rows"].append(np.atleast_2d(params2d).shape[0])
+        return real_eval(params2d, *points)
+
+    ev.batched_eval, ev.backward = batched_eval, counted("backward", ev.backward)
+    monkeypatch.setattr(training.Objective, "loss_and_cotangent",
+                        counted("loss_and_cotangent", training.Objective.loss_and_cotangent))
+    monkeypatch.setattr(training, "lamb_step", counted("lamb_step", training.lamb_step))
+    # the collocation features (the network's input channels) are built once a run
+    builder = "_inputs" if kind == "fully_connected" else "_features"
+    monkeypatch.setattr(type(ev), builder,
+                        staticmethod(counted("features", getattr(type(ev), builder))))
     # the chain models and the counterpart build W and ∂W in one coefficients
-    # call on the ±π shift rows, and pullback reuses that ∂W
+    # call on the ±π shift rows, and backward uses that ∂W
     coefficients = []
     if kind != "fully_connected":
         real_coefficients = type(ev).coefficients
@@ -377,7 +398,9 @@ def test_training_evaluates_one_row_per_epoch_and_no_fd(kind, monkeypatch):
         monkeypatch.setattr(type(ev), "coefficients", staticmethod(counting_coefficients))
     m, w = merton.MarketParams(), merton.LossWeights()
     log = training.run_training(ev, models.init_params(spec, 1), TrainConfig(epochs=4), m, w, 0)
-    assert log.aborted is None and rows == [1] * 4
+    assert log.aborted is None and calls["rows"] == [1] * 4
+    assert calls["loss_and_cotangent"] == calls["backward"] == calls["lamb_step"] == 4
+    assert calls["features"] == (2 if kind == "fully_connected" else 1)
     if kind != "fully_connected":
         assert coefficients == [2 * spec.n_params + 1] * 4
     # epoch 0 logs the loss of the initial parameters exactly
@@ -385,11 +408,27 @@ def test_training_evaluates_one_row_per_epoch_and_no_fd(kind, monkeypatch):
                             merton.sample_collocation(0, 50, 50), w, m)
     for got, want in zip(astuple(log.losses[0]), astuple(ref)):
         assert abs(got - want) <= 1e-12 * abs(want)
-    # evaluators without parameters train with no pullback at all
-    assert not hasattr(_FrozenAnalytical, "pullback")
+    # evaluators without parameters train with no backward at all
+    assert not hasattr(_FrozenAnalytical, "backward")
     frozen = training.run_training(_FrozenAnalytical(m), np.zeros(0), TrainConfig(epochs=3),
                                    m, w, 0)
     assert frozen.aborted is None and len(frozen.losses) == 3
+
+
+@pytest.mark.parametrize("kind", models.KINDS)
+def test_logged_losses_are_loss_terms_at_each_epochs_parameters(kind):
+    # epoch e logs the loss at the parameters after e steps: the initial
+    # parameters, then checkpoint e; loss_terms evaluates them as one stack
+    spec = ModelSpec(kind)
+    m, w = merton.MarketParams(), merton.LossWeights()
+    init = models.init_params(spec, 4)
+    log = training.run_training(models.make_evaluator(spec), init,
+                                TrainConfig(epochs=50, checkpoint_every=1), m, w, 7)
+    assert log.aborted is None and [e for e, _ in log.checkpoints] == list(range(1, 51))
+    stack = np.stack([init] + [p for _, p in log.checkpoints[:-1]])
+    terms = training.loss_terms(models.make_evaluator(spec), stack,
+                                merton.sample_collocation(7, 50, 50), w, m)
+    assert [astuple(lb) for lb in log.losses] == list(zip(*(t.tolist() for t in terms)))
 
 
 @pytest.mark.parametrize("kind", ["qpinn", "quantum_inspired", "counterpart"])
@@ -400,18 +439,19 @@ def test_kept_jacobian_trains_as_a_fresh_jacobian(kind):
     runs = []
     for forced in (False, True):
         ev = models.make_evaluator(spec)
-        real_jacobian, real_pullback, jacobians = ev.jacobian, ev.pullback, []
+        real_jacobian, real_eval, jacobians = ev.jacobian, ev.batched_eval, []
 
         def jacobian(params):
             jacobians.append(1)
             return real_jacobian(params)
 
-        def pullback(*args):
-            if forced:
-                ev._jac = (None, None)   # forget the kept ∂W
-            return real_pullback(*args)
+        def batched_eval(params2d, *points):
+            out = real_eval(params2d, *points)
+            if forced:   # replace the kept ∂W by a fresh jacobian of the row
+                ev._jac = (None, jacobian(params2d[0]))
+            return out
 
-        ev.jacobian, ev.pullback = jacobian, pullback
+        ev.jacobian, ev.batched_eval = jacobian, batched_eval
         log = training.run_training(ev, models.init_params(spec, 2), TrainConfig(epochs=200),
                                     m, w, 3)
         assert log.aborted is None and len(jacobians) == (200 if forced else 0)
