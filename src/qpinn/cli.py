@@ -277,12 +277,11 @@ def cmd_train(cfg: dict) -> int:
     market = merton.MarketParams(**cfg["market"])
     weights = merton.LossWeights(**cfg["weights"])
     tcfg = training.TrainConfig(
-        epochs=cfg["epochs"], n_runs=cfg["n_runs"], base_seed=cfg["base_seed"],
-        eps=cfg["eps"], n_interior=cfg["n_interior"], n_boundary=cfg["n_boundary"],
-        checkpoint_every=cfg["checkpoint_every"],
+        epochs=cfg["epochs"], eps=cfg["eps"], n_interior=cfg["n_interior"],
+        n_boundary=cfg["n_boundary"], checkpoint_every=cfg["checkpoint_every"],
     )
-    jobs = [(kind, cfg["output_scale"], tcfg, market, weights, tcfg.base_seed + i)
-            for kind in cfg["models"] for i in range(tcfg.n_runs)]
+    jobs = [(kind, cfg["output_scale"], tcfg, market, weights, cfg["base_seed"] + i)
+            for kind in cfg["models"] for i in range(cfg["n_runs"])]
     workers = _pool_size(len(jobs))
     out = Path(cfg["out_dir"])
     try:
@@ -311,11 +310,11 @@ def cmd_train(cfg: dict) -> int:
     for kind in cfg["models"]:
         logs = [log for k, _, log in results if k == kind]
         seeds = [s for k, s, _ in results if k == kind]
-        spec_for_kind = models.ModelSpec(kind, output_scale=cfg["output_scale"])
+        spec = models.ModelSpec(kind, output_scale=cfg["output_scale"])
         for s, log in zip(seeds, logs):
             training.write_run_csv(out / "runs" / f"{kind}_seed{s}.csv", log)
             for epoch, params in log.checkpoints:
-                doc = models.params_to_json_dict(spec_for_kind, params)
+                doc = models.params_to_json_dict(spec, params)
                 doc["epoch"] = epoch
                 (out / "runs" / f"{kind}_seed{s}_ckpt{epoch}.json").write_text(
                     json.dumps(doc))
@@ -327,7 +326,6 @@ def cmd_train(cfg: dict) -> int:
             training.write_aggregate_csv(out / f"{kind}_aggregate.csv", agg)
             finals = [log.losses[-1].total for log in complete]
             best = complete[int(np.argmin(finals))]
-            spec = models.ModelSpec(kind, output_scale=cfg["output_scale"])
             fn = models.ModelFunction(spec, best.final_params)
             surf = fn.values(tg.ravel(), xg.ravel())
             _write_surface(out / f"surface_{kind}.csv", t_grid, grid, surf)

@@ -45,11 +45,10 @@ and its derivatives.  The chain models' W comes from one
 chain's coefficients in one gather, one einsum and one ``cos`` (the QPINN
 appends its ±λ-shifted x angles first), and two gathers and a product
 place them in W, which is C-ordered.  ``backward``, the exact gradient of a
-flat cotangent on one row's outputs, contracts it with the held features
-and then with the ∂W/∂θ its forward kept: the ±π shift rule for the chains
-(each angle enters W as e^{±iθ/2}), a central difference for the bilinear
-counterpart.  ``pullback`` is the same gradient for a row and points given
-explicitly.
+flat cotangent on the outputs of the last one-row ``batched_eval``,
+contracts it with the held features and then with the ∂W/∂θ that forward
+kept: the ±π shift rule for the chains (each angle enters W as
+e^{±iθ/2}), a central difference for the bilinear counterpart.
 
 The network runs forward mode on channel tuples, ``(v,)`` for values and
 (v, v_x, v_xx, v_t) for derivatives (v_t rides along as a first derivative
@@ -140,6 +139,25 @@ def _points_key(*arrays) -> tuple:
     return tuple(np.asarray(p, dtype=float).tobytes() for p in arrays)
 
 
+class _Evaluator:
+    """An evaluator that holds what its ``_build`` makes of the collocation
+    points (t_int, x_int, t_bnd, x_bnd) and rebuilds it only when a point
+    array is replaced or mutated, so a training run builds it once.
+
+    ``backward`` differentiates the last ``batched_eval``, which must be of
+    one parameter row, at the row and the points as that forward saw them:
+    the forward keeps its own copy of what the gradient needs."""
+
+    _points = _held = None   # ``_held`` and the ``_points_key`` of its points
+
+    def _collocate(self, t_int, x_int, t_bnd, x_bnd):
+        points = _points_key(t_int, x_int, t_bnd, x_bnd)
+        if points != self._points:
+            self._held = self._build(t_int, x_int, t_bnd, x_bnd)
+            self._points = points
+        return self._held
+
+
 def _psi(u, order: int, square: bool = False) -> np.ndarray:
     """ψ(u) = [1, u, q] and ``order`` derivatives, an (order + 1, 3, N) array:
     q = s = √(1 − u²) for the chains (q′ = −u/s, q″ = −1/s³), or q = u² when
@@ -169,16 +187,14 @@ def _psi(u, order: int, square: bool = False) -> np.ndarray:
 _W_SIGNS = 0.25 * np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
 
 
-class _SeparableEvaluator:
+class _SeparableEvaluator(_Evaluator):
     """A model Σ_ij W_ij(θ)·ψ_i(x)·ψ_j(t), scaled by output_scale.
 
     Subclasses supply ``coefficients(params2d)``, the real (B, 3, 3) matrix
     W; every output is W contracted with a feature matrix F of ψ products
-    (the module docstring).  The evaluator holds F for the collocation
-    points it was last given and rebuilds it only when a point array
-    changes, so a training run builds it once.  A one-row ``batched_eval``,
-    a training epoch's forward, takes W and ∂W/∂θ from one ``coefficients``
-    call on the row's ±π shift stack and keeps ∂W for ``backward``.
+    (the module docstring), held for the collocation points.  A one-row
+    ``batched_eval``, a training epoch's forward, takes W and ∂W/∂θ from
+    ``_w_and_jac`` and keeps ∂W for ``backward``.
     """
 
     square = False   # ψ₂ = u² rather than √(1 − u²)
@@ -186,8 +202,7 @@ class _SeparableEvaluator:
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
-        self._points = self._feats = None   # ``_feats`` and the key of its points
-        self._jac = (None, None)   # (bytes of a row, its ``jacobian``)
+        self._jac = None   # ∂W/∂θ of the last one-row forward
         # added to a row, its ``duals.shift_stack(row, π)``: −0.0 leaves every
         # angle as it is, −0.0 among them
         self._shifts = duals.shift_stack(np.full(self.groups[-1].stop, -0.0), np.pi)
@@ -207,15 +222,11 @@ class _SeparableEvaluator:
         (px, dpx, ddpx), (pt, dpt) = _psi(x, 2, self.square), _psi(t, 1, self.square)
         return [(px, pt), (px, dpt), (dpx, pt), (ddpx, pt)]
 
-    def _collocate(self, t_int, x_int, t_bnd, x_bnd):
-        """The held ``_features`` of the bundles at the interior and the values
-        at the boundary, rebuilt only when the points change."""
-        points = _points_key(t_int, x_int, t_bnd, x_bnd)
-        if points != self._points:
-            self._feats = self._features(self._blocks(t_int, x_int, True)
-                                         + self._blocks(t_bnd, x_bnd, False))
-            self._points = points
-        return self._feats
+    def _build(self, t_int, x_int, t_bnd, x_bnd):
+        """The ``_features`` of the bundles at the interior and of the values
+        at the boundary."""
+        return self._features(self._blocks(t_int, x_int, True)
+                              + self._blocks(t_bnd, x_bnd, False))
 
     def _contract(self, w, feats, bounds):
         """output_scale·W·F sliced into one (B, N) view per block."""
@@ -237,36 +248,31 @@ class _SeparableEvaluator:
         views of one output array, one row per parameter row."""
         feats = self._collocate(t_int, x_int, t_bnd, x_bnd)
         params2d = np.atleast_2d(params2d)
-        if len(params2d) == 1:   # W is row 0 of the shift stack, whose rest gives ∂W
-            w = self.coefficients(params2d + self._shifts)
-            self._jac = (params2d.tobytes(), self.shift_scale * (w[1::2] - w[2::2]))
-            w = w[:1]
+        if len(params2d) == 1:
+            w, self._jac = self._w_and_jac(params2d)
         else:
             w = self.coefficients(params2d)
         *bundles, bnd = self._contract(w, *feats)
         return tuple(bundles), bnd
 
+    def _w_and_jac(self, row):
+        """W, (1, 3, 3), and ∂W/∂θ, (P, 3, 3), of one parameter row from one
+        ``coefficients`` call on its ±π shift stack, whose row 0 is the row:
+        the ±π shift rule, or for a W linear in each parameter the central
+        difference over ±π."""
+        w = self.coefficients(row + self._shifts)
+        return w[:1], self.shift_scale * (w[1::2] - w[2::2])
+
     def jacobian(self, params) -> np.ndarray:
-        """∂W/∂θ, (P, 3, 3), of one parameter row: the ±π shift rule, or for a
-        W linear in each parameter the central difference over ±π."""
-        w = self.coefficients(np.asarray(params, dtype=float) + self._shifts[1:])
-        return self.shift_scale * (w[0::2] - w[1::2])
+        """∂W/∂θ, (P, 3, 3), of one parameter row."""
+        return self._w_and_jac(np.asarray(params, dtype=float))[1]
 
     def backward(self, cotangent) -> np.ndarray:
         """Gradient of Σ cotangent·output over the row of the last one-row
-        ``batched_eval`` (or ``pullback``) at the held points; ``cotangent`` is
-        one flat row laid out as the outputs: v, v_t, v_x, v_xx, boundary."""
-        g = np.einsum("kn,n->k", self._feats[0], cotangent)
-        return self.spec.output_scale * np.einsum("pk,k->p", self._jac[1].reshape(-1, 9), g)
-
-    def pullback(self, params, t_int, x_int, t_bnd, x_bnd, cotangent) -> np.ndarray:
-        """``backward`` of one parameter row at the given points, with the ∂W
-        of a forward of that row kept or taken afresh."""
-        self._collocate(t_int, x_int, t_bnd, x_bnd)
-        key = np.asarray(params, dtype=float).tobytes()
-        if key != self._jac[0]:
-            self._jac = (key, self.jacobian(params))
-        return self.backward(cotangent)
+        ``batched_eval`` at its points; ``cotangent`` is one flat row laid out
+        as the outputs: v, v_t, v_x, v_xx, boundary."""
+        g = np.einsum("kn,n->k", self._held[0], cotangent)
+        return self.spec.output_scale * np.einsum("pk,k->p", self._jac.reshape(-1, 9), g)
 
 
 class _QuantumInspiredEvaluator(_SeparableEvaluator):
@@ -365,7 +371,7 @@ def _reverse(layers, records, cots) -> np.ndarray:
     return np.concatenate(grads)
 
 
-class _FullyConnectedEvaluator:
+class _FullyConnectedEvaluator(_Evaluator):
     """The tanh network: one ``_trace`` per parameter row; ``backward`` runs
     ``_reverse`` through the traces of the last row ``batched_eval`` took."""
 
@@ -373,8 +379,7 @@ class _FullyConnectedEvaluator:
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
-        self._points = self._held = None   # the input channels and the key of their points
-        self._saved = (None,)   # (bytes of a row, layers, records)
+        self._saved = None   # (layers, records) of the last forward's last row
 
     def _layers(self, row):
         return [(row[w].reshape(fi, fo), row[b])
@@ -388,20 +393,17 @@ class _FullyConnectedEvaluator:
         seeds[0, :, 1] = seeds[2, :, 0] = 1.0
         return (a, *seeds) if dual else (a,)
 
-    def _collocate(self, t_int, x_int, t_bnd, x_bnd):
-        """The held input channels of the interior (dual) and of the boundary,
-        rebuilt only when the points change, which drops the kept traces."""
-        points = _points_key(t_int, x_int, t_bnd, x_bnd)
-        if points != self._points:
-            self._held = (self._inputs(t_int, x_int, True), self._inputs(t_bnd, x_bnd, False))
-            self._points, self._saved = points, (None,)
-        return self._held
+    def _build(self, t_int, x_int, t_bnd, x_bnd):
+        """The input channels of the interior (dual) and of the boundary."""
+        return self._inputs(t_int, x_int, True), self._inputs(t_bnd, x_bnd, False)
 
     def _eval(self, params2d, *inputs):
         """Scaled (channels, B, N) outputs of every parameter row, one array
-        per channel tuple in ``inputs``, and the last row's (bytes, layers,
+        per channel tuple in ``inputs``, and the last row's (layers,
         records)."""
-        params2d = np.atleast_2d(params2d)
+        # a copy: the layers are views of it, and the kept ones must not
+        # change when the caller mutates its row
+        params2d = np.array(params2d, dtype=float, ndmin=2)
         outs = [np.empty((len(c), params2d.shape[0], c[0].shape[0])) for c in inputs]
         for r, row in enumerate(params2d):
             layers = self._layers(row)
@@ -409,7 +411,7 @@ class _FullyConnectedEvaluator:
             for out, (z, _) in zip(outs, traces):
                 out[:, r] = [c[:, 0] for c in z]
         return ([self.spec.output_scale * out for out in outs],
-                (row.tobytes(), layers, [r for _, r in traces]))
+                (layers, [r for _, r in traces]))
 
     def values(self, params, t, x):
         return self._eval(params, self._inputs(t, x, False))[0][0][0]
@@ -432,15 +434,7 @@ class _FullyConnectedEvaluator:
         g_v, g_t, g_x, g_xx = (cotangent[lo:lo + n] for lo in range(0, 4 * n, n))
         cots = [(g_v, g_x, g_xx, g_t), (cotangent[4 * n:],)]
         cots = [tuple(self.spec.output_scale * np.reshape(g, (-1, 1)) for g in c) for c in cots]
-        return _reverse(*self._saved[1:], cots)
-
-    def pullback(self, params, t_int, x_int, t_bnd, x_bnd, cotangent) -> np.ndarray:
-        """As ``_SeparableEvaluator.pullback``: the traces of this row are
-        kept or taken afresh."""
-        inputs = self._collocate(t_int, x_int, t_bnd, x_bnd)
-        if np.asarray(params, dtype=float).tobytes() != self._saved[0]:
-            self._saved = self._eval(params, *inputs)[1]
-        return self.backward(cotangent)
+        return _reverse(*self._saved, cots)
 
 
 _EVALUATORS = {

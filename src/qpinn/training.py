@@ -47,8 +47,6 @@ def lr_at(epoch: int) -> float:
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 1000
-    n_runs: int = 10
-    base_seed: int = 0
     eps: float = 1e-6
     n_interior: int = 50
     n_boundary: int = 50

@@ -218,13 +218,12 @@ def ci_runs():
     # a 2-seed geometric mean at 200 epochs is noisy in that comparison).
     m = merton.MarketParams()
     w = merton.LossWeights()
-    cfg = training.TrainConfig(epochs=200, n_runs=2, base_seed=6)
+    cfg = training.TrainConfig(epochs=200)
     t0 = time.time()
     out = {}
     for kind in models.KINDS:
         spec = models.ModelSpec(kind)
-        logs = [training.train_run(spec, cfg, m, w, cfg.base_seed + i)
-                for i in range(cfg.n_runs)]
+        logs = [training.train_run(spec, cfg, m, w, seed) for seed in (6, 7)]
         out[kind] = (training.aggregate(logs), logs)
     return out, time.time() - t0
 
@@ -272,13 +271,12 @@ def test_criterion_6_solution_accuracy(ci_runs):
 def test_criterion_5_full_profile():
     m = merton.MarketParams()
     w = merton.LossWeights()
-    cfg = training.TrainConfig(epochs=1000, n_runs=10, base_seed=0)
+    cfg = training.TrainConfig(epochs=1000)
     t0 = time.time()
     aggs = {}
     for kind in models.KINDS:
         spec = models.ModelSpec(kind)
-        logs = [training.train_run(spec, cfg, m, w, cfg.base_seed + i)
-                for i in range(cfg.n_runs)]
+        logs = [training.train_run(spec, cfg, m, w, seed) for seed in range(10)]
         aggs[kind] = training.aggregate(logs)
     elapsed = time.time() - t0
     finals = {kind: float(a.geo_mean[-1]) for kind, a in aggs.items()}

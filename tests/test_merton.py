@@ -147,6 +147,29 @@ def test_total_loss_permutation_invariant():
     assert a.l_d == b.l_d and a.l_1b == b.l_1b and a.l_2b == b.l_2b
 
 
+def test_fsum_rows_sums_each_segment_exactly():
+    # a 1-D row gives one exact sum per segment, where a float sum loses the 1.0
+    row = np.array([1e16, 1.0, -1e16, 0.5, 2.0])
+    got = merton.fsum_rows(row, (3, 2))
+    assert got.shape == (2,) and got.tolist() == [1.0, 2.5]
+    # (B, N) rows give (B, segments), each row as the 1-D case
+    rng = np.random.default_rng(3)
+    arr = rng.normal(0.0, 1.0, (4, 9)) * 10.0 ** rng.integers(-8, 9, (4, 9))
+    widths = (2, 3, 4)
+    got = merton.fsum_rows(arr, widths)
+    assert got.shape == (4, 3)
+    for r in range(4):
+        np.testing.assert_array_equal(merton.fsum_rows(arr[r], widths), got[r])
+        assert got[r].tolist() == [math.fsum(arr[r, 0:2]), math.fsum(arr[r, 2:5]),
+                                   math.fsum(arr[r, 5:9])]
+    # exact sums do not depend on the order inside a segment
+    perm = np.concatenate([rng.permutation(2), 2 + rng.permutation(3), 5 + rng.permutation(4)])
+    np.testing.assert_array_equal(merton.fsum_rows(arr[:, perm], widths), got)
+    for bad in ((2, 3, 3), (2, 3, 4, 1)):
+        with pytest.raises(ValueError, match="segment widths sum to"):
+            merton.fsum_rows(arr, bad)
+
+
 def test_sample_collocation_contract():
     a = sample_collocation(7, 10000, 100)
     b = sample_collocation(7, 10000, 100)

@@ -318,10 +318,10 @@ def test_exact_gradient_matches_parameter_shift_gradient():
 @pytest.mark.parametrize("kind", models.KINDS)
 def test_pullback_follows_changed_and_mutated_points(kind):
     # one evaluator across collocation sets A, B, A, then A mutated in place
-    # one point array at a time, each time with and without a forward at
-    # those points first, and with the parameter row mutated in place between
-    # its forward and its pullback: what the evaluator kept from an earlier
-    # call must never stand in for points or parameters that changed
+    # one point array at a time, alternating two parameter rows, each row
+    # mutated in place between its forward and its backward: backward
+    # differentiates the forward's row at the forward's points, and what the
+    # evaluator kept from an earlier call never stands in for either
     m = merton.MarketParams()
     w = merton.LossWeights()
     spec = ModelSpec(kind)
@@ -331,18 +331,14 @@ def test_pullback_follows_changed_and_mutated_points(kind):
     a, b = merton.sample_collocation(11, 20, 20), merton.sample_collocation(12, 20, 20)
 
     def check(colloc):
-        want = _exact_gradient(models.make_evaluator(spec), params, colloc, w, m)
-        np.testing.assert_array_equal(_exact_gradient(ev, params, colloc, w, m), want)
         obj = training.Objective(colloc, w, m)
-        _, cot = obj.loss_and_cotangent(
-            models.make_evaluator(spec).batched_eval(params[None, :], *obj.points))
-        ev.batched_eval(other[None, :], *obj.points)   # a forward of other parameters
-        np.testing.assert_array_equal(ev.pullback(params, *obj.points, cot), want)
-        row = params.copy()
-        ev.batched_eval(row[None, :], *obj.points)
-        row *= 0.75
-        np.testing.assert_array_equal(ev.pullback(row, *obj.points, cot),
-                                      models.make_evaluator(spec).pullback(row, *obj.points, cot))
+        for p in (params, other):
+            row = p.copy()
+            _, cot = obj.loss_and_cotangent(ev.batched_eval(row[None, :], *obj.points))
+            row *= 0.75
+            np.testing.assert_array_equal(
+                ev.backward(cot), _exact_gradient(models.make_evaluator(spec), p, colloc, w, m))
+        want = _exact_gradient(ev, params, colloc, w, m)
         assert np.max(np.abs(want - _fd_loss_gradient(spec, params, colloc, w, m))
                       ) <= 1e-6 * np.max(np.abs(want))
 
@@ -356,13 +352,13 @@ def test_pullback_follows_changed_and_mutated_points(kind):
 @pytest.mark.parametrize("kind", models.KINDS)
 def test_training_evaluates_one_row_per_epoch_and_no_fd(kind, monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("an epoch takes no finite differences and no keyed pullback")
+        raise AssertionError("an epoch takes no finite differences and no second jacobian")
 
     for module, name in ((training, "loss_terms"), (duals, "fd_stack"), (duals, "fd_gradient")):
         monkeypatch.setattr(module, name, forbidden)
     spec = ModelSpec(kind)
     ev = models.make_evaluator(spec)
-    ev.pullback = ev.jacobian = forbidden
+    ev.jacobian = forbidden
     calls = {"rows": [], "loss_and_cotangent": 0, "backward": 0, "lamb_step": 0, "features": 0}
 
     def counted(name, real):
@@ -448,7 +444,7 @@ def test_kept_jacobian_trains_as_a_fresh_jacobian(kind):
         def batched_eval(params2d, *points):
             out = real_eval(params2d, *points)
             if forced:   # replace the kept ∂W by a fresh jacobian of the row
-                ev._jac = (None, jacobian(params2d[0]))
+                ev._jac = jacobian(params2d[0])
             return out
 
         ev.jacobian, ev.batched_eval = jacobian, batched_eval
