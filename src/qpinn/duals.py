@@ -59,17 +59,6 @@ def c_lift(a: tuple, plain, dual) -> tuple:
     return (plain(a[0]),) if len(a) == 1 else dual(a)
 
 
-def c_add(a: tuple, b: tuple) -> tuple:
-    """a + b over channel tuples, written into the arrays of ``a``.
-
-    ``a`` must be a temporary, such as a `c_mul` product: adding in place
-    spares an allocation the size of ``a``, as numpy does for ``x*y + z``.
-    """
-    for p, q in zip(a, b):
-        p += q
-    return a
-
-
 def t_cos(a: Triple) -> Triple:
     c, s = np.cos(a[0]), np.sin(a[0])
     return (c, -s * a[1], -s * a[2] - c * a[1] * a[1])

@@ -43,3 +43,8 @@ class TrainingAbortError(QpinnError, RuntimeError):
 
 class ConfigError(QpinnError, ValueError):
     """A run-configuration document failed schema validation."""
+
+
+class BackwardError(QpinnError, RuntimeError):
+    """``backward`` has no one-row forward to differentiate, or its
+    cotangent does not fit the outputs of that forward."""

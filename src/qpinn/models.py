@@ -70,7 +70,7 @@ import numpy as np
 
 from . import circuits as cir
 from . import duals, qsp
-from .errors import DomainError
+from .errors import BackwardError, DomainError
 
 KINDS = ("qpinn", "quantum_inspired", "counterpart", "fully_connected")
 
@@ -146,15 +146,28 @@ class _Evaluator:
 
     ``backward`` differentiates the last ``batched_eval``, which must be of
     one parameter row, at the row and the points as that forward saw them:
-    the forward keeps its own copy of what the gradient needs."""
+    the forward keeps its own copy of what the gradient needs.  A forward
+    of any other number of rows drops that copy, so ``backward`` after it
+    raises ``BackwardError``, as does a cotangent whose length is not the
+    last forward's output count."""
 
     _points = _held = None   # ``_held`` and the ``_points_key`` of its points
+
+    def _check_backward(self, kept, cotangent):
+        """Refuse a ``backward`` without ``kept``, what the last forward kept
+        for it, or with a cotangent that is not one flat row of its outputs."""
+        if kept is None:
+            raise BackwardError("backward needs a one-row batched_eval first")
+        if np.shape(cotangent) != (self._n_outputs,):
+            raise BackwardError(f"cotangent of shape {np.shape(cotangent)}; "
+                                f"the last forward has {self._n_outputs} outputs")
 
     def _collocate(self, t_int, x_int, t_bnd, x_bnd):
         points = _points_key(t_int, x_int, t_bnd, x_bnd)
         if points != self._points:
             self._held = self._build(t_int, x_int, t_bnd, x_bnd)
             self._points = points
+            self._n_outputs = 4 * np.size(t_int) + np.size(t_bnd)
         return self._held
 
 
@@ -251,7 +264,7 @@ class _SeparableEvaluator(_Evaluator):
         if len(params2d) == 1:
             w, self._jac = self._w_and_jac(params2d)
         else:
-            w = self.coefficients(params2d)
+            w, self._jac = self.coefficients(params2d), None
         *bundles, bnd = self._contract(w, *feats)
         return tuple(bundles), bnd
 
@@ -271,6 +284,7 @@ class _SeparableEvaluator(_Evaluator):
         """Gradient of Σ cotangent·output over the row of the last one-row
         ``batched_eval`` at its points; ``cotangent`` is one flat row laid out
         as the outputs: v, v_t, v_x, v_xx, boundary."""
+        self._check_backward(self._jac, cotangent)
         g = np.einsum("kn,n->k", self._held[0], cotangent)
         return self.spec.output_scale * np.einsum("pk,k->p", self._jac.reshape(-1, 9), g)
 
@@ -379,7 +393,7 @@ class _FullyConnectedEvaluator(_Evaluator):
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
-        self._saved = None   # (layers, records) of the last forward's last row
+        self._saved = None   # (layers, records) of the last one-row forward
 
     def _layers(self, row):
         return [(row[w].reshape(fi, fo), row[b])
@@ -421,15 +435,17 @@ class _FullyConnectedEvaluator(_Evaluator):
         return v, v_t, v_x, v_xx
 
     def batched_eval(self, params2d, t_int, x_int, t_bnd, x_bnd):
-        """As ``_SeparableEvaluator.batched_eval``; keeps the traces of the
-        last row for ``backward``."""
-        outs, self._saved = self._eval(params2d, *self._collocate(t_int, x_int, t_bnd, x_bnd))
+        """As ``_SeparableEvaluator.batched_eval``; a one-row forward keeps
+        its traces for ``backward``."""
+        outs, saved = self._eval(params2d, *self._collocate(t_int, x_int, t_bnd, x_bnd))
         (v, v_x, v_xx, v_t), (bnd,) = outs
+        self._saved = saved if v.shape[0] == 1 else None
         return (v, v_t, v_x, v_xx), bnd
 
     def backward(self, cotangent) -> np.ndarray:
         """As ``_SeparableEvaluator.backward``, by the reverse pass through
         the kept traces."""
+        self._check_backward(self._saved, cotangent)
         n = len(self._held[0][0])
         g_v, g_t, g_x, g_xx = (cotangent[lo:lo + n] for lo in range(0, 4 * n, n))
         cots = [(g_v, g_x, g_xx, g_t), (cotangent[4 * n:],)]

@@ -1,4 +1,4 @@
-"""Dense statevector execution with stride-based gate application.
+"""Dense statevector execution on strided views of the state.
 
 Amplitudes live in arrays of shape ``(Bp, N, 2^width)``: ``Bp`` batches
 parameter vectors, ``N`` batches input points, and both default to 1.
@@ -7,6 +7,21 @@ qubit 0 splits the amplitude array in half.  ``simulate_amps`` returns
 that array, or a ``(v, d1, d2)`` tuple of them in a dual run; ``run``
 returns the same form for its one point, of shape ``(2^width,)``, and
 ``z0_from_amps`` and ``expect_z0`` read either.
+
+A gate reads and writes the state through basic-index views, never
+through gathered copies.  Each channel is reshaped, without a copy, to
+``(Bp, N, …)`` with one axis of length 2 for every control and target
+qubit and one merged axis for every run of other qubits between them;
+integer indices on the control axes (their polarity) and the target axes
+(a bit pattern) then give a view of the amplitudes the gate acts on.  For
+``rx`` on qubit 1 of 4 under a control on qubit 3, the shape is
+``(Bp, N, 2, 2, 2, 2)`` and the two target rows are ``[..., :, 0, :, 1]``
+and ``[..., :, 1, :, 1]``; with no control, qubits 2 and 3 merge into one
+axis of length 4, so the innermost stride stays long.  The shape and the
+keys are cached per (width, controls, targets) (``_layout``).  Angle
+channels gain trailing unit axes so that they broadcast against a view.
+Every product and sum is the one a gathered row would take, in the same
+order, so amplitudes do not depend on the layout.
 
 The state, the angles and the gate entries are tuples of channel arrays:
 ``(v,)`` in a plain run and ``(v, d1, d2)`` in a dual run, where d1 and d2
@@ -32,7 +47,7 @@ import math
 import numpy as np
 
 from . import circuits as cir
-from .duals import c_add, c_lift, c_mul, t_arccos, t_cos, t_expj, t_sin
+from .duals import c_lift, c_mul, t_arccos, t_cos, t_expj, t_sin
 from .errors import DomainError, SizeError
 
 _WIDTH_CAP = 24
@@ -48,55 +63,58 @@ class ShotEstimate:
 
 
 # ---------------------------------------------------------------------------
-# index helpers (cached per circuit structure)
+# views of the state (cached per gate structure)
 
 
 @lru_cache(maxsize=None)
-def _pair_idx(width: int, q: int, controls: tuple) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.arange(1 << width)
-    tpos = width - 1 - q
-    mask = ((idx >> tpos) & 1) == 0
-    for cq, pol in controls:
-        mask &= ((idx >> (width - 1 - cq)) & 1) == pol
-    i0 = idx[mask]
-    return i0, i0 | (1 << tpos)
+def _layout(width: int, controls: tuple, targets: tuple) -> tuple[tuple, tuple]:
+    """(shape, keys) of a gate's views of a ``(..., 2^width)`` channel.
+
+    Reshaped to ``shape``, the channel has an axis of length 2 for each
+    control and target qubit and one merged axis for each run of other
+    qubits between them, so the reshape copies nothing and the innermost
+    run stays one stride.  ``keys[p]`` is a basic index that fixes every
+    control at its polarity and the targets at bit pattern p (the first
+    target is the most significant bit) and keeps the other axes whole.
+    """
+    fixed = {q for q, _ in controls} | set(targets)
+    shape, axes = [], []   # per axis: its qubit, or None for a run of others
+    for q in range(width):
+        if q not in fixed and axes and axes[-1] is None:
+            shape[-1] *= 2
+        else:
+            shape.append(2)
+            axes.append(q if q in fixed else None)
+    k = len(targets)
+    keys = []
+    for p in range(1 << k):
+        bits = dict(controls)
+        bits.update((q, (p >> (k - 1 - i)) & 1) for i, q in enumerate(targets))
+        keys.append((Ellipsis,) + tuple(slice(None) if a is None else bits[a] for a in axes))
+    return tuple(shape), tuple(keys)
 
 
-@lru_cache(maxsize=None)
-def _parity_idx(width: int, qa: int, qb: int, controls: tuple) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.arange(1 << width)
-    mask = np.ones(idx.size, dtype=bool)
-    for cq, pol in controls:
-        mask &= ((idx >> (width - 1 - cq)) & 1) == pol
-    ba = (idx >> (width - 1 - qa)) & 1
-    bb = (idx >> (width - 1 - qb)) & 1
-    even = ba == bb
-    return idx[mask & even], idx[mask & ~even]
-
-
-@lru_cache(maxsize=None)
-def _group_idx(width: int, qubits: tuple) -> np.ndarray:
-    """(2^k, G) index matrix: rows enumerate target-bit patterns."""
-    k = len(qubits)
-    t_pos = [width - 1 - q for q in qubits]
-    rest = [p for p in range(width) if p not in t_pos]
-    rest_idx = cir._scatter_bits(np.arange(1 << len(rest), dtype=np.int64), rest)
-    base = cir._scatter_bits(np.arange(1 << k, dtype=np.int64), t_pos)
-    return base[:, None] | rest_idx[None, :]
+def _views(state, width: int, controls: tuple, targets: tuple) -> list:
+    """One view of the state per target-bit pattern, each a tuple of
+    channel views (``_layout``): writing to a view writes to the state."""
+    shape, keys = _layout(width, controls, targets)
+    chans = [c.reshape(c.shape[:-1] + shape) for c in state]
+    return [tuple(c[k] for c in chans) for k in keys]
 
 
 # ---------------------------------------------------------------------------
 # angle and entry evaluation
 
 
-def _angle(expr, params, inputs):
-    """Angle channels, each broadcastable against (Bp, N, pairs)."""
+def _angle(expr, params, inputs, ndim: int):
+    """Angle channels, each broadcastable against a (Bp, N, …) view of
+    ``ndim`` axes."""
     if isinstance(expr, cir.Const):
         return (expr.value,)
     if isinstance(expr, cir.Param):
-        base = tuple(c[:, expr.index, None, None] for c in params)
+        base = tuple(c[:, expr.index].reshape((-1,) + (1,) * (ndim - 1)) for c in params)
     else:  # InputArccos
-        xt = tuple(c[:, expr.var][None, :, None] for c in inputs)
+        xt = tuple(c[:, expr.var].reshape((1, -1) + (1,) * (ndim - 2)) for c in inputs)
         if len(xt) == 1 and np.any(np.abs(xt[0]) > 1.0):
             raise DomainError("arccos input outside [-1, 1]")
         base = c_lift(xt, np.arccos, t_arccos)
@@ -108,56 +126,57 @@ def _angle(expr, params, inputs):
 # gate application
 
 
-def _apply_2x2(state, i0, i1, m00, m01, m10, m11):
-    a0 = tuple(c[..., i0] for c in state)
-    a1 = tuple(c[..., i1] for c in state)
-    n0 = c_add(c_mul(m00, a0), c_mul(m01, a1))
-    n1 = c_add(c_mul(m10, a0), c_mul(m11, a1))
-    for c, p, q in zip(state, n0, n1):
-        c[..., i0] = p
-        c[..., i1] = q
-
-
 def _apply_gate(g: cir.Gate, state, params, inputs, width: int, controls=()):
     if g.kind == "controlled":
         _apply_gate(g.inner, state, params, inputs, width, controls + g.controls)
         return
+    if g.kind == "cnot":
+        g, controls = cir.x(g.qubits[1]), controls + ((g.qubits[0], 1),)
+    views = _views(state, width, controls, g.qubits)
+    if g.kind == "prepare":
+        mat = cir._householder(g.amplitudes).astype(complex)
+        for ch in range(len(state)):
+            new = np.einsum("pq,q...->p...", mat, np.stack([v[ch] for v in views]))
+            for v, n in zip(views, new):
+                v[ch][...] = n
+        return
+    a0, a1 = views[:2]
+    if g.kind == "x":
+        for v0, v1 in zip(a0, a1):
+            tmp = v0.copy()
+            v0[...] = v1
+            v1[...] = tmp
+        return
     if g.kind == "h":
-        i0, i1 = _pair_idx(width, g.qubits[0], controls)
-        _apply_2x2(state, i0, i1, _SQRT2_INV, _SQRT2_INV, _SQRT2_INV, -_SQRT2_INV)
+        # a0 ← s·a0 + s·a1 and a1 ← s·a0 + (−s)·a1 on every channel, with
+        # s·a0 made once, in place, and s·a1 the one temporary
+        s = _SQRT2_INV
+        for v0, v1 in zip(a0, a1):
+            np.multiply(s, v0, out=v0)
+            sa1 = s * v1
+            np.multiply(-s, v1, out=v1)
+            np.add(v0, v1, out=v1)
+            np.add(v0, sa1, out=v0)
         return
-    if g.kind in ("x", "cnot"):
-        ctl = controls if g.kind == "x" else controls + ((g.qubits[0], 1),)
-        i0, i1 = _pair_idx(width, g.qubits[-1], ctl)
-        for c in state:
-            c[..., i0], c[..., i1] = c[..., i1], c[..., i0]
-        return
+    theta = _angle(g.angle, params, inputs, a0[0].ndim)
     if g.kind == "rx":
-        half = c_mul(0.5, _angle(g.angle, params, inputs))
-        i0, i1 = _pair_idx(width, g.qubits[0], controls)
+        half = c_mul(0.5, theta)
         c = c_lift(half, np.cos, t_cos)
         s = c_mul(-1j, c_lift(half, np.sin, t_sin))
-        _apply_2x2(state, i0, i1, c, s, s, c)
+        # every product reads the state before either row is written
+        rows = ((a0, c_mul(c, a0), c_mul(s, a1)), (a1, c_mul(s, a0), c_mul(c, a1)))
+        for view, p, q in rows:
+            for v, pc, qc in zip(view, p, q):
+                np.add(pc, qc, out=v)
         return
     if g.kind in ("rz", "rzz"):
-        theta = _angle(g.angle, params, inputs)
-        if g.kind == "rz":
-            i0, i1 = _pair_idx(width, g.qubits[0], controls)
-        else:
-            i0, i1 = _parity_idx(width, g.qubits[0], g.qubits[1], controls)
-        for idx, sign in ((i0, -0.5), (i1, 0.5)):
+        # rz: bit 0, then bit 1; rzz: even parity (00, 11), then odd (01, 10)
+        groups = ((a0,), (a1,)) if g.kind == "rz" else ((views[0], views[3]), (views[1], views[2]))
+        for group, sign in zip(groups, (-0.5, 0.5)):
             phase = c_lift(c_mul(sign, theta), lambda a: np.exp(1j * a), t_expj)
-            amps = c_mul(phase, tuple(c[..., idx] for c in state))
-            for c, a in zip(state, amps):
-                c[..., idx] = a
-        return
-    if g.kind == "prepare":
-        if controls:
-            raise NotImplementedError("controlled PrepareAmplitudes is unsupported")
-        mat = cir._householder(g.amplitudes).astype(complex)
-        idx = _group_idx(width, g.qubits)
-        for c in state:
-            c[..., idx] = np.einsum("pq,...qg->...pg", mat, c[..., idx])
+            for view in group:
+                for v, a in zip(view, c_mul(phase, view)):
+                    v[...] = a
         return
     raise ValueError(f"unknown gate kind {g.kind!r}")
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpinn import circuits as cir
 from qpinn import qsp, sim
@@ -149,6 +151,84 @@ def _channel_circuit(rng, width):
                          if rng.random() < 0.5 else g)
     gates = [cir.h(q) for q in range(width)] + [gates[i] for i in rng.permutation(len(gates))]
     return cir.Circuit(width, tuple(gates), n_params=2, n_inputs=2)
+
+
+def test_controlled_prepare_matches_dense_oracle():
+    # controls of both polarities on any side of 1-3 targets in any order,
+    # after a layer of h and rx so that every amplitude is populated
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        width = int(rng.integers(2, 7))
+        k = int(rng.integers(1, min(width - 1, 3) + 1))
+        qs = [int(q) for q in rng.permutation(width)]
+        n_ctrl = int(rng.integers(1, min(width - k, 3) + 1))
+        amps = np.abs(rng.normal(size=1 << k))
+        g = cir.controlled(cir.prepare_amplitudes(tuple(qs[:k]), amps / np.linalg.norm(amps)),
+                           [(q, int(rng.integers(2))) for q in qs[k:k + n_ctrl]])
+        c = cir.Circuit(width, tuple(cir.h(q) for q in range(width))
+                        + tuple(cir.rx(q, cir.Param(0, float(q + 1))) for q in range(width))
+                        + (g,), n_params=1)
+        params = rng.normal(size=(2, 1))
+        got = sim.simulate_amps(c, params, [])
+        for r in range(2):
+            assert np.abs(got[r, 0] - cir.unitary_of(c, params[r], [])[:, 0]).max() <= 1e-12
+
+
+_TURN = st.floats(-7.0, 7.0)
+# gate kind → the target qubits it needs (prepare draws its own count)
+_TARGETS = {"h": 1, "x": 1, "cnot": 2, "rx": 1, "rz": 1, "rzz": 2, "prepare": None}
+
+
+@st.composite
+def _sim_cases(draw):
+    """A circuit of up to 6 qubits and 12 gates of every kind and angle kind,
+    each under up to 3 controls of either polarity on any side of its
+    targets, with a (Bp, 2) parameter batch, an (N, 2) input batch and a
+    direction for each (Bp ≤ 3, N ≤ 4)."""
+    width = draw(st.integers(1, 6))
+    angle = st.one_of(st.builds(cir.Const, _TURN),
+                      st.builds(cir.Param, st.integers(0, 1), _TURN, _TURN),
+                      st.builds(cir.InputArccos, st.integers(0, 1), _TURN, _TURN))
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(sorted(_TARGETS)), min_size=1, max_size=12)):
+        need = _TARGETS[kind] or draw(st.integers(1, min(width, 3)))
+        if need > width:
+            continue
+        qs = draw(st.permutations(range(width)))
+        targets, free = tuple(qs[:need]), qs[need:]
+        if kind == "prepare":
+            amps = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1 << need,
+                                          max_size=1 << need))) + 0.01
+            g = cir.prepare_amplitudes(targets, amps / np.linalg.norm(amps))
+        elif kind in ("h", "x", "cnot"):
+            g = cir.Gate(kind, targets)
+        else:
+            g = cir.Gate(kind, targets, angle=draw(angle))
+        ctrls = [(q, draw(st.integers(0, 1))) for q in free[:draw(st.integers(0, min(len(free), 3)))]]
+        if kind == "cnot" and ctrls:   # unitary_of takes a controlled cnot as a controlled x
+            g, ctrls = cir.x(targets[1]), [(targets[0], 1)] + ctrls
+        gates.append(cir.controlled(g, ctrls))
+    bp, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    batch = lambda rows, lo, hi: np.array(draw(st.lists(
+        st.floats(lo, hi), min_size=2 * rows, max_size=2 * rows))).reshape(rows, 2)
+    return (cir.Circuit(width, tuple(gates), n_params=2, n_inputs=2),
+            batch(bp, -7.0, 7.0), batch(n, -0.95, 0.95), batch(bp, -1.0, 1.0), batch(n, -1.0, 1.0))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(_sim_cases())
+def test_batched_simulation_matches_dense_oracle_property(case):
+    circ, params, inputs, d_params, d_inputs = case
+    amps = sim.simulate_amps(circ, params, inputs)
+    assert amps.shape == (len(params), len(inputs), 1 << circ.width)
+    for r, p in enumerate(params):
+        for j, x in enumerate(inputs):
+            u = cir.unitary_of(circ, p, x)
+            assert np.abs(amps[r, j] - u[:, 0]).max() <= 1e-12
+    # the value channel of a dual run is the plain run, bit for bit
+    dual = sim.simulate_amps(circ, (params, d_params, np.zeros_like(params)),
+                             (inputs, d_inputs, np.zeros_like(inputs)))
+    assert np.array_equal(dual[0], amps)
 
 
 def test_dual_value_channel_bit_identical():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpinn import duals, merton, models, training
-from qpinn.errors import AggregationError, TrainingAbortError
+from qpinn.errors import AggregationError, BackwardError, TrainingAbortError
 from qpinn.models import ModelSpec
 from qpinn.training import TrainConfig, lamb_step, lr_at
 
@@ -347,6 +347,35 @@ def test_pullback_follows_changed_and_mutated_points(kind):
     for points in (a.interior[:, 0], a.interior[:, 1], a.terminal_x, a.lateral_t):
         points *= 0.9
         check(a)
+
+
+@pytest.mark.parametrize("kind", models.KINDS)
+def test_backward_refuses_what_no_one_row_forward_kept(kind):
+    # a one-row forward at collocation seed 1, a 2-row forward at seed 2,
+    # then backward with the first forward's cotangent: the 2-row forward
+    # kept nothing, so backward raises instead of mixing the two
+    m = merton.MarketParams()
+    w = merton.LossWeights()
+    spec = ModelSpec(kind)
+    ev = models.make_evaluator(spec)
+    rng = np.random.default_rng(7)
+    params, other = _random_params(spec, rng), _random_params(spec, rng)
+    with pytest.raises(BackwardError, match="one-row"):
+        ev.backward(np.zeros(5))
+    one = training.Objective(merton.sample_collocation(1, 20, 20), w, m)
+    two = training.Objective(merton.sample_collocation(2, 20, 20), w, m)
+    _, cot = one.loss_and_cotangent(ev.batched_eval(params[None, :], *one.points))
+    ev.batched_eval(np.stack([params, other]), *two.points)
+    with pytest.raises(BackwardError, match="one-row"):
+        ev.backward(cot)
+    # a cotangent that does not fit the last forward's outputs
+    _, cot = one.loss_and_cotangent(ev.batched_eval(params[None, :], *one.points))
+    for bad in (cot[:-1], np.append(cot, 0.0), cot[None, :]):
+        with pytest.raises(BackwardError, match="outputs"):
+            ev.backward(bad)
+    np.testing.assert_array_equal(
+        ev.backward(cot), _exact_gradient(models.make_evaluator(spec), params,
+                                          merton.sample_collocation(1, 20, 20), w, m))
 
 
 @pytest.mark.parametrize("kind", models.KINDS)
