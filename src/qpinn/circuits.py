@@ -8,13 +8,17 @@ Conventions fixed here and relied on everywhere else:
 - Angles are symbolic: constants, affine functions of a trainable parameter
   slot, or ``scale·arccos(x_var) + offset`` of an input variable.
 - ``unitary_of`` is a dense-matrix oracle kept independent of the strided
-  statevector simulator so the two can cross-check each other.
+  statevector simulator so the two can cross-check each other: the product
+  of embedded gate matrices, each the identity with the gate's base matrix
+  scattered onto its basis indices, whose index tables are cached per
+  ``(qubits, controls, width)``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -200,21 +204,6 @@ class ResourceReport:
 # operations
 
 
-def build_qsp_chain(L: int) -> Circuit:
-    """Single-qubit chain R_z(θ_L)·∏_{j<L}[R_x(-2 arccos x)·R_z(θ_j)].
-
-    Uses parameter slots 0..L and input 0; 2L+1 gates in application order
-    R_z(θ_0), R_x, R_z(θ_1), ..., R_x, R_z(θ_L).
-    """
-    if L < 0:
-        raise ValueError("degree L must be >= 0")
-    gates = [rz(0, Param(0))]
-    for j in range(1, L + 1):
-        gates.append(rx(0, InputArccos(0)))
-        gates.append(rz(0, Param(j)))
-    return Circuit(1, tuple(gates), n_params=L + 1, n_inputs=1)
-
-
 def bind(circuit: Circuit, angles) -> Circuit:
     """``circuit`` with every ``Param`` angle replaced by its ``Const`` value.
 
@@ -392,7 +381,7 @@ def _householder(amps: tuple[float, ...]) -> np.ndarray:
 def _base_matrix(g: Gate, params, inputs) -> np.ndarray:
     if g.kind == "h":
         return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
-    if g.kind == "x":
+    if g.kind in ("x", "cnot"):   # a cnot's matrix on its target
         return np.array([[0, 1], [1, 0]], dtype=complex)
     if g.kind == "rx":
         t = eval_angle(g.angle, params, inputs)
@@ -410,9 +399,12 @@ def _base_matrix(g: Gate, params, inputs) -> np.ndarray:
     raise ValueError(f"no base matrix for {g.kind!r}")
 
 
-def _embed(mat: np.ndarray, qubits, controls, width: int) -> np.ndarray:
-    dim = 1 << width
-    k = len(qubits)
+@lru_cache(maxsize=None)
+def _embed_index(qubits: tuple, controls: tuple, width: int) -> np.ndarray:
+    """Read-only (2^k, 2^rest) table of the basis indices a k-qubit gate
+    acts on: row a holds the indices whose target bits are pattern a
+    (msb-first), whose controls are at their polarities, and whose other
+    ``rest`` bits run over every value."""
     t_pos = [width - 1 - q for q in qubits]
     c_pos = [width - 1 - q for q, _ in controls]
     rest = [p for p in range(width) if p not in t_pos and p not in c_pos]
@@ -420,29 +412,36 @@ def _embed(mat: np.ndarray, qubits, controls, width: int) -> np.ndarray:
     for (q, pol), pos in zip(controls, c_pos):
         ctrl_bits |= pol << pos
     rest_idx = _scatter_bits(np.arange(1 << len(rest), dtype=np.int64), rest)
-    base = _scatter_bits(np.arange(1 << k, dtype=np.int64), t_pos)
-    full = np.eye(dim, dtype=complex)
+    base = _scatter_bits(np.arange(1 << len(qubits), dtype=np.int64), t_pos)
     idx = base[:, None] | ctrl_bits | rest_idx[None, :]
-    for a in range(1 << k):
-        for b in range(1 << k):
-            full[idx[a], idx[b]] = mat[a, b]
+    idx.flags.writeable = False
+    return idx
+
+
+def _embed(mat: np.ndarray, qubits: tuple, controls: tuple, width: int) -> np.ndarray:
+    """``mat`` on ``qubits`` under ``controls``, the identity elsewhere."""
+    idx = _embed_index(qubits, controls, width)
+    full = np.eye(1 << width, dtype=complex)
+    full[idx[:, None, :], idx[None, :, :]] = mat[:, :, None]
     return full
 
 
-def _gate_matrix(g: Gate, params, inputs, width: int) -> np.ndarray:
+def _gate_matrix(g: Gate, params, inputs, width: int, controls=()) -> np.ndarray:
     if g.kind == "controlled":
-        return _embed(_base_matrix(g.inner, params, inputs), g.inner.qubits, g.controls, width)
-    if g.kind == "cnot":
-        xmat = np.array([[0, 1], [1, 0]], dtype=complex)
-        return _embed(xmat, (g.qubits[1],), ((g.qubits[0], 1),), width)
-    return _embed(_base_matrix(g, params, inputs), g.qubits, (), width)
+        return _gate_matrix(g.inner, params, inputs, width, controls + g.controls)
+    qubits = g.qubits
+    if g.kind == "cnot":   # an x on the target under one more control
+        qubits, controls = g.qubits[1:], ((g.qubits[0], 1),) + controls
+    return _embed(_base_matrix(g, params, inputs), qubits, controls, width)
 
 
 def unitary_of(circuit: Circuit, params=(), inputs=()) -> np.ndarray:
-    """Dense unitary of the circuit; product of embedded gate matrices.
+    """Dense unitary of the circuit: the product of its embedded gate matrices.
 
-    Test oracle only: intentionally built gate-by-gate from kron-style
-    embeddings, independent of the strided simulator.
+    Test oracle only, independent of the strided simulator.  Each gate's
+    matrix is the identity with the gate's base matrix scattered onto the
+    basis indices it acts on; those index tables are cached per
+    ``(qubits, controls, width)`` (``_embed_index``).
     """
     if circuit.width > _MAX_ORACLE_WIDTH:
         raise SizeError(f"unitary_of capped at width {_MAX_ORACLE_WIDTH}")

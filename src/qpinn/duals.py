@@ -108,14 +108,6 @@ def t_tanh(a: Triple) -> Triple:
             *(sech2 * c for c in a[3:]))
 
 
-def t_pow(a: Triple, p) -> Triple:
-    v = a[0]
-    y = v ** p
-    d1 = p * v ** (p - 1) * a[1]
-    d2 = p * (p - 1) * v ** (p - 2) * a[1] * a[1] + p * v ** (p - 1) * a[2]
-    return (y, d1, d2)
-
-
 def shift_stack(params, steps) -> np.ndarray:
     """(2P+1, P) rows: ``params``, then params + stepsᵢ and params − stepsᵢ
     on coordinate i, for i = 0..P−1."""

@@ -45,7 +45,8 @@ def _check_lcu_identity(seed):
     mono = qsp.MonomialList(entries)
     circ, lam = qsp.build_lcu_multivariate(mono, 2, 1, seed=seed)
     pts = rng.uniform(-1.0, 1.0, size=(20, 2))
-    err = max(abs(sim.expect_z0(sim.run(circ, [], pt)) * lam - mono(pt)) for pt in pts)
+    vals = sim.z0_from_amps(sim.simulate_amps(circ, [], pts, check_norm=True))[0]
+    err = max(abs(v * lam - mono(pt)) for v, pt in zip(vals, pts))
     return err < 1e-6, f"full-grid D=2 L=1, max |Λ·expect_z0 - p| = {err:.2e}"
 
 
@@ -57,7 +58,8 @@ def _check_td_identity(seed):
     td = qsp.TdPoly(R=2, D=2, L=1, lambdas=(0.7, -0.3), factors=factors)
     circ, lam = qsp.build_td_circuit(td, seed=seed)
     pts = rng.uniform(-1.0, 1.0, size=(20, 2))
-    err = max(abs(sim.expect_z0(sim.run(circ, [], pt)) * lam - td(pt)) for pt in pts)
+    vals = sim.z0_from_amps(sim.simulate_amps(circ, [], pts, check_norm=True))[0]
+    err = max(abs(v * lam - td(pt)) for v, pt in zip(vals, pts))
     return err < 1e-6, f"R=2 D=2 L=1, max |Λ·expect_z0 - p| = {err:.2e}"
 
 

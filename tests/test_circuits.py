@@ -26,6 +26,49 @@ def chain_matrix(thetas, x):
     return u
 
 
+def build_qsp_chain(L):
+    """Single-qubit chain R_z(θ_L)·∏_{j<L}[R_x(-2 arccos x)·R_z(θ_j)] on
+    parameter slots 0..L and input 0: 2L+1 gates in application order
+    R_z(θ_0), R_x, R_z(θ_1), ..., R_x, R_z(θ_L)."""
+    gates = [cir.rz(0, cir.Param(0))]
+    for j in range(1, L + 1):
+        gates.append(cir.rx(0, cir.InputArccos(0)))
+        gates.append(cir.rz(0, cir.Param(j)))
+    return cir.Circuit(1, tuple(gates), n_params=L + 1, n_inputs=1)
+
+
+def reference_embed(mat, qubits, controls, width):
+    """``mat`` on ``qubits`` under ``controls`` in a ``2^width`` identity,
+    written one base-matrix entry at a time from freshly built indices."""
+    t_pos = [width - 1 - q for q in qubits]
+    c_pos = [width - 1 - q for q, _ in controls]
+    rest = [p for p in range(width) if p not in t_pos and p not in c_pos]
+    ctrl_bits = 0
+    for (q, pol), pos in zip(controls, c_pos):
+        ctrl_bits |= pol << pos
+    rest_idx = cir._scatter_bits(np.arange(1 << len(rest), dtype=np.int64), rest)
+    base = cir._scatter_bits(np.arange(1 << len(qubits), dtype=np.int64), t_pos)
+    full = np.eye(1 << width, dtype=complex)
+    idx = base[:, None] | ctrl_bits | rest_idx[None, :]
+    for a in range(1 << len(qubits)):
+        for b in range(1 << len(qubits)):
+            full[idx[a], idx[b]] = mat[a, b]
+    return full
+
+
+def reference_unitary(circuit, params=(), inputs=()):
+    """Product of ``reference_embed`` gate matrices, in application order."""
+    u = np.eye(1 << circuit.width, dtype=complex)
+    for g in circuit.gates:
+        controls = g.controls if g.kind == "controlled" else ()
+        g = g.inner if g.kind == "controlled" else g
+        if g.kind == "cnot":
+            g, controls = cir.x(g.qubits[1]), ((g.qubits[0], 1),) + controls
+        mat = cir._base_matrix(g, params, inputs)
+        u = reference_embed(mat, g.qubits, controls, circuit.width) @ u
+    return u
+
+
 def random_circuit(rng, width):
     gates = []
     n_params = 3
@@ -55,20 +98,20 @@ def random_circuit(rng, width):
 
 
 def test_qsp_chain_degree_zero():
-    c = cir.build_qsp_chain(0)
+    c = build_qsp_chain(0)
     assert len(c.gates) == 1 and c.gates[0].kind == "rz"
     assert c.n_params == 1
 
 
 def test_qsp_chain_structure_L3():
-    c = cir.build_qsp_chain(3)
+    c = build_qsp_chain(3)
     assert len(c.gates) == 7
     assert [g.kind for g in c.gates] == ["rz", "rx", "rz", "rx", "rz", "rx", "rz"]
     assert c.n_params == 4
 
 
 def test_qsp_chain_L2_zero_angles_matches_rx_power():
-    c = cir.build_qsp_chain(2)
+    c = build_qsp_chain(2)
     u = cir.unitary_of(c, [0.0, 0.0, 0.0], [0.5])
     expected = rx_matrix(-4.0 * math.acos(0.5))
     assert np.abs(u - expected).max() < 1e-12
@@ -76,7 +119,7 @@ def test_qsp_chain_L2_zero_angles_matches_rx_power():
 
 
 def test_qsp_chain_L1_x0():
-    c = cir.build_qsp_chain(1)
+    c = build_qsp_chain(1)
     u = cir.unitary_of(c, [0.0, 0.0], [0.0])
     assert np.abs(u - np.array([[0, 1j], [1j, 0]])).max() < 1e-12
 
@@ -84,7 +127,7 @@ def test_qsp_chain_L1_x0():
 def test_qsp_chain_random_vs_matmul_oracle():
     rng = np.random.default_rng(2)
     for L in (1, 2, 4):
-        c = cir.build_qsp_chain(L)
+        c = build_qsp_chain(L)
         th = rng.normal(size=L + 1)
         x = float(rng.uniform(-1, 1))
         assert np.abs(cir.unitary_of(c, th, [x]) - chain_matrix(th, x)).max() < 1e-12
@@ -121,9 +164,67 @@ def test_unitary_width_cap():
 
 
 def test_unitary_input_domain():
-    c = cir.build_qsp_chain(1)
+    c = build_qsp_chain(1)
     with pytest.raises(DomainError):
         cir.unitary_of(c, [0.0, 0.0], [1.5])
+
+
+_TURN = st.floats(-7.0, 7.0)
+# gate kind → the target qubits it needs (prepare draws its own count)
+_TARGETS = {"h": 1, "x": 1, "cnot": 2, "rx": 1, "rz": 1, "rzz": 2, "prepare": None}
+
+
+@st.composite
+def every_kind_circuits(draw):
+    """A circuit of up to 6 qubits and 12 gates of every kind and angle kind,
+    each under up to 3 controls of either polarity on any side of its
+    targets, on two parameter slots and two inputs."""
+    width = draw(st.integers(1, 6))
+    angle = st.one_of(st.builds(cir.Const, _TURN),
+                      st.builds(cir.Param, st.integers(0, 1), _TURN, _TURN),
+                      st.builds(cir.InputArccos, st.integers(0, 1), _TURN, _TURN))
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(sorted(_TARGETS)), min_size=1, max_size=12)):
+        need = _TARGETS[kind] or draw(st.integers(1, min(width, 3)))
+        if need > width:
+            continue
+        qs = draw(st.permutations(range(width)))
+        targets, free = tuple(qs[:need]), qs[need:]
+        if kind == "prepare":
+            amps = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1 << need,
+                                          max_size=1 << need))) + 0.01
+            g = cir.prepare_amplitudes(targets, amps / np.linalg.norm(amps))
+        elif kind in ("h", "x", "cnot"):
+            g = cir.Gate(kind, targets)
+        else:
+            g = cir.Gate(kind, targets, angle=draw(angle))
+        ctrls = [(q, draw(st.integers(0, 1))) for q in free[:draw(st.integers(0, min(len(free), 3)))]]
+        gates.append(cir.controlled(g, ctrls))
+    return cir.Circuit(width, tuple(gates), n_params=2, n_inputs=2)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(every_kind_circuits(), st.lists(_TURN, min_size=2, max_size=2),
+       st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2))
+def test_unitary_of_matches_reference_embedding_property(circ, params, inputs):
+    assert np.array_equal(cir.unitary_of(circ, params, inputs),
+                          reference_unitary(circ, params, inputs))
+
+
+def test_embed_index_tables_are_read_only():
+    idx = cir._embed_index((1,), ((0, 0),), 3)
+    assert idx.shape == (2, 2)
+    assert cir._embed_index((1,), ((0, 0),), 3) is idx   # cached
+    with pytest.raises(ValueError):
+        idx[0, 0] = 7
+    assert idx.tolist() == [[0, 1], [2, 3]]
+
+
+def test_unitary_of_controlled_cnot_is_a_double_controlled_x():
+    c = cir.Circuit(3, (cir.controlled(cir.cnot(1, 2), [(0, 1)]),))
+    expected = np.eye(8, dtype=complex)
+    expected[6:, 6:] = [[0, 1], [1, 0]]
+    assert np.array_equal(cir.unitary_of(c), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +237,7 @@ def _wrap(circuit, controls):
 
 
 def test_controlled_wrap_empty_controls():
-    c = cir.build_qsp_chain(1)
+    c = build_qsp_chain(1)
     assert _wrap(c, []) == c
 
 

@@ -9,7 +9,7 @@ from qpinn import circuits as cir
 from qpinn import qsp, sim
 from qpinn.errors import DomainError, SizeError
 
-from test_circuits import random_circuit
+from test_circuits import build_qsp_chain, every_kind_circuits, random_circuit
 
 
 def _seed(x):
@@ -116,7 +116,7 @@ def test_dual_channel_shapes_must_match(params, inputs):
 
 
 def test_input_domain():
-    c = cir.build_qsp_chain(1)
+    c = build_qsp_chain(1)
     with pytest.raises(DomainError):
         sim.run(c, [0.0, 0.0], [1.2])
     with pytest.raises(DomainError):
@@ -174,45 +174,16 @@ def test_controlled_prepare_matches_dense_oracle():
             assert np.abs(got[r, 0] - cir.unitary_of(c, params[r], [])[:, 0]).max() <= 1e-12
 
 
-_TURN = st.floats(-7.0, 7.0)
-# gate kind → the target qubits it needs (prepare draws its own count)
-_TARGETS = {"h": 1, "x": 1, "cnot": 2, "rx": 1, "rz": 1, "rzz": 2, "prepare": None}
-
-
 @st.composite
 def _sim_cases(draw):
-    """A circuit of up to 6 qubits and 12 gates of every kind and angle kind,
-    each under up to 3 controls of either polarity on any side of its
-    targets, with a (Bp, 2) parameter batch, an (N, 2) input batch and a
-    direction for each (Bp ≤ 3, N ≤ 4)."""
-    width = draw(st.integers(1, 6))
-    angle = st.one_of(st.builds(cir.Const, _TURN),
-                      st.builds(cir.Param, st.integers(0, 1), _TURN, _TURN),
-                      st.builds(cir.InputArccos, st.integers(0, 1), _TURN, _TURN))
-    gates = []
-    for kind in draw(st.lists(st.sampled_from(sorted(_TARGETS)), min_size=1, max_size=12)):
-        need = _TARGETS[kind] or draw(st.integers(1, min(width, 3)))
-        if need > width:
-            continue
-        qs = draw(st.permutations(range(width)))
-        targets, free = tuple(qs[:need]), qs[need:]
-        if kind == "prepare":
-            amps = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1 << need,
-                                          max_size=1 << need))) + 0.01
-            g = cir.prepare_amplitudes(targets, amps / np.linalg.norm(amps))
-        elif kind in ("h", "x", "cnot"):
-            g = cir.Gate(kind, targets)
-        else:
-            g = cir.Gate(kind, targets, angle=draw(angle))
-        ctrls = [(q, draw(st.integers(0, 1))) for q in free[:draw(st.integers(0, min(len(free), 3)))]]
-        if kind == "cnot" and ctrls:   # unitary_of takes a controlled cnot as a controlled x
-            g, ctrls = cir.x(targets[1]), [(targets[0], 1)] + ctrls
-        gates.append(cir.controlled(g, ctrls))
+    """A circuit of every gate kind (``every_kind_circuits``) with a (Bp, 2)
+    parameter batch, an (N, 2) input batch and a direction for each
+    (Bp ≤ 3, N ≤ 4)."""
+    circ = draw(every_kind_circuits())
     bp, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     batch = lambda rows, lo, hi: np.array(draw(st.lists(
         st.floats(lo, hi), min_size=2 * rows, max_size=2 * rows))).reshape(rows, 2)
-    return (cir.Circuit(width, tuple(gates), n_params=2, n_inputs=2),
-            batch(bp, -7.0, 7.0), batch(n, -0.95, 0.95), batch(bp, -1.0, 1.0), batch(n, -1.0, 1.0))
+    return (circ, batch(bp, -7.0, 7.0), batch(n, -0.95, 0.95), batch(bp, -1.0, 1.0), batch(n, -1.0, 1.0))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=120)
