@@ -56,6 +56,11 @@ in a second direction): ``_trace`` takes one parameter row through every
 layer and records each layer's (input, pre-activation) pair for the
 reverse pass, ``_reverse``.
 
+``values``, ``bundles`` and ``batched_eval`` are thin calls, on
+``_Evaluator``, of each family's one ``_forward``; ``values`` and
+``bundles`` build on their own points and leave what ``batched_eval``
+holds and keeps alone.
+
 Parameter layouts (one flat vector per model):
 qpinn / quantum_inspired: [θ1x, θ2x(2) | θ1t, θ2t(2) | λ (qpinn only)];
 counterpart: [p1 c0..c2 | p2 c0..c2];
@@ -70,7 +75,7 @@ import numpy as np
 
 from . import circuits as cir
 from . import duals, qsp
-from .errors import BackwardError, DomainError
+from .errors import BackwardError, DomainError, SizeError
 
 KINDS = ("qpinn", "quantum_inspired", "counterpart", "fully_connected")
 
@@ -140,23 +145,52 @@ def _points_key(*arrays) -> tuple:
 
 
 class _Evaluator:
-    """An evaluator that holds what its ``_build`` makes of the collocation
-    points (t_int, x_int, t_bnd, x_bnd) and rebuilds it only when a point
-    array is replaced or mutated, so a training run builds it once.
+    """One forward, ``_forward(params2d, held)``, behind three thin calls.
+    A family's ``_build(t_int, x_int, t_bnd, x_bnd)`` makes ``held`` of the
+    points; the forward returns ((v, v_t, v_x, v_xx) at the interior, v at
+    the boundary), (B, N) arrays with a row per parameter row, and what
+    ``backward`` needs of a one-row forward.  ``values`` and ``bundles``
+    take one part of a forward on their own points, never ``batched_eval``:
+    that would evict its held points and output count, and they must stay
+    right when only ``batched_eval`` is wrapped.  ``batched_eval`` rebuilds
+    what it holds only when a point array is replaced or mutated, and a
+    one-row forward keeps ``_kept`` for ``backward``: the gradient at the
+    row and the points as that forward saw them.  After a forward of any
+    other number of rows, or with a cotangent that is not one flat row of
+    the last forward's outputs, ``backward`` raises ``BackwardError``.  A
+    row whose width is not the parameter count raises ``SizeError``."""
 
-    ``backward`` differentiates the last ``batched_eval``, which must be of
-    one parameter row, at the row and the points as that forward saw them:
-    the forward keeps its own copy of what the gradient needs.  A forward
-    of any other number of rows drops that copy, so ``backward`` after it
-    raises ``BackwardError``, as does a cotangent whose length is not the
-    last forward's output count."""
+    # the held points' ``_points_key``, what ``_build`` made of them, and
+    # what the last one-row ``batched_eval`` kept for ``backward``
+    _points = _held = _kept = None
 
-    _points = _held = None   # ``_held`` and the ``_points_key`` of its points
+    def __init__(self, spec: ModelSpec):
+        self.spec = spec
 
-    def _check_backward(self, kept, cotangent):
-        """Refuse a ``backward`` without ``kept``, what the last forward kept
-        for it, or with a cotangent that is not one flat row of its outputs."""
-        if kept is None:
+    def _rows(self, params) -> np.ndarray:
+        """``params`` as a (B, P) stack of rows of the model's P parameters."""
+        params2d = np.atleast_2d(params)
+        if params2d.ndim != 2 or params2d.shape[1] != self.spec.n_params:
+            raise SizeError(f"{self.spec.kind} expects rows of {self.spec.n_params} "
+                            f"parameters, got shape {np.shape(params)}")
+        return params2d
+
+    def values(self, params, t, x):
+        return self._forward(self._rows(params), self._build((), (), t, x))[0][1]
+
+    def bundles(self, params, t, x):
+        return self._forward(self._rows(params), self._build(t, x, (), ()))[0][0]
+
+    def batched_eval(self, params2d, t_int, x_int, t_bnd, x_bnd):
+        params2d = self._rows(params2d)
+        outputs, kept = self._forward(params2d, self._collocate(t_int, x_int, t_bnd, x_bnd))
+        self._kept = kept if len(params2d) == 1 else None
+        return outputs
+
+    def _check_backward(self, cotangent):
+        """Refuse a ``backward`` when the last forward kept nothing for it, or
+        with a cotangent that is not one flat row of its outputs."""
+        if self._kept is None:
             raise BackwardError("backward needs a one-row batched_eval first")
         if np.shape(cotangent) != (self._n_outputs,):
             raise BackwardError(f"cotangent of shape {np.shape(cotangent)}; "
@@ -205,68 +239,40 @@ class _SeparableEvaluator(_Evaluator):
 
     Subclasses supply ``coefficients(params2d)``, the real (B, 3, 3) matrix
     W; every output is W contracted with a feature matrix F of ψ products
-    (the module docstring), held for the collocation points.  A one-row
-    ``batched_eval``, a training epoch's forward, takes W and ∂W/∂θ from
-    ``_w_and_jac`` and keeps ∂W for ``backward``.
+    (the module docstring).  A one-row forward, a training epoch's, takes W
+    and ∂W/∂θ from ``_w_and_jac`` and keeps ∂W for ``backward``.
     """
 
     square = False   # ψ₂ = u² rather than √(1 − u²)
     shift_scale = 0.25
 
     def __init__(self, spec: ModelSpec):
-        self.spec = spec
-        self._jac = None   # ∂W/∂θ of the last one-row forward
+        super().__init__(spec)
         # added to a row, its ``duals.shift_stack(row, π)``: −0.0 leaves every
         # angle as it is, −0.0 among them
         self._shifts = duals.shift_stack(np.full(self.groups[-1].stop, -0.0), np.pi)
 
-    @staticmethod
-    def _features(blocks):
-        """(9, N) feature matrix of the (ψ-features of x, ψ-features of t)
-        blocks side by side, and the column bounds of each block."""
+    def _build(self, t_int, x_int, t_bnd, x_bnd):
+        """The (9, N) feature matrix of v, v_t, v_x, v_xx at the interior and
+        v at the boundary, blocks side by side, and the column bounds of
+        each block."""
+        (px, dpx, ddpx), (pt, dpt) = _psi(x_int, 2, self.square), _psi(t_int, 1, self.square)
+        blocks = [(px, pt), (px, dpt), (dpx, pt), (ddpx, pt),
+                  (_psi(x_bnd, 0, self.square)[0], _psi(t_bnd, 0, self.square)[0])]
         feats = np.concatenate([(fx[:, None, :] * ft[None, :, :]).reshape(9, -1)
                                 for fx, ft in blocks], axis=1)
         return feats, np.cumsum([0] + [fx.shape[1] for fx, _ in blocks]).tolist()
 
-    def _blocks(self, t, x, dual: bool):
-        """Feature blocks of v, or of (v, v_t, v_x, v_xx) when ``dual``."""
-        if not dual:
-            return [(_psi(x, 0, self.square)[0], _psi(t, 0, self.square)[0])]
-        (px, dpx, ddpx), (pt, dpt) = _psi(x, 2, self.square), _psi(t, 1, self.square)
-        return [(px, pt), (px, dpt), (dpx, pt), (ddpx, pt)]
-
-    def _build(self, t_int, x_int, t_bnd, x_bnd):
-        """The ``_features`` of the bundles at the interior and of the values
-        at the boundary."""
-        return self._features(self._blocks(t_int, x_int, True)
-                              + self._blocks(t_bnd, x_bnd, False))
-
-    def _contract(self, w, feats, bounds):
-        """output_scale·W·F sliced into one (B, N) view per block."""
-        w = self.spec.output_scale * w
+    def _forward(self, params2d, held):
+        """output_scale·W·F sliced into one (B, N) view per block, and ∂W/∂θ
+        of a one-row forward (None for any other)."""
+        feats, bounds = held
+        w, jac = (self._w_and_jac(params2d) if len(params2d) == 1
+                  else (self.coefficients(params2d), None))
         # einsum, not BLAS ``@``: BLAS sums a row differently for another batch size
-        out = np.einsum("bk,kn->bn", w.reshape(-1, 9), feats)
-        return [out[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-    def values(self, params, t, x):
-        return self._contract(self.coefficients(np.atleast_2d(params)),
-                              *self._features(self._blocks(t, x, False)))[0]
-
-    def bundles(self, params, t, x):
-        return tuple(self._contract(self.coefficients(np.atleast_2d(params)),
-                                    *self._features(self._blocks(t, x, True))))
-
-    def batched_eval(self, params2d, t_int, x_int, t_bnd, x_bnd):
-        """((v, v_t, v_x, v_xx) at the interior, v at the boundary), (B, N)
-        views of one output array, one row per parameter row."""
-        feats = self._collocate(t_int, x_int, t_bnd, x_bnd)
-        params2d = np.atleast_2d(params2d)
-        if len(params2d) == 1:
-            w, self._jac = self._w_and_jac(params2d)
-        else:
-            w, self._jac = self.coefficients(params2d), None
-        *bundles, bnd = self._contract(w, *feats)
-        return tuple(bundles), bnd
+        out = np.einsum("bk,kn->bn", (self.spec.output_scale * w).reshape(-1, 9), feats)
+        *bundles, bnd = (out[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
+        return (tuple(bundles), bnd), jac
 
     def _w_and_jac(self, row):
         """W, (1, 3, 3), and ∂W/∂θ, (P, 3, 3), of one parameter row from one
@@ -276,17 +282,13 @@ class _SeparableEvaluator(_Evaluator):
         w = self.coefficients(row + self._shifts)
         return w[:1], self.shift_scale * (w[1::2] - w[2::2])
 
-    def jacobian(self, params) -> np.ndarray:
-        """∂W/∂θ, (P, 3, 3), of one parameter row."""
-        return self._w_and_jac(np.asarray(params, dtype=float))[1]
-
     def backward(self, cotangent) -> np.ndarray:
         """Gradient of Σ cotangent·output over the row of the last one-row
         ``batched_eval`` at its points; ``cotangent`` is one flat row laid out
         as the outputs: v, v_t, v_x, v_xx, boundary."""
-        self._check_backward(self._jac, cotangent)
+        self._check_backward(cotangent)
         g = np.einsum("kn,n->k", self._held[0], cotangent)
-        return self.spec.output_scale * np.einsum("pk,k->p", self._jac.reshape(-1, 9), g)
+        return self.spec.output_scale * np.einsum("pk,k->p", self._kept.reshape(-1, 9), g)
 
 
 class _QuantumInspiredEvaluator(_SeparableEvaluator):
@@ -386,71 +388,49 @@ def _reverse(layers, records, cots) -> np.ndarray:
 
 
 class _FullyConnectedEvaluator(_Evaluator):
-    """The tanh network: one ``_trace`` per parameter row; ``backward`` runs
-    ``_reverse`` through the traces of the last row ``batched_eval`` took."""
+    """The tanh network: one ``_trace`` per parameter row and channel tuple;
+    ``backward`` runs ``_reverse`` through the traces of the row of the last
+    one-row ``batched_eval``."""
 
     groups = tuple(slice(lo, hi) for lo, hi in zip(_FC_BOUNDS, _FC_BOUNDS[1:]))
-
-    def __init__(self, spec: ModelSpec):
-        self.spec = spec
-        self._saved = None   # (layers, records) of the last one-row forward
 
     def _layers(self, row):
         return [(row[w].reshape(fi, fo), row[b])
                 for w, b, (fi, fo) in zip(self.groups[0::2], self.groups[1::2], _FC_LAYERS)]
 
-    @staticmethod
-    def _inputs(t, x, dual: bool) -> tuple:
-        """``(a,)`` with rows (t, x), or (a, ∂a/∂x, ∂²a/∂x², ∂a/∂t) when ``dual``."""
-        a = np.stack([np.asarray(t, float), np.asarray(x, float)], axis=1)
-        seeds = np.zeros((3,) + a.shape)
-        seeds[0, :, 1] = seeds[2, :, 0] = 1.0
-        return (a, *seeds) if dual else (a,)
-
     def _build(self, t_int, x_int, t_bnd, x_bnd):
-        """The input channels of the interior (dual) and of the boundary."""
-        return self._inputs(t_int, x_int, True), self._inputs(t_bnd, x_bnd, False)
+        """The input channels (a, ∂a/∂x, ∂²a/∂x², ∂a/∂t) of the interior, a
+        with rows (t, x), and (a,) of the boundary."""
+        a_int, a_bnd = (np.stack([np.asarray(t, float), np.asarray(x, float)], axis=1)
+                        for t, x in ((t_int, x_int), (t_bnd, x_bnd)))
+        seeds = np.zeros((3,) + a_int.shape)
+        seeds[0, :, 1] = seeds[2, :, 0] = 1.0
+        return (a_int, *seeds), (a_bnd,)
 
-    def _eval(self, params2d, *inputs):
-        """Scaled (channels, B, N) outputs of every parameter row, one array
-        per channel tuple in ``inputs``, and the last row's (layers,
-        records)."""
+    def _forward(self, params2d, held):
+        """The scaled outputs of every parameter row, and the last row's
+        (layers, records)."""
         # a copy: the layers are views of it, and the kept ones must not
         # change when the caller mutates its row
-        params2d = np.array(params2d, dtype=float, ndmin=2)
-        outs = [np.empty((len(c), params2d.shape[0], c[0].shape[0])) for c in inputs]
+        params2d = np.array(params2d, dtype=float)
+        outs = [np.empty((len(c), params2d.shape[0], c[0].shape[0])) for c in held]
         for r, row in enumerate(params2d):
             layers = self._layers(row)
-            traces = [_trace(layers, chans) for chans in inputs]
+            traces = [_trace(layers, chans) for chans in held]
             for out, (z, _) in zip(outs, traces):
                 out[:, r] = [c[:, 0] for c in z]
-        return ([self.spec.output_scale * out for out in outs],
-                (layers, [r for _, r in traces]))
-
-    def values(self, params, t, x):
-        return self._eval(params, self._inputs(t, x, False))[0][0][0]
-
-    def bundles(self, params, t, x):
-        (v, v_x, v_xx, v_t), = self._eval(params, self._inputs(t, x, True))[0]
-        return v, v_t, v_x, v_xx
-
-    def batched_eval(self, params2d, t_int, x_int, t_bnd, x_bnd):
-        """As ``_SeparableEvaluator.batched_eval``; a one-row forward keeps
-        its traces for ``backward``."""
-        outs, saved = self._eval(params2d, *self._collocate(t_int, x_int, t_bnd, x_bnd))
-        (v, v_x, v_xx, v_t), (bnd,) = outs
-        self._saved = saved if v.shape[0] == 1 else None
-        return (v, v_t, v_x, v_xx), bnd
+        (v, v_x, v_xx, v_t), (bnd,) = (self.spec.output_scale * out for out in outs)
+        return ((v, v_t, v_x, v_xx), bnd), (layers, [r for _, r in traces])
 
     def backward(self, cotangent) -> np.ndarray:
         """As ``_SeparableEvaluator.backward``, by the reverse pass through
         the kept traces."""
-        self._check_backward(self._saved, cotangent)
+        self._check_backward(cotangent)
         n = len(self._held[0][0])
         g_v, g_t, g_x, g_xx = (cotangent[lo:lo + n] for lo in range(0, 4 * n, n))
         cots = [(g_v, g_x, g_xx, g_t), (cotangent[4 * n:],)]
         cots = [tuple(self.spec.output_scale * np.reshape(g, (-1, 1)) for g in c) for c in cots]
-        return _reverse(*self._saved, cots)
+        return _reverse(*self._kept, cots)
 
 
 _EVALUATORS = {
@@ -471,17 +451,14 @@ class ModelFunction:
     def __init__(self, spec: ModelSpec, params):
         self.spec = spec
         self.params = np.asarray(params, dtype=float)
-        if self.params.size != spec.n_params:
-            raise ValueError(
-                f"{spec.kind} expects {spec.n_params} parameters, got {self.params.size}"
-            )
         self._ev = make_evaluator(spec)
+        self._row = self._ev._rows(self.params[None, ...])
 
     def values(self, t, x):
-        return self._ev.values(self.params[None, :], t, x)[0]
+        return self._ev.values(self._row, t, x)[0]
 
     def derivatives(self, t, x):
-        return tuple(a[0] for a in self._ev.bundles(self.params[None, :], t, x))
+        return tuple(a[0] for a in self._ev.bundles(self._row, t, x))
 
 
 def params_to_json_dict(spec: ModelSpec, params) -> dict:

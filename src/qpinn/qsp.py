@@ -239,14 +239,6 @@ def chain_value(thetas, x):
     return out if dual else out[0]
 
 
-def qsp_value(theta, x: float) -> complex:
-    """⟨+|U_θ(x)|+⟩ at a single point via the 2×2 matrix chain."""
-    if abs(x) > 1.0:
-        raise DomainError("qsp_value requires |x| <= 1")
-    val = chain_value(theta, float(x))
-    return complex(val[0, 0])
-
-
 # ---------------------------------------------------------------------------
 # polynomial plumbing
 

@@ -70,8 +70,8 @@ def _check_rank1_dequantization(seed):
     for _ in range(5):
         th = rng.normal(size=6)
         pt = rng.uniform(-0.99, 0.99, size=2)
-        a1 = 0.5 * (qsp.qsp_value(th[0:1], pt[0]) + qsp.qsp_value(th[1:3], pt[0]))
-        a2 = 0.5 * (qsp.qsp_value(th[3:4], pt[1]) + qsp.qsp_value(th[4:6], pt[1]))
+        a1 = 0.5 * (qsp.chain_value(th[0:1], pt[0]) + qsp.chain_value(th[1:3], pt[0]))[0, 0]
+        a2 = 0.5 * (qsp.chain_value(th[3:4], pt[1]) + qsp.chain_value(th[4:6], pt[1]))[0, 0]
         err = max(err, abs(sim.expect_z0(sim.run(tpl, th, pt)) - (a1 * a2).real))
     return err < 1e-12, f"statevector vs 2×2 chains, max diff = {err:.2e}"
 

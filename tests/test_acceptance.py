@@ -70,8 +70,8 @@ def test_criterion_1_circuit_identities():
     for _ in range(20):
         th = rng.normal(size=6)
         pt = rng.uniform(-1, 1, size=2)
-        a1 = 0.5 * (qsp.qsp_value(th[0:1], pt[0]) + qsp.qsp_value(th[1:3], pt[0]))
-        a2 = 0.5 * (qsp.qsp_value(th[3:4], pt[1]) + qsp.qsp_value(th[4:6], pt[1]))
+        a1 = 0.5 * (qsp.chain_value(th[0:1], pt[0]) + qsp.chain_value(th[1:3], pt[0]))[0, 0]
+        a2 = 0.5 * (qsp.chain_value(th[3:4], pt[1]) + qsp.chain_value(th[4:6], pt[1]))[0, 0]
         worst_deq = max(worst_deq, abs(sim.expect_z0(sim.run(tpl, th, pt))
                                        - (a1 * a2).real))
     ok4 = worst_deq < 1e-12

@@ -203,7 +203,7 @@ def every_kind_circuits(draw):
     return cir.Circuit(width, tuple(gates), n_params=2, n_inputs=2)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(every_kind_circuits(), st.lists(_TURN, min_size=2, max_size=2),
        st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2))
 def test_unitary_of_matches_reference_embedding_property(circ, params, inputs):
@@ -452,7 +452,7 @@ def _lowerable_circuits(draw):
         st.floats(-1.0, 1.0))]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(_lowerable_circuits())
 def test_lowering_preserves_unitary_property(case):
     circ, params, inputs = case

@@ -22,23 +22,23 @@ def bounded_poly(rng, degree, bound=0.45):
 
 
 # ---------------------------------------------------------------------------
-# qsp_value
+# chain_value at one point
 
 
 def test_qsp_value_chebyshev():
-    val = qsp.qsp_value((0.0, 0.0, 0.0), 0.5)
+    val = qsp.chain_value((0.0, 0.0, 0.0), 0.5)[0, 0]
     assert val.real == pytest.approx(-0.5, abs=1e-12)  # T₂(½)
 
 
 def test_qsp_value_degree_zero():
     phi = 0.83
-    assert qsp.qsp_value((phi,), 0.3).real == pytest.approx(math.cos(phi / 2))
+    assert qsp.chain_value((phi,), 0.3)[0, 0].real == pytest.approx(math.cos(phi / 2))
 
 
 def test_qsp_value_at_x_one_collapses_to_rz_product():
     # S(1) = I, so the chain is R_z(Σθ) and ⟨+|R_z(Σθ)|+⟩ = cos(Σθ/2)
     th = (0.3, -0.7, 1.1)
-    val = qsp.qsp_value(th, 1.0)
+    val = qsp.chain_value(th, 1.0)[0, 0]
     assert val == pytest.approx(math.cos(sum(th) / 2), abs=1e-12)
 
 
@@ -48,12 +48,13 @@ def test_qsp_value_matches_matrix_oracle():
         th = rng.normal(size=L + 1)
         x = float(rng.uniform(-1, 1))
         plus = np.full(2, 1 / math.sqrt(2))
-        assert qsp.qsp_value(th, x) == pytest.approx(plus @ chain_matrix(th, x) @ plus, abs=1e-12)
+        assert qsp.chain_value(th, x)[0, 0] == pytest.approx(plus @ chain_matrix(th, x) @ plus,
+                                                        abs=1e-12)
 
 
 def test_qsp_value_domain():
     with pytest.raises(DomainError):
-        qsp.qsp_value((0.0,), 1.2)
+        qsp.chain_value((0.0,), 1.2)
 
 
 def test_qsp_value_bounded():
@@ -61,7 +62,7 @@ def test_qsp_value_bounded():
     for _ in range(50):
         th = rng.normal(size=4)
         x = float(rng.uniform(-1, 1))
-        assert abs(qsp.qsp_value(th, x).real) <= 1.0 + 1e-12
+        assert abs(qsp.chain_value(th, x)[0, 0].real) <= 1.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +386,8 @@ def test_rank1_dequantization_identity():
     for _ in range(10):
         th = rng.normal(size=6)
         pt = rng.uniform(-1, 1, size=2)
-        a1 = 0.5 * (qsp.qsp_value(th[0:1], pt[0]) + qsp.qsp_value(th[1:3], pt[0]))
-        a2 = 0.5 * (qsp.qsp_value(th[3:4], pt[1]) + qsp.qsp_value(th[4:6], pt[1]))
+        a1 = 0.5 * (qsp.chain_value(th[0:1], pt[0]) + qsp.chain_value(th[1:3], pt[0]))[0, 0]
+        a2 = 0.5 * (qsp.chain_value(th[3:4], pt[1]) + qsp.chain_value(th[4:6], pt[1]))[0, 0]
         assert sim.expect_z0(sim.run(circ, th, pt)) == pytest.approx(
             (a1 * a2).real, abs=1e-12
         )
@@ -433,7 +434,7 @@ def test_monomials_json_roundtrip():
 # ---------------------------------------------------------------------------
 # properties of the coefficient form (derandomized, so the suite stays deterministic)
 
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+PROPERTY = settings(max_examples=60)
 _angles = st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi), min_size=1, max_size=5)
 
 

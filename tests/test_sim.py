@@ -186,7 +186,7 @@ def _sim_cases(draw):
     return (circ, batch(bp, -7.0, 7.0), batch(n, -0.95, 0.95), batch(bp, -1.0, 1.0), batch(n, -1.0, 1.0))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@settings(max_examples=120)
 @given(_sim_cases())
 def test_batched_simulation_matches_dense_oracle_property(case):
     circ, params, inputs, d_params, d_inputs = case

@@ -285,7 +285,7 @@ def _random_params(spec, rng):
     return models.init_params(spec, rng) + rng.normal(0.0, 0.1, spec.n_params)
 
 
-GRADIENT = settings(derandomize=True, database=None, deadline=None, max_examples=8)
+GRADIENT = settings(max_examples=8)
 
 
 @pytest.mark.parametrize("kind", models.KINDS)
@@ -379,15 +379,37 @@ def test_backward_refuses_what_no_one_row_forward_kept(kind):
 
 
 @pytest.mark.parametrize("kind", models.KINDS)
+def test_values_and_bundles_leave_the_kept_forward_alone(kind):
+    # values and bundles on other points, and on other parameter rows,
+    # between a one-row batched_eval and its backward: the gradient stays
+    # bit for bit the one without them
+    m = merton.MarketParams()
+    w = merton.LossWeights()
+    spec = ModelSpec(kind)
+    rng = np.random.default_rng(8)
+    params, other = _random_params(spec, rng), _random_params(spec, rng)
+    colloc = merton.sample_collocation(3, 20, 20)
+    obj = training.Objective(colloc, w, m)
+    t, x = rng.uniform(0.05, 0.95, (2, 7))
+    ev = models.make_evaluator(spec)
+    _, cot = obj.loss_and_cotangent(ev.batched_eval(params[None, :], *obj.points))
+    ev.values(other, t, x)
+    ev.bundles(np.stack([params, other]), t[:3], x[:3])
+    ev.values(params, t[:2], np.ones(2))
+    ev.bundles(other[None, :], t, x)
+    np.testing.assert_array_equal(
+        ev.backward(cot), _exact_gradient(models.make_evaluator(spec), params, colloc, w, m))
+
+
+@pytest.mark.parametrize("kind", models.KINDS)
 def test_training_evaluates_one_row_per_epoch_and_no_fd(kind, monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("an epoch takes no finite differences and no second jacobian")
+        raise AssertionError("an epoch takes no finite differences")
 
     for module, name in ((training, "loss_terms"), (duals, "fd_stack"), (duals, "fd_gradient")):
         monkeypatch.setattr(module, name, forbidden)
     spec = ModelSpec(kind)
     ev = models.make_evaluator(spec)
-    ev.jacobian = forbidden
     calls = {"rows": [], "loss_and_cotangent": 0, "backward": 0, "lamb_step": 0, "features": 0}
 
     def counted(name, real):
@@ -406,10 +428,8 @@ def test_training_evaluates_one_row_per_epoch_and_no_fd(kind, monkeypatch):
     monkeypatch.setattr(training.Objective, "loss_and_cotangent",
                         counted("loss_and_cotangent", training.Objective.loss_and_cotangent))
     monkeypatch.setattr(training, "lamb_step", counted("lamb_step", training.lamb_step))
-    # the collocation features (the network's input channels) are built once a run
-    builder = "_inputs" if kind == "fully_connected" else "_features"
-    monkeypatch.setattr(type(ev), builder,
-                        staticmethod(counted("features", getattr(type(ev), builder))))
+    # what the forward needs of the collocation points is built once a run
+    monkeypatch.setattr(type(ev), "_build", counted("features", type(ev)._build))
     # the chain models and the counterpart build W and ∂W in one coefficients
     # call on the ±π shift rows, and backward uses that ∂W
     coefficients = []
@@ -425,7 +445,7 @@ def test_training_evaluates_one_row_per_epoch_and_no_fd(kind, monkeypatch):
     log = training.run_training(ev, models.init_params(spec, 1), TrainConfig(epochs=4), m, w, 0)
     assert log.aborted is None and calls["rows"] == [1] * 4
     assert calls["loss_and_cotangent"] == calls["backward"] == calls["lamb_step"] == 4
-    assert calls["features"] == (2 if kind == "fully_connected" else 1)
+    assert calls["features"] == 1
     if kind != "fully_connected":
         assert coefficients == [2 * spec.n_params + 1] * 4
     # epoch 0 logs the loss of the initial parameters exactly
@@ -464,22 +484,23 @@ def test_kept_jacobian_trains_as_a_fresh_jacobian(kind):
     runs = []
     for forced in (False, True):
         ev = models.make_evaluator(spec)
-        real_jacobian, real_eval, jacobians = ev.jacobian, ev.batched_eval, []
+        real_w_and_jac, real_eval, jacobians = ev._w_and_jac, ev.batched_eval, []
 
-        def jacobian(params):
+        def w_and_jac(row):
             jacobians.append(1)
-            return real_jacobian(params)
+            return real_w_and_jac(row)
 
         def batched_eval(params2d, *points):
             out = real_eval(params2d, *points)
-            if forced:   # replace the kept ∂W by a fresh jacobian of the row
-                ev._jac = jacobian(params2d[0])
+            if forced:   # replace the kept ∂W by a fresh one of the row
+                ev._kept = w_and_jac(params2d[0])[1]
             return out
 
-        ev.jacobian, ev.batched_eval = jacobian, batched_eval
+        ev._w_and_jac, ev.batched_eval = w_and_jac, batched_eval
         log = training.run_training(ev, models.init_params(spec, 2), TrainConfig(epochs=200),
                                     m, w, 3)
-        assert log.aborted is None and len(jacobians) == (200 if forced else 0)
+        # each epoch's forward makes one ∂W; the forced run one more
+        assert log.aborted is None and len(jacobians) == (400 if forced else 200)
         runs.append(log)
     kept, fresh = runs
     assert kept.losses == fresh.losses
