@@ -145,12 +145,14 @@ def _points_key(*arrays) -> tuple:
 
 
 class _Evaluator:
-    """One forward, ``_forward(params2d, held)``, behind three thin calls.
-    A family's ``_build(t_int, x_int, t_bnd, x_bnd)`` makes ``held`` of the
-    points; the forward returns ((v, v_t, v_x, v_xx) at the interior, v at
-    the boundary), (B, N) arrays with a row per parameter row, and what
-    ``backward`` needs of a one-row forward.  ``values`` and ``bundles``
-    take one part of a forward on their own points, never ``batched_eval``:
+    """One forward, ``_forward(params2d, held, keep)``, behind three thin
+    calls.  A family's ``_build(t_int, x_int, t_bnd, x_bnd)`` makes ``held``
+    of the points, leaving out a part (interior or boundary) with no points;
+    the forward returns ((v, v_t, v_x, v_xx) at the interior, v at the
+    boundary), (B, N) arrays with a row per parameter row (N = 0 for a part
+    left out), and, when asked to ``keep``, what ``backward`` needs of a
+    one-row forward.  ``values`` and ``bundles`` take one part of a forward
+    on their own points, never ``batched_eval``:
     that would evict its held points and output count, and they must stay
     right when only ``batched_eval`` is wrapped.  ``batched_eval`` rebuilds
     what it holds only when a point array is replaced or mutated, and a
@@ -183,8 +185,9 @@ class _Evaluator:
 
     def batched_eval(self, params2d, t_int, x_int, t_bnd, x_bnd):
         params2d = self._rows(params2d)
-        outputs, kept = self._forward(params2d, self._collocate(t_int, x_int, t_bnd, x_bnd))
-        self._kept = kept if len(params2d) == 1 else None
+        outputs, self._kept = self._forward(params2d,
+                                            self._collocate(t_int, x_int, t_bnd, x_bnd),
+                                            keep=len(params2d) == 1)
         return outputs
 
     def _check_backward(self, cotangent):
@@ -255,20 +258,25 @@ class _SeparableEvaluator(_Evaluator):
     def _build(self, t_int, x_int, t_bnd, x_bnd):
         """The (9, N) feature matrix of v, v_t, v_x, v_xx at the interior and
         v at the boundary, blocks side by side, and the column bounds of
-        each block."""
-        (px, dpx, ddpx), (pt, dpt) = _psi(x_int, 2, self.square), _psi(t_int, 1, self.square)
-        blocks = [(px, pt), (px, dpt), (dpx, pt), (ddpx, pt),
-                  (_psi(x_bnd, 0, self.square)[0], _psi(t_bnd, 0, self.square)[0])]
-        feats = np.concatenate([(fx[:, None, :] * ft[None, :, :]).reshape(9, -1)
-                                for fx, ft in blocks], axis=1)
-        return feats, np.cumsum([0] + [fx.shape[1] for fx, _ in blocks]).tolist()
+        each block; a part with no points gets no features and zero-width
+        blocks."""
+        blocks, widths = [], [0] * 5
+        if np.size(x_int):
+            (px, dpx, ddpx), (pt, dpt) = _psi(x_int, 2, self.square), _psi(t_int, 1, self.square)
+            blocks += [(px, pt), (px, dpt), (dpx, pt), (ddpx, pt)]
+            widths[:4] = [px.shape[1]] * 4
+        if np.size(x_bnd):
+            blocks.append((_psi(x_bnd, 0, self.square)[0], _psi(t_bnd, 0, self.square)[0]))
+            widths[4] = blocks[-1][0].shape[1]
+        feats = np.concatenate([np.zeros((9, 0))] + [
+            (fx[:, None, :] * ft[None, :, :]).reshape(9, -1) for fx, ft in blocks], axis=1)
+        return feats, np.cumsum([0] + widths).tolist()
 
-    def _forward(self, params2d, held):
+    def _forward(self, params2d, held, keep=False):
         """output_scale·W·F sliced into one (B, N) view per block, and ∂W/∂θ
-        of a one-row forward (None for any other)."""
+        of a one-row forward when asked to ``keep`` it (else None)."""
         feats, bounds = held
-        w, jac = (self._w_and_jac(params2d) if len(params2d) == 1
-                  else (self.coefficients(params2d), None))
+        w, jac = self._w_and_jac(params2d) if keep else (self.coefficients(params2d), None)
         # einsum, not BLAS ``@``: BLAS sums a row differently for another batch size
         out = np.einsum("bk,kn->bn", (self.spec.output_scale * w).reshape(-1, 9), feats)
         *bundles, bnd = (out[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
@@ -400,36 +408,46 @@ class _FullyConnectedEvaluator(_Evaluator):
 
     def _build(self, t_int, x_int, t_bnd, x_bnd):
         """The input channels (a, ∂a/∂x, ∂²a/∂x², ∂a/∂t) of the interior, a
-        with rows (t, x), and (a,) of the boundary."""
-        a_int, a_bnd = (np.stack([np.asarray(t, float), np.asarray(x, float)], axis=1)
-                        for t, x in ((t_int, x_int), (t_bnd, x_bnd)))
-        seeds = np.zeros((3,) + a_int.shape)
-        seeds[0, :, 1] = seeds[2, :, 0] = 1.0
-        return (a_int, *seeds), (a_bnd,)
+        with rows (t, x), and (a,) of the boundary; None for a part with no
+        points."""
+        interior = boundary = None
+        if np.size(x_int):
+            a_int = np.stack([np.asarray(t_int, float), np.asarray(x_int, float)], axis=1)
+            seeds = np.zeros((3,) + a_int.shape)
+            seeds[0, :, 1] = seeds[2, :, 0] = 1.0
+            interior = (a_int, *seeds)
+        if np.size(x_bnd):
+            boundary = (np.stack([np.asarray(t_bnd, float), np.asarray(x_bnd, float)], axis=1),)
+        return interior, boundary
 
-    def _forward(self, params2d, held):
-        """The scaled outputs of every parameter row, and the last row's
-        (layers, records)."""
+    def _forward(self, params2d, held, keep=False):
+        """The scaled outputs of every parameter row, and, when asked to
+        ``keep`` them, the last row's layers and the records of its traces
+        of the parts it holds."""
         # a copy: the layers are views of it, and the kept ones must not
         # change when the caller mutates its row
         params2d = np.array(params2d, dtype=float)
-        outs = [np.empty((len(c), params2d.shape[0], c[0].shape[0])) for c in held]
+        outs = [np.empty((k, len(params2d), 0 if c is None else len(c[0])))
+                for k, c in zip((4, 1), held)]
+        parts = [(out, chans) for out, chans in zip(outs, held) if chans is not None]
         for r, row in enumerate(params2d):
             layers = self._layers(row)
-            traces = [_trace(layers, chans) for chans in held]
-            for out, (z, _) in zip(outs, traces):
+            traces = [_trace(layers, chans) for _, chans in parts]
+            for (out, _), (z, _) in zip(parts, traces):
                 out[:, r] = [c[:, 0] for c in z]
         (v, v_x, v_xx, v_t), (bnd,) = (self.spec.output_scale * out for out in outs)
-        return ((v, v_t, v_x, v_xx), bnd), (layers, [r for _, r in traces])
+        return ((v, v_t, v_x, v_xx), bnd), (layers, [r for _, r in traces]) if keep else None
 
     def backward(self, cotangent) -> np.ndarray:
         """As ``_SeparableEvaluator.backward``, by the reverse pass through
-        the kept traces."""
+        the kept traces of the parts held."""
         self._check_backward(cotangent)
-        n = len(self._held[0][0])
-        g_v, g_t, g_x, g_xx = (cotangent[lo:lo + n] for lo in range(0, 4 * n, n))
+        interior = self._held[0]
+        n = 0 if interior is None else len(interior[0])
+        g_v, g_t, g_x, g_xx = (cotangent[k * n:(k + 1) * n] for k in range(4))
         cots = [(g_v, g_x, g_xx, g_t), (cotangent[4 * n:],)]
-        cots = [tuple(self.spec.output_scale * np.reshape(g, (-1, 1)) for g in c) for c in cots]
+        cots = [tuple(self.spec.output_scale * np.reshape(g, (-1, 1)) for g in c)
+                for c, part in zip(cots, self._held) if part is not None]
         return _reverse(*self._kept, cots)
 
 

@@ -6,10 +6,13 @@ split over two chains removes the parity constraint at the price of a ½
 normalization, and LCU ancillae extend the construction to multivariate and
 tensor-decomposed polynomials.
 
-Angle synthesis is numerical (damped Gauss–Newton least squares on the
-complex chain value, with restarts): it targets both the real part and a
-vanishing imaginary part, since products over variables in the multivariate
-circuits are only exactly polynomial when each per-variable value is real.
+Angle synthesis is numerical: Levenberg–Marquardt (damped Gauss–Newton)
+least squares on the complex chain value, from random starts.  It targets
+both the real part and a vanishing imaginary part, since products over
+variables in the multivariate circuits are only exactly polynomial when each
+per-variable value is real.  A construction's chains are fitted together, as
+stacks of rows with one damping and one stop test per row, and each row's
+arithmetic and random starts are those of a one-chain-at-a-time fit.
 """
 from __future__ import annotations
 
@@ -295,65 +298,193 @@ def expand_td(p: TdPoly) -> MonomialList:
 # angle synthesis
 
 
-def _chain_residual_jac(theta: np.ndarray, basis: np.ndarray, target: np.ndarray):
-    """Complex residual v(θ, x) − q(x) on the nodes, and ∂v/∂θ.
-
-    ``basis`` is the (d+1, K) node basis of ``_chain_basis``.  Each chain
-    amplitude is a·e^{−iθⱼ/2} + b·e^{iθⱼ/2} in each angle, so the shift rule
-    ∂v/∂θⱼ = [v(θⱼ + π) − v(θⱼ − π)]/4 is exact; all 2(d+1)+1 chains come
-    from one ``chain_coefficients`` call.
-    """
-    vals = chain_coefficients(shift_stack(theta, np.pi)) @ basis
-    return vals[0] - target, ((vals[1::2] - vals[2::2]) / 4.0).T
-
-
-_RESTARTS = 16      # Gauss–Newton starts per branch: zeros, then N(0, 0.6²) draws
+_RESTARTS = 15      # Levenberg–Marquardt starts per branch, each θ ~ N(0, 0.6²)
 _ITERS = 500        # damped steps per start
 _TOL = 1e-10        # max node residual that ends a start early
 
+# There is no start at θ = 0.  There the ±π shift rule gives the two shifted
+# chains the same coefficients, since cos is even, so ∂v/∂θ is exactly 0,
+# every step is 0 and every candidate is refused until μ > 1e8.  Nor can
+# θ = 0 be an answer: v(0, x) = e^{i·d·arccos x}, whose imaginary part alone
+# puts the max node residual above 0.96 at degrees 1 to 20.
 
-def _synthesize_branch(target: UnivariatePoly, degree: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Angles of a degree-``degree`` chain with ⟨+|U_θ(x)|+⟩ ≈ target(x) (real)."""
-    if degree == 0:
-        c = float(np.clip(target.coeffs[0] if target.coeffs else 0.0, -1.0, 1.0))
-        return np.array([2.0 * math.acos(c)])
+
+@lru_cache(maxsize=None)
+def _shift_offsets(p: int) -> np.ndarray:
+    """Added to a row of p angles, its ``shift_stack(row, π)``: −0.0 leaves
+    every angle as it is, −0.0 among them."""
+    out = shift_stack(np.full(p, -0.0), np.pi)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _node_basis(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 4·degree + 8 Chebyshev nodes a branch is fitted on, and their
+    (degree + 1, K) ``_chain_basis``."""
     k = 4 * degree + 8
     xs = np.cos(np.pi * (2.0 * np.arange(k) + 1.0) / (2.0 * k))
-    tv = target(xs)
-    basis = _chain_basis((xs,), degree)[0]
-    best, best_err = None, np.inf
-    for attempt in range(_RESTARTS):
-        theta = np.zeros(degree + 1) if attempt == 0 else rng.normal(0.0, 0.6, degree + 1)
-        mu = 1e-3
-        res, jac = _chain_residual_jac(theta, basis, tv)
-        err = np.max(np.abs(res))
-        for _ in range(_ITERS):
-            jr = np.concatenate([jac.real, jac.imag], axis=0)
-            rr = np.concatenate([res.real, res.imag])
-            jtj = jr.T @ jr
-            step = np.linalg.solve(jtj + mu * np.eye(degree + 1), -jr.T @ rr)
-            cand = theta + step
-            c_res, c_jac = _chain_residual_jac(cand, basis, tv)
-            c_err = np.max(np.abs(c_res))
-            if c_err < err:
-                theta, res, jac, err = cand, c_res, c_jac, c_err
-                mu = max(mu * 0.3, 1e-12)
-                if err < _TOL:
+    out = xs, _chain_basis((xs,), degree)[0]
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _residual_jac(thetas: np.ndarray, basis: np.ndarray, targets: np.ndarray):
+    """Complex residuals v(θ, x) − q(x) on the nodes, (n, K), and ∂v/∂θ,
+    (n, P, K), of n rows of P angles.
+
+    ``basis`` is the (P, K) node basis of ``_chain_basis``.  Each chain
+    amplitude is a·e^{−iθⱼ/2} + b·e^{iθⱼ/2} in each angle, so the shift rule
+    ∂v/∂θⱼ = [v(θⱼ + π) − v(θⱼ − π)]/4 is exact.  The 2P + 1 shifted chains
+    of every row come from one ``plan_coefficients`` call and one ``@``,
+    stacked (n, 2P + 1, P) so that each row's product is the one its own
+    call would make.
+    """
+    n, p = thetas.shape
+    stack = (thetas[:, None, :] + _shift_offsets(p)).reshape(-1, p)
+    vals = plan_coefficients(_chain_plan(p), stack).reshape(n, 2 * p + 1, p) @ basis
+    return vals[:, 0] - targets, (vals[:, 1::2] - vals[:, 2::2]) / 4.0
+
+
+def _levenberg_marquardt(thetas: np.ndarray, basis: np.ndarray, targets: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Gauss–Newton on the real and imaginary node residuals of each
+    row of ``thetas``, (n, P), against its row of ``targets``, (n, K).
+
+    Every row keeps its own damping μ, accepts a step only when it lowers
+    the row's max node residual, and stops at ``_TOL``, at μ > 1e8 or after
+    ``_ITERS`` steps; rows that stop leave the stack.  Each row's arithmetic
+    is that of a one-row stack.  Returns the final angles and max residuals.
+    """
+    out, out_err = np.empty_like(thetas), np.empty(len(thetas))
+    live = np.arange(len(thetas))
+    eye = np.eye(thetas.shape[1])
+    res, jac = _residual_jac(thetas, basis, targets)
+    err, mu = np.abs(res).max(axis=1), np.full(len(thetas), 1e-3)
+    for _ in range(_ITERS):
+        jr_t = np.concatenate([jac.real, jac.imag], axis=2)   # (n, P, 2K): Jᵀ of each row
+        rr = np.concatenate([res.real, res.imag], axis=1)[..., None]
+        step = np.linalg.solve(jr_t @ jr_t.transpose(0, 2, 1) + mu[:, None, None] * eye,
+                               -jr_t @ rr)[..., 0]
+        cand = thetas + step
+        c_res, c_jac = _residual_jac(cand, basis, targets)
+        c_err = np.abs(c_res).max(axis=1)
+        better = c_err < err
+        if better.all():
+            thetas, res, jac, err = cand, c_res, c_jac, c_err
+        elif better.any():
+            rows, planes = better[:, None], better[:, None, None]
+            thetas, res, jac, err = (np.where(rows, cand, thetas), np.where(rows, c_res, res),
+                                     np.where(planes, c_jac, jac), np.where(better, c_err, err))
+        mu = np.where(better, np.maximum(mu * 0.3, 1e-12), mu * 10.0)
+        done = np.where(better, err < _TOL, mu > 1e8)
+        if done.any():
+            out[live[done]], out_err[live[done]] = thetas[done], err[done]
+            keep = ~done
+            if not keep.any():
+                return out, out_err
+            live, thetas, res, jac, err, mu, targets = (
+                a[keep] for a in (live, thetas, res, jac, err, mu, targets))
+    out[live], out_err[live] = thetas, err
+    return out, out_err
+
+
+def _synthesize_queues(queues) -> list[list[np.ndarray]]:
+    """Chain angles with ⟨+|U_θ(x)|+⟩ ≈ target(x) (real) for every branch of
+    ``queues``, a list of (generator, branches) with each branch a
+    (target, degree) pair; returns each queue's angles in branch order.
+
+    A degree-0 branch takes ``_constant_angle``.  Any other branch fits
+    its chain to the target on ``_node_basis`` nodes with up to
+    ``_RESTARTS`` N(0, 0.6²) starts drawn from its queue's generator, and
+    keeps its best start; it stops at the first start that reaches
+    ``_TOL``, and raises ``SynthesisError`` when its best residual after the
+    last start exceeds 1e-9.
+
+    The starts run in waves, each one ``_levenberg_marquardt`` per degree.
+    A wave draws, queue by queue, the next start of the queue's first
+    unfinished branch and, speculatively, the first start of every later
+    branch.  The queue's branches are then read in order: a branch that
+    ends takes its result, and at the first one that needs another start
+    the generator is rolled back to just after that branch's draw and the
+    later results are dropped.  So every start is drawn from the same
+    generator at the same place as by a one-branch-at-a-time loop, and
+    every angle is that loop's.
+    """
+    angles = [[None if degree else _constant_angle(target) for target, degree in branches]
+              for _, branches in queues]
+    best = {}       # (queue, branch) -> (starts used, best angles, their residual)
+    heads = [0] * len(queues)
+    while True:
+        waves = []      # per queue: (branch, generator state after its draw) in draw order
+        rows = {}       # degree -> [(queue, branch, start)]
+        for q, (rng, branches) in enumerate(queues):
+            waves.append([])
+            for i in range(heads[q], len(branches)):
+                if angles[q][i] is None:
+                    degree = branches[i][1]
+                    rows.setdefault(degree, []).append((q, i, rng.normal(0.0, 0.6, degree + 1)))
+                    waves[-1].append((i, rng.bit_generator.state))
+        if not rows:
+            return angles
+        fits = {}
+        for degree, group in rows.items():
+            xs, basis = _node_basis(degree)
+            targets = np.array([queues[q][1][i][0](xs) for q, i, _ in group])
+            thetas, errs = _levenberg_marquardt(np.array([th for *_, th in group]),
+                                                basis, targets)
+            fits.update(((q, i), fit) for (q, i, _), fit in zip(group, zip(thetas, errs)))
+        for q, wave in enumerate(waves):
+            heads[q] = len(queues[q][1])
+            for i, state in wave:
+                used, theta, err = best.get((q, i), (0, None, np.inf))
+                if fits[q, i][1] < err:
+                    theta, err = fits[q, i]
+                best[q, i] = (used + 1, theta, err)
+                if err < _TOL or used + 1 == _RESTARTS:
+                    if err > 1e-9:
+                        raise SynthesisError(f"branch synthesis stalled at residual {err:.3e} "
+                                             f"(degree {queues[q][1][i][1]})")
+                    angles[q][i] = theta
+                else:
+                    queues[q][0].bit_generator.state = state
+                    heads[q] = i
                     break
-            else:
-                mu *= 10.0
-                if mu > 1e8:
-                    break
-        if err < best_err:
-            best, best_err = theta, err
-        if best_err < _TOL:
-            break
-    if best_err > 1e-9:
-        raise SynthesisError(
-            f"branch synthesis stalled at residual {best_err:.3e} (degree {degree})"
-        )
-    return best
+
+
+def _constant_angle(target: UnivariatePoly) -> np.ndarray:
+    """The angle of a degree-0 chain, cos(θ/2) = the target's constant."""
+    c = float(np.clip(target.coeffs[0] if target.coeffs else 0.0, -1.0, 1.0))
+    return np.array([2.0 * math.acos(c)])
+
+
+def synthesize_angle_pairs(jobs) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``synthesize_angles(target, L, seed)`` of each (target, L, seed) job,
+    in one ``_synthesize_queues`` call: a job's two branches form the queue
+    of its seed's generator."""
+    jobs = list(jobs)
+    queues = []
+    for target, L, seed in jobs:
+        if L < 1:
+            raise ValueError("synthesis requires L >= 1")
+        if target.degree > L and any(abs(c) > 0 for c in target.coeffs[L + 1:]):
+            raise ValueError(f"target degree exceeds L={L}")
+        if target.sup_norm_grid() > 0.5 + 1e-12:
+            raise BoundError("target sup-norm exceeds 1/2 on [-1, 1]")
+        p_odd, p_even = parity_split(target)
+        t1, t2 = (p_odd, p_even) if L % 2 == 0 else (p_even, p_odd)
+        queues.append((np.random.default_rng(seed), [(t1, L - 1), (t2, L)]))
+    pairs = [tuple(a) for a in _synthesize_queues(queues)]
+    for L in {L for _, L, _ in jobs}:
+        mine = [k for k, job in enumerate(jobs) if job[1] == L]
+        nodes = np.cos(np.pi * (2.0 * np.arange(4 * L + 4) + 1.0) / (2.0 * (4 * L + 4)))
+        theta1, theta2 = (np.array(a) for a in zip(*(pairs[k] for k in mine)))
+        combo = 0.5 * (chain_value(theta1, nodes).real + chain_value(theta2, nodes).real)
+        residual = float(np.max(np.abs(combo - [jobs[k][0](nodes) for k in mine])))
+        if residual > 1e-8:
+            raise SynthesisError(f"combined synthesis residual {residual:.3e} exceeds 1e-8")
+    return pairs
 
 
 def synthesize_angles(target: UnivariatePoly, L: int, seed: int = 0
@@ -362,27 +493,10 @@ def synthesize_angles(target: UnivariatePoly, L: int, seed: int = 0
 
     θ1 (L angles) drives the degree-(L-1) chain for the parity-(L-1 mod 2)
     component, θ2 (L+1 angles) the degree-L chain for the parity-(L mod 2)
-    component.
+    component; both are fitted from starts drawn from one generator of
+    ``seed``.  The one-job case of ``synthesize_angle_pairs``.
     """
-    if L < 1:
-        raise ValueError("synthesis requires L >= 1")
-    if target.degree > L and any(abs(c) > 0 for c in target.coeffs[L + 1:]):
-        raise ValueError(f"target degree exceeds L={L}")
-    if target.sup_norm_grid() > 0.5 + 1e-12:
-        raise BoundError("target sup-norm exceeds 1/2 on [-1, 1]")
-    p_odd, p_even = parity_split(target)
-    t1, t2 = (p_odd, p_even) if L % 2 == 0 else (p_even, p_odd)
-    rng = np.random.default_rng(seed)
-    theta1 = _synthesize_branch(t1, L - 1, rng)
-    theta2 = _synthesize_branch(t2, L, rng)
-    nodes = np.cos(np.pi * (2.0 * np.arange(4 * L + 4) + 1.0) / (2.0 * (4 * L + 4)))
-    combo = 0.5 * (
-        chain_value(theta1, nodes).real[0] + chain_value(theta2, nodes).real[0]
-    )
-    residual = float(np.max(np.abs(combo - target(nodes))))
-    if residual > 1e-8:
-        raise SynthesisError(f"combined synthesis residual {residual:.3e} exceeds 1e-8")
-    return theta1, theta2
+    return synthesize_angle_pairs([(target, L, seed)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -433,13 +547,14 @@ def build_lcu_multivariate(monomials: MonomialList, D: int, L: int, seed: int = 
     c_inf = max(abs(c) for _, c in monomials.entries)
     if c_inf == 0:
         raise ValueError("all-zero coefficient list")
-    rng = np.random.default_rng(seed)
-    angles: list[float] = []
+    branches = []
     for n, c in monomials.entries:
         for j, nj in enumerate(n):
             coeffs = [0.0] * (nj + 1)
             coeffs[nj] = (c / c_inf) if j == 0 else 1.0
-            angles += _synthesize_branch(UnivariatePoly(tuple(coeffs)), nj, rng).tolist()
+            branches.append((UnivariatePoly(tuple(coeffs)), nj))
+    [thetas] = _synthesize_queues([(np.random.default_rng(seed), branches)])
+    angles = np.concatenate(thetas).tolist()
     tpl = lcu_circuit_template([n for n, _ in monomials.entries], D, L)
     return cir.bind(tpl, angles), t_count * c_inf
 
@@ -483,14 +598,13 @@ def build_td_circuit(p: TdPoly, seed: int = 0) -> tuple[cir.Circuit, float]:
         for poly in row:
             if poly.sup_norm_grid() > 0.5 + 1e-12:
                 raise BoundError("factor sup-norm exceeds 1/2 on [-1, 1]")
-    angles: list[float] = []
-    for r in range(p.R):
-        for j in range(p.D):
-            poly = p.factors[r][j]
+    jobs = []
+    for r, row in enumerate(p.factors):
+        for j, poly in enumerate(row):
             if p.lambdas[r] < 0 and j == 0:
                 poly = UnivariatePoly(tuple(-c for c in poly.coeffs))
-            theta1, theta2 = synthesize_angles(poly, p.L, seed=seed + 101 * r + j)
-            angles += theta1.tolist() + theta2.tolist()
+            jobs.append((poly, p.L, seed + 101 * r + j))
+    angles = np.concatenate([a for pair in synthesize_angle_pairs(jobs) for a in pair]).tolist()
     weights = np.sqrt(np.abs(np.asarray(p.lambdas)) / lam_total)
     return cir.bind(_td_circuit(p.R, p.D, p.L, weights), angles), lam_total
 

@@ -26,16 +26,15 @@ def _random_bounded_poly(rng, degree: int) -> qsp.UnivariatePoly:
 
 def _check_univariate_identity(seed):
     rng = np.random.default_rng(seed)
+    jobs = [(_random_bounded_poly(rng, L), L, int(rng.integers(1 << 30)))
+            for L in (1, 2) for _ in range(2)]
     worst = 0.0
-    for L in (1, 2):
-        for _ in range(2):
-            target = _random_bounded_poly(rng, L)
-            th1, th2 = qsp.synthesize_angles(target, L, seed=int(rng.integers(1 << 30)))
-            circ = qsp.univariate_model_circuit(len(th1))
-            params = np.concatenate([th1, th2])
-            xs = np.linspace(-1.0, 1.0, 50)[:, None]
-            vals = sim.z0_from_amps(sim.simulate_amps(circ, params, xs))[0]
-            worst = max(worst, float(np.max(np.abs(vals - target(xs[:, 0])))))
+    for (target, L, _), (th1, th2) in zip(jobs, qsp.synthesize_angle_pairs(jobs)):
+        circ = qsp.univariate_model_circuit(L)
+        params = np.concatenate([th1, th2])
+        xs = np.linspace(-1.0, 1.0, 50)[:, None]
+        vals = sim.z0_from_amps(sim.simulate_amps(circ, params, xs))[0]
+        worst = max(worst, float(np.max(np.abs(vals - target(xs[:, 0])))))
     return worst < 1e-6, f"max |expect_z0 - p(x)| = {worst:.2e}"
 
 

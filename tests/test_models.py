@@ -291,6 +291,30 @@ def test_batched_eval_row_matches_model_function(kind, base, seed):
             assert np.array_equal(got[i], want)
 
 
+@pytest.mark.parametrize("kind", models.KINDS)
+def test_values_and_bundles_run_only_their_part(kind, monkeypatch):
+    # a part with no points is left out of the build and the forward, and
+    # neither call takes ∂W; the outputs are those of a one-row batched_eval
+    spec = ModelSpec(kind)
+    rng = np.random.default_rng(61)
+    row = models.init_params(spec, 5)[None]
+    t_int, x_int, t_bnd, x_bnd = rng.uniform(0.01, 0.99, (4, 7))
+    ev = models.make_evaluator(spec)
+    bundles, bnd = ev.batched_eval(row, t_int, x_int, t_bnd, x_bnd)
+    traced = []
+    if kind == "fully_connected":
+        assert ev._build((), (), t_bnd, x_bnd)[0] is None
+        assert ev._build(t_int, x_int, (), ())[1] is None
+        trace = models._trace
+        monkeypatch.setattr(models, "_trace", lambda *a: traced.append(1) or trace(*a))
+    else:
+        assert ev._build((), (), t_bnd, x_bnd)[0].shape == (9, 7)
+        monkeypatch.setattr(type(ev), "_w_and_jac", lambda *a: pytest.fail("∂W taken"))
+    assert np.array_equal(ev.values(row, t_bnd, x_bnd), bnd)
+    assert all(np.array_equal(a, b) for a, b in zip(ev.bundles(row, t_int, x_int), bundles))
+    assert len(traced) == (2 if kind == "fully_connected" else 0)
+
+
 @PROPERTY
 @given(stack=st.lists(_angles(6), min_size=1, max_size=5), t=_points, x=_points)
 def test_qpinn_at_lambda_zero_is_quantum_inspired_property(stack, t, x):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from qpinn import circuits as cir
 from qpinn import qsp, sim
-from qpinn.errors import BoundError, DomainError, SizeError
+from qpinn.duals import shift_stack
+from qpinn.errors import BoundError, DomainError, SizeError, SynthesisError
 from qpinn.qsp import MonomialList, TdPoly, UnivariatePoly
 
 from test_circuits import chain_matrix
@@ -156,6 +157,194 @@ def test_synthesize_random_targets():
 def test_synthesize_bound_error():
     with pytest.raises(BoundError):
         qsp.synthesize_angles(UnivariatePoly((0.0, 0.9)), 1)
+
+
+# ---------------------------------------------------------------------------
+# batched synthesis against the one-branch-at-a-time oracle
+
+
+def reference_branch(target, degree, rng):
+    """The sequential synthesis of one branch: a start at θ = 0, then
+    ``qsp._RESTARTS`` N(0, 0.6²) starts from ``rng``, each a damped
+    Gauss–Newton run on one row, stopping at the first start that reaches
+    ``qsp._TOL``."""
+    if degree == 0:
+        c = float(np.clip(target.coeffs[0] if target.coeffs else 0.0, -1.0, 1.0))
+        return np.array([2.0 * math.acos(c)])
+    k = 4 * degree + 8
+    xs = np.cos(np.pi * (2.0 * np.arange(k) + 1.0) / (2.0 * k))
+    tv = target(xs)
+    basis = qsp._chain_basis((xs,), degree)[0]
+
+    def residual_jac(theta):
+        vals = qsp.chain_coefficients(shift_stack(theta, np.pi)) @ basis
+        return vals[0] - tv, ((vals[1::2] - vals[2::2]) / 4.0).T
+
+    best, best_err = None, np.inf
+    for attempt in range(1 + qsp._RESTARTS):
+        theta = np.zeros(degree + 1) if attempt == 0 else rng.normal(0.0, 0.6, degree + 1)
+        mu = 1e-3
+        res, jac = residual_jac(theta)
+        err = np.max(np.abs(res))
+        for _ in range(qsp._ITERS):
+            jr = np.concatenate([jac.real, jac.imag], axis=0)
+            rr = np.concatenate([res.real, res.imag])
+            step = np.linalg.solve(jr.T @ jr + mu * np.eye(degree + 1), -jr.T @ rr)
+            cand = theta + step
+            c_res, c_jac = residual_jac(cand)
+            c_err = np.max(np.abs(c_res))
+            if c_err < err:
+                theta, res, jac, err = cand, c_res, c_jac, c_err
+                mu = max(mu * 0.3, 1e-12)
+                if err < qsp._TOL:
+                    break
+            else:
+                mu *= 10.0
+                if mu > 1e8:
+                    break
+        if err < best_err:
+            best, best_err = theta, err
+        if best_err < qsp._TOL:
+            break
+    if best_err > 1e-9:
+        raise SynthesisError(f"branch synthesis stalled at residual {best_err:.3e}")
+    return best
+
+
+def reference_synthesize_angles(target, L, seed=0):
+    """``qsp.synthesize_angles`` one branch at a time, zero start included."""
+    p_odd, p_even = qsp.parity_split(target)
+    t1, t2 = (p_odd, p_even) if L % 2 == 0 else (p_even, p_odd)
+    rng = np.random.default_rng(seed)
+    return reference_branch(t1, L - 1, rng), reference_branch(t2, L, rng)
+
+
+def reference_lcu_angles(monomials, seed=0):
+    """The angles ``qsp.build_lcu_multivariate`` binds, one branch at a time
+    from one generator."""
+    rng = np.random.default_rng(seed)
+    c_inf = max(abs(c) for _, c in monomials.entries)
+    angles = []
+    for n, c in monomials.entries:
+        for j, nj in enumerate(n):
+            coeffs = [0.0] * (nj + 1)
+            coeffs[nj] = (c / c_inf) if j == 0 else 1.0
+            angles += reference_branch(UnivariatePoly(tuple(coeffs)), nj, rng).tolist()
+    return angles
+
+
+def _outcome(fn):
+    """``fn()``, or the type of the synthesis error it raises."""
+    try:
+        return fn()
+    except SynthesisError:
+        return SynthesisError
+
+
+def _scaled(coeffs):
+    """``coeffs`` as a polynomial of sup-norm at most 0.45 on [-1, 1]."""
+    p = UnivariatePoly(tuple(coeffs))
+    return UnivariatePoly(tuple(0.45 / max(p.sup_norm_grid(), 0.45) * np.asarray(coeffs)))
+
+
+# _TOL = 1e-15 sends some branches to a second start, and 1e-17, below what a
+# start reaches, runs every branch through all of its starts to its best one
+_TOLS = st.sampled_from([1e-10, 1e-15, 1e-17])
+
+
+@settings(max_examples=25)
+@given(jobs=st.lists(st.tuples(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+                               st.integers(1, 3), st.integers(0, 2**30)),
+                     min_size=1, max_size=4),
+       tol=_TOLS)
+def test_batched_synthesis_matches_the_reference_property(jobs, tol):
+    # one generator per target, as in the TD builder; targets of mixed L
+    jobs = [(_scaled(coeffs[:L + 1]), L, seed) for coeffs, L, seed in jobs]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qsp, "_TOL", tol)
+        want = [_outcome(lambda: reference_synthesize_angles(*job)) for job in jobs]
+        got = _outcome(lambda: qsp.synthesize_angle_pairs(jobs))
+        one = _outcome(lambda: qsp.synthesize_angles(*jobs[0]))
+    if SynthesisError in want:
+        assert got is SynthesisError
+        return
+    assert len(got) == len(jobs)
+    for pair, ref in zip(got, want):
+        assert all(np.array_equal(a, b) for a, b in zip(pair, ref))
+    assert all(np.array_equal(a, b) for a, b in zip(one, want[0]))
+
+
+@settings(max_examples=12)
+@given(D=st.integers(1, 2), L=st.integers(1, 3), terms=st.integers(1, 5),
+       seed=st.integers(0, 2**16), tol=_TOLS)
+def test_lcu_synthesis_matches_the_reference_property(D, L, terms, seed, tol):
+    # one generator shared by every branch, run speculatively and rolled back
+    rng = np.random.default_rng(seed)
+    grid = list(product(range(L + 1), repeat=D))
+    picks = rng.choice(len(grid), size=min(terms, len(grid)), replace=False)
+    mono = MonomialList(tuple((grid[i], float(rng.normal())) for i in picks))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qsp, "_TOL", tol)
+        want = _outcome(lambda: reference_lcu_angles(mono, seed))
+        got = _outcome(lambda: qsp.build_lcu_multivariate(mono, D, L, seed=seed))
+    if want is SynthesisError:
+        assert got is SynthesisError
+        return
+    template = qsp.lcu_circuit_template([n for n, _ in mono.entries], D, L)
+    assert _assert_binds(got[0], template) == want
+
+
+@pytest.mark.parametrize("R,D,L", [(2, 2, 1), (3, 2, 2), (2, 3, 3)])
+def test_td_synthesis_matches_the_reference(R, D, L):
+    rng = np.random.default_rng(40 + R + D + L)
+    factors = tuple(tuple(bounded_poly(rng, L) for _ in range(D)) for _ in range(R))
+    lambdas = tuple(rng.normal(size=R))
+    circ, _ = qsp.build_td_circuit(TdPoly(R, D, L, lambdas, factors), seed=11)
+    want = []
+    for r in range(R):
+        for j in range(D):
+            sign = -1.0 if lambdas[r] < 0 and j == 0 else 1.0
+            poly = UnivariatePoly(tuple(sign * c for c in factors[r][j].coeffs))
+            want += [a for th in reference_synthesize_angles(poly, L, 11 + 101 * r + j)
+                     for a in th.tolist()]
+    assert _assert_binds(circ, qsp.td_circuit_template(R, D, L)) == want
+
+
+@settings(max_examples=40)
+@given(degree=st.integers(1, 4), rows=st.integers(1, 6), seed=st.integers(0, 2**16))
+def test_stacked_rows_keep_their_one_row_arithmetic_property(degree, rows, seed):
+    # every row of a stack gets the residuals, Jacobian and fit of a one-row stack
+    rng = np.random.default_rng(seed)
+    xs, basis = qsp._node_basis(degree)
+    thetas = rng.normal(0.0, 0.6, (rows, degree + 1))
+    targets = 0.4 * np.tanh(rng.normal(size=(rows, degree + 1))) @ np.vander(xs, degree + 1).T
+    res, jac = qsp._residual_jac(thetas, basis, targets)
+    fit, err = qsp._levenberg_marquardt(thetas, basis, targets)
+    for k in range(rows):
+        r1, j1 = qsp._residual_jac(thetas[k:k + 1], basis, targets[k:k + 1])
+        f1, e1 = qsp._levenberg_marquardt(thetas[k:k + 1], basis, targets[k:k + 1])
+        assert np.array_equal(res[k], r1[0]) and np.array_equal(jac[k], j1[0])
+        assert np.array_equal(fit[k], f1[0]) and err[k] == e1[0]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_shift_rule_jacobian_is_zero_at_zero_angles(degree):
+    # why synthesis has no start at θ = 0: no step leaves it, and with a real
+    # target its max node residual is at least that of Im v(0, x)
+    xs, basis = qsp._node_basis(degree)
+    res, jac = qsp._residual_jac(np.zeros((1, degree + 1)), basis, np.zeros((1, xs.size)))
+    assert not np.any(jac)
+    assert np.min(np.abs(res.imag)) >= 0.078 and np.max(np.abs(res.imag)) >= 0.96
+
+
+def test_stalled_synthesis_raises(monkeypatch):
+    monkeypatch.setattr(qsp, "_ITERS", 1)
+    with pytest.raises(SynthesisError, match="stalled"):
+        qsp.synthesize_angles(UnivariatePoly((0.1, 0.2, -0.25)), 2, seed=3)
+    with pytest.raises(SynthesisError, match="stalled"):
+        qsp.build_lcu_multivariate(MonomialList((((1, 0), 0.5), ((1, 1), -0.2))), 2, 1)
+    with pytest.raises(SynthesisError, match="stalled"):
+        reference_synthesize_angles(UnivariatePoly((0.1, 0.2, -0.25)), 2, seed=3)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +690,7 @@ def test_synthesis_jacobian_matches_fd_property(th, xs):
     th, xs = np.array(th), np.array(xs)
     target = np.linspace(-0.3, 0.3, xs.size)
     basis = qsp._chain_basis((xs,), th.size - 1)[0]
-    res, jac = qsp._chain_residual_jac(th, basis, target)
+    (res,), (jac,) = qsp._residual_jac(th[None], basis, target[None])
     assert np.max(np.abs(res + target - qsp.chain_value(th, xs)[0])) <= 1e-12
     h = 1e-6
     for j in range(th.size):
@@ -509,7 +698,7 @@ def test_synthesis_jacobian_matches_fd_property(th, xs):
         up[j] += h
         dn[j] -= h
         fd = (qsp.chain_value(up, xs)[0] - qsp.chain_value(dn, xs)[0]) / (2 * h)
-        assert np.max(np.abs(jac[:, j] - fd)) <= 1e-8
+        assert np.max(np.abs(jac[j] - fd)) <= 1e-8
 
 
 def test_chain_coefficients_keep_the_one_chain_sums():
