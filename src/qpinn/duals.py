@@ -15,6 +15,7 @@ same order.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import lru_cache
 import math
 
 import numpy as np
@@ -118,6 +119,15 @@ def shift_stack(params, steps) -> np.ndarray:
     flat[p::2 * p + 1] += steps
     flat[2 * p::2 * p + 1] -= steps
     return stack
+
+
+@lru_cache(maxsize=None)
+def shift_offsets(p: int) -> np.ndarray:
+    """Added to a row of p parameters, its ``shift_stack(row, π)``: −0.0
+    leaves every parameter as it is, −0.0 among them.  Read-only."""
+    out = shift_stack(np.full(p, -0.0), np.pi)
+    out.flags.writeable = False
+    return out
 
 
 def fd_stack(params, h: float) -> tuple[np.ndarray, np.ndarray]:

@@ -251,9 +251,7 @@ class _SeparableEvaluator(_Evaluator):
 
     def __init__(self, spec: ModelSpec):
         super().__init__(spec)
-        # added to a row, its ``duals.shift_stack(row, π)``: −0.0 leaves every
-        # angle as it is, −0.0 among them
-        self._shifts = duals.shift_stack(np.full(self.groups[-1].stop, -0.0), np.pi)
+        self._shifts = duals.shift_offsets(self.groups[-1].stop)
 
     def _build(self, t_int, x_int, t_bnd, x_bnd):
         """The (9, N) feature matrix of v, v_t, v_x, v_xx at the interior and

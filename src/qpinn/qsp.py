@@ -10,9 +10,11 @@ Angle synthesis is numerical: Levenberg–Marquardt (damped Gauss–Newton)
 least squares on the complex chain value, from random starts.  It targets
 both the real part and a vanishing imaginary part, since products over
 variables in the multivariate circuits are only exactly polynomial when each
-per-variable value is real.  A construction's chains are fitted together, as
-stacks of rows with one damping and one stop test per row, and each row's
-arithmetic and random starts are those of a one-chain-at-a-time fit.
+per-variable value is real.  Every chain (a branch) draws its random starts
+from its own generator, spawned from the caller's seed, so no branch's starts
+depend on another's.  A construction's chains are fitted together, as stacks
+of rows with one damping and one stop test per row, and each row's arithmetic
+is that of a one-chain-at-a-time fit.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
 
 from . import circuits as cir
-from .duals import c_lift, c_mul, shift_stack, t_sqrt
+from .duals import c_lift, c_mul, shift_offsets, t_sqrt
 from .errors import BoundError, DomainError, SizeError, SynthesisError
 
 # ---------------------------------------------------------------------------
@@ -52,7 +54,11 @@ class UnivariatePoly:
 
     def sup_norm_grid(self) -> float:
         """max |p| on 512 evenly spaced points of [-1, 1]."""
-        return float(np.max(np.abs(self(np.linspace(-1.0, 1.0, 512)))))
+        return float(np.max(np.abs(self(_SUP_GRID))))
+
+
+_SUP_GRID = np.linspace(-1.0, 1.0, 512)
+_SUP_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -310,15 +316,6 @@ _TOL = 1e-10        # max node residual that ends a start early
 
 
 @lru_cache(maxsize=None)
-def _shift_offsets(p: int) -> np.ndarray:
-    """Added to a row of p angles, its ``shift_stack(row, π)``: −0.0 leaves
-    every angle as it is, −0.0 among them."""
-    out = shift_stack(np.full(p, -0.0), np.pi)
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=None)
 def _node_basis(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """The 4·degree + 8 Chebyshev nodes a branch is fitted on, and their
     (degree + 1, K) ``_chain_basis``."""
@@ -342,7 +339,7 @@ def _residual_jac(thetas: np.ndarray, basis: np.ndarray, targets: np.ndarray):
     call would make.
     """
     n, p = thetas.shape
-    stack = (thetas[:, None, :] + _shift_offsets(p)).reshape(-1, p)
+    stack = (thetas[:, None, :] + shift_offsets(p)).reshape(-1, p)
     vals = plan_coefficients(_chain_plan(p), stack).reshape(n, 2 * p + 1, p) @ basis
     return vals[:, 0] - targets, (vals[:, 1::2] - vals[:, 2::2]) / 4.0
 
@@ -390,67 +387,47 @@ def _levenberg_marquardt(thetas: np.ndarray, basis: np.ndarray, targets: np.ndar
     return out, out_err
 
 
-def _synthesize_queues(queues) -> list[list[np.ndarray]]:
+def _synthesize_branches(branches) -> list[np.ndarray]:
     """Chain angles with ⟨+|U_θ(x)|+⟩ ≈ target(x) (real) for every branch of
-    ``queues``, a list of (generator, branches) with each branch a
-    (target, degree) pair; returns each queue's angles in branch order.
+    ``branches``, a list of (target, degree, generator); returns the angles
+    in branch order.
 
-    A degree-0 branch takes ``_constant_angle``.  Any other branch fits
-    its chain to the target on ``_node_basis`` nodes with up to
-    ``_RESTARTS`` N(0, 0.6²) starts drawn from its queue's generator, and
-    keeps its best start; it stops at the first start that reaches
-    ``_TOL``, and raises ``SynthesisError`` when its best residual after the
-    last start exceeds 1e-9.
-
-    The starts run in waves, each one ``_levenberg_marquardt`` per degree.
-    A wave draws, queue by queue, the next start of the queue's first
-    unfinished branch and, speculatively, the first start of every later
-    branch.  The queue's branches are then read in order: a branch that
-    ends takes its result, and at the first one that needs another start
-    the generator is rolled back to just after that branch's draw and the
-    later results are dropped.  So every start is drawn from the same
-    generator at the same place as by a one-branch-at-a-time loop, and
-    every angle is that loop's.
+    A degree-0 branch takes ``_constant_angle``.  Any other branch fits its
+    chain to the target on ``_node_basis`` nodes from up to ``_RESTARTS``
+    N(0, 0.6²) starts drawn from its own generator, and keeps its best
+    start; it stops at the first start that reaches ``_TOL``, and raises
+    ``SynthesisError`` when its best residual after the last start exceeds
+    1e-9.  Each round draws the next start of every unfinished branch and
+    runs one ``_levenberg_marquardt`` per degree.
     """
-    angles = [[None if degree else _constant_angle(target) for target, degree in branches]
-              for _, branches in queues]
-    best = {}       # (queue, branch) -> (starts used, best angles, their residual)
-    heads = [0] * len(queues)
-    while True:
-        waves = []      # per queue: (branch, generator state after its draw) in draw order
-        rows = {}       # degree -> [(queue, branch, start)]
-        for q, (rng, branches) in enumerate(queues):
-            waves.append([])
-            for i in range(heads[q], len(branches)):
-                if angles[q][i] is None:
-                    degree = branches[i][1]
-                    rows.setdefault(degree, []).append((q, i, rng.normal(0.0, 0.6, degree + 1)))
-                    waves[-1].append((i, rng.bit_generator.state))
-        if not rows:
-            return angles
-        fits = {}
-        for degree, group in rows.items():
+    best = {i: (np.inf, None) for i, branch in enumerate(branches) if branch[1]}
+    live = list(best)       # the branches whose best residual is not yet below _TOL
+    for _ in range(_RESTARTS):
+        groups = {}
+        for i in live:
+            groups.setdefault(branches[i][1], []).append(i)
+        for degree, group in groups.items():
             xs, basis = _node_basis(degree)
-            targets = np.array([queues[q][1][i][0](xs) for q, i, _ in group])
-            thetas, errs = _levenberg_marquardt(np.array([th for *_, th in group]),
-                                                basis, targets)
-            fits.update(((q, i), fit) for (q, i, _), fit in zip(group, zip(thetas, errs)))
-        for q, wave in enumerate(waves):
-            heads[q] = len(queues[q][1])
-            for i, state in wave:
-                used, theta, err = best.get((q, i), (0, None, np.inf))
-                if fits[q, i][1] < err:
-                    theta, err = fits[q, i]
-                best[q, i] = (used + 1, theta, err)
-                if err < _TOL or used + 1 == _RESTARTS:
-                    if err > 1e-9:
-                        raise SynthesisError(f"branch synthesis stalled at residual {err:.3e} "
-                                             f"(degree {queues[q][1][i][1]})")
-                    angles[q][i] = theta
-                else:
-                    queues[q][0].bit_generator.state = state
-                    heads[q] = i
-                    break
+            starts = np.array([branches[i][2].normal(0.0, 0.6, degree + 1) for i in group])
+            targets = np.array([branches[i][0](xs) for i in group])
+            for i, theta, err in zip(group, *_levenberg_marquardt(starts, basis, targets)):
+                if err < best[i][0]:
+                    best[i] = (err, theta)
+        live = [i for i in live if best[i][0] >= _TOL]
+    for i in live:
+        if best[i][0] > 1e-9:
+            raise SynthesisError(f"branch synthesis stalled at residual {best[i][0]:.3e} "
+                                 f"(degree {branches[i][1]})")
+    return [best[i][1] if degree else _constant_angle(target)
+            for i, (target, degree, _) in enumerate(branches)]
+
+
+def _branch_generators(seed, n: int) -> list[np.random.Generator]:
+    """One generator per branch, the n children of ``seed``'s
+    ``SeedSequence`` in branch order; ``seed`` must be an int >= 0."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"synthesis seed must be an int >= 0, not {seed!r}")
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(int(seed)).spawn(n)]
 
 
 def _constant_angle(target: UnivariatePoly) -> np.ndarray:
@@ -461,10 +438,9 @@ def _constant_angle(target: UnivariatePoly) -> np.ndarray:
 
 def synthesize_angle_pairs(jobs) -> list[tuple[np.ndarray, np.ndarray]]:
     """``synthesize_angles(target, L, seed)`` of each (target, L, seed) job,
-    in one ``_synthesize_queues`` call: a job's two branches form the queue
-    of its seed's generator."""
+    in one ``_synthesize_branches`` call."""
     jobs = list(jobs)
-    queues = []
+    branches = []
     for target, L, seed in jobs:
         if L < 1:
             raise ValueError("synthesis requires L >= 1")
@@ -474,8 +450,10 @@ def synthesize_angle_pairs(jobs) -> list[tuple[np.ndarray, np.ndarray]]:
             raise BoundError("target sup-norm exceeds 1/2 on [-1, 1]")
         p_odd, p_even = parity_split(target)
         t1, t2 = (p_odd, p_even) if L % 2 == 0 else (p_even, p_odd)
-        queues.append((np.random.default_rng(seed), [(t1, L - 1), (t2, L)]))
-    pairs = [tuple(a) for a in _synthesize_queues(queues)]
+        rng1, rng2 = _branch_generators(seed, 2)
+        branches += [(t1, L - 1, rng1), (t2, L, rng2)]
+    angles = _synthesize_branches(branches)
+    pairs = list(zip(angles[0::2], angles[1::2]))
     for L in {L for _, L, _ in jobs}:
         mine = [k for k, job in enumerate(jobs) if job[1] == L]
         nodes = np.cos(np.pi * (2.0 * np.arange(4 * L + 4) + 1.0) / (2.0 * (4 * L + 4)))
@@ -493,8 +471,9 @@ def synthesize_angles(target: UnivariatePoly, L: int, seed: int = 0
 
     θ1 (L angles) drives the degree-(L-1) chain for the parity-(L-1 mod 2)
     component, θ2 (L+1 angles) the degree-L chain for the parity-(L mod 2)
-    component; both are fitted from starts drawn from one generator of
-    ``seed``.  The one-job case of ``synthesize_angle_pairs``.
+    component; each is fitted from starts drawn from its own generator, the
+    two children of ``seed``'s ``SeedSequence``.  The one-job case of
+    ``synthesize_angle_pairs``.
     """
     return synthesize_angle_pairs([(target, L, seed)])[0]
 
@@ -536,7 +515,8 @@ def build_lcu_multivariate(monomials: MonomialList, D: int, L: int, seed: int = 
 
     When the monomial list is the full (L+1)^D grid this Λ coincides with
     ‖c‖_∞·(L+1)^D.  Angles are synthesized and bound into
-    ``lcu_circuit_template`` as constants.
+    ``lcu_circuit_template`` as constants; each branch (monomial, variable)
+    draws its starts from its own child of ``seed``, in slot order.
     """
     t_count = len(monomials.entries)
     if t_count < 1:
@@ -553,7 +533,8 @@ def build_lcu_multivariate(monomials: MonomialList, D: int, L: int, seed: int = 
             coeffs = [0.0] * (nj + 1)
             coeffs[nj] = (c / c_inf) if j == 0 else 1.0
             branches.append((UnivariatePoly(tuple(coeffs)), nj))
-    [thetas] = _synthesize_queues([(np.random.default_rng(seed), branches)])
+    rngs = _branch_generators(seed, len(branches))
+    thetas = _synthesize_branches([b + (rng,) for b, rng in zip(branches, rngs)])
     angles = np.concatenate(thetas).tolist()
     tpl = lcu_circuit_template([n for n, _ in monomials.entries], D, L)
     return cir.bind(tpl, angles), t_count * c_inf
@@ -589,15 +570,13 @@ def build_td_circuit(p: TdPoly, seed: int = 0) -> tuple[cir.Circuit, float]:
 
     expect_z0 = p(x)/Λ with Λ = Σ_r |λ_r|; ancilla amplitudes are
     √(|λ_r|/Λ) and λ-signs are absorbed into each term's first factor.
-    Angles are synthesized and bound as constants.
+    Angles are synthesized and bound as constants, factor (r, j) as the job
+    of seed ``seed + 101·r + j``.
     """
     lam_total = math.fsum(abs(l) for l in p.lambdas)
     if lam_total <= 0.0:
         raise ValueError("Λ = Σ|λ_r| must be positive")
-    for row in p.factors:
-        for poly in row:
-            if poly.sup_norm_grid() > 0.5 + 1e-12:
-                raise BoundError("factor sup-norm exceeds 1/2 on [-1, 1]")
+    _branch_generators(seed, 0)     # the derived seeds would let True pass as 1
     jobs = []
     for r, row in enumerate(p.factors):
         for j, poly in enumerate(row):

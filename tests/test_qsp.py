@@ -211,25 +211,31 @@ def reference_branch(target, degree, rng):
     return best
 
 
+def spawned_generators(seed, n):
+    """The n generators of ``seed``'s spawned children, in order."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
+
+
 def reference_synthesize_angles(target, L, seed=0):
-    """``qsp.synthesize_angles`` one branch at a time, zero start included."""
+    """``qsp.synthesize_angles`` one branch at a time, zero start included,
+    each branch from its own child of ``seed``."""
     p_odd, p_even = qsp.parity_split(target)
     t1, t2 = (p_odd, p_even) if L % 2 == 0 else (p_even, p_odd)
-    rng = np.random.default_rng(seed)
-    return reference_branch(t1, L - 1, rng), reference_branch(t2, L, rng)
+    rng1, rng2 = spawned_generators(seed, 2)
+    return reference_branch(t1, L - 1, rng1), reference_branch(t2, L, rng2)
 
 
 def reference_lcu_angles(monomials, seed=0):
-    """The angles ``qsp.build_lcu_multivariate`` binds, one branch at a time
-    from one generator."""
-    rng = np.random.default_rng(seed)
+    """The angles ``qsp.build_lcu_multivariate`` binds, one branch at a time,
+    each from its own child of ``seed`` in branch order."""
+    rngs = iter(spawned_generators(seed, sum(len(n) for n, _ in monomials.entries)))
     c_inf = max(abs(c) for _, c in monomials.entries)
     angles = []
     for n, c in monomials.entries:
         for j, nj in enumerate(n):
             coeffs = [0.0] * (nj + 1)
             coeffs[nj] = (c / c_inf) if j == 0 else 1.0
-            angles += reference_branch(UnivariatePoly(tuple(coeffs)), nj, rng).tolist()
+            angles += reference_branch(UnivariatePoly(tuple(coeffs)), nj, next(rngs)).tolist()
     return angles
 
 
@@ -258,27 +264,29 @@ _TOLS = st.sampled_from([1e-10, 1e-15, 1e-17])
                      min_size=1, max_size=4),
        tol=_TOLS)
 def test_batched_synthesis_matches_the_reference_property(jobs, tol):
-    # one generator per target, as in the TD builder; targets of mixed L
+    # one seed per target, as in the TD builder; targets of mixed L
     jobs = [(_scaled(coeffs[:L + 1]), L, seed) for coeffs, L, seed in jobs]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qsp, "_TOL", tol)
         want = [_outcome(lambda: reference_synthesize_angles(*job)) for job in jobs]
         got = _outcome(lambda: qsp.synthesize_angle_pairs(jobs))
-        one = _outcome(lambda: qsp.synthesize_angles(*jobs[0]))
+        ones = [_outcome(lambda: qsp.synthesize_angles(*job)) for job in jobs]
+    for one, ref in zip(ones, want):   # each job alone, stalled or not, is its reference
+        assert one is SynthesisError if ref is SynthesisError else (
+            one is not SynthesisError and all(np.array_equal(a, b) for a, b in zip(one, ref)))
     if SynthesisError in want:
         assert got is SynthesisError
         return
     assert len(got) == len(jobs)
     for pair, ref in zip(got, want):
         assert all(np.array_equal(a, b) for a, b in zip(pair, ref))
-    assert all(np.array_equal(a, b) for a, b in zip(one, want[0]))
 
 
 @settings(max_examples=12)
 @given(D=st.integers(1, 2), L=st.integers(1, 3), terms=st.integers(1, 5),
        seed=st.integers(0, 2**16), tol=_TOLS)
 def test_lcu_synthesis_matches_the_reference_property(D, L, terms, seed, tol):
-    # one generator shared by every branch, run speculatively and rolled back
+    # one spawned generator per branch, in branch order
     rng = np.random.default_rng(seed)
     grid = list(product(range(L + 1), repeat=D))
     picks = rng.choice(len(grid), size=min(terms, len(grid)), replace=False)
@@ -345,6 +353,35 @@ def test_stalled_synthesis_raises(monkeypatch):
         qsp.build_lcu_multivariate(MonomialList((((1, 0), 0.5), ((1, 1), -0.2))), 2, 1)
     with pytest.raises(SynthesisError, match="stalled"):
         reference_synthesize_angles(UnivariatePoly((0.1, 0.2, -0.25)), 2, seed=3)
+
+
+_LINEAR = UnivariatePoly((0.1, 0.3))
+_SEEDED_BUILDS = {
+    "synthesize_angles": lambda seed: qsp.synthesize_angles(_LINEAR, 1, seed=seed),
+    "synthesize_angle_pairs": lambda seed: qsp.synthesize_angle_pairs(
+        [(_LINEAR, 1, 0), (_LINEAR, 2, seed)]),
+    "build_td_circuit": lambda seed: qsp.build_td_circuit(
+        TdPoly(1, 2, 1, (-1.0,), ((_LINEAR, _LINEAR),)), seed=seed),
+    "build_lcu_multivariate": lambda seed: qsp.build_lcu_multivariate(
+        MonomialList((((1, 0), 0.5), ((1, 1), -0.2))), 2, 1, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, np.True_, None])
+@pytest.mark.parametrize("entry", sorted(_SEEDED_BUILDS))
+def test_bad_synthesis_seed_raises_before_any_fit(entry, seed, monkeypatch):
+    def no_fit(*args):
+        raise AssertionError("a fit ran before the seed was checked")
+    monkeypatch.setattr(qsp, "_levenberg_marquardt", no_fit)
+    with pytest.raises(DomainError, match="seed"):
+        _SEEDED_BUILDS[entry](seed)
+
+
+def test_numpy_int_seed_is_its_int():
+    for seed in (np.int64(7), np.uint32(7)):
+        for a, b in zip(qsp.synthesize_angles(_LINEAR, 2, seed=seed),
+                        qsp.synthesize_angles(_LINEAR, 2, seed=7)):
+            assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
