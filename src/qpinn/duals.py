@@ -91,7 +91,7 @@ def t_sqrt(a: Triple) -> Triple:
 
 def t_arccos(a: Triple) -> Triple:
     v = np.asarray(a[0], dtype=float)
-    if np.any(np.abs(v) >= 1.0):
+    if not np.all(np.abs(v) < 1.0):
         raise DomainError("arccos of a dual requires |value| < 1")
     s = 1.0 - v * v
     root = np.sqrt(s)

@@ -218,10 +218,10 @@ def _psi(u, order: int, square: bool = False) -> np.ndarray:
     if square:
         q = (u * u, 2.0 * u, 2.0)
     else:
-        top = np.max(np.abs(u), initial=0.0)
-        if order and top >= 1.0:
+        top = np.max(np.abs(u), initial=0.0)   # NaN if any u is NaN, which fails both tests
+        if order and not top < 1.0:
             raise DomainError("chain derivatives require |u| < 1")
-        if top > 1.0:
+        if not top <= 1.0:
             raise DomainError("chain evaluation requires |u| <= 1")
         s = np.sqrt(1.0 - u * u)
         q = (s, -u / s, -1.0 / (s * s * s)) if order else (s,)

@@ -240,9 +240,9 @@ def chain_value(thetas, x):
     coeffs = chain_coefficients(thetas)
     dual = isinstance(x, tuple)
     xv = tuple(np.atleast_1d(np.asarray(c, dtype=float)) for c in (x if dual else (x,)))
-    if dual and np.any(np.abs(xv[0]) >= 1.0):
+    if dual and not np.all(np.abs(xv[0]) < 1.0):
         raise DomainError("dual chain evaluation requires |x| < 1")
-    if np.any(np.abs(xv[0]) > 1.0):
+    if not np.all(np.abs(xv[0]) <= 1.0):
         raise DomainError("chain evaluation requires |x| <= 1")
     out = tuple(coeffs @ b for b in _chain_basis(xv, coeffs.shape[1] - 1))
     return out if dual else out[0]

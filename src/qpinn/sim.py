@@ -23,6 +23,13 @@ channels gain trailing unit axes so that they broadcast against a view.
 Every product and sum is the one a gathered row would take, in the same
 order, so amplitudes do not depend on the layout.
 
+The state starts as one ``(1, 1, 2^width)`` row and is copied to every
+(parameter row, point) just before the first gate whose angle reads one
+(``_reads_rows``), or at the end.  No gate mixes rows, so each amplitude
+takes the products and sums it takes in a full batch, in the same order:
+the result is byte-identical, and a constant prefix (the TD and LCU
+``prepare`` and |+⟩ layers) runs once, not once per row.
+
 The state, the angles and the gate entries are tuples of channel arrays:
 ``(v,)`` in a plain run and ``(v, d1, d2)`` in a dual run, where d1 and d2
 are second-order forward-mode derivatives along one seeded direction.  A
@@ -115,7 +122,7 @@ def _angle(expr, params, inputs, ndim: int):
         base = tuple(c[:, expr.index].reshape((-1,) + (1,) * (ndim - 1)) for c in params)
     else:  # InputArccos
         xt = tuple(c[:, expr.var].reshape((1, -1) + (1,) * (ndim - 2)) for c in inputs)
-        if len(xt) == 1 and np.any(np.abs(xt[0]) > 1.0):
+        if len(xt) == 1 and not np.all(np.abs(xt[0]) <= 1.0):
             raise DomainError("arccos input outside [-1, 1]")
         base = c_lift(xt, np.arccos, t_arccos)
     scaled = c_mul(expr.scale, base)
@@ -197,10 +204,22 @@ def _as_batch(vec, n_cols: int) -> tuple:
             raise SizeError(f"dual channels differ in shape: {[c.shape for c in chans]}")
     else:
         arr = np.atleast_2d(np.asarray(vec, dtype=float))
-        chans = (arr.reshape(1, 0) if arr.size == 0 else arr,)
+        chans = (arr.reshape(1, 0) if arr.shape[1] == 0 else arr,)
     if chans[0].shape[1] != n_cols:
         raise SizeError(f"expected {n_cols} columns, got {chans[0].shape[1]}")
     return chans
+
+
+def _reads_rows(g: cir.Gate) -> bool:
+    """Whether a gate's angle reads a parameter row or an input point."""
+    while g.kind == "controlled":
+        g = g.inner
+    return isinstance(g.angle, (cir.Param, cir.InputArccos))
+
+
+def _broadcast(state, rows: tuple) -> tuple:
+    """The one-row state copied to every (parameter row, point) of ``rows``."""
+    return tuple(np.broadcast_to(c, rows + c.shape[2:]).copy() for c in state)
 
 
 def simulate_amps(circuit: cir.Circuit, params, inputs, *, check_norm: bool = False):
@@ -208,22 +227,28 @@ def simulate_amps(circuit: cir.Circuit, params, inputs, *, check_norm: bool = Fa
 
     ``params``/``inputs`` may be 1-D vectors, (batch, size) arrays, or
     (value, d1, d2) triples of such arrays for a dual run.  The result is a
-    complex array, or a triple of them when any argument is dual.
+    fresh complex array, or a triple of them when any argument is dual.
+    The state is one row until a gate reads the rows (module docstring).
     """
     if circuit.width > _WIDTH_CAP:
         raise SizeError(f"width {circuit.width} exceeds cap {_WIDTH_CAP}")
     p = _as_batch(params, circuit.n_params)
     i = _as_batch(inputs, circuit.n_inputs)
-    v = np.zeros((p[0].shape[0], i[0].shape[0], 1 << circuit.width), dtype=complex)
+    v = np.zeros((1, 1, 1 << circuit.width), dtype=complex)
     v[..., 0] = 1.0
     state = (v,) + tuple(np.zeros_like(v) for _ in range(max(len(p), len(i)) - 1))
+    rows = (p[0].shape[0], i[0].shape[0])
 
     for g in circuit.gates:
+        if state[0].shape[:2] != rows and _reads_rows(g):
+            state = _broadcast(state, rows)
         _apply_gate(g, state, p, i, circuit.width)
         if check_norm:
             norms = np.sum(np.abs(state[0]) ** 2, axis=-1)
             if np.any(np.abs(norms - 1.0) > 1e-12):
                 raise ArithmeticError("statevector norm drifted beyond 1e-12")
+    if state[0].shape[:2] != rows:
+        state = _broadcast(state, rows)
     return state if len(state) == 3 else state[0]
 
 

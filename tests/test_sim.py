@@ -6,10 +6,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpinn import circuits as cir
-from qpinn import qsp, sim
+from qpinn import duals, models, qsp, sim
 from qpinn.errors import DomainError, SizeError
 
 from test_circuits import build_qsp_chain, every_kind_circuits, random_circuit
+
+
+def reference_simulate_amps(circuit, params, inputs):
+    """The eager oracle of ``sim.simulate_amps``: every gate, from the first,
+    runs on the full (Bp, N, 2^width) state."""
+    p = sim._as_batch(params, circuit.n_params)
+    i = sim._as_batch(inputs, circuit.n_inputs)
+    v = np.zeros((p[0].shape[0], i[0].shape[0], 1 << circuit.width), dtype=complex)
+    v[..., 0] = 1.0
+    state = (v,) + tuple(np.zeros_like(v) for _ in range(max(len(p), len(i)) - 1))
+    for g in circuit.gates:
+        sim._apply_gate(g, state, p, i, circuit.width)
+    return state if len(state) == 3 else state[0]
+
+
+def _channels(amps):
+    return amps if isinstance(amps, tuple) else (amps,)
+
+
+def _same_bytes(got, want):
+    """Equal shapes and bytes, channel by channel: signed zeros included."""
+    got, want = _channels(got), _channels(want)
+    return len(got) == len(want) and all(
+        a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 def _seed(x):
@@ -123,6 +147,31 @@ def test_input_domain():
         sim.run(c, [0.0, 0.0], _seed(1.0))  # duals need the open interval
 
 
+def _model(kind):
+    spec = models.ModelSpec(kind)
+    return models.ModelFunction(spec, models.init_params(spec, 0))
+
+
+_DOMAIN_ENTRIES = {
+    "sim-plain": lambda x: sim.simulate_amps(qsp.univariate_model_circuit(1), [0.1, 0.2, 0.3], [[x]]),
+    "sim-dual": lambda x: sim.simulate_amps(qsp.univariate_model_circuit(1), [0.1, 0.2, 0.3], _seed(x)),
+    "t_arccos": lambda x: duals.t_arccos((np.array([x]), np.ones(1), np.zeros(1))),
+    "chain_value": lambda x: qsp.chain_value([0.1, 0.2], x),
+    "chain_value-dual": lambda x: qsp.chain_value([0.1, 0.2], (x, 1.0, 0.0)),
+    "qpinn-values": lambda x: _model("qpinn").values([0.5], [x]),
+    "quantum_inspired-values": lambda x: _model("quantum_inspired").values([0.5], [x]),
+    "quantum_inspired-derivatives": lambda x: _model("quantum_inspired").derivatives([0.5], [x]),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, 1.5], ids=["nan", "inf", "1.5"])
+@pytest.mark.parametrize("entry", sorted(_DOMAIN_ENTRIES))
+def test_out_of_domain_inputs_raise(entry, x):
+    # NaN fails every comparison, so a guard must accept |x| <= 1, not refuse |x| > 1
+    with pytest.raises(DomainError):
+        _DOMAIN_ENTRIES[entry](x)
+
+
 def _channel_circuit(rng, width):
     """Seeded circuit over 2 parameter slots and 2 inputs with every gate kind.
 
@@ -200,6 +249,75 @@ def test_batched_simulation_matches_dense_oracle_property(case):
     dual = sim.simulate_amps(circ, (params, d_params, np.zeros_like(params)),
                              (inputs, d_inputs, np.zeros_like(inputs)))
     assert np.array_equal(dual[0], amps)
+
+
+@st.composite
+def _eager_cases(draw):
+    """A circuit of every gate kind (``every_kind_circuits``), Bp and N in
+    {1, 2, 3}, plain or dual parameters and inputs, and whether to check
+    the norm."""
+    circ = draw(every_kind_circuits())
+    bp, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    batch = lambda rows, lo, hi: np.array(draw(st.lists(
+        st.floats(lo, hi), min_size=2 * rows, max_size=2 * rows))).reshape(rows, 2)
+    params, inputs = batch(bp, -7.0, 7.0), batch(n, -0.95, 0.95)
+    if draw(st.booleans()):
+        params = (params, batch(bp, -1.0, 1.0), batch(bp, -1.0, 1.0))
+    if draw(st.booleans()):
+        inputs = (inputs, batch(n, -1.0, 1.0), batch(n, -1.0, 1.0))
+    return circ, params, inputs, draw(st.booleans())
+
+
+@settings(max_examples=200)
+@given(_eager_cases())
+def test_simulation_matches_eager_oracle_bytes_property(case):
+    # the state stays one row until a gate reads the rows; every amplitude
+    # still takes the eager run's products and sums, in the same order
+    circ, params, inputs, check_norm = case
+    got = sim.simulate_amps(circ, params, inputs, check_norm=check_norm)
+    assert _same_bytes(got, reference_simulate_amps(circ, params, inputs))
+
+
+def _constant_prefix(width, tail=()):
+    """h on every qubit, a ``prepare`` and constant rotations, then ``tail``."""
+    amps = np.sqrt([0.1, 0.2, 0.3, 0.4])
+    gates = (tuple(cir.h(q) for q in range(width))
+             + (cir.prepare_amplitudes((1, 2), amps),
+                cir.controlled(cir.rx(0, cir.Const(0.4)), [(3, 0)]),
+                cir.rzz(0, 3, cir.Const(-1.1)), cir.rz(2, cir.Const(0.7)))
+             + tuple(tail))
+    return cir.Circuit(width, gates, n_params=1, n_inputs=1)
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["plain", "dual"])
+def test_circuit_reading_no_row_gives_writable_unaliased_rows(dual):
+    circ = _constant_prefix(4)
+    params, inputs = np.zeros((2, 1)), np.zeros((3, 1))
+    if dual:
+        inputs = (inputs, np.ones((3, 1)), np.zeros((3, 1)))
+    got = _channels(sim.simulate_amps(circ, params, inputs))
+    assert _same_bytes(got, reference_simulate_amps(circ, params, inputs))
+    for c in got:
+        assert c.shape == (2, 3, 16) and c.flags.writeable and c.flags.c_contiguous
+        kept = c[1, 0].copy()
+        c[0, 0] = 7.0
+        assert np.array_equal(c[1, 0], kept) and np.array_equal(c[0, 1], kept)
+
+
+def test_no_points_gives_empty_batch():
+    circ = _constant_prefix(4, (cir.rx(1, cir.InputArccos(0)), cir.rz(0, cir.Param(0))))
+    got = sim.simulate_amps(circ, np.zeros((2, 1)), np.zeros((0, 1)))
+    assert got.shape == (2, 0, 16)
+    dual = sim.simulate_amps(circ, [0.3], (np.zeros((0, 1)),) * 3)
+    assert all(c.shape == (1, 0, 16) for c in dual)
+
+
+@pytest.mark.parametrize("inputs", [[[0.2], [1.5]], ([[0.2], [1.0]], [[1.0], [1.0]], [[0.0], [0.0]])],
+                         ids=["plain", "dual"])
+def test_domain_checked_after_constant_prefix(inputs):
+    circ = _constant_prefix(4, (cir.rx(1, cir.InputArccos(0)),))
+    with pytest.raises(DomainError):
+        sim.simulate_amps(circ, [0.0], inputs)
 
 
 def test_dual_value_channel_bit_identical():
