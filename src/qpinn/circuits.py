@@ -120,7 +120,7 @@ def prepare_amplitudes(qubits: tuple[int, ...], amplitudes) -> Gate:
         raise ValueError("amplitude vector length must be 2^k for k target qubits")
     if any(a < 0 for a in amps):
         raise ValueError("PrepareAmplitudes requires nonnegative real amplitudes")
-    if abs(math.fsum(a * a for a in amps) - 1.0) > 1e-12:
+    if not abs(math.fsum(a * a for a in amps) - 1.0) <= 1e-12:
         raise ValueError("PrepareAmplitudes requires a unit 2-norm vector")
     return Gate("prepare", tuple(qubits), amplitudes=amps)
 
@@ -449,7 +449,7 @@ def unitary_of(circuit: Circuit, params=(), inputs=()) -> np.ndarray:
     for g in circuit.gates:
         u = _gate_matrix(g, params, inputs, circuit.width) @ u
     err = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    if err > 1e-12:
+    if not err <= 1e-12:   # NaN fails too
         raise ArithmeticError(f"unitarity violated: max deviation {err:.3e}")
     return u
 

@@ -8,9 +8,8 @@ value along that direction.  The triple helpers (`t_*`) operate on raw
 or numpy arrays; ``(x, 1.0, 0.0)`` seeds the direction of ``x`` and
 ``(c, 0.0, 0.0)`` is a constant.  The channel helpers (`c_*`) take channel
 tuples: ``(v,)`` for a plain value, ``(v, d1, d2)`` for a dual one.  The
-simulator and the 2×2 QSP chain run one code path on them, so a plain run
-and the value channel of a dual run perform the same arithmetic in the
-same order.
+simulator runs one code path on them, so a plain run and the value channel
+of a dual run perform the same arithmetic in the same order.
 """
 from __future__ import annotations
 
@@ -80,13 +79,6 @@ def t_expj(a: Triple) -> Triple:
     e = np.exp(1j * np.asarray(a[0], dtype=float))
     d1 = 1j * a[1] * e
     return (e, d1, e * (1j * a[2] - a[1] * a[1]))
-
-
-def t_sqrt(a: Triple) -> Triple:
-    r = np.sqrt(a[0])
-    d1 = a[1] / (2.0 * r)
-    d2 = a[2] / (2.0 * r) - a[1] * a[1] / (4.0 * r * r * r)
-    return (r, d1, d2)
 
 
 def t_arccos(a: Triple) -> Triple:

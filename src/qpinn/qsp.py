@@ -6,15 +6,12 @@ split over two chains removes the parity constraint at the price of a ½
 normalization, and LCU ancillae extend the construction to multivariate and
 tensor-decomposed polynomials.
 
-Angle synthesis is numerical: Levenberg–Marquardt (damped Gauss–Newton)
-least squares on the complex chain value, from random starts.  It targets
-both the real part and a vanishing imaginary part, since products over
-variables in the multivariate circuits are only exactly polynomial when each
-per-variable value is real.  Every chain (a branch) draws its random starts
-from its own generator, spawned from the caller's seed, so no branch's starts
-depend on another's.  A construction's chains are fitted together, as stacks
-of rows with one damping and one stop test per row, and each row's arithmetic
-is that of a one-chain-at-a-time fit.
+Angle synthesis is a construction, with no search and no seed.  A target p
+of parity d is a real symmetric Laurent polynomial F(w) = p((w + 1/w)/2) in
+w = e^{i·arccos x}; Fejér–Riesz completion adds the off-diagonal entry of an
+SU(2)-valued Laurent polynomial from the roots of 1 − F², and one angle is
+peeled off per layer (Haah 2019, arXiv:1806.10236).  The chain value is then
+real, which the products over variables in the multivariate circuits need.
 """
 from __future__ import annotations
 
@@ -29,7 +26,6 @@ from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
 
 from . import circuits as cir
-from .duals import c_lift, c_mul, shift_offsets, t_sqrt
 from .errors import BoundError, DomainError, SizeError, SynthesisError
 
 # ---------------------------------------------------------------------------
@@ -207,45 +203,29 @@ def chain_coefficients(thetas) -> np.ndarray:
     return plan_coefficients(_chain_plan(th.shape[1]), th)
 
 
-def _powers(z: tuple, n: int, ones: tuple) -> list[tuple]:
-    """[z⁰, z¹, …, zⁿ] over channel tuples, z⁰ = ``ones``."""
-    out = [ones]
-    for _ in range(n):
-        out.append(c_mul(z, out[-1]) if len(out) > 1 else z)
-    return out
-
-
-def _chain_basis(xv: tuple, d: int) -> tuple:
-    """The basis x^(d−b)·(i√(1 − x²))^b, b = 0..d, of the channel tuple ``xv``:
-    one (d+1, N) array per channel."""
-    ones = (np.ones_like(xv[0]),) + tuple(np.zeros_like(c) for c in xv[1:])
-    xp = _powers(xv, d, ones)
-    if d:  # the S(x) steps between angles contribute i·√(1 − x²)
-        sq = tuple(z - c for z, c in zip((1.0, 0.0, 0.0), c_mul(xv, xv)))
-        js = c_mul(1j, c_lift(sq, np.sqrt, t_sqrt))
-        basis = [xp[d]] + [c_mul(xp[d - b], p) for b, p in enumerate(_powers(js, d, ones)[1:], 1)]
-    else:
-        basis = [ones]
-    return tuple(np.stack([f[c] for f in basis]) for c in range(len(xv)))
+def _chain_basis(x: np.ndarray, d: int) -> np.ndarray:
+    """The basis x^(d−b)·(i√(1 − x²))^b, b = 0..d, of the points ``x``,
+    (d+1, N); each power is the product of x (or i√(1 − x²)) with the one
+    before it."""
+    xp, jp = [np.ones_like(x), x], [None, 1j * np.sqrt(1.0 - x * x)]
+    for _ in range(d - 1):
+        xp.append(x * xp[-1])
+        jp.append(jp[1] * jp[-1])
+    return np.stack([xp[d]] + [xp[d - b] * jp[b] for b in range(1, d + 1)])
 
 
 def chain_value(thetas, x):
     """⟨+|U_θ(x)|+⟩ for the chain of degree len(θ)-1.
 
-    ``thetas``: (k,) or (B, k) plain angles.  ``x``: scalar, (N,) array, or a
-    (value, d1, d2) dual triple.  Returns a complex scalar/(B, N) array, or a
-    triple of them for dual input: `chain_coefficients` contracted with the
-    basis x^(d−b)·(i√(1 − x²))^b, channel by channel.
+    ``thetas``: (k,) or (B, k) angles.  ``x``: scalar or (N,) array in
+    [-1, 1].  Returns a complex (B, N) array: `chain_coefficients`
+    contracted with the basis x^(d−b)·(i√(1 − x²))^b.
     """
     coeffs = chain_coefficients(thetas)
-    dual = isinstance(x, tuple)
-    xv = tuple(np.atleast_1d(np.asarray(c, dtype=float)) for c in (x if dual else (x,)))
-    if dual and not np.all(np.abs(xv[0]) < 1.0):
-        raise DomainError("dual chain evaluation requires |x| < 1")
-    if not np.all(np.abs(xv[0]) <= 1.0):
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.abs(x) <= 1.0):
         raise DomainError("chain evaluation requires |x| <= 1")
-    out = tuple(coeffs @ b for b in _chain_basis(xv, coeffs.shape[1] - 1))
-    return out if dual else out[0]
+    return coeffs @ _chain_basis(x, coeffs.shape[1] - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +237,14 @@ def parity_split(p: UnivariatePoly) -> tuple[UnivariatePoly, UnivariatePoly]:
     odd = tuple(2.0 * c if k % 2 else 0.0 for k, c in enumerate(p.coeffs))
     even = tuple(0.0 if k % 2 else 2.0 * c for k, c in enumerate(p.coeffs))
     return UnivariatePoly(odd), UnivariatePoly(even)
+
+
+@lru_cache(maxsize=None)
+def _cheb_nodes(k: int) -> np.ndarray:
+    """The k Chebyshev nodes cos(π(2i + 1)/(2k)), i = 0..k−1.  Read-only."""
+    out = np.cos(np.pi * (2.0 * np.arange(k) + 1.0) / (2.0 * k))
+    out.flags.writeable = False
+    return out
 
 
 class PolyFit(NamedTuple):
@@ -272,7 +260,7 @@ def extract_polynomial(value_fn, L: int) -> PolyFit:
     measured on 257 fresh grid points, certifies (when < 1e-8) that
     ``value_fn`` is itself a polynomial of degree ≤ L.
     """
-    nodes = np.cos(np.pi * (2.0 * np.arange(L + 1) + 1.0) / (2.0 * (L + 1)))
+    nodes = _cheb_nodes(L + 1)
     vals = np.asarray(value_fn(nodes), dtype=float)
     cheb_coeffs = _cheb.chebfit(nodes, vals, L)
     coeffs = _cheb.cheb2poly(cheb_coeffs)
@@ -304,178 +292,141 @@ def expand_td(p: TdPoly) -> MonomialList:
 # angle synthesis
 
 
-_RESTARTS = 15      # Levenberg–Marquardt starts per branch, each θ ~ N(0, 0.6²)
-_ITERS = 500        # damped steps per start
-_TOL = 1e-10        # max node residual that ends a start early
-
-# There is no start at θ = 0.  There the ±π shift rule gives the two shifted
-# chains the same coefficients, since cos is even, so ∂v/∂θ is exactly 0,
-# every step is 0 and every candidate is refused until μ > 1e8.  Nor can
-# θ = 0 be an answer: v(0, x) = e^{i·d·arccos x}, whose imaginary part alone
-# puts the max node residual above 0.96 at degrees 1 to 20.
-
-
 @lru_cache(maxsize=None)
-def _node_basis(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 4·degree + 8 Chebyshev nodes a branch is fitted on, and their
-    (degree + 1, K) ``_chain_basis``."""
-    k = 4 * degree + 8
-    xs = np.cos(np.pi * (2.0 * np.arange(k) + 1.0) / (2.0 * k))
-    out = xs, _chain_basis((xs,), degree)[0]
-    for a in out:
-        a.flags.writeable = False
+def _laurent_map(d: int) -> np.ndarray:
+    """(d+1, 2d+1): row k holds x^k = 2^(−k)·Σ_j C(k, j)·w^(k−2j) in the
+    Laurent basis w^(−d..d), where x = (w + 1/w)/2.  Read-only."""
+    out = np.zeros((d + 1, 2 * d + 1))
+    for k in range(d + 1):
+        for j in range(k + 1):
+            out[k, d + k - 2 * j] += math.comb(k, j) / 2.0 ** k
+    out.flags.writeable = False
     return out
 
 
-def _residual_jac(thetas: np.ndarray, basis: np.ndarray, targets: np.ndarray):
-    """Complex residuals v(θ, x) − q(x) on the nodes, (n, K), and ∂v/∂θ,
-    (n, P, K), of n rows of P angles.
+def _complement(a: np.ndarray) -> np.ndarray:
+    """Real Laurent coefficients b of parity d, (n, 2d+1), with b(w)·b(1/w)
+    = 1 − F(w)² for the real symmetric F of each row of ``a``.
 
-    ``basis`` is the (P, K) node basis of ``_chain_basis``.  Each chain
-    amplitude is a·e^{−iθⱼ/2} + b·e^{iθⱼ/2} in each angle, so the shift rule
-    ∂v/∂θⱼ = [v(θⱼ + π) − v(θⱼ − π)]/4 is exact.  The 2P + 1 shifted chains
-    of every row come from one ``plan_coefficients`` call and one ``@``,
-    stacked (n, 2P + 1, P) so that each row's product is the one its own
-    call would make.
+    1 − F² = (1 − F)(1 + F) is ≥ 0 on |w| = 1 (Fejér–Riesz).  The roots of
+    w^d·(1 ∓ F), from one ``eigvals`` call on stacked companion matrices,
+    come in pairs z, 1/z̄: reflected inside the circle they are near pairs,
+    as is a double root on it, and each pair, closest first, gives one
+    averaged root.  b = κ·w^(−d)·∏(w − z), with κ from Parseval:
+    Σb² = 1 − Σa².
     """
-    n, p = thetas.shape
-    stack = (thetas[:, None, :] + shift_offsets(p)).reshape(-1, p)
-    vals = plan_coefficients(_chain_plan(p), stack).reshape(n, 2 * p + 1, p) @ basis
-    return vals[:, 0] - targets, (vals[:, 1::2] - vals[:, 2::2]) / 4.0
+    n, m = a.shape
+    q = np.eye(1, m, m // 2) + np.concatenate([-a, a])
+    comp = np.zeros((2 * n, m - 1, m - 1))
+    comp[:, np.arange(1, m - 1), np.arange(m - 2)] = 1.0
+    comp[:, :, -1] = -q[:, :-1] / q[:, -1:]
+    z = np.hstack(np.split(np.linalg.eigvals(comp), 2))
+    z = np.where(np.abs(z) <= 1.0, z, 1.0 / z.conj())
+    dist = np.abs(z[:, :, None] - z[:, None, :]) + np.diag(np.full(2 * m - 2, np.inf))
+    rows, poly = np.arange(n), np.eye(1, m, dtype=complex).repeat(n, axis=0)
+    for _ in range(m - 1):
+        i, j = np.divmod(dist.reshape(n, -1).argmin(axis=1), 2 * m - 2)
+        poly[:, 1:] -= 0.5 * (z[rows, i] + z[rows, j])[:, None] * poly[:, :-1]  # ·(w − root)
+        dist[rows, i] = dist[rows, j] = dist[rows, :, i] = dist[rows, :, j] = np.inf
+    poly = poly.real
+    poly[:, 1::2] = 0.0
+    return poly * np.sqrt((1.0 - np.sum(a * a, axis=1)) / np.sum(poly * poly, axis=1))[:, None]
 
 
-def _levenberg_marquardt(thetas: np.ndarray, basis: np.ndarray, targets: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Gauss–Newton on the real and imaginary node residuals of each
-    row of ``thetas``, (n, P), against its row of ``targets``, (n, K).
+def _peel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The angles θ_0..θ_d, (n, d+1), of U = R_x(θ_d)·D···D·R_x(θ_0) = [[F, i·b],
+    [i·b(1/w), F(1/w)]], D = diag(w, 1/w): the chain in the Hadamard frame,
+    whose ⟨0|·|0⟩ is ``chain_value``.  Each angle zeroes the w^(−deg) terms
+    of R_x(−θ)·U, by the better scaled of two equations; D then divides out."""
+    out = np.empty((a.shape[0], (a.shape[1] + 1) // 2))
+    for deg in range(out.shape[1] - 1, 0, -1):
+        first = np.abs(a[:, 0]) + np.abs(b[:, -1]) >= np.abs(b[:, 0]) + np.abs(a[:, -1])
+        half = np.where(first, np.arctan2(a[:, 0], b[:, -1]), np.arctan2(-b[:, 0], a[:, -1]))
+        out[:, deg] = 2.0 * half
+        c, s = np.cos(half)[:, None], np.sin(half)[:, None]
+        a, b = (c * a - s * b[:, ::-1])[:, 2:], (c * b + s * a[:, ::-1])[:, 2:]
+    out[:, 0] = 2.0 * np.arctan2(-b[:, 0], a[:, 0])
+    return out
 
-    Every row keeps its own damping μ, accepts a step only when it lowers
-    the row's max node residual, and stops at ``_TOL``, at μ > 1e8 or after
-    ``_ITERS`` steps; rows that stop leave the stack.  Each row's arithmetic
-    is that of a one-row stack.  Returns the final angles and max residuals.
+
+def _construct(coeffs: np.ndarray, d: int) -> np.ndarray:
+    """Chain angles, (n, d+1), with ⟨+|U_θ(x)|+⟩ = p(x) for each row of
+    power coefficients ``coeffs`` (n, d+1) of parity d and |p| ≤ 1.
+
+    A row is built at the degree e of its last Laurent coefficient above
+    1e-12 (dropping one moves p by at most twice its size; a smaller leading
+    coefficient costs the roots accuracy) and padded with (π, −π) pairs, as
+    D·R_x(π)·D = R_x(π).  e = 0 takes cos(θ_0/2) = p; an odd row with nothing
+    above 1e-12 is (π, 0, …, 0).  Each row's arithmetic is its own.
     """
-    out, out_err = np.empty_like(thetas), np.empty(len(thetas))
-    live = np.arange(len(thetas))
-    eye = np.eye(thetas.shape[1])
-    res, jac = _residual_jac(thetas, basis, targets)
-    err, mu = np.abs(res).max(axis=1), np.full(len(thetas), 1e-3)
-    for _ in range(_ITERS):
-        jr_t = np.concatenate([jac.real, jac.imag], axis=2)   # (n, P, 2K): Jᵀ of each row
-        rr = np.concatenate([res.real, res.imag], axis=1)[..., None]
-        step = np.linalg.solve(jr_t @ jr_t.transpose(0, 2, 1) + mu[:, None, None] * eye,
-                               -jr_t @ rr)[..., 0]
-        cand = thetas + step
-        c_res, c_jac = _residual_jac(cand, basis, targets)
-        c_err = np.abs(c_res).max(axis=1)
-        better = c_err < err
-        if better.all():
-            thetas, res, jac, err = cand, c_res, c_jac, c_err
-        elif better.any():
-            rows, planes = better[:, None], better[:, None, None]
-            thetas, res, jac, err = (np.where(rows, cand, thetas), np.where(rows, c_res, res),
-                                     np.where(planes, c_jac, jac), np.where(better, c_err, err))
-        mu = np.where(better, np.maximum(mu * 0.3, 1e-12), mu * 10.0)
-        done = np.where(better, err < _TOL, mu > 1e8)
-        if done.any():
-            out[live[done]], out_err[live[done]] = thetas[done], err[done]
-            keep = ~done
-            if not keep.any():
-                return out, out_err
-            live, thetas, res, jac, err, mu, targets = (
-                a[keep] for a in (live, thetas, res, jac, err, mu, targets))
-    out[live], out_err[live] = thetas, err
-    return out, out_err
+    a = np.einsum("bk,kl->bl", coeffs, _laurent_map(d))
+    big = np.abs(a[:, d:]) > 1e-12
+    eff = np.where(big.any(axis=1), d - np.argmax(big[:, ::-1], axis=1), -(d % 2))
+    out = np.zeros((len(a), d + 1))
+    out[eff < 0, 0] = np.pi
+    for e in np.unique(eff[eff >= 0]):
+        rows, sub = eff == e, a[eff == e, d - e:d + e + 1]
+        out[rows, :e + 1] = (_peel(sub, _complement(sub)) if e
+                             else 2.0 * np.arccos(np.clip(sub, -1.0, 1.0)))
+        out[rows, e + 1:] = np.tile([np.pi, -np.pi], (d - e) // 2)
+    return out
 
 
 def _synthesize_branches(branches) -> list[np.ndarray]:
-    """Chain angles with ⟨+|U_θ(x)|+⟩ ≈ target(x) (real) for every branch of
-    ``branches``, a list of (target, degree, generator); returns the angles
-    in branch order.
-
-    A degree-0 branch takes ``_constant_angle``.  Any other branch fits its
-    chain to the target on ``_node_basis`` nodes from up to ``_RESTARTS``
-    N(0, 0.6²) starts drawn from its own generator, and keeps its best
-    start; it stops at the first start that reaches ``_TOL``, and raises
-    ``SynthesisError`` when its best residual after the last start exceeds
-    1e-9.  Each round draws the next start of every unfinished branch and
-    runs one ``_levenberg_marquardt`` per degree.
-    """
-    best = {i: (np.inf, None) for i, branch in enumerate(branches) if branch[1]}
-    live = list(best)       # the branches whose best residual is not yet below _TOL
-    for _ in range(_RESTARTS):
-        groups = {}
-        for i in live:
-            groups.setdefault(branches[i][1], []).append(i)
-        for degree, group in groups.items():
-            xs, basis = _node_basis(degree)
-            starts = np.array([branches[i][2].normal(0.0, 0.6, degree + 1) for i in group])
-            targets = np.array([branches[i][0](xs) for i in group])
-            for i, theta, err in zip(group, *_levenberg_marquardt(starts, basis, targets)):
-                if err < best[i][0]:
-                    best[i] = (err, theta)
-        live = [i for i in live if best[i][0] >= _TOL]
-    for i in live:
-        if best[i][0] > 1e-9:
-            raise SynthesisError(f"branch synthesis stalled at residual {best[i][0]:.3e} "
-                                 f"(degree {branches[i][1]})")
-    return [best[i][1] if degree else _constant_angle(target)
-            for i, (target, degree, _) in enumerate(branches)]
-
-
-def _branch_generators(seed, n: int) -> list[np.random.Generator]:
-    """One generator per branch, the n children of ``seed``'s
-    ``SeedSequence`` in branch order; ``seed`` must be an int >= 0."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError(f"synthesis seed must be an int >= 0, not {seed!r}")
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(int(seed)).spawn(n)]
-
-
-def _constant_angle(target: UnivariatePoly) -> np.ndarray:
-    """The angle of a degree-0 chain, cos(θ/2) = the target's constant."""
-    c = float(np.clip(target.coeffs[0] if target.coeffs else 0.0, -1.0, 1.0))
-    return np.array([2.0 * math.acos(c)])
+    """Chain angles with ⟨+|U_θ(x)|+⟩ = target(x) for every (target, degree)
+    of ``branches``, in branch order.  The branches of one degree are built
+    as one ``_construct`` stack and checked together on
+    ``_cheb_nodes(4·degree + 8)``: a complex residual above 1e-9 raises
+    ``SynthesisError``."""
+    out = [None] * len(branches)
+    for d in sorted({degree for _, degree in branches}):
+        mine = [i for i, (_, degree) in enumerate(branches) if degree == d]
+        thetas = _construct(np.array([(branches[i][0].coeffs + (0.0,) * d)[:d + 1]
+                                      for i in mine]), d)
+        xs = _cheb_nodes(4 * d + 8)
+        err = np.abs(chain_value(thetas, xs) - [branches[i][0](xs) for i in mine]).max(axis=1)
+        if not np.all(err <= 1e-9):
+            raise SynthesisError(f"a degree-{d} branch missed its target by {np.max(err):.3e}")
+        for i, theta in zip(mine, thetas):
+            out[i] = theta
+    return out
 
 
 def synthesize_angle_pairs(jobs) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``synthesize_angles(target, L, seed)`` of each (target, L, seed) job,
-    in one ``_synthesize_branches`` call."""
+    """``synthesize_angles(target, L)`` of each (target, L) job, in one
+    ``_synthesize_branches`` call."""
     jobs = list(jobs)
     branches = []
-    for target, L, seed in jobs:
+    for target, L in jobs:
         if L < 1:
             raise ValueError("synthesis requires L >= 1")
         if target.degree > L and any(abs(c) > 0 for c in target.coeffs[L + 1:]):
             raise ValueError(f"target degree exceeds L={L}")
-        if target.sup_norm_grid() > 0.5 + 1e-12:
+        if not target.sup_norm_grid() <= 0.5 + 1e-12:   # NaN fails too
             raise BoundError("target sup-norm exceeds 1/2 on [-1, 1]")
         p_odd, p_even = parity_split(target)
-        t1, t2 = (p_odd, p_even) if L % 2 == 0 else (p_even, p_odd)
-        rng1, rng2 = _branch_generators(seed, 2)
-        branches += [(t1, L - 1, rng1), (t2, L, rng2)]
+        branches += [(p_odd, L - 1), (p_even, L)] if L % 2 == 0 else [(p_even, L - 1), (p_odd, L)]
     angles = _synthesize_branches(branches)
     pairs = list(zip(angles[0::2], angles[1::2]))
-    for L in {L for _, L, _ in jobs}:
+    for L in {L for _, L in jobs}:
         mine = [k for k, job in enumerate(jobs) if job[1] == L]
-        nodes = np.cos(np.pi * (2.0 * np.arange(4 * L + 4) + 1.0) / (2.0 * (4 * L + 4)))
+        nodes = _cheb_nodes(4 * L + 4)
         theta1, theta2 = (np.array(a) for a in zip(*(pairs[k] for k in mine)))
         combo = 0.5 * (chain_value(theta1, nodes).real + chain_value(theta2, nodes).real)
         residual = float(np.max(np.abs(combo - [jobs[k][0](nodes) for k in mine])))
-        if residual > 1e-8:
+        if not residual <= 1e-8:
             raise SynthesisError(f"combined synthesis residual {residual:.3e} exceeds 1e-8")
     return pairs
 
 
-def synthesize_angles(target: UnivariatePoly, L: int, seed: int = 0
-                      ) -> tuple[np.ndarray, np.ndarray]:
+def synthesize_angles(target: UnivariatePoly, L: int) -> tuple[np.ndarray, np.ndarray]:
     """Parity-split angle pair: ½[Re v(θ1,x) + Re v(θ2,x)] = target(x).
 
     θ1 (L angles) drives the degree-(L-1) chain for the parity-(L-1 mod 2)
     component, θ2 (L+1 angles) the degree-L chain for the parity-(L mod 2)
-    component; each is fitted from starts drawn from its own generator, the
-    two children of ``seed``'s ``SeedSequence``.  The one-job case of
-    ``synthesize_angle_pairs``.
+    component.  The one-job case of ``synthesize_angle_pairs``.
     """
-    return synthesize_angle_pairs([(target, L, seed)])[0]
+    return synthesize_angle_pairs([(target, L)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +466,8 @@ def build_lcu_multivariate(monomials: MonomialList, D: int, L: int, seed: int = 
 
     When the monomial list is the full (L+1)^D grid this Λ coincides with
     ‖c‖_∞·(L+1)^D.  Angles are synthesized and bound into
-    ``lcu_circuit_template`` as constants; each branch (monomial, variable)
-    draws its starts from its own child of ``seed``, in slot order.
+    ``lcu_circuit_template`` as constants.  ``seed`` is accepted and
+    ignored: the construction has no random part.
     """
     t_count = len(monomials.entries)
     if t_count < 1:
@@ -533,9 +484,7 @@ def build_lcu_multivariate(monomials: MonomialList, D: int, L: int, seed: int = 
             coeffs = [0.0] * (nj + 1)
             coeffs[nj] = (c / c_inf) if j == 0 else 1.0
             branches.append((UnivariatePoly(tuple(coeffs)), nj))
-    rngs = _branch_generators(seed, len(branches))
-    thetas = _synthesize_branches([b + (rng,) for b, rng in zip(branches, rngs)])
-    angles = np.concatenate(thetas).tolist()
+    angles = np.concatenate(_synthesize_branches(branches)).tolist()
     tpl = lcu_circuit_template([n for n, _ in monomials.entries], D, L)
     return cir.bind(tpl, angles), t_count * c_inf
 
@@ -570,19 +519,18 @@ def build_td_circuit(p: TdPoly, seed: int = 0) -> tuple[cir.Circuit, float]:
 
     expect_z0 = p(x)/Λ with Λ = Σ_r |λ_r|; ancilla amplitudes are
     √(|λ_r|/Λ) and λ-signs are absorbed into each term's first factor.
-    Angles are synthesized and bound as constants, factor (r, j) as the job
-    of seed ``seed + 101·r + j``.
+    Angles are synthesized and bound as constants, factor (r, j) as the
+    (r, j)-th job; ``seed`` is accepted and ignored.
     """
     lam_total = math.fsum(abs(l) for l in p.lambdas)
     if lam_total <= 0.0:
         raise ValueError("Λ = Σ|λ_r| must be positive")
-    _branch_generators(seed, 0)     # the derived seeds would let True pass as 1
     jobs = []
     for r, row in enumerate(p.factors):
         for j, poly in enumerate(row):
             if p.lambdas[r] < 0 and j == 0:
                 poly = UnivariatePoly(tuple(-c for c in poly.coeffs))
-            jobs.append((poly, p.L, seed + 101 * r + j))
+            jobs.append((poly, p.L))
     angles = np.concatenate([a for pair in synthesize_angle_pairs(jobs) for a in pair]).tolist()
     weights = np.sqrt(np.abs(np.asarray(p.lambdas)) / lam_total)
     return cir.bind(_td_circuit(p.R, p.D, p.L, weights), angles), lam_total

@@ -245,7 +245,7 @@ def simulate_amps(circuit: cir.Circuit, params, inputs, *, check_norm: bool = Fa
         _apply_gate(g, state, p, i, circuit.width)
         if check_norm:
             norms = np.sum(np.abs(state[0]) ** 2, axis=-1)
-            if np.any(np.abs(norms - 1.0) > 1e-12):
+            if not np.all(np.abs(norms - 1.0) <= 1e-12):   # NaN fails too
                 raise ArithmeticError("statevector norm drifted beyond 1e-12")
     if state[0].shape[:2] != rows:
         state = _broadcast(state, rows)

@@ -26,10 +26,9 @@ def _random_bounded_poly(rng, degree: int) -> qsp.UnivariatePoly:
 
 def _check_univariate_identity(seed):
     rng = np.random.default_rng(seed)
-    jobs = [(_random_bounded_poly(rng, L), L, int(rng.integers(1 << 30)))
-            for L in (1, 2) for _ in range(2)]
+    jobs = [(_random_bounded_poly(rng, L), L) for L in (1, 2) for _ in range(2)]
     worst = 0.0
-    for (target, L, _), (th1, th2) in zip(jobs, qsp.synthesize_angle_pairs(jobs)):
+    for (target, L), (th1, th2) in zip(jobs, qsp.synthesize_angle_pairs(jobs)):
         circ = qsp.univariate_model_circuit(L)
         params = np.concatenate([th1, th2])
         xs = np.linspace(-1.0, 1.0, 50)[:, None]
@@ -42,7 +41,7 @@ def _check_lcu_identity(seed):
     rng = np.random.default_rng(seed + 1)
     entries = tuple(((i, j), float(rng.normal())) for i in range(2) for j in range(2))
     mono = qsp.MonomialList(entries)
-    circ, lam = qsp.build_lcu_multivariate(mono, 2, 1, seed=seed)
+    circ, lam = qsp.build_lcu_multivariate(mono, 2, 1)
     pts = rng.uniform(-1.0, 1.0, size=(20, 2))
     vals = sim.z0_from_amps(sim.simulate_amps(circ, [], pts, check_norm=True))[0]
     err = max(abs(v * lam - mono(pt)) for v, pt in zip(vals, pts))
@@ -55,7 +54,7 @@ def _check_td_identity(seed):
         tuple(_random_bounded_poly(rng, 1) for _ in range(2)) for _ in range(2)
     )
     td = qsp.TdPoly(R=2, D=2, L=1, lambdas=(0.7, -0.3), factors=factors)
-    circ, lam = qsp.build_td_circuit(td, seed=seed)
+    circ, lam = qsp.build_td_circuit(td)
     pts = rng.uniform(-1.0, 1.0, size=(20, 2))
     vals = sim.z0_from_amps(sim.simulate_amps(circ, [], pts, check_norm=True))[0]
     err = max(abs(v * lam - td(pt)) for v, pt in zip(vals, pts))

@@ -169,6 +169,14 @@ def test_unitary_input_domain():
         cir.unitary_of(c, [0.0, 0.0], [1.5])
 
 
+def test_unitary_of_refuses_a_nan_parameter():
+    # NaN fails every comparison, so the unitarity test must accept err <= tol
+    c = cir.Circuit(1, (cir.rx(0, cir.Param(0)),), n_params=1)
+    with pytest.raises(ArithmeticError):
+        cir.unitary_of(c, [math.nan])
+    assert np.array_equal(cir.unitary_of(c, [0.0]), np.eye(2))
+
+
 _TURN = st.floats(-7.0, 7.0)
 # gate kind → the target qubits it needs (prepare draws its own count)
 _TARGETS = {"h": 1, "x": 1, "cnot": 2, "rx": 1, "rz": 1, "rzz": 2, "prepare": None}
@@ -479,3 +487,8 @@ def test_prepare_validation():
         cir.prepare_amplitudes((0,), [0.5, 0.5])  # not unit norm
     with pytest.raises(ValueError):
         cir.prepare_amplitudes((0,), [-0.6, 0.8])  # negative entry
+
+
+def test_prepare_refuses_nan_amplitudes():
+    with pytest.raises(ValueError):
+        cir.prepare_amplitudes((0,), [math.nan, math.nan])

@@ -85,6 +85,21 @@ def test_norm_preserved():
         assert abs(np.sum(np.abs(st) ** 2) - 1.0) < 1e-12
 
 
+_NAN_ANGLE = cir.Circuit(1, (cir.rx(0, cir.Param(0)),), n_params=1)
+
+
+def test_run_refuses_a_nan_parameter():
+    # NaN fails every comparison, so the norm test must accept |norm − 1| <= tol
+    with pytest.raises(ArithmeticError):
+        sim.run(_NAN_ANGLE, [math.nan])
+
+
+def test_checked_simulation_refuses_a_nan_parameter():
+    with pytest.raises(ArithmeticError):
+        sim.simulate_amps(_NAN_ANGLE, [[0.3], [math.nan]], [], check_norm=True)
+    assert np.isnan(sim.simulate_amps(_NAN_ANGLE, [math.nan], [])).all()   # unchecked
+
+
 def test_prepare_amplitudes_state():
     amps = np.sqrt([0.1, 0.2, 0.3, 0.4])
     c = cir.Circuit(2, (cir.prepare_amplitudes((0, 1), amps),))
@@ -157,7 +172,6 @@ _DOMAIN_ENTRIES = {
     "sim-dual": lambda x: sim.simulate_amps(qsp.univariate_model_circuit(1), [0.1, 0.2, 0.3], _seed(x)),
     "t_arccos": lambda x: duals.t_arccos((np.array([x]), np.ones(1), np.zeros(1))),
     "chain_value": lambda x: qsp.chain_value([0.1, 0.2], x),
-    "chain_value-dual": lambda x: qsp.chain_value([0.1, 0.2], (x, 1.0, 0.0)),
     "qpinn-values": lambda x: _model("qpinn").values([0.5], [x]),
     "quantum_inspired-values": lambda x: _model("quantum_inspired").values([0.5], [x]),
     "quantum_inspired-derivatives": lambda x: _model("quantum_inspired").derivatives([0.5], [x]),
