@@ -8,10 +8,10 @@ Conventions fixed here and relied on everywhere else:
 - Angles are symbolic: constants, affine functions of a trainable parameter
   slot, or ``scale·arccos(x_var) + offset`` of an input variable.
 - ``unitary_of`` is a dense-matrix oracle kept independent of the strided
-  statevector simulator so the two can cross-check each other: the product
-  of embedded gate matrices, each the identity with the gate's base matrix
-  scattered onto its basis indices, whose index tables are cached per
-  ``(qubits, controls, width)``.
+  statevector simulator so the two can cross-check each other.  It binds a
+  paired stack of (parameters, inputs) rows and updates U's row blocks gate by
+  gate, through index tables cached per ``(qubits, controls, width)``; that
+  equals the dense matrix product bit for bit except under ``prepare``.
 """
 from __future__ import annotations
 
@@ -355,6 +355,9 @@ def _expand_controlled(ctrls: list[int], inner: Gate) -> list[Gate]:
 # dense-matrix oracle
 
 _MAX_ORACLE_WIDTH = 10
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_H.flags.writeable = _X.flags.writeable = False
 
 
 def _scatter_bits(values: np.ndarray, positions: list[int]) -> np.ndarray:
@@ -380,9 +383,9 @@ def _householder(amps: tuple[float, ...]) -> np.ndarray:
 
 def _base_matrix(g: Gate, params, inputs) -> np.ndarray:
     if g.kind == "h":
-        return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
+        return _H
     if g.kind in ("x", "cnot"):   # a cnot's matrix on its target
-        return np.array([[0, 1], [1, 0]], dtype=complex)
+        return _X
     if g.kind == "rx":
         t = eval_angle(g.angle, params, inputs)
         c, s = math.cos(t / 2.0), math.sin(t / 2.0)
@@ -418,40 +421,52 @@ def _embed_index(qubits: tuple, controls: tuple, width: int) -> np.ndarray:
     return idx
 
 
-def _embed(mat: np.ndarray, qubits: tuple, controls: tuple, width: int) -> np.ndarray:
-    """``mat`` on ``qubits`` under ``controls``, the identity elsewhere."""
-    idx = _embed_index(qubits, controls, width)
-    full = np.eye(1 << width, dtype=complex)
-    full[idx[:, None, :], idx[None, :, :]] = mat[:, :, None]
-    return full
-
-
-def _gate_matrix(g: Gate, params, inputs, width: int, controls=()) -> np.ndarray:
+def _gate_block(g: Gate, controls=()) -> tuple[Gate, tuple, tuple]:
+    """(base gate, qubits its matrix acts on, controls); a cnot is an x under one more control."""
     if g.kind == "controlled":
-        return _gate_matrix(g.inner, params, inputs, width, controls + g.controls)
-    qubits = g.qubits
-    if g.kind == "cnot":   # an x on the target under one more control
-        qubits, controls = g.qubits[1:], ((g.qubits[0], 1),) + controls
-    return _embed(_base_matrix(g, params, inputs), qubits, controls, width)
+        return _gate_block(g.inner, controls + g.controls)
+    if g.kind == "cnot":
+        return g, g.qubits[1:], ((g.qubits[0], 1),) + controls
+    return g, g.qubits, controls
+
+
+def _bound_rows(circuit: Circuit, params, inputs) -> tuple[np.ndarray, np.ndarray]:
+    """(B, n_params) and (B, n_inputs) stacks from 1-D rows or stacks, a
+    single row broadcast to the other's B."""
+    rows = [np.asarray(v, dtype=float) for v in (params, inputs)]
+    rows = [r[None] if r.ndim == 1 else r for r in rows]
+    for r, n in zip(rows, (circuit.n_params, circuit.n_inputs)):
+        if r.ndim != 2 or r.shape[1] != n:
+            raise SizeError(f"unitary_of binds rows of {n} values, got shape {r.shape}")
+    b = max(len(r) for r in rows)
+    if any(len(r) not in (1, b) for r in rows):
+        raise SizeError(f"unitary_of cannot pair {len(rows[0])} and {len(rows[1])} rows")
+    return tuple(np.broadcast_to(r, (b, r.shape[1])) for r in rows)
 
 
 def unitary_of(circuit: Circuit, params=(), inputs=()) -> np.ndarray:
-    """Dense unitary of the circuit: the product of its embedded gate matrices.
-
-    Test oracle only, independent of the strided simulator.  Each gate's
-    matrix is the identity with the gate's base matrix scattered onto the
-    basis indices it acts on; those index tables are cached per
-    ``(qubits, controls, width)`` (``_embed_index``).
-    """
+    """Dense unitary: (2^w, 2^w) for 1-D ``params`` and ``inputs``, and
+    (B, 2^w, 2^w) for stacks, whose row r binds parameter row r with input
+    row r (a single row is broadcast).  Test oracle only, independent of the
+    strided simulator.  Each gate multiplies U's 2^k row blocks (``_embed_index``)
+    by its base matrix, built per row by the scalar ``_base_matrix``: row r of
+    a stack equals the one-row call bit for bit."""
     if circuit.width > _MAX_ORACLE_WIDTH:
         raise SizeError(f"unitary_of capped at width {_MAX_ORACLE_WIDTH}")
-    u = np.eye(1 << circuit.width, dtype=complex)
+    p, x = _bound_rows(circuit, params, inputs)
+    u = np.tile(np.eye(1 << circuit.width, dtype=complex), (len(p), 1, 1))
     for g in circuit.gates:
-        u = _gate_matrix(g, params, inputs, circuit.width) @ u
-    err = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
+        base, qubits, controls = _gate_block(g)
+        idx = _embed_index(qubits, controls, circuit.width).ravel()
+        bindings = zip(p, x) if isinstance(base.angle, (Param, InputArccos)) else [((), ())]
+        mats = [_base_matrix(base, pr, xr) for pr, xr in bindings]
+        mat = mats[0] if len(mats) == 1 else np.stack(mats)
+        rows = u.take(idx, axis=1)
+        u[:, idx] = (mat @ rows.reshape(len(u), 1 << len(qubits), -1)).reshape(rows.shape)
+    err = np.abs(np.conj(u.swapaxes(1, 2)) @ u - np.eye(u.shape[1])).max()
     if not err <= 1e-12:   # NaN fails too
         raise ArithmeticError(f"unitarity violated: max deviation {err:.3e}")
-    return u
+    return u if np.ndim(params) == 2 or np.ndim(inputs) == 2 else u[0]
 
 
 def phase_aligned_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -9,7 +9,8 @@ Subcommands:
 The worker pool for train jobs is capped by the QPINN_THREADS environment
 variable (an integer >= 1).  All artifacts are deterministic given config
 and seeds; wall-ms columns and the summary timestamp are the only
-timing-dependent fields.
+timing-dependent fields.  ``summary.json``'s ``manifest`` records the Python
+and numpy versions, the CPU count, the thread caps and a config hash.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import datetime
 import json
 import math
 import os
+import platform
 import sys
 from pathlib import Path
 
@@ -269,6 +271,24 @@ def _pool_size(n_jobs: int) -> int:
     return min(cap, n_jobs)
 
 
+# the worker-pool cap and the BLAS/OpenMP thread caps, recorded as read
+_THREAD_CAPS = ("QPINN_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def _manifest(cfg: dict) -> dict:
+    """What a comparison of two artifact directories needs: versions, CPU
+    count, thread caps and a hash of the config.  The hash leaves out
+    ``out_dir``, which says where the artifacts go, not what they hold."""
+    import hashlib   # loads OpenSSL, ~4 MB resident, which no other command needs
+    doc = {k: v for k, v in cfg.items() if k != "out_dir"}
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "thread_caps": {k: os.environ.get(k) for k in _THREAD_CAPS},
+            "config_sha256": hashlib.sha256(
+                json.dumps(doc, sort_keys=True).encode()).hexdigest()}
+
+
 def _probe_points():
     return [(0.25, 0.3), (0.5, 0.5), (0.75, 0.4), (0.4, 0.8), (0.6, 0.2)]
 
@@ -306,7 +326,8 @@ def cmd_train(cfg: dict) -> int:
 
     summary = {"models": {}, "config": cfg,
                "metadata": {"timestamp": datetime.datetime.now().isoformat(),
-                            "geo_std_convention": "population"}}
+                            "geo_std_convention": "population"},
+               "manifest": _manifest(cfg)}
     for kind in cfg["models"]:
         logs = [log for k, _, log in results if k == kind]
         seeds = [s for k, s, _ in results if k == kind]

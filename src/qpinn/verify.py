@@ -143,12 +143,11 @@ def _check_lower_model_bounds(seed):
         low = cir.lower_to_cnot_single(circ)
         rep = cir.count_resources(low, cir.NativeGateSet.CNOT_SINGLE_QUBIT)
         depth_no_x = cir.greedy_depth([g for g in low.gates if g.kind != "x"])
+        draws = [(rng.normal(size=2 * L + 1), [float(rng.uniform(-1, 1))]) for _ in range(5)]
+        th, x = (np.array(col) for col in zip(*draws))
         worst = 0.0
-        for _ in range(5):
-            th = rng.normal(size=2 * L + 1)
-            x = float(rng.uniform(-1, 1))
-            worst = max(worst, cir.phase_aligned_distance(
-                cir.unitary_of(circ, th, [x]), cir.unitary_of(low, th, [x])))
+        for u, v in zip(cir.unitary_of(circ, th, x), cir.unitary_of(low, th, x)):
+            worst = max(worst, cir.phase_aligned_distance(u, v))
         ok &= (rep.n_single_qubit <= 36 * L and rep.n_cnot <= 32 * L
                and depth_no_x <= 60 * L - 5 and worst < 1e-10)
         details.append(f"L={L}: 1q={rep.n_single_qubit} cnot={rep.n_cnot} "

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import os
+import platform
 import time
 
 import numpy as np
@@ -353,6 +356,30 @@ def test_train_smoke_artifacts_and_determinism(tmp_path, monkeypatch):
     sa["config"].pop("out_dir")
     sb["config"].pop("out_dir")
     assert sa == sb
+
+
+def test_train_manifest_is_deterministic(tmp_path, monkeypatch):
+    monkeypatch.setenv("QPINN_THREADS", "1")
+    args = ["train", "--models", "counterpart", "--runs", "1", "--epochs", "3"]
+    for name in ("a", "b"):
+        assert cli.main(args + ["--out", str(tmp_path / name)]) == 0
+    sa, sb = (json.loads((tmp_path / n / "summary.json").read_text()) for n in ("a", "b"))
+    assert sa["manifest"] == sb["manifest"]
+    doc = {k: v for k, v in sa["config"].items() if k != "out_dir"}
+    assert sa["manifest"] == {
+        "python": platform.python_version(), "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "thread_caps": {k: os.environ.get(k) for k in cli._THREAD_CAPS},
+        "config_sha256": hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()}
+    assert sa["manifest"]["thread_caps"]["QPINN_THREADS"] == "1"
+    csvs = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*.csv"))
+    assert len(csvs) == 5
+    for rel in csvs:
+        a, b = (tmp_path / "a" / rel).read_bytes(), (tmp_path / "b" / rel).read_bytes()
+        if rel.parent.name == "runs":   # the last column is wall_ms
+            assert _strip_wall(a.decode()) == _strip_wall(b.decode())
+        else:
+            assert a == b
 
 
 def test_train_summary_grid_spans_the_horizon(tmp_path, monkeypatch):
