@@ -289,10 +289,6 @@ def _manifest(cfg: dict) -> dict:
                 json.dumps(doc, sort_keys=True).encode()).hexdigest()}
 
 
-def _probe_points():
-    return [(0.25, 0.3), (0.5, 0.5), (0.75, 0.4), (0.4, 0.8), (0.6, 0.2)]
-
-
 def cmd_train(cfg: dict) -> int:
     market = merton.MarketParams(**cfg["market"])
     weights = merton.LossWeights(**cfg["weights"])
@@ -316,13 +312,13 @@ def cmd_train(cfg: dict) -> int:
 
     # the summary grid spans the training domain, t scaled by T as in the collocation
     grid = np.linspace(0.01, 0.99, 50)
-    t_grid, slice_t = market.T * grid, 0.5 * market.T
-    tg, xg = np.meshgrid(t_grid, grid, indexing="ij")
+    t_grid, slice_t = market.T * grid, np.full_like(grid, 0.5 * market.T)
+    tg, xg = (a.ravel() for a in np.meshgrid(t_grid, grid, indexing="ij"))
     sol = merton.AnalyticalSolution(market)
-    analytic_surface = sol.values(tg.ravel(), xg.ravel())
-    _write_surface(out / "surface_analytical.csv", t_grid, grid, analytic_surface)
-    slice_x = grid
-    slice_cols = {"analytical": sol.values(np.full_like(slice_x, slice_t), slice_x)}
+    analytic_surface = sol.values(tg, xg)
+    surface = _surface_template(t_grid, grid)
+    training.write_text(out / "surface_analytical.csv", surface % tuple(analytic_surface.tolist()))
+    slice_cols = {"analytical": sol.values(slice_t, grid)}
 
     summary = {"models": {}, "config": cfg,
                "metadata": {"timestamp": datetime.datetime.now().isoformat(),
@@ -337,8 +333,8 @@ def cmd_train(cfg: dict) -> int:
             for epoch, params in log.checkpoints:
                 doc = models.params_to_json_dict(spec, params)
                 doc["epoch"] = epoch
-                (out / "runs" / f"{kind}_seed{s}_ckpt{epoch}.json").write_text(
-                    json.dumps(doc))
+                training.write_text(out / "runs" / f"{kind}_seed{s}_ckpt{epoch}.json",
+                                    json.dumps(doc))
         complete = [log for log in logs if log.aborted is None]
         entry = {"seeds": seeds,
                  "aborted": {s: log.aborted for s, log in zip(seeds, logs) if log.aborted}}
@@ -348,9 +344,9 @@ def cmd_train(cfg: dict) -> int:
             finals = [log.losses[-1].total for log in complete]
             best = complete[int(np.argmin(finals))]
             fn = models.ModelFunction(spec, best.final_params)
-            surf = fn.values(tg.ravel(), xg.ravel())
-            _write_surface(out / f"surface_{kind}.csv", t_grid, grid, surf)
-            slice_cols[kind] = fn.values(np.full_like(slice_x, slice_t), slice_x)
+            surf = fn.values(tg, xg)
+            training.write_text(out / f"surface_{kind}.csv", surface % tuple(surf.tolist()))
+            slice_cols[kind] = fn.values(slice_t, grid)
             rel_err = float(np.mean(np.abs(surf - analytic_surface)
                                     / np.abs(analytic_surface)))
             entry.update({
@@ -364,8 +360,8 @@ def cmd_train(cfg: dict) -> int:
             })
         summary["models"][kind] = entry
 
-    _write_slice(out / "slice_t05.csv", slice_x, slice_cols)
-    (out / "summary.json").write_text(json.dumps(summary, indent=2))
+    _write_slice(out / "slice_t05.csv", grid, slice_cols)
+    training.write_text(out / "summary.json", json.dumps(summary, indent=2))
     print(f"artifacts written to {out}/")
     for kind, entry in summary["models"].items():
         if "final_geo_mean" in entry:
@@ -376,7 +372,7 @@ def cmd_train(cfg: dict) -> int:
 def _recover_controls(fn: models.ModelFunction, market: merton.MarketParams) -> list:
     """α̂ at the probe points, their t scaled by the horizon T."""
     controls = []
-    for t, x in _probe_points():
+    for t, x in ((0.25, 0.3), (0.5, 0.5), (0.75, 0.4), (0.4, 0.8), (0.6, 0.2)):
         t *= market.T
         _, _, v_x, v_xx = (a[0] for a in fn.derivatives(np.array([t]), np.array([x])))
         try:
@@ -387,13 +383,11 @@ def _recover_controls(fn: models.ModelFunction, market: merton.MarketParams) -> 
     return controls
 
 
-def _write_surface(path, t_axis, x_axis, values):
-    """Rows (t, x, value) over the t-major grid t_axis × x_axis; each
-    coordinate is formatted once."""
-    ts = ["%.17g," % t for t in t_axis]
-    xs = ["%.17g," % x for x in x_axis]
-    training.write_csv(path, "t,x,value\n", "%s%.17g\n",
-                       zip([t + x for t in ts for x in xs], np.ravel(values).tolist()))
+def _surface_template(t_axis, x_axis) -> str:
+    """The surface CSV, a ``%.17g`` slot per value on the t-major grid
+    t_axis × x_axis; each coordinate is formatted once and holds no ``%``."""
+    xs = ["%.17g,%%.17g\n" % x for x in x_axis]
+    return "t,x,value\n" + "".join(t + t.join(xs) for t in ["%.17g," % t for t in t_axis])
 
 
 def _write_slice(path, xs, cols: dict):
@@ -439,7 +433,7 @@ def main(argv=None) -> int:
             return cmd_resources(args.construction, args.L, args.D, args.R,
                                  args.native, args.out)
         cfg = load_config(args.config, {
-            "models": args.models.split(",") if args.models else None,
+            "models": None if args.models is None else args.models.split(","),
             "n_runs": args.runs,
             "epochs": args.epochs,
             "base_seed": args.seed,

@@ -181,24 +181,26 @@ def run_training(evaluator, init: np.ndarray, cfg: TrainConfig,
     params = np.asarray(init, dtype=float).copy()
     n = params.size
     log = RunLog(seed=seed, losses=[], lrs=[], wall_ms=[], final_params=params)
-    for epoch in range(cfg.epochs):
-        tic = time.perf_counter()
-        terms, cot = obj.loss_and_cotangent(evaluator.batched_eval(params[None, :], *obj.points))
-        lr = lr_at(epoch)
-        log.losses.append(merton.LossBreakdown(*terms))
-        log.lrs.append(lr)
-        try:
-            if cot is None:
-                raise TrainingAbortError("non-finite loss")
-            params = lamb_step(params, evaluator.backward(cot) if n else np.zeros(0), lr,
-                               evaluator.groups, eps=cfg.eps)
-        except TrainingAbortError as exc:
-            log.aborted = f"{exc} at epoch {epoch}"
+    # an overflowing forward ends in a non-finite loss, which aborts the run
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            tic = time.perf_counter()
+            terms, cot = obj.loss_and_cotangent(evaluator.batched_eval(params[None], *obj.points))
+            lr = lr_at(epoch)
+            log.losses.append(merton.LossBreakdown(*terms))
+            log.lrs.append(lr)
+            try:
+                if cot is None:
+                    raise TrainingAbortError("non-finite loss")
+                params = lamb_step(params, evaluator.backward(cot) if n else np.zeros(0), lr,
+                                   evaluator.groups, eps=cfg.eps)
+            except TrainingAbortError as exc:
+                log.aborted = f"{exc} at epoch {epoch}"
+                log.wall_ms.append(1e3 * (time.perf_counter() - tic))
+                break
+            if cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
+                log.checkpoints.append((epoch + 1, params.copy()))
             log.wall_ms.append(1e3 * (time.perf_counter() - tic))
-            break
-        if cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
-            log.checkpoints.append((epoch + 1, params.copy()))
-        log.wall_ms.append(1e3 * (time.perf_counter() - tic))
     log.final_params = params
     return log
 
@@ -233,12 +235,16 @@ def aggregate(runs: list[RunLog]) -> AggregateStats:
 # CSV export (17 significant digits for reproducibility diffs)
 
 
+def write_text(path, text: str) -> None:
+    with open(path, "w") as f:
+        f.write(text)
+
+
 def write_csv(path, header: str, fmt: str, rows) -> None:
     """Write ``header`` and then every row of ``rows`` by the %-format
     ``fmt``, all rows formatted in one pass."""
     rows = list(rows)
-    with open(path, "w") as f:
-        f.write(header + fmt * len(rows) % tuple(chain.from_iterable(rows)))
+    write_text(path, header + fmt * len(rows) % tuple(chain.from_iterable(rows)))
 
 
 def write_run_csv(path, log: RunLog) -> None:

@@ -1,13 +1,17 @@
 import hashlib
 import json
+import math
 import os
 import platform
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from qpinn import cli, qsp, verify
+from qpinn import cli, merton, models, qsp, training, verify
 from qpinn.errors import ConfigError
 
 
@@ -270,6 +274,13 @@ def test_config_rejects_duplicate_models(tmp_path, capsys):
     _rejects(tmp_path, {"models": ["qpinn", "counterpart", "qpinn"]})
 
 
+def test_train_rejects_empty_models_flag(tmp_path, capsys):
+    # an empty --models names no model; it must not fall back to all four
+    for flag in ("", "qpinn,"):
+        assert "unknown model kind ''" in _train_config_error(tmp_path, capsys, {},
+                                                              ("--models", flag))
+
+
 @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5"])
 def test_train_rejects_bad_qpinn_threads(threads, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QPINN_THREADS", threads)
@@ -395,3 +406,61 @@ def test_train_summary_grid_spans_the_horizon(tmp_path, monkeypatch):
         assert len(ts) == 50 and ts[0] == 0.5 * 0.01 and ts[-1] == 0.5 * 0.99
     summary = json.loads((tmp_path / "a" / "summary.json").read_text())
     assert all(p["t"] <= 0.5 for p in summary["models"]["counterpart"]["alpha_hat"])
+    # both surfaces are written as the reference writer writes them
+    t_axis = 0.5 * GRID
+    tg, xg = np.meshgrid(t_axis, GRID, indexing="ij")
+    market = merton.MarketParams(**cli.DEFAULT_CONFIG["market"] | {"T": 0.5})
+    reference_write_surface(tmp_path / "analytical.csv", t_axis, GRID,
+                            merton.AnalyticalSolution(market).values(tg.ravel(), xg.ravel()))
+    assert ((tmp_path / "a" / "surface_analytical.csv").read_bytes()
+            == (tmp_path / "analytical.csv").read_bytes())
+    text = (tmp_path / "a" / "surface_counterpart.csv").read_text()
+    values = [float(row.rsplit(",", 1)[1]) for row in text.splitlines()[1:]]
+    reference_write_surface(tmp_path / "counterpart.csv", t_axis, GRID, values)
+    assert text == (tmp_path / "counterpart.csv").read_text()
+
+
+def test_train_overflowing_runs_abort_without_warnings(tmp_path, monkeypatch):
+    # warnings are errors under pytest, so a numpy overflow warning fails this test
+    monkeypatch.setenv("QPINN_THREADS", "1")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output_scale": 1e308}))
+    assert cli.main(["train", "--config", str(cfg), "--runs", "1", "--epochs", "3",
+                     "--out", str(tmp_path / "a")]) == 0
+    summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+    assert {kind: entry["aborted"] for kind, entry in summary["models"].items()} == {
+        kind: {"0": "non-finite loss at epoch 0"} for kind in models.KINDS}
+
+
+# ---------------------------------------------------------------------------
+# surfaces
+
+
+def reference_write_surface(path, t_axis, x_axis, values):
+    """The per-row surface writer that the grid template replaced: rows
+    (t, x, value) over the t-major grid t_axis × x_axis, one ``t,x,`` prefix
+    joined per row."""
+    ts = ["%.17g," % t for t in t_axis]
+    xs = ["%.17g," % x for x in x_axis]
+    training.write_csv(path, "t,x,value\n", "%s%.17g\n",
+                       zip([t + x for t in ts for x in xs], np.ravel(values).tolist()))
+
+
+GRID = np.linspace(0.01, 0.99, 50)
+SPECIAL_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                  1e-310, -2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300]
+surface_values = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats())
+
+
+@settings(max_examples=40)
+@given(T=st.floats(0.0, 1.0, exclude_min=True),
+       values=hnp.arrays(np.float64, (2, GRID.size ** 2), elements=surface_values))
+def test_surface_template_matches_the_reference_writer(tmp_path_factory, T, values):
+    # two surfaces filled from one template, each against its own reference call
+    out = tmp_path_factory.mktemp("surfaces")
+    t_axis = T * GRID
+    template = cli._surface_template(t_axis, GRID)
+    for i, row in enumerate(values):
+        training.write_text(out / f"new{i}.csv", template % tuple(row.tolist()))
+        reference_write_surface(out / f"ref{i}.csv", t_axis, GRID, row)
+        assert (out / f"new{i}.csv").read_bytes() == (out / f"ref{i}.csv").read_bytes()
