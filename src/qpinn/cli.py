@@ -150,7 +150,7 @@ def cmd_verify(suite: str, seed: int = 0, out: str | None = None) -> int:
     for c in report["checks"]:
         print(f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}: {c['detail']}")
     if out:
-        Path(out).write_text(json.dumps(report, indent=2))
+        training.write_text(out, json.dumps(report, indent=2))
     print(f"suite {suite}: {'PASS' if report['passed'] else 'FAIL'}")
     return 0 if report["passed"] else 1
 
@@ -246,7 +246,7 @@ def cmd_resources(construction: str, L: int, D: int, R: int, native: str,
         print(f"[{'PASS' if r['passed'] else 'FAIL'}] {r['metric']}: "
               f"measured {r['measured']} {r['relation']} formula {r['formula']}")
     if out:
-        Path(out).write_text(json.dumps(doc, indent=2))
+        training.write_text(out, json.dumps(doc, indent=2))
     return 0 if doc["passed"] else 1
 
 
@@ -370,16 +370,17 @@ def cmd_train(cfg: dict) -> int:
 
 
 def _recover_controls(fn: models.ModelFunction, market: merton.MarketParams) -> list:
-    """α̂ at the probe points, their t scaled by the horizon T."""
+    """α̂ at the probe points, their t scaled by T, from one ``derivatives`` call."""
+    points = [(t * market.T, x) for t, x in ((0.25, 0.3), (0.5, 0.5), (0.75, 0.4),
+                                             (0.4, 0.8), (0.6, 0.2))]
+    _, _, v_x, v_xx = fn.derivatives(*np.array(points).T)
     controls = []
-    for t, x in ((0.25, 0.3), (0.5, 0.5), (0.75, 0.4), (0.4, 0.8), (0.6, 0.2)):
-        t *= market.T
-        _, _, v_x, v_xx = (a[0] for a in fn.derivatives(np.array([t]), np.array([x])))
+    for (t, x), dx, dxx in zip(points, v_x, v_xx):
         try:
-            controls.append({"t": t, "x": x,
-                             "alpha": merton.optimal_control(v_x, v_xx, x, market)})
+            alpha = merton.optimal_control(dx, dxx, x, market)
         except DegenerateControlError:
-            controls.append({"t": t, "x": x, "alpha": None})
+            alpha = None
+        controls.append({"t": t, "x": x, "alpha": alpha})
     return controls
 
 

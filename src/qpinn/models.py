@@ -277,8 +277,8 @@ class _SeparableEvaluator(_Evaluator):
         w, jac = self._w_and_jac(params2d) if keep else (self.coefficients(params2d), None)
         # einsum, not BLAS ``@``: BLAS sums a row differently for another batch size
         out = np.einsum("bk,kn->bn", (self.spec.output_scale * w).reshape(-1, 9), feats)
-        *bundles, bnd = (out[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
-        return (tuple(bundles), bnd), jac
+        _, a, b, c, d, _ = bounds
+        return ((out[:, :a], out[:, a:b], out[:, b:c], out[:, c:d]), out[:, d:]), jac
 
     def _w_and_jac(self, row):
         """W, (1, 3, 3), and ∂W/∂θ, (P, 3, 3), of one parameter row from one

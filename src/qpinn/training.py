@@ -13,7 +13,10 @@ child seed, and every reduction has a fixed order.
 from __future__ import annotations
 
 import math
+import os
+import stat
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -126,11 +129,13 @@ class Objective:
         self.err_weight = np.repeat([2.0 * (wt / k) for wt, k, _, _ in self.spans],
                                     [k for _, k, _, _ in self.spans])
         self.rx, self.theta2 = m.r * x_i, ((m.mu - m.r) / m.sigma) ** 2
-        self.zeros = np.zeros(n)
+        self.err, self.n_out = np.empty(n + 2 * n_b), 4 * n + 2 * n_b
 
-    def _errors(self, v_t, v_x, v_xx, bnd):
-        return np.concatenate([merton.hjb_residual_arrays(v_t, v_x, v_xx, self.x, self.m),
-                               bnd - self.target], axis=-1)
+    def _errors(self, v_t, v_x, v_xx, bnd, out):
+        """The residuals, then the boundary errors, written into ``out``."""
+        out[..., :self.n] = merton.hjb_residual_arrays(v_t, v_x, v_xx, self.x, self.m)
+        np.subtract(bnd, self.target, out=out[..., self.n:])
+        return out
 
     def _terms(self, squares: list) -> list:
         """(l_d, l_1b, l_2b) of one row of squared errors, by exact sums."""
@@ -140,7 +145,7 @@ class Objective:
         """(l_d, l_1b, l_2b) arrays, one entry per row of ``batched_eval``'s
         ``outputs``."""
         (_, v_t, v_x, v_xx), bnd = outputs
-        err = self._errors(v_t, v_x, v_xx, bnd)
+        err = self._errors(v_t, v_x, v_xx, bnd, np.empty((len(bnd), len(self.err))))
         rows = [self._terms(squares) for squares in (err * err).tolist()]
         return tuple(np.array(rows).reshape(-1, 3).T.copy())
 
@@ -150,18 +155,21 @@ class Objective:
         one flat row laid out as the outputs (v, v_t, v_x, v_xx, boundary),
         by the chain rule through the boundary errors and the residual
         res = v_t·v_xx + r·x·v_x·v_xx − ½θ²·v_x².  The cotangent is None
-        when the loss is not finite."""
+        when the loss is not finite, else a new array: only the error row is
+        reused by the next call."""
         (_, v_t, v_x, v_xx), bnd = outputs
-        v_t, v_x, v_xx = v_t[0], v_x[0], v_xx[0]
-        err = self._errors(v_t, v_x, v_xx, bnd[0])
+        v_t, v_x, v_xx, n = v_t[0], v_x[0], v_xx[0], self.n
+        err = self._errors(v_t, v_x, v_xx, bnd[0], self.err)
         terms = self._terms((err * err).tolist())
         if not math.isfinite(terms[0] + terms[1] + terms[2]):
             return terms, None
-        g = self.err_weight * err
-        res = g[:self.n]
-        return terms, np.concatenate([self.zeros, res * v_xx,
-                                      res * (self.rx * v_xx - self.theta2 * v_x),
-                                      res * (v_t + self.rx * v_x), g[self.n:]])
+        err *= self.err_weight   # now ∂loss/∂error
+        res, cot = err[:n], np.zeros(self.n_out)
+        np.multiply(res, v_xx, out=cot[n:2 * n])
+        np.multiply(res, self.rx * v_xx - self.theta2 * v_x, out=cot[2 * n:3 * n])
+        np.multiply(res, v_t + self.rx * v_x, out=cot[3 * n:4 * n])
+        cot[4 * n:] = err[n:]
+        return terms, cot
 
 
 def loss_terms(evaluator, params2d, colloc: merton.CollocationSet,
@@ -236,6 +244,17 @@ def aggregate(runs: list[RunLog]) -> AggregateStats:
 
 
 def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as ``open(path, "w")`` would, but replace a
+    regular file this user owns and may write, with no other link, by
+    unlinking it first: cheaper on ext4, which flushes a truncated file on
+    close.  The new file takes the umask's mode and, unflushed, may be empty
+    or missing after a power loss soon after.  Any other path (a symlink, a
+    device, a FIFO, a read-only or hard-linked file) is opened in place."""
+    with suppress(FileNotFoundError):
+        st = os.lstat(path)
+        if (stat.S_ISREG(st.st_mode) and st.st_uid == os.geteuid()
+                and st.st_mode & stat.S_IWUSR and st.st_nlink == 1):
+            os.unlink(path)
     with open(path, "w") as f:
         f.write(text)
 

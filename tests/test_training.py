@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 from dataclasses import astuple
 
 import numpy as np
@@ -401,6 +403,43 @@ def test_values_and_bundles_leave_the_kept_forward_alone(kind):
         ev.backward(cot), _exact_gradient(models.make_evaluator(spec), params, colloc, w, m))
 
 
+def reference_loss_and_cotangent(obj, outputs):
+    """The loss terms and cotangent of one row by concatenation, as before
+    the error row was written into one buffer."""
+    (_, v_t, v_x, v_xx), bnd = outputs
+    v_t, v_x, v_xx, n = v_t[0], v_x[0], v_xx[0], obj.n
+    err = np.concatenate([merton.hjb_residual_arrays(v_t, v_x, v_xx, obj.x, obj.m),
+                          bnd[0] - obj.target])
+    g = obj.err_weight * err
+    res = g[:n]
+    return obj._terms((err * err).tolist()), np.concatenate([
+        np.zeros(n), res * v_xx, res * (obj.rx * v_xx - obj.theta2 * v_x),
+        res * (v_t + obj.rx * v_x), g[n:]])
+
+
+@pytest.mark.parametrize("kind", models.KINDS)
+def test_cotangent_outlives_the_next_epoch(kind):
+    # the objective reuses its error row, never a cotangent it handed out:
+    # epoch k's stays as it was after epoch k + 1, and each is the reference's
+    m = merton.MarketParams()
+    w = merton.LossWeights()
+    spec = ModelSpec(kind)
+    rng = np.random.default_rng(9)
+    ev = models.make_evaluator(spec)
+    obj = training.Objective(merton.sample_collocation(4, 20, 20), w, m)
+    rows = [_random_params(spec, rng) for _ in range(2)]
+    outputs = [ev.batched_eval(row[None, :], *obj.points) for row in rows]
+    first = obj.loss_and_cotangent(outputs[0])
+    kept = first[1].copy()
+    second = obj.loss_and_cotangent(outputs[1])
+    assert not np.shares_memory(first[1], second[1])
+    np.testing.assert_array_equal(first[1], kept)
+    for (terms, cot), out in zip((first, second), outputs):
+        want_terms, want_cot = reference_loss_and_cotangent(obj, out)
+        assert terms == want_terms
+        np.testing.assert_array_equal(cot, want_cot)
+
+
 @pytest.mark.parametrize("kind", models.KINDS)
 def test_training_evaluates_one_row_per_epoch_and_no_fd(kind, monkeypatch):
     def forbidden(*args, **kwargs):
@@ -564,6 +603,55 @@ def test_csv_schemas(tmp_path):
     lines = agg_path.read_text().splitlines()
     assert lines[0] == "epoch,geomean,geostd_lo,geostd_hi"
     assert len(lines) == 3
+
+
+def test_write_text_replaces_only_its_own_plain_files(tmp_path, monkeypatch):
+    # only a regular file this user owns and may write, with one link, is
+    # unlinked first; every other path is written as open(path, "w") does
+    unlinked = []
+    real_unlink = os.unlink
+    monkeypatch.setattr(training.os, "unlink", lambda p: (unlinked.append(p), real_unlink(p)))
+    path = tmp_path / "a.csv"
+    path.write_text("a longer old text\n" * 10)
+    training.write_text(path, "short\n")
+    assert path.read_text() == "short\n" and unlinked == [path]
+    training.write_text(tmp_path / "new.csv", "new\n")
+    assert (tmp_path / "new.csv").read_text() == "new\n" and len(unlinked) == 1
+    # a symlink is written through: the link stays, its target takes the text
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old target text\n")
+    link.symlink_to(target)
+    training.write_text(link, "through\n")
+    assert link.is_symlink() and target.read_text() == "through\n"
+    # a second hard link sees the new text
+    other = tmp_path / "other.csv"
+    os.link(target, other)
+    training.write_text(target, "both\n")
+    assert other.read_text() == "both\n"
+    # a FIFO stays a FIFO, and its reader gets the text
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        training.write_text(fifo, "piped\n")
+        assert os.read(reader, 64) == b"piped\n"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    # a read-only file keeps its mode where this user may write it, and
+    # refuses the write where not, as open(path, "w") does
+    path.chmod(0o444)
+    if os.access(path, os.W_OK):
+        training.write_text(path, "again\n")
+        assert path.read_text() == "again\n" and stat.S_IMODE(path.stat().st_mode) == 0o444
+    else:
+        with pytest.raises(PermissionError):
+            training.write_text(path, "again\n")
+    # a directory is not a file to replace
+    (tmp_path / "dir").mkdir()
+    with pytest.raises(IsADirectoryError):
+        training.write_text(tmp_path / "dir", "x\n")
+    assert (tmp_path / "dir").is_dir() and unlinked == [path]
 
 
 def test_train_config_validation():
