@@ -1,15 +1,15 @@
-"""Second-order forward-mode derivatives on channel tuples, and
+"""Second-order forward-mode derivatives on triples and channel tuples, and
 finite-difference and parameter-shift utilities.
 
 A dual value here is a truncated Taylor triple (v, d1, d2) seeded in a
 single direction: d1 and d2 are the first and second derivatives of the
-value along that direction.  The triple helpers (`t_*`) operate on raw
-(value, d1, d2) tuples whose components may be floats, complex numbers,
-or numpy arrays; ``(x, 1.0, 0.0)`` seeds the direction of ``x`` and
-``(c, 0.0, 0.0)`` is a constant.  The channel helpers (`c_*`) take channel
-tuples: ``(v,)`` for a plain value, ``(v, d1, d2)`` for a dual one.  The
-simulator runs one code path on them, so a plain run and the value channel
-of a dual run perform the same arithmetic in the same order.
+value along that direction.  The triple helpers (`t_*`) take and return
+exactly such (value, d1, d2) tuples, whose components may be floats,
+complex numbers, or numpy arrays; ``(x, 1.0, 0.0)`` seeds the direction of
+``x`` and ``(c, 0.0, 0.0)`` is a constant.  The channel helpers (`c_*`) take
+channel tuples: ``(v,)`` for a plain value, ``(v, d1, d2)`` for a dual one.
+The simulator runs one code path on them, so a plain run and the value
+channel of a dual run perform the same arithmetic in the same order.
 """
 from __future__ import annotations
 
@@ -93,12 +93,10 @@ def t_arccos(a: Triple) -> Triple:
 
 
 def t_tanh(a: Triple) -> Triple:
-    """tanh of a triple; channels after the third are first derivatives in
-    further directions, each scaled by sech²."""
+    """tanh of a (v, d1, d2) triple."""
     y = np.tanh(a[0])
     sech2 = 1.0 - y * y
-    return (y, sech2 * a[1], sech2 * a[2] - 2.0 * y * sech2 * a[1] * a[1],
-            *(sech2 * c for c in a[3:]))
+    return (y, sech2 * a[1], sech2 * a[2] - 2.0 * y * sech2 * a[1] * a[1])
 
 
 def shift_stack(params, steps) -> np.ndarray:

@@ -50,11 +50,10 @@ contracts it with the held features and then with the ∂W/∂θ that forward
 kept: the ±π shift rule for the chains (each angle enters W as
 e^{±iθ/2}), a central difference for the bilinear counterpart.
 
-The network runs forward mode on channel tuples, ``(v,)`` for values and
-(v, v_x, v_xx, v_t) for derivatives (v_t rides along as a first derivative
-in a second direction): ``_trace`` takes one parameter row through every
-layer and records each layer's (input, pre-activation) pair for the
-reverse pass, ``_reverse``.
+The network runs forward mode on (C, N, k) channel stacks, v alone or
+(v, v_x, v_xx, v_t) with v_t a first derivative in a second direction:
+``_trace`` takes one parameter row through every layer, one matmul for all
+channels, and records each layer's (input, pre-activation) pair for ``_reverse``.
 
 ``values``, ``bundles`` and ``batched_eval`` are thin calls, on
 ``_Evaluator``, of each family's one ``_forward``; ``values`` and
@@ -352,49 +351,57 @@ class _CounterpartEvaluator(_SeparableEvaluator):
         return params[:, :3, None] * params[:, None, 3:]
 
 
-def _trace(layers, chans):
-    """Run the network's (w, b) ``layers`` over a channel tuple of (N, 2)
-    inputs; returns the output channels and each layer's (input,
-    pre-activation) pair.  The activation is tanh on ``(v,)``, or
-    ``duals.t_tanh`` on (v, v_x, v_xx, v_t)."""
+def _trace(layers, a):
+    """Run the network's (w, b) ``layers`` over a (C, N, 2) channel stack, a
+    (C = 1) or (a, ∂a/∂x, ∂²a/∂x², ∂a/∂t) (C = 4); returns the output stack
+    and each layer's (input, pre-activation) pair.  tanh of a derivative
+    stack is y = s·z (s = 1 − tanh²z₀), then y₀ = tanh z₀, y₂ −= 2y₀·s·z₁²."""
     record = []
     for i, (w, b) in enumerate(layers):
-        if i:
-            chans = duals.c_lift(z, np.tanh, duals.t_tanh)
-        z = (chans[0] @ w + b,) + tuple(c @ w for c in chans[1:])
-        record.append((chans, z))
+        if i and len(z) == 1:
+            a = np.tanh(z)
+        elif i:
+            y = np.tanh(z[0])
+            s = 1.0 - y * y
+            a = s * z
+            a[0] = y
+            a[2] -= 2.0 * y * s * z[1] * z[1]
+        z = a @ w
+        z[0] += b
+        record.append((a, z))
     return z, record
 
 
-def _tanh_pullback(y, z, g) -> tuple:
-    """Cotangent on the pre-activation channels ``z`` from the cotangent ``g``
-    on the activations ``y``: y₀ = tanh z₀, y₁ = s·z₁, y₂ = s·z₂ − 2y₀·s·z₁²
-    and yₖ = s·zₖ for k ≥ 3, with s = 1 − y₀² and ds/dz₀ = −2y₀·s."""
+def _tanh_pullback(y, z, g) -> np.ndarray:
+    """Cotangent on the pre-activation stack ``z`` from the cotangent ``g`` on
+    its activations ``y`` (``_trace``), with ds/dz₀ = −2y₀·s."""
     y0, s = y[0], 1.0 - y[0] * y[0]
-    if len(z) == 1:
-        return (s * g[0],)
-    first = sum(gk * zk for gk, zk in zip(g[1:], z[1:]))
-    g0 = s * (g[0] - 2.0 * y0 * first - 2.0 * g[2] * z[1] * z[1] * (s - 2.0 * y0 * y0))
-    return (g0, s * (g[1] - 4.0 * y0 * g[2] * z[1])) + tuple(s * gk for gk in g[2:])
+    out = s * g
+    if len(z) > 1:
+        first = g[1] * z[1] + g[2] * z[2] + g[3] * z[3]
+        out[0] = s * (g[0] - 2.0 * y0 * first - 2.0 * g[2] * z[1] * z[1] * (s - 2.0 * y0 * y0))
+        out[1] = s * (g[1] - 4.0 * y0 * g[2] * z[1])
+    return out
 
 
 def _reverse(layers, records, cots) -> np.ndarray:
-    """The flat (w, b) gradient by the reverse pass through ``_trace``
-    ``records`` of the ``layers`` from cotangents ``cots`` on their outputs."""
+    """The flat (w, b) gradient by the reverse pass through the ``_trace``
+    ``records`` of ``layers`` from cotangent stacks ``cots`` (0 for none)."""
     grads = []
-    for i in reversed(range(len(layers))):
-        w = layers[i][0]
-        grads[:0] = [sum(c.T @ g for rec, cot in zip(records, cots)
-                         for c, g in zip(rec[i][0], cot)).ravel(),
-                     sum(cot[0].sum(axis=0) for cot in cots)]
+    for i, (w, _) in reversed(list(enumerate(layers))):
+        grads[:0] = [np.zeros(w.size), np.zeros(w.shape[1])]
+        for rec, cot in zip(records, cots):
+            for a, g in zip(rec[i][0], cot):
+                grads[0] += (a.T @ g).ravel()
+            grads[1] += cot[0].sum(axis=0)
         if i:
-            cots = [_tanh_pullback(rec[i][0], rec[i - 1][1], tuple(g @ w.T for g in cot))
+            cots = [_tanh_pullback(rec[i][0], rec[i - 1][1], cot @ w.T)
                     for rec, cot in zip(records, cots)]
     return np.concatenate(grads)
 
 
 class _FullyConnectedEvaluator(_Evaluator):
-    """The tanh network: one ``_trace`` per parameter row and channel tuple;
+    """The tanh network: one ``_trace`` per parameter row and held part;
     ``backward`` runs ``_reverse`` through the traces of the row of the last
     one-row ``batched_eval``."""
 
@@ -405,18 +412,14 @@ class _FullyConnectedEvaluator(_Evaluator):
                 for w, b, (fi, fo) in zip(self.groups[0::2], self.groups[1::2], _FC_LAYERS)]
 
     def _build(self, t_int, x_int, t_bnd, x_bnd):
-        """The input channels (a, ∂a/∂x, ∂²a/∂x², ∂a/∂t) of the interior, a
-        with rows (t, x), and (a,) of the boundary; None for a part with no
-        points."""
-        interior = boundary = None
-        if np.size(x_int):
-            a_int = np.stack([np.asarray(t_int, float), np.asarray(x_int, float)], axis=1)
-            seeds = np.zeros((3,) + a_int.shape)
-            seeds[0, :, 1] = seeds[2, :, 0] = 1.0
-            interior = (a_int, *seeds)
-        if np.size(x_bnd):
-            boundary = (np.stack([np.asarray(t_bnd, float), np.asarray(x_bnd, float)], axis=1),)
-        return interior, boundary
+        """The interior's (4, N, 2) stack (a, ∂a/∂x, ∂²a/∂x², ∂a/∂t), a with
+        rows (t, x), and the boundary's (1, M, 2) stack of a; None for a part
+        with no points."""
+        held = [np.zeros((c, np.size(x), 2)) for c, x in ((4, x_int), (1, x_bnd))]
+        for a, t, x in zip(held, (t_int, t_bnd), (x_int, x_bnd)):
+            a[0, :, 0], a[0, :, 1] = t, x
+        held[0][1, :, 1] = held[0][3, :, 0] = 1.0
+        return tuple(a if a.shape[1] else None for a in held)
 
     def _forward(self, params2d, held, keep=False):
         """The scaled outputs of every parameter row, and, when asked to
@@ -425,14 +428,14 @@ class _FullyConnectedEvaluator(_Evaluator):
         # a copy: the layers are views of it, and the kept ones must not
         # change when the caller mutates its row
         params2d = np.array(params2d, dtype=float)
-        outs = [np.empty((k, len(params2d), 0 if c is None else len(c[0])))
-                for k, c in zip((4, 1), held)]
-        parts = [(out, chans) for out, chans in zip(outs, held) if chans is not None]
+        outs = [np.empty((k, len(params2d), 0 if a is None else a.shape[1]))
+                for k, a in zip((4, 1), held)]
+        parts = [(out, a) for out, a in zip(outs, held) if a is not None]
         for r, row in enumerate(params2d):
             layers = self._layers(row)
-            traces = [_trace(layers, chans) for _, chans in parts]
+            traces = [_trace(layers, a) for _, a in parts]
             for (out, _), (z, _) in zip(parts, traces):
-                out[:, r] = [c[:, 0] for c in z]
+                out[:, r] = z[..., 0]
         (v, v_x, v_xx, v_t), (bnd,) = (self.spec.output_scale * out for out in outs)
         return ((v, v_t, v_x, v_xx), bnd), (layers, [r for _, r in traces]) if keep else None
 
@@ -440,13 +443,11 @@ class _FullyConnectedEvaluator(_Evaluator):
         """As ``_SeparableEvaluator.backward``, by the reverse pass through
         the kept traces of the parts held."""
         self._check_backward(cotangent)
-        interior = self._held[0]
-        n = 0 if interior is None else len(interior[0])
-        g_v, g_t, g_x, g_xx = (cotangent[k * n:(k + 1) * n] for k in range(4))
-        cots = [(g_v, g_x, g_xx, g_t), (cotangent[4 * n:],)]
-        cots = [tuple(self.spec.output_scale * np.reshape(g, (-1, 1)) for g in c)
-                for c, part in zip(cots, self._held) if part is not None]
-        return _reverse(*self._kept, cots)
+        n = 0 if self._held[0] is None else self._held[0].shape[1]
+        cot = self.spec.output_scale * np.reshape(cotangent, (-1, 1))
+        # the outputs run v, v_t, v_x, v_xx; the interior stack a, ∂x, ∂²x, ∂t
+        cots = (cot[:4 * n].reshape(4, n, 1)[[0, 2, 3, 1]], cot[4 * n:][None])
+        return _reverse(*self._kept, [c for c, a in zip(cots, self._held) if a is not None])
 
 
 _EVALUATORS = {

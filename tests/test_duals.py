@@ -36,15 +36,6 @@ def test_tanh_at_origin():
     assert (y[1], y[2]) == (1.0, 0.0)
 
 
-def test_tanh_scales_trailing_first_derivative_channels():
-    # channels after the triple are first derivatives in further directions
-    y = duals.t_tanh((0.4, 1.0, 0.0, 2.0, -3.0))
-    sech2 = 1.0 - math.tanh(0.4) ** 2
-    assert len(y) == 5
-    assert y[3] == pytest.approx(2.0 * sech2, rel=1e-15)
-    assert y[4] == pytest.approx(-3.0 * sech2, rel=1e-15)
-
-
 def test_derive2_cube():
     x = seed(2.0)
     assert duals.t_mul(duals.t_mul(x, x), x) == pytest.approx((8.0, 12.0, 12.0))

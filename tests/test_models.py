@@ -407,3 +407,107 @@ def test_counterpart_jacobian_is_bilinear():
     eye = np.eye(3)
     want = np.concatenate([eye[:, :, None] * params[3:], params[:3, None] * eye[:, None, :]])
     np.testing.assert_allclose(jac, want, rtol=1e-14, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the network as it ran on channel tuples, one matmul per channel: the oracle
+# the stacked network matches bit for bit
+
+
+def reference_trace(layers, chans):
+    """Run the (w, b) ``layers`` over a tuple of (N, 2) input channels, ``(a,)``
+    or (a, ∂a/∂x, ∂²a/∂x², ∂a/∂t); returns the output channels and each
+    layer's (input, pre-activation) pair."""
+    record = []
+    for i, (w, b) in enumerate(layers):
+        if i:
+            y = np.tanh(z[0])
+            s = 1.0 - y * y
+            chans = (y,) if len(z) == 1 else (
+                y, s * z[1], s * z[2] - 2.0 * y * s * z[1] * z[1], s * z[3])
+        z = (chans[0] @ w + b,) + tuple(c @ w for c in chans[1:])
+        record.append((chans, z))
+    return z, record
+
+
+def reference_tanh_pullback(y, z, g) -> tuple:
+    """Cotangent on the pre-activation channels ``z`` from the cotangent ``g``
+    on the activations ``y``: y₀ = tanh z₀, y₁ = s·z₁, y₂ = s·z₂ − 2y₀·s·z₁²
+    and y₃ = s·z₃, with s = 1 − y₀² and ds/dz₀ = −2y₀·s."""
+    y0, s = y[0], 1.0 - y[0] * y[0]
+    if len(z) == 1:
+        return (s * g[0],)
+    first = sum(gk * zk for gk, zk in zip(g[1:], z[1:]))
+    g0 = s * (g[0] - 2.0 * y0 * first - 2.0 * g[2] * z[1] * z[1] * (s - 2.0 * y0 * y0))
+    return (g0, s * (g[1] - 4.0 * y0 * g[2] * z[1])) + tuple(s * gk for gk in g[2:])
+
+
+def reference_reverse(layers, records, cots) -> np.ndarray:
+    """The flat (w, b) gradient by the reverse pass through ``reference_trace``
+    ``records`` of the ``layers`` from cotangents ``cots`` on their outputs."""
+    grads = []
+    for i in reversed(range(len(layers))):
+        w = layers[i][0]
+        grads[:0] = [sum(c.T @ g for rec, cot in zip(records, cots)
+                         for c, g in zip(rec[i][0], cot)).ravel(),
+                     sum(cot[0].sum(axis=0) for cot in cots)]
+        if i:
+            cots = [reference_tanh_pullback(rec[i][0], rec[i - 1][1], tuple(g @ w.T for g in cot))
+                    for rec, cot in zip(records, cots)]
+    return np.concatenate(grads)
+
+
+def _reference_network(ev, params2d, t_int, x_int, t_bnd, x_bnd):
+    """``batched_eval`` of the network by ``reference_trace``, and the last
+    row's layers and records of the parts with points."""
+    n, scale = len(x_int), ev.spec.output_scale
+    seeds = np.zeros((3, n, 2))
+    seeds[0, :, 1] = seeds[2, :, 0] = 1.0
+    outs = np.empty((4, len(params2d), n)), np.empty((1, len(params2d), len(x_bnd)))
+    parts = [(out, chans) for out, chans in zip(outs, (
+        (np.stack([t_int, x_int], axis=1), *seeds), (np.stack([t_bnd, x_bnd], axis=1),)))
+        if out.shape[2]]
+    for r, row in enumerate(params2d):
+        layers = ev._layers(row)
+        records = []
+        for out, chans in parts:
+            z, record = reference_trace(layers, chans)
+            out[:, r] = [c[:, 0] for c in z]
+            records.append(record)
+    (v, v_x, v_xx, v_t), (bnd,) = (scale * out for out in outs)
+    return ((v, v_t, v_x, v_xx), bnd), layers, records
+
+
+def _reference_backward(ev, layers, records, cotangent, n):
+    """The gradient of the flat ``cotangent`` by ``reference_reverse``."""
+    g_v, g_t, g_x, g_xx = (cotangent[k * n:(k + 1) * n] for k in range(4))
+    cots = [c for c in ((g_v, g_x, g_xx, g_t), (cotangent[4 * n:],)) if len(c[0])]
+    cots = [tuple(ev.spec.output_scale * g.reshape(-1, 1) for g in c) for c in cots]
+    return reference_reverse(layers, records, cots)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 3),
+       n=st.integers(0, 60), m=st.integers(0, 110))
+def test_network_matches_the_channel_tuple_oracle_property(seed, n_rows, n, m):
+    # Glorot draws at several scales with biases moved off zero; every
+    # output, and the gradient after a one-row forward, bit for bit
+    spec = ModelSpec("fully_connected")
+    rng = np.random.default_rng(seed)
+    rows = np.stack([models.init_params(spec, rng) * rng.uniform(0.5, 3.0)
+                     + rng.normal(0.0, 0.1, spec.n_params) for _ in range(n_rows)])
+    t_int, x_int = rng.uniform(0.01, 0.99, (2, n))
+    t_bnd, x_bnd = rng.uniform(0.01, 0.99, (2, m))
+    ev = models.make_evaluator(spec)
+    (want_b, want_bnd), _, _ = _reference_network(ev, rows, t_int, x_int, t_bnd, x_bnd)
+    got_b, got_bnd = ev.batched_eval(rows, t_int, x_int, t_bnd, x_bnd)
+    assert all(np.array_equal(a, b) for a, b in zip(got_b + (got_bnd,), want_b + (want_bnd,)))
+    assert np.array_equal(ev.values(rows, t_bnd, x_bnd), want_bnd)
+    assert all(np.array_equal(a, b) for a, b in zip(ev.bundles(rows, t_int, x_int), want_b))
+    if n + m:
+        row = rows[-1:]
+        ev.batched_eval(row, t_int, x_int, t_bnd, x_bnd)
+        _, layers, records = _reference_network(ev, row, t_int, x_int, t_bnd, x_bnd)
+        cot = rng.normal(size=4 * n + m)
+        assert np.array_equal(ev.backward(cot),
+                              _reference_backward(ev, layers, records, cot, n))

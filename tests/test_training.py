@@ -75,6 +75,36 @@ def test_lamb_scale_invariance_at_zero_betas():
     assert np.max(np.abs(a - b)) < 10 * eps * lr
 
 
+_NONZERO = st.floats(1e-3, 10.0) | st.floats(-10.0, -1e-3)
+
+
+@settings(max_examples=100)
+@given(coords=st.lists(st.tuples(st.just(0.0) | _NONZERO, st.just(0.0) | _NONZERO),
+                       min_size=1, max_size=12),
+       cuts=st.sets(st.integers(1, 11)), zeroed=st.lists(st.sampled_from("-wg"), max_size=12),
+       lr=st.floats(2e-4, 1.0))
+def test_lamb_moves_each_group_by_lr_times_its_norm_property(coords, cuts, zeroed, lr):
+    # with both norms non-zero the trust ratio ‖w‖/‖u‖ makes the step's norm
+    # lr·‖w‖; a group at w = 0 steps by lr·‖u‖ (trust 1), one at g = 0 stays
+    params, grads = np.array(coords).T.copy()
+    bounds = [0] + sorted(c for c in cuts if c < len(params)) + [len(params)]
+    groups = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    for g, zero in zip(groups, zeroed):   # "w" zeroes a group's params, "g" its gradients
+        if zero == "w":
+            params[g] = 0.0
+        elif zero == "g":
+            grads[g] = 0.0
+    out = lamb_step(params, grads, lr, groups)
+    for g in groups:
+        w, u = params[g], grads[g] / (np.abs(grads[g]) + 1e-6)
+        moved = np.linalg.norm(out[g] - w)
+        if not u.any():
+            assert np.array_equal(out[g], w)
+        else:
+            norm = np.linalg.norm(w if w.any() else u)
+            assert abs(moved - lr * norm) <= 1e-12 * lr * norm
+
+
 def test_lamb_nonfinite_gradient():
     with pytest.raises(TrainingAbortError):
         lamb_step(np.ones(2), np.array([1.0, np.nan]), 1e-2, [slice(0, 2)])
@@ -378,6 +408,18 @@ def test_backward_refuses_what_no_one_row_forward_kept(kind):
     np.testing.assert_array_equal(
         ev.backward(cot), _exact_gradient(models.make_evaluator(spec), params,
                                           merton.sample_collocation(1, 20, 20), w, m))
+
+
+@pytest.mark.parametrize("kind", models.KINDS)
+def test_backward_after_a_forward_on_no_points_is_zero(kind):
+    # a loss on no outputs has the zero gradient
+    spec = ModelSpec(kind)
+    ev = models.make_evaluator(spec)
+    empty = np.zeros(0)
+    bundles, bnd = ev.batched_eval(_random_params(spec, np.random.default_rng(8))[None, :],
+                                   empty, empty, empty, empty)
+    assert all(a.shape == (1, 0) for a in bundles + (bnd,))
+    np.testing.assert_array_equal(ev.backward(empty), np.zeros(spec.n_params))
 
 
 @pytest.mark.parametrize("kind", models.KINDS)
