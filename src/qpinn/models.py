@@ -43,8 +43,9 @@ two chain models coincide.  The counterpart is W = c₁ ⊗ c₂ over
 and its derivatives.  The chain models' W comes from one
 ``qsp.coefficient_plan`` per class: the whole parameter stack gives every
 chain's coefficients in one gather, one einsum and one ``cos`` (the QPINN
-appends its ±λ-shifted x angles first), and two gathers and a product
-place them in W, which is C-ordered.  ``backward``, the exact gradient of a
+appends its ±λ-shifted x angles first), and a product places them in W,
+which is C-ordered: the outer product of a_x and a_t, or for the QPINN one
+gather of its x columns times a_t.  ``backward``, the exact gradient of a
 flat cotangent on the outputs of the last one-row ``batched_eval``,
 contracts it with the held features and then with the ∂W/∂θ that forward
 kept: the ±π shift rule for the chains (each angle enters W as
@@ -58,7 +59,9 @@ channels, and records each layer's (input, pre-activation) pair for ``_reverse``
 ``values``, ``bundles`` and ``batched_eval`` are thin calls, on
 ``_Evaluator``, of each family's one ``_forward``; ``values`` and
 ``bundles`` build on their own points and leave what ``batched_eval``
-holds and keeps alone.
+holds and keeps alone.  ``batched_eval`` keys its held points by their
+bytes, except that a training run passes the same four read-only
+``snapshot`` arrays every epoch, which it knows unchanged by identity.
 
 Parameter layouts (one flat vector per model):
 qpinn / quantum_inspired: [θ1x, θ2x(2) | θ1t, θ2t(2) | λ (qpinn only)];
@@ -67,6 +70,7 @@ fully_connected: per layer, weights (fan_in×fan_out, row-major) then biases.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -137,10 +141,26 @@ def init_params(spec: ModelSpec, seed) -> np.ndarray:
 # batched evaluators
 
 
+def snapshot(points) -> np.ndarray:
+    """A flat, read-only float copy of ``points`` over an immutable ``bytes``
+    object: nothing can change it, so ``batched_eval`` knows the snapshots
+    of its last call unchanged by their identity alone."""
+    return np.frombuffer(np.asarray(points, dtype=float).tobytes())
+
+
+def _is_snapshot(p) -> bool:
+    return type(getattr(p, "base", None)) is bytes
+
+
 def _points_key(*arrays) -> tuple:
     """Bytes copies of arrays: a cache key that changes when one is replaced
     or mutated in place."""
     return tuple(np.asarray(p, dtype=float).tobytes() for p in arrays)
+
+
+# no point array is this object: what ``_collocate`` holds when the points
+# of its last call were not all snapshots
+_NOT_SNAPSHOTS = (object(),) * 4
 
 
 class _Evaluator:
@@ -162,15 +182,19 @@ class _Evaluator:
     row whose width is not the parameter count raises ``SizeError``."""
 
     # the held points' ``_points_key``, what ``_build`` made of them, and
-    # what the last one-row ``batched_eval`` kept for ``backward``
+    # what the last one-row ``batched_eval`` kept for ``backward``; and the
+    # point arrays of the last ``batched_eval`` when all four are snapshots
     _points = _held = _kept = None
+    _snapshots = _NOT_SNAPSHOTS
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
 
     def _rows(self, params) -> np.ndarray:
         """``params`` as a (B, P) stack of rows of the model's P parameters."""
-        params2d = np.atleast_2d(params)
+        params2d = params
+        if type(params) is not np.ndarray or params.ndim != 2:
+            params2d = np.atleast_2d(params)
         if params2d.ndim != 2 or params2d.shape[1] != self.spec.n_params:
             raise SizeError(f"{self.spec.kind} expects rows of {self.spec.n_params} "
                             f"parameters, got shape {np.shape(params)}")
@@ -194,16 +218,21 @@ class _Evaluator:
         with a cotangent that is not one flat row of its outputs."""
         if self._kept is None:
             raise BackwardError("backward needs a one-row batched_eval first")
-        if np.shape(cotangent) != (self._n_outputs,):
-            raise BackwardError(f"cotangent of shape {np.shape(cotangent)}; "
+        shape = cotangent.shape if type(cotangent) is np.ndarray else np.shape(cotangent)
+        if shape != (self._n_outputs,):
+            raise BackwardError(f"cotangent of shape {shape}; "
                                 f"the last forward has {self._n_outputs} outputs")
 
-    def _collocate(self, t_int, x_int, t_bnd, x_bnd):
-        points = _points_key(t_int, x_int, t_bnd, x_bnd)
-        if points != self._points:
-            self._held = self._build(t_int, x_int, t_bnd, x_bnd)
-            self._points = points
-            self._n_outputs = 4 * np.size(t_int) + np.size(t_bnd)
+    def _collocate(self, *points):
+        """What ``_build`` made of ``points``, built again only when a point
+        array is replaced or mutated in place: the snapshots of the last call
+        need no key, any other array is keyed by a bytes copy."""
+        if not all(map(operator.is_, points, self._snapshots)):
+            key = _points_key(*points)
+            if key != self._points:
+                self._held, self._points = self._build(*points), key
+                self._n_outputs = 4 * np.size(points[0]) + np.size(points[2])
+            self._snapshots = points if all(map(_is_snapshot, points)) else _NOT_SNAPSHOTS
         return self._held
 
 
@@ -275,7 +304,7 @@ class _SeparableEvaluator(_Evaluator):
         feats, bounds = held
         w, jac = self._w_and_jac(params2d) if keep else (self.coefficients(params2d), None)
         # einsum, not BLAS ``@``: BLAS sums a row differently for another batch size
-        out = np.einsum("bk,kn->bn", (self.spec.output_scale * w).reshape(-1, 9), feats)
+        out = qsp.einsum("bk,kn->bn", (self.spec.output_scale * w).reshape(-1, 9), feats)
         _, a, b, c, d, _ = bounds
         return ((out[:, :a], out[:, a:b], out[:, b:c], out[:, c:d]), out[:, d:]), jac
 
@@ -292,51 +321,48 @@ class _SeparableEvaluator(_Evaluator):
         ``batched_eval`` at its points; ``cotangent`` is one flat row laid out
         as the outputs: v, v_t, v_x, v_xx, boundary."""
         self._check_backward(cotangent)
-        g = np.einsum("kn,n->k", self._held[0], cotangent)
-        return self.spec.output_scale * np.einsum("pk,k->p", self._kept.reshape(-1, 9), g)
+        g = qsp.einsum("kn,n->k", self._held[0], cotangent)
+        return self.spec.output_scale * qsp.einsum("pk,k->p", self._kept.reshape(-1, 9), g)
 
 
 class _QuantumInspiredEvaluator(_SeparableEvaluator):
     """Dequantized evaluation: two 2×2 chains, never the 5-qubit simulator."""
 
     groups = (slice(0, 3), slice(3, 6))
-    # the chains θ₁ˣ, θ₂ˣ, θ₁ᵗ, θ₂ᵗ give the coefficients [a_x | a_t]; W_ij
-    # takes a_x[i] from column _X[i, j] and a_t[j] from column _T[i, j]
+    # the chains θ₁ˣ, θ₂ˣ, θ₁ᵗ, θ₂ᵗ give the coefficients [a_x | a_t]
     _plan = qsp.coefficient_plan([(0,), (1, 2), (3,), (4, 5)])
-    _X = np.array([[0, 0, 0], [1, 1, 1], [2, 2, 2]])
-    _T = np.array([[3, 4, 5]] * 3)
-
-    @staticmethod
-    def _angles(params):
-        return params
 
     @classmethod
     def coefficients(cls, params):
         """W = Re(A ⊗ B) with A = ½(a₁ + a₂) over x and B likewise over t:
-        the plan's one cos, then two gathers and one product.  W must be
-        C-ordered, as every ``coefficients`` is: the einsum over ∂W's
+        the plan's one cos, then the outer product of a_x and a_t.  W must
+        be C-ordered, as every ``coefficients`` is: the einsum over ∂W's
         reshape sums in memory order, and an F-ordered W of equal values
-        can round the gradient differently (``take`` keeps C order, where
-        ``c[:, self._X]`` would not)."""
-        c = qsp.plan_coefficients(cls._plan, cls._angles(params))
-        return c.take(cls._X, axis=1) * c.take(cls._T, axis=1) * _W_SIGNS
+        can round the gradient differently."""
+        c = qsp.plan_coefficients(cls._plan, params)
+        return c[:, :3, None] * c[:, None, 3:] * _W_SIGNS
 
 
-class _QpinnEvaluator(_QuantumInspiredEvaluator):
+class _QpinnEvaluator(_SeparableEvaluator):
     """Exact closed form from four 2×2 chains (module docstring)."""
 
     groups = (slice(0, 3), slice(3, 6), slice(6, 7))
     # the angles [θˣ⊕λ | θᵗ | θˣ⊖λ]: column 0 of W from the x chains at +λ,
-    # columns 1 and 2 from the x chains at −λ
+    # columns 1 and 2 from the x chains at −λ; W_ij takes a_x[i] from
+    # column _X[i, j] of the coefficients, and a_t[j] from column 3 + j
     _plan = qsp.coefficient_plan([(0,), (1, 2), (3,), (4, 5), (6,), (7, 8)])
     _X = np.array([[0, 6, 6], [1, 7, 7], [2, 8, 8]])
     _ANGLES = [0, 1, 2, 3, 4, 5, 0, 1, 2]
     _LAMBDA = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, -1.0])
 
     @classmethod
-    def _angles(cls, params):
-        """λ added to the x chains' last angles, then subtracted from them."""
-        return params[:, cls._ANGLES] + params[:, 6:7] * cls._LAMBDA
+    def coefficients(cls, params):
+        """As the quantum-inspired W, on λ added to the x chains' last
+        angles and then subtracted from them (``take`` keeps C order, where
+        ``c[:, cls._X]`` would not)."""
+        angles = params[:, cls._ANGLES] + params[:, 6:7] * cls._LAMBDA
+        c = qsp.plan_coefficients(cls._plan, angles)
+        return c.take(cls._X, axis=1) * c[:, None, 3:6] * _W_SIGNS
 
 
 class _CounterpartEvaluator(_SeparableEvaluator):

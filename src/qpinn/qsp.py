@@ -28,6 +28,11 @@ from numpy.polynomial import polynomial as _poly
 from . import circuits as cir
 from .errors import BoundError, DomainError, SizeError, SynthesisError
 
+try:   # np.einsum's own C call, without the Python layer it dispatches through
+    from numpy._core.multiarray import c_einsum as einsum
+except ImportError:   # numpy < 2
+    einsum = np.einsum
+
 # ---------------------------------------------------------------------------
 # coefficient containers
 
@@ -176,8 +181,8 @@ def plan_coefficients(plan: CoefficientPlan, params) -> np.ndarray:
     rows, chain after chain: one gather, one einsum and one ``cos`` (and a
     second einsum when a chain has degree > 1)."""
     index, half_signs, by_changes = plan
-    c = np.cos(np.einsum("bj,jp->bp", params[:, index], half_signs))
-    return c if by_changes is None else np.einsum("bp,pc->bc", c, by_changes)
+    c = np.cos(einsum("bj,jp->bp", params[:, index], half_signs))
+    return c if by_changes is None else einsum("bp,pc->bc", c, by_changes)
 
 
 @lru_cache(maxsize=None)
@@ -359,7 +364,7 @@ def _construct(coeffs: np.ndarray, d: int) -> np.ndarray:
     D·R_x(π)·D = R_x(π).  e = 0 takes cos(θ_0/2) = p; an odd row with nothing
     above 1e-12 is (π, 0, …, 0).  Each row's arithmetic is its own.
     """
-    a = np.einsum("bk,kl->bl", coeffs, _laurent_map(d))
+    a = einsum("bk,kl->bl", coeffs, _laurent_map(d))
     big = np.abs(a[:, d:]) > 1e-12
     eff = np.where(big.any(axis=1), d - np.argmax(big[:, ::-1], axis=1), -(d % 2))
     out = np.zeros((len(a), d + 1))

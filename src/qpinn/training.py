@@ -5,10 +5,12 @@ the parameter row into one flat output row at the run's collocation
 points, whose features the evaluator holds), one loss-and-cotangent pass
 (``Objective.loss_and_cotangent``: one ``tolist`` and three exact
 ``math.fsum`` sums, and the loss's derivative on the outputs as one flat
-cotangent), one ``backward`` to the exact gradient, and one LAMB step
-(finite differences stay the oracle).  Runs are deterministic per seed:
-the collocation set is drawn once, parameters are drawn from a spawned
-child seed, and every reduction has a fixed order.
+cotangent), one ``backward`` to the exact gradient, and one LAMB step,
+one ``params − scale·update`` over every group (finite differences stay
+the oracle).  Runs are deterministic per seed: the collocation set is
+drawn once and snapshotted once, so every epoch hands the forward the same
+read-only point arrays; parameters are drawn from a spawned child seed, and
+every reduction has a fixed order.
 """
 from __future__ import annotations
 
@@ -58,8 +60,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be a finite positive number, got {self.eps!r}")
         if self.epochs > TOTAL_EPOCHS:
             raise ValueError("epochs exceeds the schedule's defined range")
 
@@ -87,38 +89,43 @@ def lamb_step(params, grads, lr: float, groups, *, eps: float = 1e-6) -> np.ndar
     update u = g/(√(g²)+ε) per coordinate, taken as g/(|g|+ε), which is
     the same number wherever g² neither overflows nor underflows and stays
     finite where it would; scaled per group by the trust ratio ‖w‖/‖u‖ (1
-    when either norm vanishes).  With both moment decays at zero, LAMB's
-    moments are m = g and v = g², so no optimizer state is kept.
+    when either norm vanishes).  The groups partition the coordinates: each
+    group's lr·trust fills its span of one per-coordinate scale, and the
+    step is one ``params − scale·u``.  With both moment decays at zero,
+    LAMB's moments are m = g and v = g², so no optimizer state is kept.
     """
     params = np.asarray(params, dtype=float)
     grads = np.asarray(grads, dtype=float)
     if not np.isfinite(grads).all():
         raise TrainingAbortError("non-finite gradient")
     update = grads / (np.abs(grads) + eps)
-    out = params.copy()
+    scale = np.zeros(params.shape)
     for g in groups:
         p, u = params[g], update[g]
         wn, un = math.sqrt(p.dot(p)), math.sqrt(u.dot(u))
-        trust = wn / un if wn > 0 and un > 0 else 1.0
-        out[g] = p - lr * trust * u
-    return out
+        scale[g] = lr * (wn / un if wn > 0 and un > 0 else 1.0)
+    return params - scale * update
 
 
 class Objective:
     """The weighted loss on one collocation set, with its constants built once.
 
     ``points`` = (t_int, x_int, t_bnd, x_bnd) for ``batched_eval``: the
-    interior, then the terminal points (t = T) and the lateral ones (x = 1).
+    interior, then the terminal points (t = T) and the lateral ones (x = 1),
+    each a ``models.snapshot`` taken here.  The objective keeps the set as
+    it was when built: changing the set later changes neither its loss nor
+    its cotangent, and every epoch hands ``batched_eval`` the same arrays.
     The errors are the residuals and then the boundary errors; each loss
     term is the weighted mean square of one span of them.
     """
 
     def __init__(self, colloc: merton.CollocationSet, w: merton.LossWeights,
                  m: merton.MarketParams):
-        t_i, x_i = colloc.interior[:, 0], colloc.interior[:, 1]
+        t_i, x_i = (models.snapshot(a) for a in colloc.interior.T)
         n, n_b = len(x_i), len(colloc.terminal_x)
-        self.points = (t_i, x_i, np.concatenate([np.full(n_b, m.T), colloc.lateral_t]),
-                       np.concatenate([colloc.terminal_x, np.ones(n_b)]))
+        self.points = (t_i, x_i,
+                       models.snapshot(np.concatenate([np.full(n_b, m.T), colloc.lateral_t])),
+                       models.snapshot(np.concatenate([colloc.terminal_x, np.ones(n_b)])))
         self.target = np.concatenate([merton.terminal_target(colloc.terminal_x, m),
                                       merton.lateral_target(colloc.lateral_t, m)])
         self.m, self.x, self.n = m, x_i, n
@@ -160,7 +167,10 @@ class Objective:
         (_, v_t, v_x, v_xx), bnd = outputs
         v_t, v_x, v_xx, n = v_t[0], v_x[0], v_xx[0], self.n
         err = self._errors(v_t, v_x, v_xx, bnd[0], self.err)
-        terms = self._terms((err * err).tolist())
+        sq, fsum = (err * err).tolist(), math.fsum
+        (w_d, k_d, _, b_d), (w_1, k_1, _, b_1), (w_2, k_2, _, _) = self.spans
+        terms = [w_d * fsum(sq[:b_d]) / k_d, w_1 * fsum(sq[b_d:b_1]) / k_1,
+                 w_2 * fsum(sq[b_1:]) / k_2]
         if not math.isfinite(terms[0] + terms[1] + terms[2]):
             return terms, None
         err *= self.err_weight   # now ∂loss/∂error
@@ -189,26 +199,31 @@ def run_training(evaluator, init: np.ndarray, cfg: TrainConfig,
     params = np.asarray(init, dtype=float).copy()
     n = params.size
     log = RunLog(seed=seed, losses=[], lrs=[], wall_ms=[], final_params=params)
+    # what every epoch looks up, looked up once
+    forward, points = evaluator.batched_eval, obj.points
+    loss_and_cotangent = obj.loss_and_cotangent
+    backward = getattr(evaluator, "backward", None) if n else lambda cot: np.zeros(0)
+    groups, eps, every, clock = evaluator.groups, cfg.eps, cfg.checkpoint_every, time.perf_counter
+    breakdown, losses, lrs, wall_ms = merton.LossBreakdown, log.losses, log.lrs, log.wall_ms
     # an overflowing forward ends in a non-finite loss, which aborts the run
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
-            tic = time.perf_counter()
-            terms, cot = obj.loss_and_cotangent(evaluator.batched_eval(params[None], *obj.points))
+            tic = clock()
+            terms, cot = loss_and_cotangent(forward(params[None], *points))
             lr = lr_at(epoch)
-            log.losses.append(merton.LossBreakdown(*terms))
-            log.lrs.append(lr)
+            losses.append(breakdown(*terms))
+            lrs.append(lr)
             try:
                 if cot is None:
                     raise TrainingAbortError("non-finite loss")
-                params = lamb_step(params, evaluator.backward(cot) if n else np.zeros(0), lr,
-                                   evaluator.groups, eps=cfg.eps)
+                params = lamb_step(params, backward(cot), lr, groups, eps=eps)
             except TrainingAbortError as exc:
                 log.aborted = f"{exc} at epoch {epoch}"
-                log.wall_ms.append(1e3 * (time.perf_counter() - tic))
+                wall_ms.append(1e3 * (clock() - tic))
                 break
-            if cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
+            if every and (epoch + 1) % every == 0:
                 log.checkpoints.append((epoch + 1, params.copy()))
-            log.wall_ms.append(1e3 * (time.perf_counter() - tic))
+            wall_ms.append(1e3 * (clock() - tic))
     log.final_params = params
     return log
 

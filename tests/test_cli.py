@@ -433,6 +433,74 @@ def test_train_into_a_reused_out_matches_a_fresh_one(tmp_path, monkeypatch, mask
 
 
 # ---------------------------------------------------------------------------
+# compare
+
+
+@pytest.fixture(scope="module")
+def two_runs(tmp_path_factory):
+    """Two runs of one short config, which differ in their timing fields only."""
+    root = tmp_path_factory.mktemp("compare")
+    args = ["train", "--models", "counterpart,quantum_inspired", "--runs", "1",
+            "--epochs", "5"]
+    for name in ("a", "b"):
+        assert cli.main(args + ["--out", str(root / name)]) == 0
+    return root
+
+
+def _copy_tree(src, dst):
+    for path in src.rglob("*"):
+        if path.is_file():
+            (dst / path.relative_to(src)).parent.mkdir(parents=True, exist_ok=True)
+            (dst / path.relative_to(src)).write_bytes(path.read_bytes())
+    return dst
+
+
+def test_compare_accepts_two_runs_of_one_config(two_runs, capsys):
+    a, b = two_runs / "a", two_runs / "b"
+    assert (a / "summary.json").read_text() != (b / "summary.json").read_text()
+    assert cli.main(["compare", str(a), str(b)]) == 0
+    assert capsys.readouterr().out == "9 files: identical once masked\n"
+
+
+def test_compare_reports_a_one_ulp_nudge_in_one_surface_value(two_runs, tmp_path, capsys):
+    b = _copy_tree(two_runs / "b", tmp_path / "b")
+    surface = b / "surface_counterpart.csv"
+    lines = surface.read_text().splitlines(keepends=True)
+    t, x, value = lines[7].rstrip("\n").split(",")
+    nudged = math.nextafter(float(value), math.inf)
+    lines[7] = f"{t},{x},{nudged:.17g}\n"
+    surface.write_text("".join(lines))
+    assert cli.main(["compare", str(two_runs / "a"), str(b)]) == 1
+    ulp = nudged - float(value)
+    rel = ulp / max(abs(nudged), abs(float(value)))
+    assert capsys.readouterr().out == (
+        "surface_counterpart.csv:\n"
+        f"  value: max abs deviation {ulp:.3g}, max rel deviation {rel:.3g}\n"
+        "9 files: 1 differ\n")
+
+
+def test_compare_reports_a_manifest_only_difference(two_runs, tmp_path, capsys):
+    b = _copy_tree(two_runs / "b", tmp_path / "b")
+    doc = json.loads((b / "summary.json").read_text())
+    doc["manifest"]["numpy"] = "0.0"
+    doc["manifest"]["thread_caps"]["OMP_NUM_THREADS"] = "3"
+    (b / "summary.json").write_text(json.dumps(doc, indent=2))
+    assert cli.main(["compare", str(two_runs / "a"), str(b)]) == 1
+    numpy = json.loads((two_runs / "a" / "summary.json").read_text())["manifest"]["numpy"]
+    threads = os.environ.get("OMP_NUM_THREADS")
+    assert capsys.readouterr().out == (
+        "summary.json:\n"
+        f"  manifest.numpy: {numpy!r} in A, '0.0' in B\n"
+        f"  manifest.thread_caps.OMP_NUM_THREADS: {threads!r} in A, '3' in B\n"
+        "9 files: 1 differ\n")
+
+
+def test_compare_refuses_a_missing_directory(two_runs, tmp_path, capsys):
+    assert cli.main(["compare", str(two_runs / "a"), str(tmp_path / "none")]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot compare")
+
+
+# ---------------------------------------------------------------------------
 # the optimal control
 
 

@@ -2,12 +2,14 @@
 
 ``artifact_digests.json`` holds the masked SHA-256 of each file of the CI
 training profile (``qpinn train --runs 2 --epochs 200 --seed 6``, masked by
-``masked_artifacts`` with the ``manifest`` too) and of each ``qpinn verify
---out`` report of the four suites at seeds 0 and 5.  A refactor that claims
+``masked_artifacts`` with the ``manifest`` too), of each ``qpinn verify
+--out`` report of the four suites at seeds 0 and 5, and of each ``qpinn
+resources --out`` report in ``RESOURCE_REPORTS``.  A refactor that claims
 the same bits keeps these digests; a change that must move them says which
-and why in CHANGES, and its digests are then written from this module's
-``train_digests`` and ``verify_digests``, never to hide an unexplained
-change.
+and why in CHANGES, with ``qpinn compare``'s report of the trained
+artifacts, and its digests are then written from this module's
+``train_digests``, ``verify_digests`` and ``resources_digests``, never to
+hide an unexplained change.
 
 Float results depend on the Python, numpy and BLAS builds and on the CPU
 features numpy dispatches to, so the file records them, and under any other
@@ -26,6 +28,11 @@ from qpinn import cli, verify
 DIGESTS = Path(__file__).with_name("artifact_digests.json")
 CI_PROFILE = ["train", "--runs", "2", "--epochs", "200", "--seed", "6"]
 VERIFY_SEEDS = (0, 5)
+# every construction at L = 2 (D = 2, R = 1) under both native gate sets,
+# but thm1 under cnot-single-qubit, which does not lower (a prepare gate)
+RESOURCE_REPORTS = [(construction, native) for construction in ("prop1", "thm1", "thm2", "cor1")
+                    for native in ("double-controlled", "cnot-single-qubit")
+                    if (construction, native) != ("thm1", "cnot-single-qubit")]
 
 
 def environment() -> dict:
@@ -64,6 +71,16 @@ def verify_digests(out: Path) -> dict:
     return digests
 
 
+def resources_digests(out: Path) -> dict:
+    digests = {}
+    for construction, native in RESOURCE_REPORTS:
+        path = out / f"{construction}_L2_{native}.json"
+        assert cli.main(["resources", "--construction", construction, "--L", "2",
+                         "--native", native, "--out", str(path)]) == 0
+        digests[path.name] = _sha256(path.read_text())
+    return digests
+
+
 @pytest.fixture(scope="module")
 def pinned() -> dict:
     doc = json.loads(DIGESTS.read_text())
@@ -92,3 +109,7 @@ def test_ci_profile_artifacts_match_their_digests(pinned, tmp_path, monkeypatch,
 
 def test_verify_reports_match_their_digests(pinned, tmp_path):
     _assert_digests(pinned["verify"], verify_digests(tmp_path))
+
+
+def test_resource_reports_match_their_digests(pinned, tmp_path):
+    _assert_digests(pinned["resources"], resources_digests(tmp_path))

@@ -284,6 +284,53 @@ def test_batched_eval_row_matches_model_function(kind, base, seed):
 
 
 @pytest.mark.parametrize("kind", models.KINDS)
+def test_batched_eval_builds_again_only_when_its_points_change(kind, monkeypatch):
+    # writeable arrays are keyed by their bytes, so one mutated in place is
+    # built again; snapshots of the same values share that key, and the
+    # snapshots of the last call, which nothing can change, need no key
+    spec = ModelSpec(kind)
+    rng = np.random.default_rng(62)
+    row = models.init_params(spec, 6)[None]
+    points = list(rng.uniform(0.05, 0.95, (4, 7)))
+    ev = models.make_evaluator(spec)
+    builds = []
+    build = type(ev)._build
+    monkeypatch.setattr(type(ev), "_build", lambda self, *a: builds.append(1) or build(self, *a))
+
+    def check(arrays, n_builds):
+        del builds[:]
+        got = ev.batched_eval(row, *arrays)
+        want = models.make_evaluator(spec).batched_eval(row, *[a.copy() for a in arrays])
+        for a, b in zip(got[0] + (got[1],), want[0] + (want[1],)):
+            np.testing.assert_array_equal(a, b)
+        assert len(builds) == 1 + n_builds   # the fresh evaluator builds once
+
+    check(points, 1)
+    for a in points:
+        a *= 0.9
+        check(points, 1)
+    snaps = [models.snapshot(a) for a in points]
+    check(snaps, 0)
+    check(snaps, 0)
+    points[2] *= 0.9
+    check(points, 1)
+    check(snaps, 1)
+    check([models.snapshot(a) for a in snaps], 0)
+
+
+def test_snapshots_cannot_be_made_writeable():
+    src = np.linspace(0.1, 0.9, 5)
+    snap = models.snapshot(src)
+    src[0] = 0.5
+    assert snap[0] == 0.1 and not snap.flags.writeable
+    with pytest.raises(ValueError):
+        snap.flags.writeable = True
+    with pytest.raises(ValueError):
+        snap[0] = 0.5
+    assert type(snap.base) is bytes
+
+
+@pytest.mark.parametrize("kind", models.KINDS)
 def test_values_and_bundles_run_only_their_part(kind, monkeypatch):
     # a part with no points is left out of the build and the forward, and
     # neither call takes ∂W; the outputs are those of a one-row batched_eval

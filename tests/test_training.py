@@ -18,6 +18,14 @@ from qpinn.training import TrainConfig, lamb_step, lr_at
 # schedule
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -1e-6])
+def test_train_config_refuses_an_eps_that_is_not_finite_and_positive(eps):
+    # as the CLI's config check does: NaN would abort a run at epoch 1 as a
+    # non-finite loss, and ∞ would train without moving a parameter
+    with pytest.raises(ValueError, match="eps must be a finite positive number"):
+        TrainConfig(eps=eps)
+
+
 def test_lr_schedule_endpoints():
     assert lr_at(0) == pytest.approx(1e-2)
     assert lr_at(75) == pytest.approx(5.5e-3)
@@ -116,6 +124,66 @@ def test_lamb_steps_a_gradient_whose_square_overflows():
     assert out[0] < 1.0 and out[1] < 2.0 and out[2] > 3.0
     np.testing.assert_array_equal(
         out, lamb_step([1.0, 2.0, 3.0], [1e100, 1.0, -1.0], 0.1, [slice(0, 3)]))
+
+
+def reference_lamb_step(params, grads, lr, groups, *, eps=1e-6):
+    """LAMB by one slice assignment per group, as before the step became one
+    update of every coordinate."""
+    params = np.asarray(params, dtype=float)
+    grads = np.asarray(grads, dtype=float)
+    if not np.isfinite(grads).all():
+        raise TrainingAbortError("non-finite gradient")
+    update = grads / (np.abs(grads) + eps)
+    out = params.copy()
+    for g in groups:
+        p, u = params[g], update[g]
+        wn, un = math.sqrt(p.dot(p)), math.sqrt(u.dot(u))
+        trust = wn / un if wn > 0 and un > 0 else 1.0
+        out[g] = p - lr * trust * u
+    return out
+
+
+_COORD = (st.just(0.0) | st.just(-0.0) | st.floats(-10.0, 10.0) | st.floats(-1e200, 1e200)
+          | st.sampled_from([1e200, -1e200, 1e-300, 5e-324]))
+_GRAD = _COORD | st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=300)
+@given(coords=st.lists(st.tuples(_COORD, _GRAD), min_size=1, max_size=14),
+       cuts=st.sets(st.integers(1, 13)), zeroed=st.lists(st.sampled_from("-wg"), max_size=14),
+       lr=st.floats(2e-4, 1.0), eps=st.sampled_from([1e-6, 1e-12, 1e-15]))
+def test_lamb_step_matches_the_per_group_reference_property(coords, cuts, zeroed, lr, eps):
+    # bit for bit over partitions into groups, groups at w = 0 or g = 0, and
+    # huge or non-finite entries anywhere; a non-finite gradient raises
+    params, grads = np.array(coords).T.copy()
+    bounds = [0] + sorted(c for c in cuts if c < len(params)) + [len(params)]
+    groups = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    for g, zero in zip(groups, zeroed):
+        if zero == "w":
+            params[g] = 0.0
+        elif zero == "g":
+            grads[g] = 0.0
+    if not np.isfinite(grads).all():
+        for step in (lamb_step, reference_lamb_step):
+            with pytest.raises(TrainingAbortError, match="non-finite gradient"):
+                step(params, grads, lr, groups, eps=eps)
+        return
+    # a norm that overflows makes an infinite trust ratio, and inf·0 a NaN,
+    # on both sides alike, as inside a training run
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = reference_lamb_step(params, grads, lr, groups, eps=eps)
+        got = lamb_step(params, grads, lr, groups, eps=eps)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_lamb_refuses_a_non_finite_gradient_anywhere_without_a_warning(bad):
+    # pytest turns any warning into an error: only TrainingAbortError leaves
+    for i in range(6):
+        grads = np.linspace(-1.0, 1.0, 6)
+        grads[i] = bad
+        with pytest.raises(TrainingAbortError, match="non-finite gradient"):
+            lamb_step(np.ones(6), grads, 1e-2, [slice(0, 2), slice(2, 6)])
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +447,57 @@ def test_pullback_follows_changed_and_mutated_points(kind):
     for points in (a.interior[:, 0], a.interior[:, 1], a.terminal_x, a.lateral_t):
         points *= 0.9
         check(a)
+
+
+@pytest.mark.parametrize("kind", models.KINDS)
+def test_objective_keeps_the_points_it_was_built_on(kind):
+    # an objective built before its collocation set is changed in place
+    # keeps the loss of the set as built, and backward stays its gradient
+    m = merton.MarketParams()
+    w = merton.LossWeights()
+    spec = ModelSpec(kind)
+    params = _random_params(spec, np.random.default_rng(10))
+    colloc = merton.sample_collocation(13, 20, 20)
+    built = merton.CollocationSet(*(a.copy() for a in astuple(colloc)))
+    obj = training.Objective(colloc, w, m)
+    for a in astuple(colloc):
+        a *= 0.9
+    for p in obj.points:
+        assert not p.flags.writeable
+        with pytest.raises(ValueError):
+            p.flags.writeable = True
+    ev = models.make_evaluator(spec)
+    terms, cot = obj.loss_and_cotangent(ev.batched_eval(params[None, :], *obj.points))
+    want = merton.total_loss(models.ModelFunction(spec, params), built, w, m)
+    for got, ref in zip(terms, astuple(want)):
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+    grad, fd = ev.backward(cot), _fd_loss_gradient(spec, params, built, w, m)
+    assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("kind", models.KINDS)
+def test_a_run_builds_and_keys_its_points_once(kind, monkeypatch):
+    # every epoch passes the objective's snapshots, which the evaluator knows
+    # by identity: one build and one bytes key a run, none per epoch
+    spec = ModelSpec(kind)
+    ev = models.make_evaluator(spec)
+    calls = {"_build": 0, "_points_key": 0}
+    build, key = type(ev)._build, models._points_key
+
+    def counted_build(self, *points):
+        calls["_build"] += 1
+        return build(self, *points)
+
+    def counted_key(*arrays):
+        calls["_points_key"] += 1
+        return key(*arrays)
+
+    monkeypatch.setattr(type(ev), "_build", counted_build)
+    monkeypatch.setattr(models, "_points_key", counted_key)
+    log = training.run_training(ev, models.init_params(spec, 2), TrainConfig(epochs=6),
+                                merton.MarketParams(), merton.LossWeights(), 3)
+    assert log.aborted is None and len(log.losses) == 6
+    assert calls == {"_build": 1, "_points_key": 1}
 
 
 @pytest.mark.parametrize("kind", models.KINDS)
