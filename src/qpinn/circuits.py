@@ -11,12 +11,15 @@ Conventions fixed here and relied on everywhere else:
   statevector simulator so the two can cross-check each other.  It binds a
   paired stack of (parameters, inputs) rows and updates U's row blocks gate by
   gate, through index tables cached per ``(qubits, controls, width)``; that
-  equals the dense matrix product bit for bit except under ``prepare``.
+  equals the dense matrix product bit for bit except under ``prepare``.  Each
+  gate's base matrix is one array: a (B, 2^k, 2^k) stack written in one call
+  from the rows' scalar angles when the angle reads the rows, else one matrix
+  shared by every row (``_gate_matrices``).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -214,9 +217,10 @@ def bind(circuit: Circuit, angles) -> Circuit:
 
     def bound(g: Gate) -> Gate:
         if g.kind == "controlled":
-            return replace(g, inner=bound(g.inner))
+            return Gate(g.kind, g.qubits, g.angle, g.controls, bound(g.inner), g.amplitudes)
         if isinstance(g.angle, Param):
-            return replace(g, angle=Const(eval_angle(g.angle, angles, ())))
+            return Gate(g.kind, g.qubits, Const(eval_angle(g.angle, angles, ())), g.controls,
+                        g.inner, g.amplitudes)
         return g
 
     return Circuit(circuit.width, tuple(bound(g) for g in circuit.gates), 0, circuit.n_inputs)
@@ -381,25 +385,36 @@ def _householder(amps: tuple[float, ...]) -> np.ndarray:
     return np.eye(v.size) - 2.0 * np.outer(u, u)
 
 
-def _base_matrix(g: Gate, params, inputs) -> np.ndarray:
+# exponents of the diagonal gates' phases, and where their matrices keep them
+_PHASE_EXPONENTS = {"rz": np.array([-0.5j, 0.5j]), "rzz": np.array([-0.5j, 0.5j, 0.5j, -0.5j])}
+_DIAGONAL = {n: np.eye(n, dtype=bool) for n in (2, 4)}
+for _a in (*_PHASE_EXPONENTS.values(), *_DIAGONAL.values()):
+    _a.flags.writeable = False
+
+
+def _gate_matrices(g: Gate, p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The base matrix of a gate: one (2^k, 2^k) matrix, or a (B, 2^k, 2^k)
+    stack when its angle reads the (B, ·) rows ``p`` and ``x``.  Each row's
+    angle is bound by the scalar ``eval_angle`` (an ``rx`` also takes its
+    ``math.cos`` and ``math.sin`` per row); the stack is then written by one
+    array call, after one ``np.exp`` of the angles for ``rz`` and ``rzz``."""
     if g.kind == "h":
         return _H
     if g.kind in ("x", "cnot"):   # a cnot's matrix on its target
         return _X
-    if g.kind == "rx":
-        t = eval_angle(g.angle, params, inputs)
-        c, s = math.cos(t / 2.0), math.sin(t / 2.0)
-        return np.array([[c, -1j * s], [-1j * s, c]])
-    if g.kind == "rz":
-        t = eval_angle(g.angle, params, inputs)
-        return np.array([[np.exp(-0.5j * t), 0], [0, np.exp(0.5j * t)]])
-    if g.kind == "rzz":
-        t = eval_angle(g.angle, params, inputs)
-        lo, hi = np.exp(-0.5j * t), np.exp(0.5j * t)
-        return np.diag([lo, hi, hi, lo])
     if g.kind == "prepare":
         return _householder(g.amplitudes).astype(complex)
-    raise ValueError(f"no base matrix for {g.kind!r}")
+    if g.kind not in _ANGLE_KINDS:
+        raise ValueError(f"no base matrix for {g.kind!r}")
+    reads = isinstance(g.angle, (Param, InputArccos))
+    t = [eval_angle(g.angle, pr, xr) for pr, xr in zip(p, x)] if reads else [g.angle.value]
+    if g.kind == "rx":
+        mats = np.array([[[c, -1j * s], [-1j * s, c]]
+                         for c, s in [(math.cos(a / 2.0), math.sin(a / 2.0)) for a in t]])
+    else:
+        phases = np.exp(np.multiply.outer(t, _PHASE_EXPONENTS[g.kind]))
+        mats = np.where(_DIAGONAL[phases.shape[1]], phases[:, None, :], 0)
+    return mats if reads else mats[0]
 
 
 @lru_cache(maxsize=None)
@@ -432,13 +447,13 @@ def _gate_block(g: Gate, controls=()) -> tuple[Gate, tuple, tuple]:
 
 def _bound_rows(circuit: Circuit, params, inputs) -> tuple[np.ndarray, np.ndarray]:
     """(B, n_params) and (B, n_inputs) stacks from 1-D rows or stacks, a
-    single row broadcast to the other's B."""
+    single row broadcast to the other's B (0 rows too)."""
     rows = [np.asarray(v, dtype=float) for v in (params, inputs)]
     rows = [r[None] if r.ndim == 1 else r for r in rows]
     for r, n in zip(rows, (circuit.n_params, circuit.n_inputs)):
         if r.ndim != 2 or r.shape[1] != n:
             raise SizeError(f"unitary_of binds rows of {n} values, got shape {r.shape}")
-    b = max(len(r) for r in rows)
+    b = max(len(r) for r in rows) if all(len(r) for r in rows) else 0
     if any(len(r) not in (1, b) for r in rows):
         raise SizeError(f"unitary_of cannot pair {len(rows[0])} and {len(rows[1])} rows")
     return tuple(np.broadcast_to(r, (b, r.shape[1])) for r in rows)
@@ -447,20 +462,22 @@ def _bound_rows(circuit: Circuit, params, inputs) -> tuple[np.ndarray, np.ndarra
 def unitary_of(circuit: Circuit, params=(), inputs=()) -> np.ndarray:
     """Dense unitary: (2^w, 2^w) for 1-D ``params`` and ``inputs``, and
     (B, 2^w, 2^w) for stacks, whose row r binds parameter row r with input
-    row r (a single row is broadcast).  Test oracle only, independent of the
-    strided simulator.  Each gate multiplies U's 2^k row blocks (``_embed_index``)
-    by its base matrix, built per row by the scalar ``_base_matrix``: row r of
-    a stack equals the one-row call bit for bit."""
+    row r (a single row is broadcast; B may be 0).  Test oracle only,
+    independent of the strided simulator.  Each gate multiplies U's 2^k row
+    blocks (``_embed_index``) by its base matrix, one array per gate
+    (``_gate_matrices``): a (B, 2^k, 2^k) stack when its angle reads the
+    rows, else one matrix for every row.  Row r of a stack equals the
+    one-row call bit for bit."""
     if circuit.width > _MAX_ORACLE_WIDTH:
         raise SizeError(f"unitary_of capped at width {_MAX_ORACLE_WIDTH}")
     p, x = _bound_rows(circuit, params, inputs)
     u = np.tile(np.eye(1 << circuit.width, dtype=complex), (len(p), 1, 1))
+    if not len(u):
+        return u
     for g in circuit.gates:
         base, qubits, controls = _gate_block(g)
         idx = _embed_index(qubits, controls, circuit.width).ravel()
-        bindings = zip(p, x) if isinstance(base.angle, (Param, InputArccos)) else [((), ())]
-        mats = [_base_matrix(base, pr, xr) for pr, xr in bindings]
-        mat = mats[0] if len(mats) == 1 else np.stack(mats)
+        mat = _gate_matrices(base, p, x)
         rows = u.take(idx, axis=1)
         u[:, idx] = (mat @ rows.reshape(len(u), 1 << len(qubits), -1)).reshape(rows.shape)
     err = np.abs(np.conj(u.swapaxes(1, 2)) @ u - np.eye(u.shape[1])).max()

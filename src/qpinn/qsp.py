@@ -62,6 +62,22 @@ _SUP_GRID = np.linspace(-1.0, 1.0, 512)
 _SUP_GRID.flags.writeable = False
 
 
+def polyval_rows(coeffs, x: np.ndarray) -> np.ndarray:
+    """(K, N) values at the points ``x`` of K power-coefficient sequences, in
+    one Horner pass with ``polyval``'s steps: c[−1] + x·0, then c[−i] + acc·x.
+    A shorter sequence is zero-padded at the top: at a finite x its
+    accumulator stays +0.0 until its own top, where +0.0·x has the bits of
+    x·0, and at ±inf or NaN both give the same NaN; so each row equals that
+    sequence's ``UnivariatePoly.__call__`` bit for bit."""
+    m = max(map(len, coeffs), default=1)
+    c = np.array([tuple(row) + (0.0,) * (m - len(row)) for row in coeffs],
+                 dtype=float).reshape(len(coeffs), m)
+    acc = c[:, -1:] + x * 0
+    for i in range(2, m + 1):
+        acc = c[:, -i, None] + acc * x
+    return acc
+
+
 @dataclass(frozen=True)
 class TdPoly:
     """Tensor-decomposed polynomial Σ_r λ_r ∏_j p_{r,j}(x_j)."""
@@ -103,6 +119,11 @@ class MonomialList:
     entries: tuple[tuple[tuple[int, ...], float], ...]
 
     def __post_init__(self):
+        if not self.entries:
+            raise ValueError("need at least one monomial")
+        if len({len(n) for n, _ in self.entries}) > 1:
+            raise ValueError("need multi-indices of one length, got "
+                             f"{sorted({len(n) for n, _ in self.entries})}")
         seen = set()
         for n, _ in self.entries:
             if n in seen:
@@ -380,16 +401,17 @@ def _construct(coeffs: np.ndarray, d: int) -> np.ndarray:
 def _synthesize_branches(branches) -> list[np.ndarray]:
     """Chain angles with ⟨+|U_θ(x)|+⟩ = target(x) for every (target, degree)
     of ``branches``, in branch order.  The branches of one degree are built
-    as one ``_construct`` stack and checked together on
-    ``_cheb_nodes(4·degree + 8)``: a complex residual above 1e-9 raises
-    ``SynthesisError``."""
+    as one ``_construct`` stack and checked together, targets by one
+    ``polyval_rows`` pass, on ``_cheb_nodes(4·degree + 8)``: a complex
+    residual above 1e-9 raises ``SynthesisError``."""
     out = [None] * len(branches)
     for d in sorted({degree for _, degree in branches}):
         mine = [i for i, (_, degree) in enumerate(branches) if degree == d]
         thetas = _construct(np.array([(branches[i][0].coeffs + (0.0,) * d)[:d + 1]
                                       for i in mine]), d)
         xs = _cheb_nodes(4 * d + 8)
-        err = np.abs(chain_value(thetas, xs) - [branches[i][0](xs) for i in mine]).max(axis=1)
+        want = polyval_rows([branches[i][0].coeffs for i in mine], xs)
+        err = np.abs(chain_value(thetas, xs) - want).max(axis=1)
         if not np.all(err <= 1e-9):
             raise SynthesisError(f"a degree-{d} branch missed its target by {np.max(err):.3e}")
         for i, theta in zip(mine, thetas):
@@ -399,15 +421,18 @@ def _synthesize_branches(branches) -> list[np.ndarray]:
 
 def synthesize_angle_pairs(jobs) -> list[tuple[np.ndarray, np.ndarray]]:
     """``synthesize_angles(target, L)`` of each (target, L) job, in one
-    ``_synthesize_branches`` call."""
+    ``_synthesize_branches`` call.  The jobs' grid sup-norms
+    (``UnivariatePoly.sup_norm_grid``) and the combined checks of each L
+    take one ``polyval_rows`` pass each."""
     jobs = list(jobs)
+    sup = np.max(np.abs(polyval_rows([t.coeffs for t, _ in jobs], _SUP_GRID)), axis=1)
     branches = []
-    for target, L in jobs:
+    for (target, L), norm in zip(jobs, sup):
         if L < 1:
             raise ValueError("synthesis requires L >= 1")
         if target.degree > L and any(abs(c) > 0 for c in target.coeffs[L + 1:]):
             raise ValueError(f"target degree exceeds L={L}")
-        if not target.sup_norm_grid() <= 0.5 + 1e-12:   # NaN fails too
+        if not norm <= 0.5 + 1e-12:   # NaN fails too
             raise BoundError("target sup-norm exceeds 1/2 on [-1, 1]")
         p_odd, p_even = parity_split(target)
         branches += [(p_odd, L - 1), (p_even, L)] if L % 2 == 0 else [(p_even, L - 1), (p_odd, L)]
@@ -418,7 +443,8 @@ def synthesize_angle_pairs(jobs) -> list[tuple[np.ndarray, np.ndarray]]:
         nodes = _cheb_nodes(4 * L + 4)
         theta1, theta2 = (np.array(a) for a in zip(*(pairs[k] for k in mine)))
         combo = 0.5 * (chain_value(theta1, nodes).real + chain_value(theta2, nodes).real)
-        residual = float(np.max(np.abs(combo - [jobs[k][0](nodes) for k in mine])))
+        residual = float(np.max(np.abs(combo - polyval_rows([jobs[k][0].coeffs for k in mine],
+                                                            nodes))))
         if not residual <= 1e-8:
             raise SynthesisError(f"combined synthesis residual {residual:.3e} exceeds 1e-8")
     return pairs
@@ -438,10 +464,12 @@ def synthesize_angles(target: UnivariatePoly, L: int) -> tuple[np.ndarray, np.nd
 # circuit constructions
 
 
-def _chain_gates(qubit: int, angle_exprs, input_var: int, controls) -> list[cir.Gate]:
+def _chain_gates(qubit: int, angle_exprs, arccos: cir.InputArccos, controls) -> list[cir.Gate]:
+    """A chain's gates; every S(x) step shares the one ``arccos`` object, so
+    the simulator builds its entries once per run (``sim._Memo``)."""
     gates = [cir.controlled(cir.rz(qubit, angle_exprs[0]), controls)]
     for expr in angle_exprs[1:]:
-        gates.append(cir.controlled(cir.rx(qubit, cir.InputArccos(input_var)), controls))
+        gates.append(cir.controlled(cir.rx(qubit, arccos), controls))
         gates.append(cir.controlled(cir.rz(qubit, expr), controls))
     return gates
 
@@ -475,8 +503,6 @@ def build_lcu_multivariate(monomials: MonomialList, D: int, L: int, seed: int = 
     ignored: the construction has no random part.
     """
     t_count = len(monomials.entries)
-    if t_count < 1:
-        raise ValueError("need at least one monomial")
     for n, _ in monomials.entries:
         if len(n) != D or any(not 0 <= nj <= L for nj in n):
             raise ValueError(f"multi-index {n} outside [0, L]^{D}")
@@ -509,11 +535,13 @@ def lcu_circuit_template(multi_indices, D: int, L: int) -> cir.Circuit:
             amps[:t_count] = 1.0 / math.sqrt(t_count)
             gates.append(cir.prepare_amplitudes(anc, amps))
     gates += [cir.h(q) for q in sysq]
+    arccos = [cir.InputArccos(j) for j in range(D)]
     slot = 0
     for i, n in enumerate(multi_indices):
         ctl_anc = _ancilla_bits(i, anc)
         for j, nj in enumerate(n):
-            gates += _chain_gates(sysq[j], _param_exprs(slot, nj + 1), j, ((0, 1),) + ctl_anc)
+            gates += _chain_gates(sysq[j], _param_exprs(slot, nj + 1), arccos[j],
+                                  ((0, 1),) + ctl_anc)
             slot += nj + 1
     gates.append(cir.h(0))
     return cir.Circuit(1 + a + D, tuple(gates), n_params=slot, n_inputs=D)
@@ -563,14 +591,16 @@ def _td_circuit(R: int, D: int, L: int, weights) -> cir.Circuit:
         gates.append(cir.prepare_amplitudes(anc, amps))
     for parity, target in pairs:
         gates += [cir.h(parity), cir.h(target)]
+    arccos = [cir.InputArccos(j) for j in range(D)]
     slot = 0
     for r in range(R):
         ctl_anc = _ancilla_bits(r, anc)
         for j in range(D):
             parity, target = pairs[j]
             base_ctl = ((0, 1),) + ctl_anc
-            gates += _chain_gates(target, _param_exprs(slot, L), j, base_ctl + ((parity, 0),))
-            gates += _chain_gates(target, _param_exprs(slot + L, L + 1), j,
+            gates += _chain_gates(target, _param_exprs(slot, L), arccos[j],
+                                  base_ctl + ((parity, 0),))
+            gates += _chain_gates(target, _param_exprs(slot + L, L + 1), arccos[j],
                                   base_ctl + ((parity, 1),))
             slot += 2 * L + 1
     gates.append(cir.h(0))

@@ -23,6 +23,16 @@ channels gain trailing unit axes so that they broadcast against a view.
 Every product and sum is the one a gathered row would take, in the same
 order, so amplitudes do not depend on the layout.
 
+A run builds each gate constant once, in one memo (``_Memo``): the views of
+each (controls, targets) layout, until the state is broadcast, and each
+rotation's entry channels per (kind, angle-expression object, view ndim).
+The key is the object's ``id``, never its value, because equal expressions
+such as ``Const(0.0)`` and ``Const(-0.0)`` have entries that differ in the
+sign of zero.  The TD and LCU chains share one ``InputArccos`` object per
+input variable, so arccos and its domain check run once per variable and
+view rank, not once per ``rx`` gate.  A reused entry is the array the first
+gate built, so the amplitudes are those of a run without the memo.
+
 The state starts as one ``(1, 1, 2^width)`` row and is copied to every
 (parameter row, point) just before the first gate whose angle reads one
 (``_reads_rows``), or at the end.  No gate mixes rows, so each amplitude
@@ -110,36 +120,60 @@ def _views(state, width: int, controls: tuple, targets: tuple) -> list:
 
 
 # ---------------------------------------------------------------------------
-# angle and entry evaluation
+# gate constants (built once per run)
 
 
-def _angle(expr, params, inputs, ndim: int):
-    """Angle channels, each broadcastable against a (Bp, N, …) view of
-    ``ndim`` axes."""
+class _Memo:
+    """One run's gate constants (module docstring): ``entries`` per (kind,
+    ``id`` of the angle expression, view ndim), and ``views`` of the current
+    state per (controls, targets).  The circuit keeps every expression alive
+    for the run, so no id is reused."""
+
+    __slots__ = ("entries", "views")
+
+    def __init__(self):
+        self.entries, self.views = {}, {}
+
+
+def _expj(a):
+    return np.exp(1j * a)
+
+
+def _entries(kind: str, expr, params, inputs, ndim: int) -> tuple:
+    """A rotation's entry channels, each broadcastable against a (Bp, N, …)
+    view of ``ndim`` axes: (cos, −i·sin) of the half angle for ``rx``, and
+    the phases (e^{−iθ/2}, e^{+iθ/2}) for ``rz`` and ``rzz``."""
     if isinstance(expr, cir.Const):
-        return (expr.value,)
-    if isinstance(expr, cir.Param):
-        base = tuple(c[:, expr.index].reshape((-1,) + (1,) * (ndim - 1)) for c in params)
-    else:  # InputArccos
-        xt = tuple(c[:, expr.var].reshape((1, -1) + (1,) * (ndim - 2)) for c in inputs)
-        if len(xt) == 1 and not np.all(np.abs(xt[0]) <= 1.0):
-            raise DomainError("arccos input outside [-1, 1]")
-        base = c_lift(xt, np.arccos, t_arccos)
-    scaled = c_mul(expr.scale, base)
-    return (scaled[0] + expr.offset,) + scaled[1:]
+        theta = (expr.value,)
+    else:
+        if isinstance(expr, cir.Param):
+            base = tuple(c[:, expr.index].reshape((-1,) + (1,) * (ndim - 1)) for c in params)
+        else:  # InputArccos
+            xt = tuple(c[:, expr.var].reshape((1, -1) + (1,) * (ndim - 2)) for c in inputs)
+            if len(xt) == 1 and not np.all(np.abs(xt[0]) <= 1.0):
+                raise DomainError("arccos input outside [-1, 1]")
+            base = c_lift(xt, np.arccos, t_arccos)
+        scaled = c_mul(expr.scale, base)
+        theta = (scaled[0] + expr.offset,) + scaled[1:]
+    if kind == "rx":
+        half = c_mul(0.5, theta)
+        return c_lift(half, np.cos, t_cos), c_mul(-1j, c_lift(half, np.sin, t_sin))
+    return tuple(c_lift(c_mul(sign, theta), _expj, t_expj) for sign in (-0.5, 0.5))
 
 
 # ---------------------------------------------------------------------------
 # gate application
 
 
-def _apply_gate(g: cir.Gate, state, params, inputs, width: int, controls=()):
+def _apply_gate(g: cir.Gate, state, params, inputs, width: int, memo: _Memo, controls=()):
     if g.kind == "controlled":
-        _apply_gate(g.inner, state, params, inputs, width, controls + g.controls)
+        _apply_gate(g.inner, state, params, inputs, width, memo, controls + g.controls)
         return
     if g.kind == "cnot":
         g, controls = cir.x(g.qubits[1]), controls + ((g.qubits[0], 1),)
-    views = _views(state, width, controls, g.qubits)
+    views = memo.views.get((controls, g.qubits))
+    if views is None:
+        views = memo.views[controls, g.qubits] = _views(state, width, controls, g.qubits)
     if g.kind == "prepare":
         mat = cir._householder(g.amplitudes).astype(complex)
         for ch in range(len(state)):
@@ -165,11 +199,12 @@ def _apply_gate(g: cir.Gate, state, params, inputs, width: int, controls=()):
             np.add(v0, v1, out=v1)
             np.add(v0, sa1, out=v0)
         return
-    theta = _angle(g.angle, params, inputs, a0[0].ndim)
+    key = (g.kind, id(g.angle), a0[0].ndim)
+    entry = memo.entries.get(key)
+    if entry is None:
+        entry = memo.entries[key] = _entries(g.kind, g.angle, params, inputs, a0[0].ndim)
     if g.kind == "rx":
-        half = c_mul(0.5, theta)
-        c = c_lift(half, np.cos, t_cos)
-        s = c_mul(-1j, c_lift(half, np.sin, t_sin))
+        c, s = entry
         # every product reads the state before either row is written
         rows = ((a0, c_mul(c, a0), c_mul(s, a1)), (a1, c_mul(s, a0), c_mul(c, a1)))
         for view, p, q in rows:
@@ -179,8 +214,7 @@ def _apply_gate(g: cir.Gate, state, params, inputs, width: int, controls=()):
     if g.kind in ("rz", "rzz"):
         # rz: bit 0, then bit 1; rzz: even parity (00, 11), then odd (01, 10)
         groups = ((a0,), (a1,)) if g.kind == "rz" else ((views[0], views[3]), (views[1], views[2]))
-        for group, sign in zip(groups, (-0.5, 0.5)):
-            phase = c_lift(c_mul(sign, theta), lambda a: np.exp(1j * a), t_expj)
+        for group, phase in zip(groups, entry):
             for view in group:
                 for v, a in zip(view, c_mul(phase, view)):
                     v[...] = a
@@ -238,11 +272,12 @@ def simulate_amps(circuit: cir.Circuit, params, inputs, *, check_norm: bool = Fa
     v[..., 0] = 1.0
     state = (v,) + tuple(np.zeros_like(v) for _ in range(max(len(p), len(i)) - 1))
     rows = (p[0].shape[0], i[0].shape[0])
-
+    memo = _Memo()
     for g in circuit.gates:
         if state[0].shape[:2] != rows and _reads_rows(g):
             state = _broadcast(state, rows)
-        _apply_gate(g, state, p, i, circuit.width)
+            memo.views.clear()
+        _apply_gate(g, state, p, i, circuit.width, memo)
         if check_norm:
             norms = np.sum(np.abs(state[0]) ** 2, axis=-1)
             if not np.all(np.abs(norms - 1.0) <= 1e-12):   # NaN fails too

@@ -37,6 +37,29 @@ def build_qsp_chain(L):
     return cir.Circuit(1, tuple(gates), n_params=L + 1, n_inputs=1)
 
 
+def reference_base_matrix(g, params, inputs):
+    """One gate's base matrix for one (parameters, inputs) row, built entry
+    by entry from the scalar angle."""
+    if g.kind == "h":
+        return cir._H
+    if g.kind in ("x", "cnot"):   # a cnot's matrix on its target
+        return cir._X
+    if g.kind == "rx":
+        t = cir.eval_angle(g.angle, params, inputs)
+        c, s = math.cos(t / 2.0), math.sin(t / 2.0)
+        return np.array([[c, -1j * s], [-1j * s, c]])
+    if g.kind == "rz":
+        t = cir.eval_angle(g.angle, params, inputs)
+        return np.array([[np.exp(-0.5j * t), 0], [0, np.exp(0.5j * t)]])
+    if g.kind == "rzz":
+        t = cir.eval_angle(g.angle, params, inputs)
+        lo, hi = np.exp(-0.5j * t), np.exp(0.5j * t)
+        return np.diag([lo, hi, hi, lo])
+    if g.kind == "prepare":
+        return cir._householder(g.amplitudes).astype(complex)
+    raise ValueError(f"no base matrix for {g.kind!r}")
+
+
 def reference_embed(mat, qubits, controls, width):
     """``mat`` on ``qubits`` under ``controls`` in a ``2^width`` identity,
     written one base-matrix entry at a time from freshly built indices."""
@@ -64,7 +87,7 @@ def reference_unitary(circuit, params=(), inputs=()):
         g = g.inner if g.kind == "controlled" else g
         if g.kind == "cnot":
             g, controls = cir.x(g.qubits[1]), ((g.qubits[0], 1),) + controls
-        mat = cir._base_matrix(g, params, inputs)
+        mat = reference_base_matrix(g, params, inputs)
         u = reference_embed(mat, g.qubits, controls, circuit.width) @ u
     return u
 
@@ -304,6 +327,43 @@ def test_one_bad_row_of_a_stack_raises():
         cir.unitary_of(c, [[0.1], [math.nan], [0.3]], [0.5])
     with pytest.raises(DomainError):
         cir.unitary_of(c, good, [[0.5], [0.5], [1.5]])
+
+
+def test_unitary_of_on_an_empty_stack():
+    c = cir.Circuit(3, (cir.h(0), cir.rx(1, cir.Param(0)), cir.rz(2, cir.InputArccos(0)),
+                        cir.cnot(0, 2)), n_params=1, n_inputs=1)
+    for params, inputs in ((np.zeros((0, 1)), np.zeros((0, 1))),
+                           (np.zeros((0, 1)), [0.5]), ([0.1], np.zeros((0, 1)))):
+        u = cir.unitary_of(c, params, inputs)
+        assert u.shape == (0, 8, 8) and u.dtype == complex
+    with pytest.raises(SizeError):
+        cir.unitary_of(c, np.zeros((0, 1)), np.zeros((2, 1)))
+
+
+_EDGE_TURNS = st.one_of(_TURN, st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]))
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(["rx", "rz", "rzz"]), st.integers(0, 2), _EDGE_TURNS, _EDGE_TURNS,
+       st.integers(1, 4), st.data())
+def test_gate_matrices_equal_the_per_row_oracle_property(kind, angle_kind, scale, offset,
+                                                          rows, data):
+    # one stack per gate, with each row's entries as the scalar build takes them
+    angle = [cir.Const(offset), cir.Param(1, scale, offset),
+             cir.InputArccos(0, scale, offset)][angle_kind]
+    g = cir.Gate(kind, (0, 1) if kind == "rzz" else (0,), angle=angle)
+    p = np.array(data.draw(st.lists(_EDGE_TURNS, min_size=2 * rows, max_size=2 * rows)))
+    x = np.array(data.draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.3, 1.0]),
+                                    min_size=rows, max_size=rows)))
+    p, x = p.reshape(rows, 2), x.reshape(rows, 1)
+    with np.errstate(all="ignore"):
+        got = cir._gate_matrices(g, p, x)
+        want = [reference_base_matrix(g, pr, xr) for pr, xr in zip(p, x)]
+    if angle_kind == 0:
+        assert got.tobytes() == want[0].tobytes() and got.shape == want[0].shape
+    else:
+        assert got.shape == (rows,) + want[0].shape
+        assert got.tobytes() == np.stack(want).tobytes()
 
 
 @pytest.mark.parametrize("params, inputs", [

@@ -4,12 +4,15 @@
 training profile (``qpinn train --runs 2 --epochs 200 --seed 6``, masked by
 ``masked_artifacts`` with the ``manifest`` too), of each ``qpinn verify
 --out`` report of the four suites at seeds 0 and 5, and of each ``qpinn
-resources --out`` report in ``RESOURCE_REPORTS``.  A refactor that claims
-the same bits keeps these digests; a change that must move them says which
-and why in CHANGES, with ``qpinn compare``'s report of the trained
-artifacts, and its digests are then written from this module's
-``train_digests``, ``verify_digests`` and ``resources_digests``, never to
-hide an unexplained change.
+resources --out`` report in ``RESOURCE_REPORTS``, and of the raw bytes of the circuit path's outputs
+(``circuit_digests``): ``sim.simulate_amps`` on seeded TD and LCU builds and
+templates, plain and dual, and ``circuits.unitary_of`` on 5-row stacks of
+the univariate model at L = 1..3 and its CNOT + single-qubit lowering.  A
+refactor that claims the same bits keeps these digests; a change that must
+move them says which and why in CHANGES, with ``qpinn compare``'s report of
+the trained artifacts, and its digests are then written from this module's
+``train_digests``, ``verify_digests``, ``resources_digests`` and
+``circuit_digests``, never to hide an unexplained change.
 
 Float results depend on the Python, numpy and BLAS builds and on the CPU
 features numpy dispatches to, so the file records them, and under any other
@@ -23,7 +26,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qpinn import cli, verify
+from qpinn import circuits as cir
+from qpinn import cli, qsp, sim, verify
 
 DIGESTS = Path(__file__).with_name("artifact_digests.json")
 CI_PROFILE = ["train", "--runs", "2", "--epochs", "200", "--seed", "6"]
@@ -33,6 +37,14 @@ VERIFY_SEEDS = (0, 5)
 RESOURCE_REPORTS = [(construction, native) for construction in ("prop1", "thm1", "thm2", "cor1")
                     for native in ("double-controlled", "cnot-single-qubit")
                     if (construction, native) != ("thm1", "cnot-single-qubit")]
+# the circuit path: seeded TD (R, D, L) and full-grid LCU (D, L) builds at
+# CIRCUIT_POINTS points, and the univariate model's unitaries at LOWERED_L
+CIRCUIT_SEEDS = (3, 7, 11)
+TD_SHAPES = ((2, 2, 1), (3, 2, 2), (1, 2, 3))
+LCU_SHAPE = (2, 2)
+CIRCUIT_POINTS = 8
+LOWERED_L = (1, 2, 3)
+LOWERED_ROWS = 5
 
 
 def environment() -> dict:
@@ -81,6 +93,59 @@ def resources_digests(out: Path) -> dict:
     return digests
 
 
+def _bytes_sha256(out) -> str:
+    """SHA-256 of an array's raw bytes, or of a dual triple's three in order."""
+    return hashlib.sha256(b"".join(c.tobytes() for c in (
+        out if isinstance(out, tuple) else (out,)))).hexdigest()
+
+
+def _bounded_poly(rng, degree: int) -> qsp.UnivariatePoly:
+    p = qsp.UnivariatePoly(tuple(rng.normal(size=degree + 1)))
+    return qsp.UnivariatePoly(tuple(0.45 * np.asarray(p.coeffs) / p.sup_norm_grid()))
+
+
+def _amps_digests(name: str, rng, circuit, template, points) -> dict:
+    """A bound build on its points, plain and with dual inputs, and its
+    template with dual parameters."""
+    zero = np.zeros_like(points)
+    theta = rng.uniform(-3.0, 3.0, template.n_params)
+    runs = {"plain": (circuit, [], points),
+            "dual_inputs": (circuit, [], (points, rng.normal(size=points.shape), zero)),
+            "template_dual_params": (template, (theta, rng.normal(size=theta.shape),
+                                                np.zeros_like(theta)), points)}
+    return {f"{name}/{run}": _bytes_sha256(sim.simulate_amps(*args))
+            for run, args in runs.items()}
+
+
+def circuit_digests() -> dict:
+    digests = {}
+    for seed in CIRCUIT_SEEDS:
+        rng = np.random.default_rng(seed)
+        for R, D, L in TD_SHAPES:
+            poly = qsp.TdPoly(R, D, L, tuple(rng.normal(size=R)),
+                              tuple(tuple(_bounded_poly(rng, L) for _ in range(D))
+                                    for _ in range(R)))
+            circuit, _ = qsp.build_td_circuit(poly)
+            points = rng.uniform(-0.95, 0.95, (CIRCUIT_POINTS, D))
+            digests.update(_amps_digests(f"seed{seed}/td_R{R}_D{D}_L{L}", rng, circuit,
+                                         qsp.td_circuit_template(R, D, L), points))
+        D, L = LCU_SHAPE
+        indices = [tuple(int(i) for i in n) for n in np.ndindex(*(L + 1,) * D)]
+        mono = qsp.MonomialList(tuple((n, float(rng.normal())) for n in indices))
+        circuit, _ = qsp.build_lcu_multivariate(mono, D, L)
+        points = rng.uniform(-0.95, 0.95, (CIRCUIT_POINTS, D))
+        digests.update(_amps_digests(f"seed{seed}/lcu_D{D}_L{L}", rng, circuit,
+                                     qsp.lcu_circuit_template(indices, D, L), points))
+        for L in LOWERED_L:
+            model = qsp.univariate_model_circuit(L)
+            params = rng.normal(size=(LOWERED_ROWS, model.n_params))
+            inputs = rng.uniform(-1.0, 1.0, (LOWERED_ROWS, 1))
+            for name, circ in (("model", model), ("lowered", cir.lower_to_cnot_single(model))):
+                digests[f"seed{seed}/unitary_{name}_L{L}"] = _bytes_sha256(
+                    cir.unitary_of(circ, params, inputs))
+    return digests
+
+
 @pytest.fixture(scope="module")
 def pinned() -> dict:
     doc = json.loads(DIGESTS.read_text())
@@ -113,3 +178,7 @@ def test_verify_reports_match_their_digests(pinned, tmp_path):
 
 def test_resource_reports_match_their_digests(pinned, tmp_path):
     _assert_digests(pinned["resources"], resources_digests(tmp_path))
+
+
+def test_circuit_outputs_match_their_digests(pinned):
+    _assert_digests(pinned["circuits"], circuit_digests())

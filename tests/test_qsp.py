@@ -467,6 +467,26 @@ def test_td_builder_binds_the_audited_template(R, D, L):
     assert angles == expected
 
 
+def test_every_chain_of_a_variable_shares_one_arccos_object():
+    # so the simulator takes arccos and its domain check once per variable
+    # and view rank, not once per rx gate
+    rng = np.random.default_rng(37)
+    td = TdPoly(2, 3, 2, (0.5, -0.7),
+                tuple(tuple(bounded_poly(rng, 2) for _ in range(3)) for _ in range(2)))
+    indices = list(product(range(3), repeat=2))
+    mono = MonomialList(tuple((n, float(rng.normal())) for n in indices))
+    for circ in (qsp.td_circuit_template(2, 3, 2), qsp.build_td_circuit(td)[0],
+                 qsp.lcu_circuit_template(indices, 2, 2),
+                 qsp.build_lcu_multivariate(mono, 2, 2)[0]):
+        objects = {}
+        for g in circ.gates:
+            g = g.inner if g.kind == "controlled" else g
+            if isinstance(g.angle, cir.InputArccos):
+                objects.setdefault(g.angle.var, set()).add(id(g.angle))
+        assert sorted(objects) == list(range(circ.n_inputs))
+        assert all(len(ids) == 1 for ids in objects.values())
+
+
 @pytest.mark.parametrize("D,L", [(2, 1), (2, 2)])
 def test_lcu_builder_binds_the_audited_template(D, L):
     rng = np.random.default_rng(36 + D + L)
@@ -509,6 +529,13 @@ def test_td_poly_json_roundtrip():
     assert json.loads(json.dumps(doc)) == doc == {
         "R": 2, "D": 2, "L": 1, "lambdas": [0.5, -0.25],
         "factors": [[[0.1, 0.2], [0.3, 0.0]], [[0.0, -0.1], [0.2, 0.2]]]}
+
+
+@pytest.mark.parametrize("entries", [(), (((0,), 1.0), ((0, 1), 2.0))],
+                         ids=["no-monomial", "mixed-lengths"])
+def test_monomial_list_refuses_bad_entries(entries):
+    with pytest.raises(ValueError, match="need"):
+        MonomialList(entries)
 
 
 def test_monomials_json_roundtrip():
@@ -593,3 +620,47 @@ def test_coefficient_plan_matches_each_chain_property(degrees, rows, seed):
     if max(degrees) <= 1:   # at most two phase terms: every summation order agrees
         assert np.array_equal(got, want)
     assert np.max(np.abs(got - want)) <= 1e-13
+
+
+# every float class polyval can meet: ±0, subnormals, ±inf and NaN among finite values
+_EDGE_FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True, width=64),
+                         st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                          math.inf, -math.inf, math.nan, 1e300, -1e300]))
+
+
+@settings(max_examples=300)
+@given(rows=st.lists(st.lists(_EDGE_FLOATS, min_size=1, max_size=6), min_size=1, max_size=5),
+       xs=st.lists(st.one_of(st.sampled_from([1.0, -1.0, 0.0, -0.0]), _EDGE_FLOATS),
+                   min_size=1, max_size=8))
+def test_polyval_rows_equals_each_polynomial_bit_for_bit_property(rows, xs):
+    # rows of mixed lengths are zero-padded at the top of one Horner pass.
+    # Every value that is not NaN has polyval's bits; a NaN's sign is not
+    # arithmetic: numpy's SIMD loops and their scalar tails take it from
+    # different operands of NaN + NaN (a 1-D contiguous add and the same add
+    # with a broadcast scalar already differ at 9 elements), so a NaN must
+    # only be a NaN.
+    x = np.array(xs)
+    with np.errstate(all="ignore"):
+        got = qsp.polyval_rows([tuple(r) for r in rows], x)
+        want = [UnivariatePoly(tuple(r))(x) for r in rows]
+    assert got.shape == (len(rows), len(xs)) and got.dtype == np.float64
+    for g, w in zip(got, want):
+        nan = np.isnan(w)
+        assert np.array_equal(np.isnan(g), nan)
+        assert g[~nan].tobytes() == w[~nan].tobytes()
+
+
+def test_sup_norms_and_checks_take_one_pass_per_batch(monkeypatch):
+    # the jobs' sup-norms, each degree's branch check and each L's combined
+    # check are one polyval_rows call apiece, and no target is called alone
+    rng = np.random.default_rng(40)
+    jobs = [(bounded_poly(rng, L), L) for L in (2, 3, 2, 3, 3)]
+    want = qsp.synthesize_angle_pairs(jobs)
+    calls = []
+    real = qsp.polyval_rows
+    monkeypatch.setattr(qsp, "polyval_rows", lambda c, x: calls.append(len(c)) or real(c, x))
+    monkeypatch.setattr(UnivariatePoly, "__call__", None)
+    got = qsp.synthesize_angle_pairs(jobs)
+    assert all(a.tobytes() == b.tobytes() for g, w in zip(got, want) for a, b in zip(g, w))
+    # sup-norms of all 5 jobs; branches of degree 1, 2 and 3; combined L = 2 and L = 3
+    assert sorted(calls) == sorted([5, 2, 5, 3, 2, 3])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,8 +22,36 @@ def reference_simulate_amps(circuit, params, inputs):
     v[..., 0] = 1.0
     state = (v,) + tuple(np.zeros_like(v) for _ in range(max(len(p), len(i)) - 1))
     for g in circuit.gates:
-        sim._apply_gate(g, state, p, i, circuit.width)
+        sim._apply_gate(g, state, p, i, circuit.width, sim._Memo())
     return state if len(state) == 3 else state[0]
+
+
+def reference_angle(expr, params, inputs, ndim: int):
+    """One gate's angle channels, evaluated for that gate alone, each
+    broadcastable against a (Bp, N, …) view of ``ndim`` axes."""
+    if isinstance(expr, cir.Const):
+        return (expr.value,)
+    if isinstance(expr, cir.Param):
+        base = tuple(c[:, expr.index].reshape((-1,) + (1,) * (ndim - 1)) for c in params)
+    else:  # InputArccos
+        xt = tuple(c[:, expr.var].reshape((1, -1) + (1,) * (ndim - 2)) for c in inputs)
+        if len(xt) == 1 and not np.all(np.abs(xt[0]) <= 1.0):
+            raise DomainError("arccos input outside [-1, 1]")
+        base = duals.c_lift(xt, np.arccos, duals.t_arccos)
+    scaled = duals.c_mul(expr.scale, base)
+    return (scaled[0] + expr.offset,) + scaled[1:]
+
+
+def reference_entries(kind, expr, params, inputs, ndim: int):
+    """A rotation's entries from ``reference_angle``: (cos, −i·sin) of the
+    half angle for rx, the phases e^{∓iθ/2} for rz and rzz."""
+    theta = reference_angle(expr, params, inputs, ndim)
+    if kind == "rx":
+        half = duals.c_mul(0.5, theta)
+        return (duals.c_lift(half, np.cos, duals.t_cos),
+                duals.c_mul(-1j, duals.c_lift(half, np.sin, duals.t_sin)))
+    return tuple(duals.c_lift(duals.c_mul(sign, theta), lambda a: np.exp(1j * a), duals.t_expj)
+                 for sign in (-0.5, 0.5))
 
 
 def _channels(amps):
@@ -290,6 +319,79 @@ def test_simulation_matches_eager_oracle_bytes_property(case):
     circ, params, inputs, check_norm = case
     got = sim.simulate_amps(circ, params, inputs, check_norm=check_norm)
     assert _same_bytes(got, reference_simulate_amps(circ, params, inputs))
+
+
+_SIGNED_TURN = st.one_of(st.floats(-7.0, 7.0), st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(["rx", "rz", "rzz"]), st.integers(0, 2), _SIGNED_TURN, _SIGNED_TURN,
+       st.integers(3, 6), st.booleans(), st.booleans(), st.integers(0, 2**16))
+def test_entries_equal_the_per_gate_angle_oracle_property(kind, angle_kind, scale, offset, ndim,
+                                                          dual_params, dual_inputs, seed):
+    rng = np.random.default_rng(seed)
+    expr = [cir.Const(offset), cir.Param(1, scale, offset),
+            cir.InputArccos(0, scale, offset)][angle_kind]
+    params, inputs = rng.uniform(-7.0, 7.0, (2, 2)), rng.uniform(-0.95, 0.95, (3, 2))
+    params = (params, rng.normal(size=(2, 2)), rng.normal(size=(2, 2))) if dual_params else (params,)
+    inputs = (inputs, rng.normal(size=(3, 2)), rng.normal(size=(3, 2))) if dual_inputs else (inputs,)
+    got = sim._entries(kind, expr, params, inputs, ndim)
+    want = reference_entries(kind, expr, params, inputs, ndim)
+    assert len(got) == len(want) == 2
+    for g, w in zip(got, want):
+        assert len(g) == len(w)
+        assert all(np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                   for a, b in zip(g, w))
+
+
+def _shared_expression_circuit(fresh: bool) -> cir.Circuit:
+    """One ``InputArccos``, one ``Param`` and one ``Const`` object, each on
+    gates under 0, 1 and 2 controls; the Const's gates run both before the
+    first gate that reads the rows (the broadcast) and after it, beside a
+    ``Const(-0.0)``, which equals ``Const(0.0)``.  With ``fresh``, every gate
+    holds its own equal copy of its expression."""
+    arccos, param, zero = cir.InputArccos(1, -2.0, 0.25), cir.Param(0, 1.5, -0.0), cir.Const(0.0)
+    e = replace if fresh else (lambda a: a)   # replace() with no changes builds an equal copy
+    ctl = cir.controlled
+    gates = [cir.h(q) for q in range(4)] + [
+        cir.rx(0, e(zero)), ctl(cir.rx(0, e(zero)), [(1, 1)]), cir.rx(0, cir.Const(-0.0)),
+        cir.rz(2, e(param)),                      # reads the rows: the state is broadcast
+        ctl(cir.rz(2, e(param)), [(0, 0)]), ctl(cir.rz(2, e(param)), [(0, 1), (3, 0)]),
+        cir.rx(1, e(arccos)), ctl(cir.rx(1, e(arccos)), [(2, 1)]),
+        ctl(cir.rx(1, e(arccos)), [(0, 1), (3, 1)]),
+        cir.rzz(0, 3, e(param)), ctl(cir.rzz(0, 3, e(param)), [(1, 0)]),
+        cir.rx(0, e(zero)), ctl(cir.rx(0, e(zero)), [(1, 1)]), cir.rx(0, cir.Const(-0.0)),
+        cir.rx(1, e(arccos)), ctl(cir.rz(2, e(param)), [(0, 0)]),
+    ]
+    return cir.Circuit(4, tuple(gates), n_params=1, n_inputs=2)
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["plain", "dual"])
+def test_shared_expressions_give_the_bytes_of_fresh_copies(dual, monkeypatch):
+    shared, fresh = _shared_expression_circuit(False), _shared_expression_circuit(True)
+    assert shared == fresh
+    rng = np.random.default_rng(44)
+    params, inputs = rng.uniform(-3.0, 3.0, (2, 1)), rng.uniform(-0.9, 0.9, (3, 2))
+    if dual:
+        params = (params, rng.normal(size=(2, 1)), np.zeros((2, 1)))
+        inputs = (inputs, rng.normal(size=(3, 2)), rng.normal(size=(3, 2)))
+    built = []
+    real = sim._entries
+    monkeypatch.setattr(sim, "_entries", lambda *a: built.append(a[:2]) or real(*a))
+    got = sim.simulate_amps(shared, params, inputs)
+    n_shared, built[:] = len(built), []
+    want = sim.simulate_amps(fresh, params, inputs)
+    n_fresh = len(built)
+    assert _same_bytes(got, want)
+    assert _same_bytes(got, reference_simulate_amps(shared, params, inputs))
+    # entries are built once per (kind, object, view rank), the rank being
+    # 2 plus the view's runs of free qubits: 8 of the 16 rotations find
+    # those of an earlier gate, and the two Const(-0.0) objects do not
+    # take those of Const(0.0)
+    assert (n_fresh, n_shared) == (16, 8)
+    plus, minus = (sim._entries("rx", cir.Const(z), (), (), 3)[1][0] for z in (0.0, -0.0))
+    assert cir.Const(0.0) == cir.Const(-0.0)
+    assert np.asarray(plus).tobytes() != np.asarray(minus).tobytes()
 
 
 def _constant_prefix(width, tail=()):
