@@ -6,7 +6,10 @@ Conventions fixed here and relied on everywhere else:
 - ``RZ(θ) = diag(e^{-iθ/2}, e^{+iθ/2})``, ``RX(θ) = exp(-iθX/2)``,
   ``RZZ(θ) = exp(-iθ/2·Z⊗Z)``.
 - Angles are symbolic: constants, affine functions of a trainable parameter
-  slot, or ``scale·arccos(x_var) + offset`` of an input variable.
+  slot, or ``scale·arccos(x_var) + offset`` of an input variable.  A circuit
+  is built once with its angles: the ``qsp`` builders lay their synthesized
+  angles out as constants in one pass, and there is no separate step that
+  binds a template's slots.
 - ``unitary_of`` is a dense-matrix oracle kept independent of the strided
   statevector simulator so the two can cross-check each other.  It binds a
   paired stack of (parameters, inputs) rows and updates U's row blocks gate by
@@ -205,25 +208,6 @@ class ResourceReport:
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def bind(circuit: Circuit, angles) -> Circuit:
-    """``circuit`` with every ``Param`` angle replaced by its ``Const`` value.
-
-    ``Const`` and ``InputArccos`` angles are kept; the result has no slots.
-    """
-    if len(angles) != circuit.n_params:
-        raise SizeError(f"bind expects {circuit.n_params} angles, got {len(angles)}")
-
-    def bound(g: Gate) -> Gate:
-        if g.kind == "controlled":
-            return Gate(g.kind, g.qubits, g.angle, g.controls, bound(g.inner), g.amplitudes)
-        if isinstance(g.angle, Param):
-            return Gate(g.kind, g.qubits, Const(eval_angle(g.angle, angles, ())), g.controls,
-                        g.inner, g.amplitudes)
-        return g
-
-    return Circuit(circuit.width, tuple(bound(g) for g in circuit.gates), 0, circuit.n_inputs)
 
 
 def greedy_depth(gates) -> int:

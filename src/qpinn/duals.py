@@ -10,6 +10,10 @@ complex numbers, or numpy arrays; ``(x, 1.0, 0.0)`` seeds the direction of
 channel tuples: ``(v,)`` for a plain value, ``(v, d1, d2)`` for a dual one.
 The simulator runs one code path on them, so a plain run and the value
 channel of a dual run perform the same arithmetic in the same order.
+
+``parameter_shift`` evaluates the four shifts of each occurrence of a
+parameter as the rows of one stacked simulator call, on the circuit with
+that occurrence moved onto one fresh parameter slot.
 """
 from __future__ import annotations
 
@@ -134,6 +138,14 @@ def fd_gradient(loss, params: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return (vals[0::2] - vals[1::2]) / (2.0 * steps)
 
 
+_ROOT2 = math.sqrt(2.0)
+# (shift, sign, coefficient) of the four terms, in the order they are summed
+_SHIFT_RULE = tuple((shift, sign, coeff)
+                   for shift, coeff in ((math.pi / 2.0, (_ROOT2 + 1.0) / (4.0 * _ROOT2)),
+                                        (3.0 * math.pi / 2.0, -(_ROOT2 - 1.0) / (4.0 * _ROOT2)))
+                   for sign in (+1.0, -1.0))
+
+
 def parameter_shift(circuit, params, inputs, param_index: int) -> float:
     """Exact rotation-angle derivative of expect_z0∘run by shifted evaluations.
 
@@ -145,7 +157,11 @@ def parameter_shift(circuit, params, inputs, param_index: int) -> float:
 
     with c± = (√2±1)/(4√2); for uncontrolled gates it reduces to the familiar
     ½[f(θ+π/2) − f(θ−π/2)].  Parameters appearing in several gates sum the
-    single-occurrence rule over all occurrences.
+    single-occurrence rule over all occurrences.  Each occurrence moves onto
+    one fresh parameter slot, and its four shifted angles are the rows of one
+    ``sim.simulate_amps(..., check_norm=True)`` call; the terms are summed in
+    the rule's order, so the result equals one ``sim.run`` per shift with
+    the angle bound as a constant, bit for bit.
     """
     from . import circuits as cir
     from . import sim
@@ -154,18 +170,15 @@ def parameter_shift(circuit, params, inputs, param_index: int) -> float:
     if not 0 <= param_index < circuit.n_params:
         raise IndexError(f"parameter index {param_index} out of range")
 
-    root2 = math.sqrt(2.0)
-    coeffs = ((math.pi / 2.0, (root2 + 1.0) / (4.0 * root2)),
-              (3.0 * math.pi / 2.0, -(root2 - 1.0) / (4.0 * root2)))
-    occurrences = _param_occurrences(circuit.gates, param_index)
     total = 0.0
-    for path, scale, offset in occurrences:
+    for path, scale, offset in _param_occurrences(circuit.gates, param_index):
         phi0 = scale * params[param_index] + offset
-        for shift, coeff in coeffs:
-            for sign in (+1.0, -1.0):
-                shifted = _replace_angle(circuit, path, cir.Const(phi0 + sign * shift))
-                val = sim.expect_z0(sim.run(shifted, params, inputs))
-                total += scale * sign * coeff * val
+        rows = np.repeat(np.append(params, 0.0)[None], len(_SHIFT_RULE), axis=0)
+        rows[:, -1] = [phi0 + sign * shift for shift, sign, _ in _SHIFT_RULE]
+        moved = _replace_angle(circuit, path, cir.Param(circuit.n_params), circuit.n_params + 1)
+        amps = sim.simulate_amps(moved, rows, inputs, check_norm=True)
+        for (_, sign, coeff), val in zip(_SHIFT_RULE, sim.z0_from_amps(amps)[:, 0].tolist()):
+            total += scale * sign * coeff * val
     return total
 
 
@@ -182,7 +195,8 @@ def _param_occurrences(gates, index, prefix=()):
     return found
 
 
-def _replace_angle(circuit, path, new_angle):
+def _replace_angle(circuit, path, new_angle, n_params: int):
+    """``circuit`` with the angle at ``path`` replaced, and ``n_params`` slots."""
     def rebuild(gate, rest):
         if not rest:
             return replace(gate, angle=new_angle)
@@ -191,4 +205,4 @@ def _replace_angle(circuit, path, new_angle):
     gates = list(circuit.gates)
     i = path[0]
     gates[i] = rebuild(gates[i], path[1:])
-    return replace(circuit, gates=tuple(gates))
+    return replace(circuit, gates=tuple(gates), n_params=n_params)

@@ -12,6 +12,12 @@ w = e^{i·arccos x}; Fejér–Riesz completion adds the off-diagonal entry of an
 SU(2)-valued Laurent polynomial from the roots of 1 − F², and one angle is
 peeled off per layer (Haah 2019, arXiv:1806.10236).  The chain value is then
 real, which the products over variables in the multivariate circuits need.
+
+Each circuit layout (TD and LCU) is one function that takes its slots' angle
+expressions (``_slot_exprs``): ``Param`` slots for a template, and for a
+build the synthesized angles as the constants binding that template would
+give.  So a builder makes its circuit in one construction pass, gate for
+gate the template ``qpinn resources`` audits with its slots bound.
 """
 from __future__ import annotations
 
@@ -39,12 +45,14 @@ except ImportError:   # numpy < 2
 
 @dataclass(frozen=True)
 class UnivariatePoly:
-    """Power-basis coefficients c_0..c_L; trailing zeros permitted."""
+    """Power-basis coefficients c_0..c_L, at least one; trailing zeros permitted."""
 
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        if not self.coeffs:
+            raise ValueError("need at least one coefficient")
 
     @property
     def degree(self) -> int:
@@ -474,8 +482,16 @@ def _chain_gates(qubit: int, angle_exprs, arccos: cir.InputArccos, controls) -> 
     return gates
 
 
-def _param_exprs(base: int, count: int) -> list[cir.AngleExpr]:
-    return [cir.Param(base + i) for i in range(count)]
+def _slot_exprs(count: int, angles) -> tuple[list[cir.AngleExpr], int]:
+    """The angle expression of each of ``count`` slots, and the circuit's
+    n_params: ``Param(i)`` slots for a template (``angles`` None), else each
+    synthesized angle as the constant that binding the template would give,
+    ``1.0·a + 0.0`` (so −0.0 becomes +0.0), and no slots."""
+    if angles is None:
+        return [cir.Param(i) for i in range(count)], count
+    if len(angles) != count:
+        raise SizeError(f"the layout takes {count} angles, got {len(angles)}")
+    return [cir.Const(1.0 * a + 0.0) for a in angles], 0
 
 
 def _ancilla_count(terms: int) -> int:
@@ -499,8 +515,9 @@ def build_lcu_multivariate(monomials: MonomialList, D: int, L: int, seed: int = 
 
     When the monomial list is the full (L+1)^D grid this Λ coincides with
     ‖c‖_∞·(L+1)^D.  Angles are synthesized and bound into
-    ``lcu_circuit_template`` as constants.  ``seed`` is accepted and
-    ignored: the construction has no random part.
+    ``lcu_circuit_template``'s layout as constants, in one construction
+    pass.  ``seed`` is accepted and ignored: the construction has no random
+    part.
     """
     t_count = len(monomials.entries)
     for n, _ in monomials.entries:
@@ -516,12 +533,16 @@ def build_lcu_multivariate(monomials: MonomialList, D: int, L: int, seed: int = 
             coeffs[nj] = (c / c_inf) if j == 0 else 1.0
             branches.append((UnivariatePoly(tuple(coeffs)), nj))
     angles = np.concatenate(_synthesize_branches(branches)).tolist()
-    tpl = lcu_circuit_template([n for n, _ in monomials.entries], D, L)
-    return cir.bind(tpl, angles), t_count * c_inf
+    return _lcu_circuit([n for n, _ in monomials.entries], D, angles), t_count * c_inf
 
 
 def lcu_circuit_template(multi_indices, D: int, L: int) -> cir.Circuit:
     """Parametric LCU circuit: slots monomial-major, nj+1 per variable j."""
+    return _lcu_circuit(multi_indices, D, None)
+
+
+def _lcu_circuit(multi_indices, D: int, angles) -> cir.Circuit:
+    """The LCU layout, its slots' angles from ``_slot_exprs(·, angles)``."""
     t_count = len(multi_indices)
     a = _ancilla_count(t_count)
     anc = tuple(range(1, 1 + a))
@@ -536,15 +557,16 @@ def lcu_circuit_template(multi_indices, D: int, L: int) -> cir.Circuit:
             gates.append(cir.prepare_amplitudes(anc, amps))
     gates += [cir.h(q) for q in sysq]
     arccos = [cir.InputArccos(j) for j in range(D)]
+    exprs, n_params = _slot_exprs(sum(nj + 1 for n in multi_indices for nj in n), angles)
     slot = 0
     for i, n in enumerate(multi_indices):
         ctl_anc = _ancilla_bits(i, anc)
         for j, nj in enumerate(n):
-            gates += _chain_gates(sysq[j], _param_exprs(slot, nj + 1), arccos[j],
+            gates += _chain_gates(sysq[j], exprs[slot:slot + nj + 1], arccos[j],
                                   ((0, 1),) + ctl_anc)
             slot += nj + 1
     gates.append(cir.h(0))
-    return cir.Circuit(1 + a + D, tuple(gates), n_params=slot, n_inputs=D)
+    return cir.Circuit(1 + a + D, tuple(gates), n_params=n_params, n_inputs=D)
 
 
 def build_td_circuit(p: TdPoly, seed: int = 0) -> tuple[cir.Circuit, float]:
@@ -552,8 +574,9 @@ def build_td_circuit(p: TdPoly, seed: int = 0) -> tuple[cir.Circuit, float]:
 
     expect_z0 = p(x)/Λ with Λ = Σ_r |λ_r|; ancilla amplitudes are
     √(|λ_r|/Λ) and λ-signs are absorbed into each term's first factor.
-    Angles are synthesized and bound as constants, factor (r, j) as the
-    (r, j)-th job; ``seed`` is accepted and ignored.
+    Angles are synthesized, factor (r, j) as the (r, j)-th job, and laid
+    out as constants in one construction pass of ``td_circuit_template``'s
+    layout; ``seed`` is accepted and ignored.
     """
     lam_total = math.fsum(abs(l) for l in p.lambdas)
     if lam_total <= 0.0:
@@ -566,19 +589,20 @@ def build_td_circuit(p: TdPoly, seed: int = 0) -> tuple[cir.Circuit, float]:
             jobs.append((poly, p.L))
     angles = np.concatenate([a for pair in synthesize_angle_pairs(jobs) for a in pair]).tolist()
     weights = np.sqrt(np.abs(np.asarray(p.lambdas)) / lam_total)
-    return cir.bind(_td_circuit(p.R, p.D, p.L, weights), angles), lam_total
+    return _td_circuit(p.R, p.D, p.L, weights, angles), lam_total
 
 
 def td_circuit_template(R: int, D: int, L: int) -> cir.Circuit:
     """Parametric TD circuit with uniform ancilla weights: R·D·(2L+1) slots,
     (r, j)-major, θ1 (L slots) before θ2 (L+1).  R = 1 is the rank-1
     Hadamard-test circuit of width 2D+1; R = D = 1 the univariate model."""
-    return _td_circuit(R, D, L, 1.0 / math.sqrt(R))
+    return _td_circuit(R, D, L, 1.0 / math.sqrt(R), None)
 
 
-def _td_circuit(R: int, D: int, L: int, weights) -> cir.Circuit:
+def _td_circuit(R: int, D: int, L: int, weights, angles) -> cir.Circuit:
     """The TD layout: output qubit 0, ancillae weighted by ``weights`` on
-    ``amps[:R]``, then a (parity, target) qubit pair per variable."""
+    ``amps[:R]``, then a (parity, target) qubit pair per variable; the
+    slots' angles come from ``_slot_exprs(·, angles)``."""
     if L < 1:
         raise ValueError("TD circuit requires L >= 1")
     a = _ancilla_count(R)
@@ -592,19 +616,20 @@ def _td_circuit(R: int, D: int, L: int, weights) -> cir.Circuit:
     for parity, target in pairs:
         gates += [cir.h(parity), cir.h(target)]
     arccos = [cir.InputArccos(j) for j in range(D)]
+    exprs, n_params = _slot_exprs(R * D * (2 * L + 1), angles)
     slot = 0
     for r in range(R):
         ctl_anc = _ancilla_bits(r, anc)
         for j in range(D):
             parity, target = pairs[j]
             base_ctl = ((0, 1),) + ctl_anc
-            gates += _chain_gates(target, _param_exprs(slot, L), arccos[j],
+            gates += _chain_gates(target, exprs[slot:slot + L], arccos[j],
                                   base_ctl + ((parity, 0),))
-            gates += _chain_gates(target, _param_exprs(slot + L, L + 1), arccos[j],
+            gates += _chain_gates(target, exprs[slot + L:slot + 2 * L + 1], arccos[j],
                                   base_ctl + ((parity, 1),))
             slot += 2 * L + 1
     gates.append(cir.h(0))
-    return cir.Circuit(1 + a + 2 * D, tuple(gates), n_params=slot, n_inputs=D)
+    return cir.Circuit(1 + a + 2 * D, tuple(gates), n_params=n_params, n_inputs=D)
 
 
 # ---------------------------------------------------------------------------

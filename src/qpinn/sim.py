@@ -18,7 +18,10 @@ integer indices on the control axes (their polarity) and the target axes
 ``(Bp, N, 2, 2, 2, 2)`` and the two target rows are ``[..., :, 0, :, 1]``
 and ``[..., :, 1, :, 1]``; with no control, qubits 2 and 3 merge into one
 axis of length 4, so the innermost stride stays long.  The shape and the
-keys are cached per (width, controls, targets) (``_layout``).  Angle
+keys are cached per (width, controls, targets) (``_layout``).  A
+``prepare`` instead takes one view that fixes only the controls, with its
+target axes moved to the front, and mixes the 2^k target patterns in one
+stacked copy and one write.  Angle
 channels gain trailing unit axes so that they broadcast against a view.
 Every product and sum is the one a gathered row would take, in the same
 order, so amplitudes do not depend on the layout.
@@ -84,8 +87,8 @@ class ShotEstimate:
 
 
 @lru_cache(maxsize=None)
-def _layout(width: int, controls: tuple, targets: tuple) -> tuple[tuple, tuple]:
-    """(shape, keys) of a gate's views of a ``(..., 2^width)`` channel.
+def _layout(width: int, controls: tuple, targets: tuple) -> tuple[tuple, tuple, tuple]:
+    """(shape, keys, block) of a gate's views of a ``(..., 2^width)`` channel.
 
     Reshaped to ``shape``, the channel has an axis of length 2 for each
     control and target qubit and one merged axis for each run of other
@@ -93,6 +96,9 @@ def _layout(width: int, controls: tuple, targets: tuple) -> tuple[tuple, tuple]:
     run stays one stride.  ``keys[p]`` is a basic index that fixes every
     control at its polarity and the targets at bit pattern p (the first
     target is the most significant bit) and keeps the other axes whole.
+    ``block`` is (key, axes): a basic index that fixes the controls alone,
+    and the negative positions of the target axes in the view it gives,
+    first target first.
     """
     fixed = {q for q, _ in controls} | set(targets)
     shape, axes = [], []   # per axis: its qubit, or None for a run of others
@@ -108,13 +114,17 @@ def _layout(width: int, controls: tuple, targets: tuple) -> tuple[tuple, tuple]:
         bits = dict(controls)
         bits.update((q, (p >> (k - 1 - i)) & 1) for i, q in enumerate(targets))
         keys.append((Ellipsis,) + tuple(slice(None) if a is None else bits[a] for a in axes))
-    return tuple(shape), tuple(keys)
+    ctl = dict(controls)
+    kept = [a for a in axes if a not in ctl]
+    block = ((Ellipsis,) + tuple(ctl.get(a, slice(None)) for a in axes),
+             tuple(kept.index(q) - len(kept) for q in targets))
+    return tuple(shape), tuple(keys), block
 
 
 def _views(state, width: int, controls: tuple, targets: tuple) -> list:
     """One view of the state per target-bit pattern, each a tuple of
     channel views (``_layout``): writing to a view writes to the state."""
-    shape, keys = _layout(width, controls, targets)
+    shape, keys, _ = _layout(width, controls, targets)
     chans = [c.reshape(c.shape[:-1] + shape) for c in state]
     return [tuple(c[k] for c in chans) for k in keys]
 
@@ -171,16 +181,19 @@ def _apply_gate(g: cir.Gate, state, params, inputs, width: int, memo: _Memo, con
         return
     if g.kind == "cnot":
         g, controls = cir.x(g.qubits[1]), controls + ((g.qubits[0], 1),)
+    if g.kind == "prepare":
+        # the target axes moved to the front of one view: one stacked copy
+        # of the 2^k target patterns and one write back, per channel
+        shape, _, (key, axes) = _layout(width, controls, g.qubits)
+        mat = cir._householder(g.amplitudes).astype(complex)
+        for c in state:
+            block = np.moveaxis(c.reshape(c.shape[:-1] + shape)[key], axes, range(len(axes)))
+            stacked = block.reshape((len(mat),) + block.shape[len(axes):])
+            block[...] = np.einsum("pq,q...->p...", mat, stacked).reshape(block.shape)
+        return
     views = memo.views.get((controls, g.qubits))
     if views is None:
         views = memo.views[controls, g.qubits] = _views(state, width, controls, g.qubits)
-    if g.kind == "prepare":
-        mat = cir._householder(g.amplitudes).astype(complex)
-        for ch in range(len(state)):
-            new = np.einsum("pq,q...->p...", mat, np.stack([v[ch] for v in views]))
-            for v, n in zip(views, new):
-                v[ch][...] = n
-        return
     a0, a1 = views[:2]
     if g.kind == "x":
         for v0, v1 in zip(a0, a1):

@@ -27,13 +27,15 @@ def _random_bounded_poly(rng, degree: int) -> qsp.UnivariatePoly:
 def _check_univariate_identity(seed):
     rng = np.random.default_rng(seed)
     jobs = [(_random_bounded_poly(rng, L), L) for L in (1, 2) for _ in range(2)]
+    pairs = qsp.synthesize_angle_pairs(jobs)
+    xs = np.linspace(-1.0, 1.0, 50)[:, None]
     worst = 0.0
-    for (target, L), (th1, th2) in zip(jobs, qsp.synthesize_angle_pairs(jobs)):
-        circ = qsp.univariate_model_circuit(L)
-        params = np.concatenate([th1, th2])
-        xs = np.linspace(-1.0, 1.0, 50)[:, None]
-        vals = sim.z0_from_amps(sim.simulate_amps(circ, params, xs))[0]
-        worst = max(worst, float(np.max(np.abs(vals - target(xs[:, 0])))))
+    for L in (1, 2):   # one template and one call per L, its jobs as parameter rows
+        mine = [k for k, (_, degree) in enumerate(jobs) if degree == L]
+        params = np.array([np.concatenate(pairs[k]) for k in mine])
+        vals = sim.z0_from_amps(sim.simulate_amps(qsp.univariate_model_circuit(L), params, xs))
+        for k, row in zip(mine, vals):
+            worst = max(worst, float(np.max(np.abs(row - jobs[k][0](xs[:, 0])))))
     return worst < 1e-6, f"max |expect_z0 - p(x)| = {worst:.2e}"
 
 
@@ -64,13 +66,15 @@ def _check_td_identity(seed):
 def _check_rank1_dequantization(seed):
     rng = np.random.default_rng(seed + 3)
     tpl = qsp.td_circuit_template(1, 2, 1)
+    draws = [(rng.normal(size=6), rng.uniform(-0.99, 0.99, size=2)) for _ in range(5)]
+    th, pts = (np.array(col) for col in zip(*draws))
+    # one stacked run of every (parameter row, point) pair; draw k is (k, k)
+    z = np.diagonal(sim.z0_from_amps(sim.simulate_amps(tpl, th, pts, check_norm=True)))
     err = 0.0
-    for _ in range(5):
-        th = rng.normal(size=6)
-        pt = rng.uniform(-0.99, 0.99, size=2)
-        a1 = 0.5 * (qsp.chain_value(th[0:1], pt[0]) + qsp.chain_value(th[1:3], pt[0]))[0, 0]
-        a2 = 0.5 * (qsp.chain_value(th[3:4], pt[1]) + qsp.chain_value(th[4:6], pt[1]))[0, 0]
-        err = max(err, abs(sim.expect_z0(sim.run(tpl, th, pt)) - (a1 * a2).real))
+    for (t, pt), zk in zip(draws, z.tolist()):
+        a1 = 0.5 * (qsp.chain_value(t[0:1], pt[0]) + qsp.chain_value(t[1:3], pt[0]))[0, 0]
+        a2 = 0.5 * (qsp.chain_value(t[3:4], pt[1]) + qsp.chain_value(t[4:6], pt[1]))[0, 0]
+        err = max(err, abs(zk - (a1 * a2).real))
     return err < 1e-12, f"statevector vs 2×2 chains, max diff = {err:.2e}"
 
 

@@ -479,6 +479,36 @@ def test_count_resources_cor1():
     assert rep.n_params == 6
 
 
+def reference_bind(circuit: cir.Circuit, angles) -> cir.Circuit:
+    """``circuit`` with every ``Param`` angle replaced by its ``Const`` value:
+    the oracle of the builders' one-pass layouts.  ``Const`` and
+    ``InputArccos`` angles are kept; the result has no slots."""
+    if len(angles) != circuit.n_params:
+        raise SizeError(f"bind expects {circuit.n_params} angles, got {len(angles)}")
+
+    def bound(g: cir.Gate) -> cir.Gate:
+        if g.kind == "controlled":
+            return cir.Gate(g.kind, g.qubits, g.angle, g.controls, bound(g.inner), g.amplitudes)
+        if isinstance(g.angle, cir.Param):
+            return cir.Gate(g.kind, g.qubits, cir.Const(cir.eval_angle(g.angle, angles, ())),
+                            g.controls, g.inner, g.amplitudes)
+        return g
+
+    return cir.Circuit(circuit.width, tuple(bound(g) for g in circuit.gates), 0, circuit.n_inputs)
+
+
+def gate_bits(g: cir.Gate) -> tuple:
+    """A gate as a tuple that also tells ``Const(0.0)`` from ``Const(-0.0)``
+    (they compare equal): each constant and amplitude as its ``float.hex``."""
+    angle = ("const", float.hex(g.angle.value)) if isinstance(g.angle, cir.Const) else g.angle
+    return (g.kind, g.qubits, angle, g.controls, g.inner and gate_bits(g.inner),
+            tuple(map(float.hex, g.amplitudes)))
+
+
+def circuit_bits(c: cir.Circuit) -> tuple:
+    return (c.width, c.n_params, c.n_inputs, tuple(map(gate_bits, c.gates)))
+
+
 def test_bind_replaces_params_only():
     a = cir.Param(0, scale=-0.5, offset=0.25)
     b = cir.Param(1, scale=2.0, offset=-1.0)
@@ -487,7 +517,7 @@ def test_bind_replaces_params_only():
              cir.controlled(cir.rz(1, cir.Param(0)), [(0, 0)]))
     c = cir.Circuit(2, gates, n_params=2, n_inputs=1)
     theta = [0.3, -1.1]
-    bound = cir.bind(c, theta)
+    bound = reference_bind(c, theta)
     assert bound.n_params == 0 and bound.n_inputs == 1
     assert bound.gates[1].angle == cir.Const(cir.eval_angle(a, theta, ()))
     assert bound.gates[2].controls == gates[2].controls
@@ -497,7 +527,75 @@ def test_bind_replaces_params_only():
     x = [0.4]
     assert np.array_equal(cir.unitary_of(bound, (), x), cir.unitary_of(c, theta, x))
     with pytest.raises(SizeError):
-        cir.bind(c, [0.3])
+        reference_bind(c, [0.3])
+
+
+def test_bind_left_the_package():
+    assert not hasattr(cir, "bind")
+
+
+_LAYOUT_ANGLES = st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, math.pi, -math.pi])
+
+
+@settings(max_examples=60)
+@given(R=st.integers(1, 3), D=st.integers(1, 2), L=st.integers(1, 3),
+       multi=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=4,
+                      unique=True),
+       angles=st.lists(_LAYOUT_ANGLES, min_size=60, max_size=60))
+def test_layouts_with_angles_equal_the_bound_template_property(R, D, L, multi, angles):
+    """The builders' one-pass layouts equal their templates bound by the
+    oracle, gate for gate and bit for bit: each constant is 1.0·a + 0.0, so
+    −0.0 becomes +0.0."""
+    from qpinn import qsp
+
+    R = min(R, (L + 1) ** D)
+    weights = np.sqrt(np.arange(1.0, R + 1.0) / (R * (R + 1) / 2.0))
+    n = R * D * (2 * L + 1)
+    got = qsp._td_circuit(R, D, L, weights, angles[:n])
+    assert circuit_bits(got) == circuit_bits(
+        reference_bind(qsp._td_circuit(R, D, L, weights, None), angles[:n]))
+    n = sum(i + j + 2 for i, j in multi)
+    got = qsp._lcu_circuit(multi, 2, angles[:n])
+    assert circuit_bits(got) == circuit_bits(
+        reference_bind(qsp.lcu_circuit_template(multi, 2, 2), angles[:n]))
+    with pytest.raises(SizeError):
+        qsp._lcu_circuit(multi, 2, angles[:n - 1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), R=st.integers(1, 3), D=st.integers(1, 2),
+       L=st.integers(1, 3), keep=st.lists(st.booleans(), min_size=9, max_size=9))
+def test_builds_equal_the_bound_template_property(seed, R, D, L, keep):
+    """``build_td_circuit`` and ``build_lcu_multivariate`` equal their
+    templates bound by ``reference_bind`` to the synthesized angles."""
+    from qpinn import qsp
+
+    rng = np.random.default_rng(seed)
+    R = min(R, (L + 1) ** D)
+
+    def poly(degree):
+        p = qsp.UnivariatePoly(tuple(rng.normal(size=degree + 1)))
+        return qsp.UnivariatePoly(tuple(0.45 * np.asarray(p.coeffs) / p.sup_norm_grid()))
+
+    td = qsp.TdPoly(R, D, L, tuple(rng.normal(size=R)),
+                    tuple(tuple(poly(L) for _ in range(D)) for _ in range(R)))
+    jobs = [(qsp.UnivariatePoly(tuple(-c for c in f.coeffs)) if lam < 0 and j == 0 else f, L)
+            for lam, row in zip(td.lambdas, td.factors) for j, f in enumerate(row)]
+    angles = np.concatenate([a for pair in qsp.synthesize_angle_pairs(jobs) for a in pair])
+    weights = np.sqrt(np.abs(np.asarray(td.lambdas)) / math.fsum(map(abs, td.lambdas)))
+    built, _ = qsp.build_td_circuit(td)
+    assert circuit_bits(built) == circuit_bits(
+        reference_bind(qsp._td_circuit(R, D, L, weights, None), angles.tolist()))
+
+    indices = [n for n, k in zip(np.ndindex(3, 3), keep) if k] or [(0, 0)]
+    mono = qsp.MonomialList(tuple((tuple(map(int, n)), float(rng.normal())) for n in indices))
+    c_inf = max(abs(c) for _, c in mono.entries)
+    branches = [(qsp.UnivariatePoly(tuple([0.0] * nj + [c / c_inf if j == 0 else 1.0])), nj)
+                for n, c in mono.entries for j, nj in enumerate(n)]
+    angles = np.concatenate(qsp._synthesize_branches(branches)).tolist()
+    built, _ = qsp.build_lcu_multivariate(mono, 2, 2)
+    assert circuit_bits(built) == circuit_bits(
+        reference_bind(qsp.lcu_circuit_template([n for n, _ in mono.entries], 2, 2), angles))
 
 
 def test_count_resources_needs_lowering():

@@ -36,6 +36,26 @@ def test_verify_fault_injection(monkeypatch, capsys):
     assert "[FAIL]" in out and "parity-split-reconstruction" in out
 
 
+def test_verify_stacks_its_circuit_runs(monkeypatch):
+    """The univariate identity makes one call per L, its two jobs as parameter
+    rows, and the rank-1 identity one call for its five draws."""
+    from qpinn import sim
+
+    calls = []
+    real = sim.simulate_amps
+
+    def counted(circuit, params, inputs, **kwargs):
+        calls.append((np.shape(params), np.shape(inputs)))
+        return real(circuit, params, inputs, **kwargs)
+
+    monkeypatch.setattr(sim, "simulate_amps", counted)
+    assert verify._check_univariate_identity(0)[0]
+    assert calls == [((2, 3), (50, 1)), ((2, 5), (50, 1))]
+    calls.clear()
+    assert verify._check_rank1_dequantization(0)[0]
+    assert calls == [((5, 6), (5, 2))]
+
+
 def test_verify_unknown_suite():
     with pytest.raises(ValueError):
         verify.run_suite("nope")

@@ -7,12 +7,14 @@ training profile (``qpinn train --runs 2 --epochs 200 --seed 6``, masked by
 resources --out`` report in ``RESOURCE_REPORTS``, and of the raw bytes of the circuit path's outputs
 (``circuit_digests``): ``sim.simulate_amps`` on seeded TD and LCU builds and
 templates, plain and dual, and ``circuits.unitary_of`` on 5-row stacks of
-the univariate model at L = 1..3 and its CNOT + single-qubit lowering.  A
+the univariate model at L = 1..3 and its CNOT + single-qubit lowering; and
+the ``float.hex`` of ``duals.parameter_shift`` on the QPINN circuit for each
+of its 7 parameters at fixed points (``shift_values``).  A
 refactor that claims the same bits keeps these digests; a change that must
 move them says which and why in CHANGES, with ``qpinn compare``'s report of
 the trained artifacts, and its digests are then written from this module's
-``train_digests``, ``verify_digests``, ``resources_digests`` and
-``circuit_digests``, never to hide an unexplained change.
+``train_digests``, ``verify_digests``, ``resources_digests``,
+``circuit_digests`` and ``shift_values``, never to hide an unexplained change.
 
 Float results depend on the Python, numpy and BLAS builds and on the CPU
 features numpy dispatches to, so the file records them, and under any other
@@ -27,7 +29,7 @@ import numpy as np
 import pytest
 
 from qpinn import circuits as cir
-from qpinn import cli, qsp, sim, verify
+from qpinn import cli, duals, models, qsp, sim, verify
 
 DIGESTS = Path(__file__).with_name("artifact_digests.json")
 CI_PROFILE = ["train", "--runs", "2", "--epochs", "200", "--seed", "6"]
@@ -45,6 +47,9 @@ LCU_SHAPE = (2, 2)
 CIRCUIT_POINTS = 8
 LOWERED_L = (1, 2, 3)
 LOWERED_ROWS = 5
+# the parameter-shift derivative path: seeded points of the QPINN circuit,
+# and one point whose parameters are all −0.0
+SHIFT_SEEDS = (3, 7, 11)
 
 
 def environment() -> dict:
@@ -146,6 +151,16 @@ def circuit_digests() -> dict:
     return digests
 
 
+def shift_values() -> dict:
+    qc = models.qpinn_circuit()
+    points = {f"seed{seed}": (rng.uniform(-2.0 * np.pi, 2.0 * np.pi, qc.n_params),
+                              rng.uniform(0.05, 0.95, qc.n_inputs))
+              for seed in SHIFT_SEEDS for rng in [np.random.default_rng(seed)]}
+    points["signed_zeros"] = (np.full(qc.n_params, -0.0), np.array([0.4, 0.6]))
+    return {f"{name}/param{i}": float(duals.parameter_shift(qc, params, x, i)).hex()
+            for name, (params, x) in points.items() for i in range(qc.n_params)}
+
+
 @pytest.fixture(scope="module")
 def pinned() -> dict:
     doc = json.loads(DIGESTS.read_text())
@@ -182,3 +197,7 @@ def test_resource_reports_match_their_digests(pinned, tmp_path):
 
 def test_circuit_outputs_match_their_digests(pinned):
     _assert_digests(pinned["circuits"], circuit_digests())
+
+
+def test_parameter_shift_values_match_their_digests(pinned):
+    _assert_digests(pinned["parameter_shift"], shift_values())

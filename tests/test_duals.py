@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpinn import circuits as cir
 from qpinn import duals, sim
@@ -169,3 +171,61 @@ def test_parameter_shift_matches_dual_on_constructed_circuits():
             seeded = (params, np.eye(circ.n_params)[i], np.zeros(circ.n_params))
             dual = sim.expect_z0(sim.run(circ, seeded, inputs))[1]
             assert shift == pytest.approx(dual, abs=1e-8)
+
+
+def reference_parameter_shift(circuit, params, inputs, param_index: int) -> float:
+    """The oracle of ``duals.parameter_shift``: each occurrence's four shifts
+    bound as constants, one ``sim.run`` each, summed in the rule's order."""
+    params = np.asarray(params, dtype=float)
+    root2 = math.sqrt(2.0)
+    coeffs = ((math.pi / 2.0, (root2 + 1.0) / (4.0 * root2)),
+              (3.0 * math.pi / 2.0, -(root2 - 1.0) / (4.0 * root2)))
+    total = 0.0
+    for path, scale, offset in duals._param_occurrences(circuit.gates, param_index):
+        phi0 = scale * params[param_index] + offset
+        for shift, coeff in coeffs:
+            for sign in (+1.0, -1.0):
+                shifted = duals._replace_angle(circuit, path, cir.Const(phi0 + sign * shift),
+                                               circuit.n_params)
+                total += scale * sign * coeff * sim.expect_z0(sim.run(shifted, params, inputs))
+    return total
+
+
+def _shift_circuits():
+    from qpinn import models, qsp
+
+    # slot 0 drives three gates with different scales and offsets, one of
+    # them controlled, beside an entangler and a constant
+    repeated = cir.Circuit(2, (
+        cir.h(0), cir.controlled(cir.rx(1, cir.Param(0, -0.5, 0.25)), [(0, 1)]),
+        cir.rz(1, cir.Const(0.4)), cir.rx(1, cir.Param(0, 0.3, -1.0)),
+        cir.rzz(0, 1, cir.Param(1)), cir.controlled(cir.rz(1, cir.Param(0)), [(0, 0)]),
+        cir.h(0)), n_params=2)
+    return {"qpinn": models.qpinn_circuit(), "td_template": qsp.td_circuit_template(2, 2, 1),
+            "repeated": repeated}
+
+
+_SHIFT_CIRCUITS = _shift_circuits()
+_SHIFT_ANGLES = (st.floats(-10.0, 10.0)
+                 | st.sampled_from([0.0, -0.0, 3.0 * math.pi, -3.0 * math.pi, math.pi / 2]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(_SHIFT_CIRCUITS)), data=st.data())
+def test_parameter_shift_equals_the_per_shift_runs_property(name, data):
+    circ = _SHIFT_CIRCUITS[name]
+    params = data.draw(st.lists(_SHIFT_ANGLES, min_size=circ.n_params, max_size=circ.n_params))
+    inputs = data.draw(st.lists(st.floats(-0.99, 0.99), min_size=circ.n_inputs,
+                                max_size=circ.n_inputs))
+    i = data.draw(st.integers(0, circ.n_params - 1))
+    got = duals.parameter_shift(circ, params, inputs, i)
+    assert float.hex(got) == float.hex(reference_parameter_shift(circ, params, inputs, i))
+
+
+def test_parameter_shift_makes_one_simulator_call_per_occurrence(monkeypatch):
+    circ = _SHIFT_CIRCUITS["repeated"]
+    calls = []
+    real = sim.simulate_amps
+    monkeypatch.setattr(sim, "simulate_amps", lambda *a, **k: calls.append(a) or real(*a, **k))
+    duals.parameter_shift(circ, [0.3, -1.1], [], 0)
+    assert [a[1].shape for a in calls] == [(4, 3)] * 3

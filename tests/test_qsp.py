@@ -538,6 +538,14 @@ def test_monomial_list_refuses_bad_entries(entries):
         MonomialList(entries)
 
 
+def test_univariate_poly_refuses_no_coefficients():
+    with pytest.raises(ValueError, match="need at least one coefficient"):
+        UnivariatePoly(())
+    with pytest.raises(ValueError, match="need at least one coefficient"):
+        UnivariatePoly(np.array([]))
+    assert UnivariatePoly((0.0,)).degree == 0
+
+
 def test_monomials_json_roundtrip():
     mono = MonomialList((((0, 1), 0.25), ((2, 0), -0.5)))
     doc = qsp.monomials_to_json_dict(mono)

@@ -537,3 +537,15 @@ def test_shot_estimator_unbiased():
     grand = np.mean(means)
     se = np.std(means, ddof=1) / math.sqrt(len(means))
     assert abs(grand - exact) < 4 * se
+
+
+def test_check_norm_refuses_a_stack_with_one_nan_row():
+    circ = qsp.td_circuit_template(1, 1, 1)
+    params = np.random.default_rng(2).normal(size=(3, circ.n_params))
+    inputs = [[0.2], [-0.4]]
+    sim.simulate_amps(circ, params, inputs, check_norm=True)
+    params[1, 2] = np.nan
+    with pytest.raises(ArithmeticError):
+        sim.simulate_amps(circ, params, inputs, check_norm=True)
+    assert np.isnan(sim.simulate_amps(circ, params, inputs)[1]).any()
+    assert not np.isnan(sim.simulate_amps(circ, params, inputs)[[0, 2]]).any()
