@@ -14,12 +14,20 @@ invariant under permutation of the collocation points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate
 
 import numpy as np
 
 from .errors import DegenerateControlError, DomainError
+
+
+def _check_finite(params) -> None:
+    """Refuse NaN and ±inf fields, which pass the ``<=`` range tests."""
+    bad = [f.name for f in fields(params) if not math.isfinite(getattr(params, f.name))]
+    if bad:
+        raise ValueError(f"{', '.join(bad)} must be finite, got "
+                         + ", ".join(repr(getattr(params, name)) for name in bad))
 
 
 @dataclass(frozen=True)
@@ -31,6 +39,7 @@ class MarketParams:
     sigma: float = 0.2
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.mu > self.r:
             raise ValueError("requires mu > r")
         if not 0.0 < self.gamma < 1.0:
@@ -46,6 +55,7 @@ class LossWeights:
     w_2: float = 5.0
 
     def __post_init__(self):
+        _check_finite(self)
         if min(self.w_d, self.w_1, self.w_2) <= 0:
             raise ValueError("loss weights must be positive")
 
@@ -95,10 +105,12 @@ class AnalyticalSolution:
 
     @staticmethod
     def _checked(t, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= 0.0):
+        t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+        if not np.all(x > 0.0):     # NaN fails it too
             raise DomainError("analytical solution requires x > 0")
-        return np.asarray(t, dtype=float), x
+        if np.isnan(t).any():
+            raise DomainError("analytical solution requires t that is not NaN")
+        return t, x
 
 
 def hjb_residual_arrays(v_t, v_x, v_xx, x, m: MarketParams):

@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -102,8 +103,10 @@ class ModelSpec:
         return _EVALUATORS[self.kind].groups[-1].stop
 
 
+@lru_cache(maxsize=None)
 def qpinn_circuit() -> cir.Circuit:
-    """The 5-qubit QPINN circuit with λ as parameter slot 6."""
+    """The 5-qubit QPINN circuit with λ as parameter slot 6, built once and
+    shared (a ``Circuit`` is immutable)."""
     base = qsp.td_circuit_template(1, 2, 1)
     gates = list(base.gates)
     entangler = cir.controlled(cir.rzz(2, 3, cir.Param(6)), [(0, 1)])

@@ -504,8 +504,8 @@ def _ancilla_bits(i: int, qubits: tuple[int, ...]) -> tuple[tuple[int, int], ...
 
 
 def univariate_model_circuit(L: int) -> cir.Circuit:
-    """The 3-qubit parity-split model, ``td_circuit_template(1, 1, L)``:
-    slots 0..L-1 = θ1, L..2L = θ2."""
+    """The 3-qubit parity-split model, ``td_circuit_template(1, 1, L)`` (so
+    one object per L): slots 0..L-1 = θ1, L..2L = θ2."""
     return td_circuit_template(1, 1, L)
 
 
@@ -537,7 +537,14 @@ def build_lcu_multivariate(monomials: MonomialList, D: int, L: int, seed: int = 
 
 
 def lcu_circuit_template(multi_indices, D: int, L: int) -> cir.Circuit:
-    """Parametric LCU circuit: slots monomial-major, nj+1 per variable j."""
+    """Parametric LCU circuit: slots monomial-major, nj+1 per variable j.
+    Built once per (multi-indices, D, L) and shared: a ``Circuit`` is
+    immutable."""
+    return _lcu_template(tuple(tuple(n) for n in multi_indices), D, L)
+
+
+@lru_cache(maxsize=None)
+def _lcu_template(multi_indices: tuple, D: int, L: int) -> cir.Circuit:
     return _lcu_circuit(multi_indices, D, None)
 
 
@@ -592,10 +599,12 @@ def build_td_circuit(p: TdPoly, seed: int = 0) -> tuple[cir.Circuit, float]:
     return _td_circuit(p.R, p.D, p.L, weights, angles), lam_total
 
 
+@lru_cache(maxsize=None)
 def td_circuit_template(R: int, D: int, L: int) -> cir.Circuit:
     """Parametric TD circuit with uniform ancilla weights: R·D·(2L+1) slots,
     (r, j)-major, θ1 (L slots) before θ2 (L+1).  R = 1 is the rank-1
-    Hadamard-test circuit of width 2D+1; R = D = 1 the univariate model."""
+    Hadamard-test circuit of width 2D+1; R = D = 1 the univariate model.
+    Built once per (R, D, L) and shared: a ``Circuit`` is immutable."""
     return _td_circuit(R, D, L, 1.0 / math.sqrt(R), None)
 
 

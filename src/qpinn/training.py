@@ -11,6 +11,11 @@ the oracle).  Runs are deterministic per seed: the collocation set is
 drawn once and snapshotted once, so every epoch hands the forward the same
 read-only point arrays; parameters are drawn from a spawned child seed, and
 every reduction has a fixed order.
+
+The CSV artifacts are written by one column writer (``csv_cells``,
+``csv_bytes``, ``write_csv``): each value's ``'%.17g'`` (or ``'%d'``)
+text, all columns of a file in one numpy pass, exact by Dekker's
+TwoProduct where 10^k is an exact double and by ``%`` itself elsewhere.
 """
 from __future__ import annotations
 
@@ -20,7 +25,6 @@ import stat
 import time
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -256,38 +260,254 @@ def aggregate(runs: list[RunLog]) -> AggregateStats:
 
 # ---------------------------------------------------------------------------
 # CSV export (17 significant digits for reproducibility diffs)
+#
+# Every value is written as ``'%.17g' % v`` (a float) or ``'%d' % v`` (an
+# int) writes it, all columns of a file in one numpy pass.  Each value gets
+# a 48-byte cell that holds every byte its text can need, at fixed offsets:
+#
+#   0 '-' | 1-5 "0.000" | 6 (unused) | 7 d0 | 8-23 d1..d16 (copy A) | 24 '.'
+#   | 25-40 d1..d16 (copy B) | 41-44 "e±XX" | 45 separator | 46-47 (unused)
+#
+# with d0..d16 the 17 correctly rounded significant digits and X the
+# decimal exponent.  A mask over the cell, looked up by (sign, X, nd), picks
+# the text in order, as %g lays it out: the sign if negative; for X ≥ 0,
+# d0..dX of copy A and, if nd > X + 1, '.' and d(X+1)..d(nd−1) of copy B;
+# for −4 ≤ X < 0, "0.", −X−1 zeros and d0..d(nd−1) of copy A; below, d0
+# and, if nd > 1, '.' and d1..d(nd−1) of copy B, then the exponent; and
+# then the separator.  nd counts the digits up to the last nonzero one, so
+# trailing zeros are dropped.  One boolean selection over a file's cells
+# makes its rows.  A value the fast path does not cover (±0, subnormals,
+# NaN, ±inf, |v| outside [1e-6, 1e17), and ints above 2^53) is formatted by
+# ``%`` itself, its text left-aligned in its cell.
+
+CELL = 48                                   # bytes per value cell
+# bytes 0-7 of a cell: "-0.000", then ord("0") in byte 7, to which d0 adds
+_WORD0 = int.from_bytes(b"-0.000\0" + b"0", "little")
+_TEXT = 25                                  # the longest fallback text: '%.17g' of
+                                            # -2.2250738585072014e-308, or '%d' of an int64
+# the mask of a fallback text of each length, left-aligned, and its ','
+_TEXT_MASKS = (np.arange(CELL) < np.arange(_TEXT + 1)[:, None]) | (np.arange(CELL) == 45)
+# 10^k for k ≤ 22, each an exact double, and Dekker's split of it
+_POW10 = 10.0 ** np.arange(23)
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
 
 
-def write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` as ``open(path, "w")`` would, but replace a
-    regular file this user owns and may write, with no other link, by
-    unlinking it first: cheaper on ext4, which flushes a truncated file on
-    close.  The new file takes the umask's mode and, unflushed, may be empty
-    or missing after a power loss soon after.  Any other path (a symlink, a
-    device, a FIFO, a read-only or hard-linked file) is opened in place."""
+def _cell_masks() -> np.ndarray:
+    """The mask of each layout, at (sign bit·23 + k)·18 + nd with X = 16 − k,
+    each as 6 uint64 words of 8 bools."""
+    neg = np.arange(2)[:, None, None, None]
+    x = (16 - np.arange(23))[None, :, None, None]
+    nd = np.arange(18)[None, None, :, None]
+    b = np.arange(CELL)
+    in_a, in_b = (b >= 7) & (b <= 23), (b >= 25) & (b <= 40)
+    a, c = b - 7, b - 24                    # the digit index in copy A and copy B
+    fixed = np.where(x >= 0, (in_a & (a <= x)) | ((b == 24) & (nd > x + 1))
+                     | (in_b & (c > x) & (c < nd)),
+                     (b == 1) | (b == 2) | ((b >= 3) & (b < 2 - x)) | (in_a & (a < nd)))
+    expo = ((b == 7) | ((b == 24) & (nd > 1)) | (in_b & (c < nd))
+            | ((b >= 41) & (b <= 44)))
+    masks = np.where(x < -4, expo, fixed) | ((b == 0) & (neg == 1)) | (b == 45)
+    return masks.reshape(-1, CELL).view(np.uint64)
+
+
+_MASKS = _cell_masks()
+_QUAD = np.arange(10 ** 4)
+# the four digit characters of each 4-digit group; and, for group j of
+# d1..d16 (index j·10^4 + group), 1 + the index of its last nonzero digit
+# among d0..d16, or 1 for 0000
+_QUAD_CHARS = ((_QUAD[:, None] // np.array([1000, 100, 10, 1])) % 10 + 48).astype(
+    np.uint8).view(np.uint32).ravel()
+_QUAD_END = np.where(_QUAD == 0, 1, np.arange(1, 17, 4)[:, None] + 4 - (_QUAD % 10 == 0)
+                     - (_QUAD % 100 == 0) - (_QUAD % 1000 == 0)).astype(np.int8).ravel()
+_QUAD_BASE = np.arange(0, 4 * 10 ** 4, 10 ** 4)
+# the exponent bytes "e±XX" of X = 16 − k, by k
+_EXP_WORDS = np.array([int.from_bytes(b"\0e%+03d" % (16 - k), "little") for k in range(23)],
+                      np.uint64)
+
+
+def _float_digits(v):
+    """(q, k, fast): the 17 correctly rounded significant digits of |v| as an
+    integer q in [1e16, 1e17) and k = 16 − X for its decimal exponent X,
+    where ``fast``; elsewhere q = 1e16 and k = 16.
+
+    |v|·10^k lies in [1e16, 1e17), where doubles are even integers; for k in
+    [0, 22] 10^k is exact, so Dekker's TwoProduct gives the exact product as
+    p + e, p = fl(|v|·10^k) an even integer and |e| at most half its
+    spacing.  Rounding p + e half to even is then p + rint(e).  k starts
+    from floor(log10|v|) and moves by one where p + e leaves [1e16, 1e17); a
+    value whose k leaves [0, 22], or that still lies outside, is not
+    ``fast``."""
+    a = np.abs(v)
+    # fmax: no log10(0), and NaN (signalling too) becomes 1e-300, so k ≥ 300
+    k = 16.0 - np.floor(np.log10(np.fmax(a, 1e-300)))
+    fast = (k >= 0.0) & (k <= 22.0)             # NaN, ±inf and 0 fail
+    a = np.where(fast, a, 1.0)
+    k = np.where(fast, k, 16.0).astype(np.intp)
+    p, e = _times_ten_to(a, k)
+    for step in range(2):
+        off = _off_range(p, e)
+        if off is None:
+            break
+        low, high = off
+        if step == 0:                           # floor(log10|v|) was one off
+            k += low
+            k -= high
+            fast &= (k >= 0) & (k <= 22)
+        else:                                   # more than one off: left to '%'
+            fast &= ~(low | high)
+        a[~fast], k[~fast] = 1.0, 16
+        p, e = _times_ten_to(a, k)
+    q = p.astype(np.int64)
+    q += np.rint(e).astype(np.int64)
+    if q.size and q.max() == 10 ** 17:
+        carry = q == 10 ** 17
+        q[carry] = 10 ** 16
+        k -= carry                              # k ≥ 1 here: at k = 0, q = |v| < 1e17
+    return q, k, fast
+
+
+def _off_range(p, e):
+    """(low, high): where p + e < 1e16 and where p + e ≥ 1e17; None when
+    neither occurs.  (p − 1e16) + e has the sign of p + e − 1e16: the
+    difference is exact where p is within a factor 2 of 1e16, and |e| is
+    below the spacing of p; and p + e ≥ 1e17 only where p ≥ 1e17."""
+    if not p.size or ((p - 1e16) + e).min() >= 0 and p.max() < 1e17:
+        return None
+    return (p - 1e16) + e < 0, (p - 1e17) + e >= 0
+
+
+def _times_ten_to(a, k):
+    """(p, e) with p = fl(a·10^k) and p + e = a·10^k exactly: TwoProduct
+    with Dekker's split of a, and of 10^k from the table."""
+    bh, bl = _POW10_HI.take(k), _POW10_LO.take(k)
+    p = a * _POW10.take(k)
+    c = a * 134217729.0                         # 2^27 + 1
+    ah = c - (c - a)
+    al = a - ah
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _fill_cells(cells, masks, v):
+    """Write the cells of the float array ``v`` (any shape S) into ``cells``,
+    a uint8 view of shape S + (48,), with ',' after each value, and their
+    masks into ``masks``, a bool view of that shape.  Returns where each
+    value took the fast path; the other cells are the caller's to write."""
+    q, k, fast = _float_digits(v)
+    d0, rest = np.divmod(q, 10 ** 16)
+    halves = np.empty(v.shape + (2,), np.int64)
+    np.divmod(rest, 10 ** 8, out=(halves[..., 0], halves[..., 1]))
+    quads = np.empty(v.shape + (2, 2), np.int64)
+    np.divmod(halves, 10 ** 4, out=(quads[..., 0], quads[..., 1]))
+    quads = quads.reshape(v.shape + (4,))       # d1..d16, four digits each
+    end = _QUAD_END.take(quads + _QUAD_BASE)
+    nd = np.maximum(np.maximum(end[..., 0], end[..., 1]), np.maximum(end[..., 2], end[..., 3]))
+    # the cell as six little-endian words: "-0.000" and d0 | d1..d8 | d9..d16
+    # | '.' and d1..d7 | d8..d15 | d16, exponent, ',' — copy B is copy A
+    # moved on by 17 bytes
+    words = cells.view(np.uint64)
+    np.left_shift(d0.view(np.uint64), 56, out=words[..., 0])
+    words[..., 0] += _WORD0
+    a = _QUAD_CHARS.take(quads).view(np.uint64)
+    words[..., 1:3] = a
+    np.left_shift(a[..., 0], 8, out=words[..., 3])
+    words[..., 3] |= ord(".")
+    np.right_shift(a[..., 0], 56, out=words[..., 4])
+    words[..., 4] |= a[..., 1] << 8
+    np.right_shift(a[..., 1], 56, out=words[..., 5])
+    words[..., 5] |= ord(",") << 40
+    if k.size and k.max() > 20:                 # exponent form: X < −4
+        words[..., 5] |= _EXP_WORDS.take(k)
+    code = np.signbit(v) * (23 * 18)
+    code += k * 18
+    code += nd
+    masks.view(np.uint64)[:] = _MASKS.take(code, axis=0)
+    return fast
+
+
+def csv_cells(columns, end: str = "\n", out=None):
+    """(canvas, mask) of the rows of ``columns`` (1-D int or float arrays of
+    one length): a uint8 canvas with one 48-byte cell per value, and the
+    bool mask that selects each value's text and then ',' (``end`` after
+    the last value of a row); ``csv_bytes`` joins them.  With ``out``, a
+    (canvas, mask) pair with a row per value, the cells fill its last
+    48·len(columns) columns in place, after whatever text its rows hold.
+
+    All columns are formatted in one pass; an int column's values go
+    through the float path where |v| ≤ 2^53, whose '%.17g' text is their
+    '%d' text, and through ``'%d' %`` elsewhere."""
+    columns = [np.asarray(c) for c in columns]
+    n, n_cols = (len(columns[0]) if columns else 0), len(columns)
+    if any(c.ndim != 1 or len(c) != n for c in columns):
+        raise ValueError("csv columns must be 1-D and of one length")
+    if out is None:
+        out = np.empty((n, CELL * n_cols), np.uint8), np.empty((n, CELL * n_cols), bool)
+    canvas, mask = out
+    cells = canvas[:, canvas.shape[1] - CELL * n_cols:].reshape(n, n_cols, CELL)
+    masks = mask[:, mask.shape[1] - CELL * n_cols:].reshape(n, n_cols, CELL)
+    ints = [i for i, c in enumerate(columns) if c.dtype.kind in "iu"]
+    values = np.array(columns, dtype=float).T   # (rows, columns), a view of its transpose
+    for i in ints:                              # an int above 2^53 may not be a double
+        if n and np.abs(columns[i]).max() > 2 ** 53:
+            values[np.abs(columns[i]) > 2 ** 53, i] = np.nan
+    rows, cols = np.nonzero(~_fill_cells(cells, masks, values))
+    if rows.size:
+        texts = [("%d" if c in ints else "%.17g") % columns[c][r]
+                 for r, c in zip(rows.tolist(), cols.tolist())]
+        cells[rows, cols, :_TEXT] = np.frombuffer(
+            "".join(t.ljust(_TEXT) for t in texts).encode(), np.uint8).reshape(-1, _TEXT)
+        masks[rows, cols] = _TEXT_MASKS[[len(t) for t in texts]]
+    if end != ",":
+        cells[:, -1:, 45] = ord(end)
+    return canvas, mask
+
+
+def compact_rows(canvas, mask):
+    """(canvas, mask) with each row's selected bytes moved to its start, in
+    a width rounded up to a multiple of 8 (so that cells after them stay
+    aligned): the same text in fewer columns."""
+    lens = np.count_nonzero(mask, axis=1)
+    select = np.arange(-(-lens.max(initial=0) // 8) * 8) < lens[:, None]
+    rows = np.zeros(select.shape, np.uint8)
+    rows[select] = canvas[mask]
+    return rows, select
+
+
+def csv_bytes(header: str, canvas, mask) -> bytes:
+    """``header`` and then the text that ``mask`` selects from ``canvas``."""
+    return header.encode() + canvas[mask].tobytes()
+
+
+def write_text(path, text) -> None:
+    """Write ``text`` (a str, or bytes as they are) to ``path`` as ``open(path,
+    "w")`` would, but replace a regular file this user owns and may write,
+    with no other link, by unlinking it first: cheaper on ext4, which flushes
+    a truncated file on close.  The new file takes the umask's mode and,
+    unflushed, may be empty or missing after a power loss soon after.  Any
+    other path (a symlink, a device, a FIFO, a read-only or hard-linked file)
+    is opened in place."""
     with suppress(FileNotFoundError):
         st = os.lstat(path)
         if (stat.S_ISREG(st.st_mode) and st.st_uid == os.geteuid()
                 and st.st_mode & stat.S_IWUSR and st.st_nlink == 1):
             os.unlink(path)
-    with open(path, "w") as f:
+    with open(path, "wb" if isinstance(text, bytes) else "w") as f:
         f.write(text)
 
 
-def write_csv(path, header: str, fmt: str, rows) -> None:
-    """Write ``header`` and then every row of ``rows`` by the %-format
-    ``fmt``, all rows formatted in one pass."""
-    rows = list(rows)
-    write_text(path, header + fmt * len(rows) % tuple(chain.from_iterable(rows)))
+def write_csv(path, header: str, columns) -> None:
+    """Write ``header`` and then one row per index of ``columns``."""
+    write_text(path, csv_bytes(header, *csv_cells(columns)))
 
 
 def write_run_csv(path, log: RunLog) -> None:
-    write_csv(path, "epoch,l_d,l_1b,l_2b,total,lr,wall_ms\n", "%d" + ",%.17g" * 6 + "\n",
-              ((e, lb.l_d, lb.l_1b, lb.l_2b, lb.total, lr, ms)
-               for e, (lb, lr, ms) in enumerate(zip(log.losses, log.lrs, log.wall_ms))))
+    terms = np.array([(lb.l_d, lb.l_1b, lb.l_2b) for lb in log.losses]).reshape(-1, 3).T
+    write_csv(path, "epoch,l_d,l_1b,l_2b,total,lr,wall_ms\n",
+              [np.arange(len(log.losses)), *terms, terms[0] + terms[1] + terms[2],
+               np.array(log.lrs, dtype=float), np.array(log.wall_ms, dtype=float)])
 
 
 def write_aggregate_csv(path, agg: AggregateStats) -> None:
     gm, gs = agg.geo_mean, agg.geo_std
-    write_csv(path, "epoch,geomean,geostd_lo,geostd_hi\n", "%d,%.17g,%.17g,%.17g\n",
-              zip(range(len(gm)), gm.tolist(), (gm / gs).tolist(), (gm * gs).tolist()))
+    write_csv(path, "epoch,geomean,geostd_lo,geostd_hi\n",
+              [np.arange(len(gm)), gm, gm / gs, gm * gs])

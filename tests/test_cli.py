@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from qpinn import cli, merton, models, qsp, training, verify
 from qpinn.errors import ConfigError, DegenerateControlError
+from test_training import reference_write_csv
 
 
 def test_verify_suites_pass(tmp_path, capsys):
@@ -582,8 +583,8 @@ def reference_write_surface(path, t_axis, x_axis, values):
     joined per row."""
     ts = ["%.17g," % t for t in t_axis]
     xs = ["%.17g," % x for x in x_axis]
-    training.write_csv(path, "t,x,value\n", "%s%.17g\n",
-                       zip([t + x for t in ts for x in xs], np.ravel(values).tolist()))
+    reference_write_csv(path, "t,x,value\n", "%s%.17g\n",
+                        zip([t + x for t in ts for x in xs], np.ravel(values).tolist()))
 
 
 GRID = np.linspace(0.01, 0.99, 50)
@@ -596,11 +597,12 @@ surface_values = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats())
 @given(T=st.floats(0.0, 1.0, exclude_min=True),
        values=hnp.arrays(np.float64, (2, GRID.size ** 2), elements=surface_values))
 def test_surface_template_matches_the_reference_writer(tmp_path_factory, T, values):
-    # two surfaces filled from one template, each against its own reference call
+    # two surfaces written on one grid canvas, each against its own reference
+    # call
     out = tmp_path_factory.mktemp("surfaces")
     t_axis = T * GRID
-    template = cli._surface_template(t_axis, GRID)
+    canvas = cli._surface_canvas(t_axis, GRID)
     for i, row in enumerate(values):
-        training.write_text(out / f"new{i}.csv", template % tuple(row.tolist()))
+        cli._write_surface(out / f"new{i}.csv", canvas, row)
         reference_write_surface(out / f"ref{i}.csv", t_axis, GRID, row)
         assert (out / f"new{i}.csv").read_bytes() == (out / f"ref{i}.csv").read_bytes()

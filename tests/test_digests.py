@@ -9,12 +9,17 @@ resources --out`` report in ``RESOURCE_REPORTS``, and of the raw bytes of the ci
 templates, plain and dual, and ``circuits.unitary_of`` on 5-row stacks of
 the univariate model at L = 1..3 and its CNOT + single-qubit lowering; and
 the ``float.hex`` of ``duals.parameter_shift`` on the QPINN circuit for each
-of its 7 parameters at fixed points (``shift_values``).  A
+of its 7 parameters at fixed points (``shift_values``); and the masked
+SHA-256 of each file of the ``FALLBACK_PROFILES`` runs (``fallback_digests``),
+whose CSV cells take the writer's per-value fallback: an overflowing run
+(``output_scale`` 1e308: NaN and inf losses, every run aborted, no model
+surface) and a 1000-epoch quantum_inspired run whose losses fall below
+1e-6.  A
 refactor that claims the same bits keeps these digests; a change that must
 move them says which and why in CHANGES, with ``qpinn compare``'s report of
 the trained artifacts, and its digests are then written from this module's
 ``train_digests``, ``verify_digests``, ``resources_digests``,
-``circuit_digests`` and ``shift_values``, never to hide an unexplained change.
+``circuit_digests``, ``shift_values`` and ``fallback_digests``, never to hide an unexplained change.
 
 Float results depend on the Python, numpy and BLAS builds and on the CPU
 features numpy dispatches to, so the file records them, and under any other
@@ -50,6 +55,14 @@ LOWERED_ROWS = 5
 # the parameter-shift derivative path: seeded points of the QPINN circuit,
 # and one point whose parameters are all −0.0
 SHIFT_SEEDS = (3, 7, 11)
+# runs whose CSV cells are NaN, ±inf or at most 1e-6: name → (train
+# arguments, config document or None)
+FALLBACK_PROFILES = {
+    "overflow": (["train", "--runs", "2", "--epochs", "200", "--seed", "6"],
+                 {"output_scale": 1e308}),
+    "inspired_1000": (["train", "--models", "quantum_inspired", "--runs", "1",
+                       "--epochs", "1000", "--seed", "0"], None),
+}
 
 
 def environment() -> dict:
@@ -161,6 +174,20 @@ def shift_values() -> dict:
             for name, (params, x) in points.items() for i in range(qc.n_params)}
 
 
+def fallback_digests(out: Path, masked_artifacts) -> dict:
+    digests = {}
+    for name, (argv, doc) in FALLBACK_PROFILES.items():
+        config = []
+        if doc is not None:
+            path = out / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            config = ["--config", str(path)]
+        assert cli.main(argv + config + ["--out", str(out / name)]) == 0
+        digests.update({f"{name}/{rel}": _sha256(text) for rel, text in
+                        masked_artifacts(out / name, also=["manifest"]).items()})
+    return digests
+
+
 @pytest.fixture(scope="module")
 def pinned() -> dict:
     doc = json.loads(DIGESTS.read_text())
@@ -201,3 +228,9 @@ def test_circuit_outputs_match_their_digests(pinned):
 
 def test_parameter_shift_values_match_their_digests(pinned):
     _assert_digests(pinned["parameter_shift"], shift_values())
+
+
+def test_fallback_artifacts_match_their_digests(pinned, tmp_path, monkeypatch,
+                                                masked_artifacts):
+    monkeypatch.setenv("QPINN_THREADS", "1")
+    _assert_digests(pinned["fallback"], fallback_digests(tmp_path, masked_artifacts))

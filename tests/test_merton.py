@@ -69,6 +69,30 @@ def test_analytical_derivatives_domain(x):
         AnalyticalSolution(MarketParams()).derivatives(np.full(np.shape(x), 0.5), x)
 
 
+@pytest.mark.parametrize("method", ["values", "derivatives"])
+@pytest.mark.parametrize("t,x", [(0.5, math.nan), ([0.5, 0.5], [0.3, math.nan]),
+                                 (math.nan, 0.5), ([0.5, math.nan], [0.3, 0.4])])
+def test_analytical_solution_refuses_nan_points(method, t, x):
+    # NaN passes x <= 0; the models refuse NaN inputs, and so does the solution
+    with pytest.raises(DomainError):
+        getattr(AnalyticalSolution(MarketParams()), method)(t, x)
+
+
+@pytest.mark.parametrize("field", ["r", "T", "gamma", "mu", "sigma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_market_params_refuse_non_finite_fields(field, value):
+    # NaN passes the <= tests and min() drops it
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        MarketParams(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["w_d", "w_1", "w_2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_loss_weights_refuse_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        LossWeights(**{field: value})
+
+
 def test_residual_vanishes_on_analytical_solution():
     m = MarketParams()
     sol = AnalyticalSolution(m)

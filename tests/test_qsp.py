@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpinn import circuits as cir
-from qpinn import qsp, sim, verify
+from qpinn import models, qsp, sim, verify
 from qpinn.errors import BoundError, DomainError, SizeError, SynthesisError
 from qpinn.qsp import MonomialList, TdPoly, UnivariatePoly
 
@@ -447,6 +447,21 @@ def _assert_binds(built, template):
     assert rb.pop("n_params") == 0 and rt.pop("n_params") == template.n_params
     assert rb == rt
     return angles
+
+
+def test_parameter_free_templates_are_built_once():
+    # one immutable Circuit per shape, however the shape is spelled
+    assert qsp.td_circuit_template(2, 2, 1) is qsp.td_circuit_template(2, 2, 1)
+    assert qsp.univariate_model_circuit(2) is qsp.td_circuit_template(1, 1, 2)
+    assert qsp.univariate_model_circuit(2) is not qsp.univariate_model_circuit(3)
+    grid = [tuple(int(i) for i in n) for n in np.ndindex(2, 2)]
+    lcu = qsp.lcu_circuit_template(grid, 2, 1)
+    assert lcu is qsp.lcu_circuit_template(tuple(grid), 2, 1)
+    assert lcu is qsp.lcu_circuit_template([list(n) for n in grid], 2, 1)
+    assert lcu is not qsp.lcu_circuit_template(grid[:3], 2, 1)
+    assert models.qpinn_circuit() is models.qpinn_circuit()
+    with pytest.raises(ValueError, match="L >= 1"):
+        qsp.td_circuit_template(1, 1, 0)
 
 
 @pytest.mark.parametrize("R,D,L", [(1, 1, 2), (2, 2, 1), (3, 2, 2), (2, 3, 1)])

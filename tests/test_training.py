@@ -1,7 +1,9 @@
 import math
 import os
 import stat
+import struct
 from dataclasses import astuple
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -764,6 +766,152 @@ def test_csv_schemas(tmp_path):
     lines = agg_path.read_text().splitlines()
     assert lines[0] == "epoch,geomean,geostd_lo,geostd_hi"
     assert len(lines) == 3
+
+
+# ---------------------------------------------------------------------------
+# the column writer against '%'
+
+
+def reference_write_csv(path, header: str, fmt: str, rows) -> None:
+    """The %-format writer that the column writer replaced: ``header`` and
+    then every row of ``rows`` by ``fmt``, all rows formatted in one pass."""
+    rows = list(rows)
+    training.write_text(path, header + fmt * len(rows) % tuple(chain.from_iterable(rows)))
+
+
+def reference_float_text(values) -> bytes:
+    return "".join("%.17g\n" % v for v in values).encode()
+
+
+def written(*columns) -> bytes:
+    return training.csv_bytes("", *training.csv_cells(columns))
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _neighbours(x: float) -> list:
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+TEN_POWERS = st.integers(-325, 308).flatmap(
+    lambda n: st.sampled_from(_neighbours(float(f"1e{n}"))))
+NEAR_TEN_POWERS = st.integers(-320, 307).map(lambda n: float(f"9.99999999999999995e{n}"))
+# j·2^−n with j of 53 bits: exact, and at a tie of the 17th digit whenever
+# its decimal expansion has 18 significant digits ending in 5
+DYADIC = st.builds(lambda j, n: math.ldexp(j, -n), st.integers(2 ** 52, 2 ** 53 - 1),
+                   st.integers(-10, 90))
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                  2.2250738585072009e-308, -2.2250738585072014e-308, 1e300, -1e300,
+                  1e-300, -1e-300, 1e-6, 1e17, 99999999999999984.0, 1e16, 1e-4, 1e-5]
+FLOATS = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(_from_bits),
+    st.builds(lambda m, sign: sign * 10.0 ** m, st.floats(-30.0, 30.0), st.sampled_from([-1, 1])),
+    TEN_POWERS, NEAR_TEN_POWERS, DYADIC, st.sampled_from(SPECIAL_FLOATS))
+
+
+@settings(max_examples=300)
+@given(values=st.lists(FLOATS, min_size=1, max_size=40))
+def test_float_column_is_the_percent_text_property(values):
+    # each value's bytes are its '%.17g' text, in the fast range and out of it
+    signed = values + [-v for v in values]
+    assert written(np.array(signed)) == reference_float_text(signed)
+
+
+@settings(max_examples=100)
+@given(values=st.lists(st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1),
+                                 st.integers(-10 ** 18, 10 ** 18),
+                                 st.sampled_from([0, -1, 9, 10, 10 ** 16, 10 ** 17 - 1,
+                                                  10 ** 17, -10 ** 17, 2 ** 63 - 1, -2 ** 63])),
+                       min_size=1, max_size=40),
+       floats=st.data())
+def test_int_columns_are_the_percent_text_property(tmp_path_factory, values, floats):
+    # an int column beside a float one, against the %-format reference writer
+    out = tmp_path_factory.mktemp("csv")
+    ints = np.array(values, dtype=np.int64)
+    col = np.array(floats.draw(st.lists(FLOATS, min_size=len(values), max_size=len(values))))
+    training.write_csv(out / "new.csv", "i,v\n", [ints, col])
+    reference_write_csv(out / "ref.csv", "i,v\n", "%d,%.17g\n", zip(values, col.tolist()))
+    assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+    big = np.array([v % 2 ** 64 for v in values], dtype=np.uint64)
+    assert written(big) == "".join("%d\n" % v for v in big.tolist()).encode()
+
+
+def test_float_column_is_the_percent_text_in_bulk():
+    # 60 000 seeded doubles: raw bit patterns, log-uniform magnitudes and ties
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2 ** 63, 20000, dtype=np.uint64) | (
+        rng.integers(0, 2, 20000, dtype=np.uint64) << np.uint64(63))
+    values = np.concatenate([
+        bits.view(np.float64),
+        rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-8.0, 18.0, 20000),
+        np.ldexp(rng.integers(2 ** 52, 2 ** 53, 20000).astype(float),
+                 rng.integers(-80, 10, 20000))])
+    assert written(values) == reference_float_text(values.tolist())
+
+
+def test_exponent_form_and_rounding_carries():
+    # 9.99999999999999995e-5 rounds up to 1e-4 in the fast range, and the
+    # exponent form starts below 1e-4
+    values = [9.99999999999999995e-5, 1e-4, 9.9999999999999991e-5, 1.5e-6, -2.5e-5,
+              0.12345678901234567, 123456.78901234567, 1e16 + 2, 12.0, -7.25]
+    assert written(np.array(values)) == reference_float_text(values)
+    assert written(np.array(values[:1])) == b"0.0001\n"
+
+
+def test_neighbours_of_powers_of_ten_take_the_fast_path():
+    # floor(log10|v|) is one off next to many powers of ten; the exact check
+    # moves X, so these stay on the fast path and still print as '%' does
+    values = np.array([x for n in range(-5, 17) for x in _neighbours(float(f"1e{n}"))])
+    _, _, fast = training._float_digits(values)
+    assert fast.all()
+    assert written(values) == reference_float_text(values.tolist())
+
+
+def test_csv_cells_refuses_ragged_columns():
+    with pytest.raises(ValueError, match="one length"):
+        training.csv_cells([np.zeros(2), np.zeros(3)])
+    assert training.csv_bytes("h\n", *training.csv_cells([np.zeros(0)])) == b"h\n"
+
+
+def test_cells_fill_after_the_text_their_rows_hold():
+    # compacted rows, then a value cell written in place after them, twice
+    text, select = training.compact_rows(*training.csv_cells(
+        [np.array([1.5, -0.0, math.nan]), np.arange(3)], end=","))
+    assert text.shape == (3, 8) and select.sum(axis=1).tolist() == [6, 5, 6]
+    canvas = np.zeros((3, 8 + training.CELL), np.uint8)
+    mask = np.zeros(canvas.shape, bool)
+    canvas[:, :8], mask[:, :8] = text, select
+    for values, want in (([1.0, 2.0, 3.0], b"1.5,0,1\n-0,1,2\nnan,2,3\n"),
+                         ([0.25, -1e300, 7.0], b"1.5,0,0.25\n-0,1,-1.0000000000000001e+300\n"
+                                               b"nan,2,7\n")):
+        assert training.csv_bytes("", *training.csv_cells([np.array(values)],
+                                                          out=(canvas, mask))) == want
+
+
+@pytest.mark.parametrize("kind", ["quantum_inspired", "counterpart"])
+def test_run_and_aggregate_csvs_match_the_reference_writer(tmp_path, kind):
+    # the run and aggregate CSVs as the %-format writer wrote them
+    log = training.train_run(models.ModelSpec(kind), TrainConfig(epochs=60),
+                             merton.MarketParams(), merton.LossWeights(), 4)
+    odd = _fake_log([1.0 / 3.0, math.nan, math.inf, -0.0, 5e-324, 1e-9], seed=3)
+    for i, run in enumerate((log, odd)):
+        training.write_run_csv(tmp_path / f"run{i}.csv", run)
+        reference_write_csv(tmp_path / f"ref{i}.csv", "epoch,l_d,l_1b,l_2b,total,lr,wall_ms\n",
+                            "%d" + ",%.17g" * 6 + "\n",
+                            ((e, lb.l_d, lb.l_1b, lb.l_2b, lb.total, lr, ms) for e, (lb, lr, ms)
+                             in enumerate(zip(run.losses, run.lrs, run.wall_ms))))
+        assert (tmp_path / f"run{i}.csv").read_bytes() == (tmp_path / f"ref{i}.csv").read_bytes()
+    agg = training.aggregate([log, training.train_run(
+        models.ModelSpec(kind), TrainConfig(epochs=60), merton.MarketParams(),
+        merton.LossWeights(), 5)])
+    training.write_aggregate_csv(tmp_path / "agg.csv", agg)
+    gm, gs = agg.geo_mean, agg.geo_std
+    reference_write_csv(tmp_path / "agg_ref.csv", "epoch,geomean,geostd_lo,geostd_hi\n",
+                        "%d,%.17g,%.17g,%.17g\n",
+                        zip(range(len(gm)), gm.tolist(), (gm / gs).tolist(), (gm * gs).tolist()))
+    assert (tmp_path / "agg.csv").read_bytes() == (tmp_path / "agg_ref.csv").read_bytes()
 
 
 def test_write_text_replaces_only_its_own_plain_files(tmp_path, monkeypatch):
