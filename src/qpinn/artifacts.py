@@ -23,17 +23,22 @@ def masked_artifacts(root, also=()) -> dict:
     """Every file under ``root`` by relative path, as text with the run's
     volatile fields masked: the ``wall_ms`` column of the run CSVs, and the
     timestamp and ``config.out_dir`` of ``summary.json``, with its
-    top-level keys named in ``also``."""
+    top-level keys named in ``also``.  A file that cannot be masked (not
+    UTF-8, or a ``summary.json`` that does not parse or lacks a masked
+    field) is its raw bytes."""
     root, out = Path(root), {}
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
-        text = path.read_text()
-        if path.name == "summary.json":
-            doc = json.loads(text)
-            doc["metadata"]["timestamp"] = doc["config"]["out_dir"] = "*"
-            doc.update(dict.fromkeys(also, "*"))
-            text = json.dumps(doc, indent=2)
-        elif path.parent.name == "runs" and path.suffix == ".csv":
-            text = re.sub(r",[^,\n]*$", ",*", text, flags=re.MULTILINE)
+        try:
+            text = path.read_text()
+            if path.name == "summary.json":
+                doc = json.loads(text)
+                doc["metadata"]["timestamp"] = doc["config"]["out_dir"] = "*"
+                doc.update(dict.fromkeys(also, "*"))
+                text = json.dumps(doc, indent=2)
+            elif path.parent.name == "runs" and path.suffix == ".csv":
+                text = re.sub(r",[^,\n]*$", ",*", text, flags=re.MULTILINE)
+        except (ValueError, KeyError, TypeError):
+            text = path.read_bytes()
         out[path.relative_to(root).as_posix()] = text
     return out
 
@@ -114,7 +119,9 @@ def _field_report(fields_a: dict, fields_b: dict) -> list[str]:
     return lines
 
 
-def _file_report(rel: str, text_a: str, text_b: str) -> list[str]:
+def _file_report(rel: str, text_a, text_b) -> list[str]:
+    if isinstance(text_a, bytes) or isinstance(text_b, bytes):
+        return ["does not parse; the texts differ"]
     try:
         if rel.endswith(".csv"):
             return _field_report(_csv_fields(text_a), _csv_fields(text_b))

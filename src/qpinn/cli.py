@@ -14,8 +14,8 @@ and seeds; wall-ms columns and the summary timestamp are the only
 timing-dependent fields.  ``summary.json``'s ``manifest`` records the Python
 and numpy versions, the CPU count, the thread caps and a config hash.  Every
 CSV goes through ``training``'s column writer; the surfaces' ``t,x`` text
-is formatted once per command (``_surface_canvas``) and each surface's
-values in one call.
+is formatted once per command (``training.surface_writer``) and each
+surface's values in one call.
 """
 from __future__ import annotations
 
@@ -321,8 +321,8 @@ def cmd_train(cfg: dict) -> int:
     tg, xg = (a.ravel() for a in np.meshgrid(t_grid, grid, indexing="ij"))
     sol = merton.AnalyticalSolution(market)
     analytic_surface = sol.values(tg, xg)
-    surface = _surface_canvas(t_grid, grid)
-    _write_surface(out / "surface_analytical.csv", surface, analytic_surface)
+    write_surface = training.surface_writer(t_grid, grid)
+    write_surface(out / "surface_analytical.csv", analytic_surface)
     slice_cols = {"analytical": sol.values(slice_t, grid)}
 
     summary = {"models": {}, "config": cfg,
@@ -350,7 +350,7 @@ def cmd_train(cfg: dict) -> int:
             best = complete[int(np.argmin(finals))]
             fn = models.ModelFunction(spec, best.final_params)
             surf = fn.values(tg, xg)
-            _write_surface(out / f"surface_{kind}.csv", surface, surf)
+            write_surface(out / f"surface_{kind}.csv", surf)
             slice_cols[kind] = fn.values(slice_t, grid)
             rel_err = float(np.mean(np.abs(surf - analytic_surface)
                                     / np.abs(analytic_surface)))
@@ -388,29 +388,6 @@ def _recover_controls(fn: models.ModelFunction, market: merton.MarketParams) -> 
             alpha = None
         controls.append({"t": t, "x": x, "alpha": alpha})
     return controls
-
-
-def _surface_canvas(t_axis, x_axis):
-    """The surface CSV's rows over the t-major grid t_axis × x_axis, as a
-    ``training.csv_cells`` (canvas, mask) pair: each row's ``t,x,`` text,
-    each coordinate formatted once, then a value cell for
-    ``_write_surface`` to fill."""
-    n_t, n_x = len(t_axis), len(x_axis)
-    text, select = training.compact_rows(*training.csv_cells(
-        [np.concatenate([t_axis, x_axis])], end=","))
-    width = text.shape[1]
-    canvas = np.empty((n_t, n_x, 2 * width + training.CELL), np.uint8)
-    mask = np.empty(canvas.shape, bool)
-    for out, rows in ((canvas, text), (mask, select)):
-        out[:, :, :width] = rows[:n_t, None]
-        out[:, :, width:2 * width] = rows[None, n_t:]
-    return canvas.reshape(n_t * n_x, -1), mask.reshape(n_t * n_x, -1)
-
-
-def _write_surface(path, canvas, values):
-    """A surface CSV: the rows of ``_surface_canvas``, each ended by its value."""
-    training.write_text(path, training.csv_bytes(
-        "t,x,value\n", *training.csv_cells([values], out=canvas)))
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,13 @@ class MarketParams:
             raise ValueError("gamma must lie in (0, 1)")
         if self.sigma <= 0 or self.T <= 0:
             raise ValueError("sigma and T must be positive")
+        try:   # e^{−k(T−t)} lies between 1 and e^{−k·T} on [0, T]; k = ±inf or NaN fails
+            envelope = math.exp(-k_constant(self) * self.T)
+        except OverflowError:
+            envelope = math.inf
+        if not 0.0 < envelope < math.inf:
+            raise ValueError("the analytical solution is out of range: e^(-k*T) is "
+                             f"{envelope!r}, not a finite nonzero double")
 
 
 @dataclass(frozen=True)

@@ -59,9 +59,10 @@ channels, and records each layer's (input, pre-activation) pair for ``_reverse``
 ``values``, ``bundles`` and ``batched_eval`` are thin calls, on
 ``_Evaluator``, of each family's one ``_forward``; ``values`` and
 ``bundles`` build on their own points and leave what ``batched_eval``
-holds and keeps alone.  ``batched_eval`` keys its held points by their
-bytes, except that a training run passes the same four read-only
-``snapshot`` arrays every epoch, which it knows unchanged by identity.
+holds and keeps alone.  ``batched_eval`` holds what it built only for
+four read-only ``snapshot`` arrays, which it knows unchanged by identity:
+a training run passes the same four every epoch and builds once.  Any
+other point arrays are built again on every call.
 
 Parameter layouts (one flat vector per model):
 qpinn / quantum_inspired: [θ1x, θ2x(2) | θ1t, θ2t(2) | λ (qpinn only)];
@@ -155,12 +156,6 @@ def _is_snapshot(p) -> bool:
     return type(getattr(p, "base", None)) is bytes
 
 
-def _points_key(*arrays) -> tuple:
-    """Bytes copies of arrays: a cache key that changes when one is replaced
-    or mutated in place."""
-    return tuple(np.asarray(p, dtype=float).tobytes() for p in arrays)
-
-
 # no point array is this object: what ``_collocate`` holds when the points
 # of its last call were not all snapshots
 _NOT_SNAPSHOTS = (object(),) * 4
@@ -176,18 +171,18 @@ class _Evaluator:
     one-row forward.  ``values`` and ``bundles`` take one part of a forward
     on their own points, never ``batched_eval``:
     that would evict its held points and output count, and they must stay
-    right when only ``batched_eval`` is wrapped.  ``batched_eval`` rebuilds
-    what it holds only when a point array is replaced or mutated, and a
+    right when only ``batched_eval`` is wrapped.  ``batched_eval`` builds
+    again unless its points are the snapshots of its last call, and a
     one-row forward keeps ``_kept`` for ``backward``: the gradient at the
     row and the points as that forward saw them.  After a forward of any
     other number of rows, or with a cotangent that is not one flat row of
     the last forward's outputs, ``backward`` raises ``BackwardError``.  A
     row whose width is not the parameter count raises ``SizeError``."""
 
-    # the held points' ``_points_key``, what ``_build`` made of them, and
-    # what the last one-row ``batched_eval`` kept for ``backward``; and the
-    # point arrays of the last ``batched_eval`` when all four are snapshots
-    _points = _held = _kept = None
+    # what ``_build`` made of the last ``batched_eval``'s points, and what
+    # its last one-row call kept for ``backward``; and the point arrays of
+    # the last ``batched_eval`` when all four are snapshots
+    _held = _kept = None
     _snapshots = _NOT_SNAPSHOTS
 
     def __init__(self, spec: ModelSpec):
@@ -227,14 +222,12 @@ class _Evaluator:
                                 f"the last forward has {self._n_outputs} outputs")
 
     def _collocate(self, *points):
-        """What ``_build`` made of ``points``, built again only when a point
-        array is replaced or mutated in place: the snapshots of the last call
-        need no key, any other array is keyed by a bytes copy."""
+        """What ``_build`` made of ``points``, kept only for the snapshots of
+        the last call, which it knows unchanged by identity; any other point
+        arrays are built again on every call."""
         if not all(map(operator.is_, points, self._snapshots)):
-            key = _points_key(*points)
-            if key != self._points:
-                self._held, self._points = self._build(*points), key
-                self._n_outputs = 4 * np.size(points[0]) + np.size(points[2])
+            self._held = self._build(*points)
+            self._n_outputs = 4 * np.size(points[0]) + np.size(points[2])
             self._snapshots = points if all(map(_is_snapshot, points)) else _NOT_SNAPSHOTS
         return self._held
 

@@ -3,19 +3,23 @@
 Every epoch of every model is one path: one forward (``batched_eval`` of
 the parameter row into one flat output row at the run's collocation
 points, whose features the evaluator holds), one loss-and-cotangent pass
-(``Objective.loss_and_cotangent``: one ``tolist`` and three exact
-``math.fsum`` sums, and the loss's derivative on the outputs as one flat
-cotangent), one ``backward`` to the exact gradient, and one LAMB step,
-one ``params − scale·update`` over every group (finite differences stay
-the oracle).  Runs are deterministic per seed: the collocation set is
-drawn once and snapshotted once, so every epoch hands the forward the same
-read-only point arrays; parameters are drawn from a spawned child seed, and
-every reduction has a fixed order.
+(``Objective.loss_and_cotangent``, the one reduction of the loss: one
+``tolist`` and three exact ``math.fsum`` sums, and the loss's derivative on
+the outputs as one flat cotangent), one ``backward`` to the exact gradient,
+and one LAMB step, one ``params − scale·update`` over every group (finite
+differences stay the oracle).  Runs are deterministic per seed: the
+collocation set is drawn once and snapshotted once, so every epoch hands
+the forward the same read-only point arrays; parameters are drawn from a
+spawned child seed, and every reduction has a fixed order.
+``loss_terms``, the loss of a stack of parameter rows, runs that reduction
+on each row of one ``batched_eval``.
 
 The CSV artifacts are written by one column writer (``csv_cells``,
 ``csv_bytes``, ``write_csv``): each value's ``'%.17g'`` (or ``'%d'``)
 text, all columns of a file in one numpy pass, exact by Dekker's
 TwoProduct where 10^k is an exact double and by ``%`` itself elsewhere.
+``surface_writer`` formats a surface grid's ``t,x`` text once and each
+surface's values in one call.
 """
 from __future__ import annotations
 
@@ -133,46 +137,29 @@ class Objective:
         self.target = np.concatenate([merton.terminal_target(colloc.terminal_x, m),
                                       merton.lateral_target(colloc.lateral_t, m)])
         self.m, self.x, self.n = m, x_i, n
-        # (weight, count, first, end) of l_d, l_1b and l_2b over the errors
-        self.spans = ((w.w_d, n, 0, n), (w.w_1, n_b, n, n + n_b),
-                      (w.w_2, n_b, n + n_b, n + 2 * n_b))
+        # (weight, count, end) of l_d, l_1b and l_2b over the errors
+        self.spans = ((w.w_d, n, n), (w.w_1, n_b, n + n_b), (w.w_2, n_b, n + 2 * n_b))
         # ∂loss/∂error = 2·(w/n)·error; r·x and θ² enter ∂res/∂(v_t, v_x, v_xx)
-        self.err_weight = np.repeat([2.0 * (wt / k) for wt, k, _, _ in self.spans],
-                                    [k for _, k, _, _ in self.spans])
+        self.err_weight = np.repeat([2.0 * (wt / k) for wt, k, _ in self.spans],
+                                    [k for _, k, _ in self.spans])
         self.rx, self.theta2 = m.r * x_i, ((m.mu - m.r) / m.sigma) ** 2
         self.err, self.n_out = np.empty(n + 2 * n_b), 4 * n + 2 * n_b
 
-    def _errors(self, v_t, v_x, v_xx, bnd, out):
-        """The residuals, then the boundary errors, written into ``out``."""
-        out[..., :self.n] = merton.hjb_residual_arrays(v_t, v_x, v_xx, self.x, self.m)
-        np.subtract(bnd, self.target, out=out[..., self.n:])
-        return out
-
-    def _terms(self, squares: list) -> list:
-        """(l_d, l_1b, l_2b) of one row of squared errors, by exact sums."""
-        return [wt * math.fsum(squares[lo:hi]) / k for wt, k, lo, hi in self.spans]
-
-    def terms(self, outputs):
-        """(l_d, l_1b, l_2b) arrays, one entry per row of ``batched_eval``'s
-        ``outputs``."""
-        (_, v_t, v_x, v_xx), bnd = outputs
-        err = self._errors(v_t, v_x, v_xx, bnd, np.empty((len(bnd), len(self.err))))
-        rows = [self._terms(squares) for squares in (err * err).tolist()]
-        return tuple(np.array(rows).reshape(-1, 3).T.copy())
-
     def loss_and_cotangent(self, outputs):
         """The (l_d, l_1b, l_2b) floats of row 0 of ``batched_eval``'s
-        ``outputs``, and ∂(l_d + l_1b + l_2b) on that row for ``backward``:
-        one flat row laid out as the outputs (v, v_t, v_x, v_xx, boundary),
-        by the chain rule through the boundary errors and the residual
-        res = v_t·v_xx + r·x·v_x·v_xx − ½θ²·v_x².  The cotangent is None
-        when the loss is not finite, else a new array: only the error row is
-        reused by the next call."""
+        ``outputs``, each the weighted mean of one span of the squared error
+        row by an exact ``math.fsum``, and ∂(l_d + l_1b + l_2b) on that row
+        for ``backward``: one flat row laid out as the outputs (v, v_t, v_x,
+        v_xx, boundary), by the chain rule through the boundary errors and
+        the residual res = v_t·v_xx + r·x·v_x·v_xx − ½θ²·v_x².  The
+        cotangent is None when the loss is not finite, else a new array:
+        only the error row is reused by the next call."""
         (_, v_t, v_x, v_xx), bnd = outputs
-        v_t, v_x, v_xx, n = v_t[0], v_x[0], v_xx[0], self.n
-        err = self._errors(v_t, v_x, v_xx, bnd[0], self.err)
+        v_t, v_x, v_xx, n, err = v_t[0], v_x[0], v_xx[0], self.n, self.err
+        err[:n] = merton.hjb_residual_arrays(v_t, v_x, v_xx, self.x, self.m)
+        np.subtract(bnd[0], self.target, out=err[n:])
         sq, fsum = (err * err).tolist(), math.fsum
-        (w_d, k_d, _, b_d), (w_1, k_1, _, b_1), (w_2, k_2, _, _) = self.spans
+        (w_d, k_d, b_d), (w_1, k_1, b_1), (w_2, k_2, _) = self.spans
         terms = [w_d * fsum(sq[:b_d]) / k_d, w_1 * fsum(sq[b_d:b_1]) / k_1,
                  w_2 * fsum(sq[b_1:]) / k_2]
         if not math.isfinite(terms[0] + terms[1] + terms[2]):
@@ -188,9 +175,14 @@ class Objective:
 
 def loss_terms(evaluator, params2d, colloc: merton.CollocationSet,
                w: merton.LossWeights, m: merton.MarketParams):
-    """(l_d, l_1b, l_2b) arrays, one row per parameter vector in the batch."""
+    """(l_d, l_1b, l_2b) arrays, one entry per row of ``params2d``: the terms
+    that ``Objective.loss_and_cotangent`` gives for that row's slice of one
+    ``batched_eval``."""
     obj = Objective(colloc, w, m)
-    return obj.terms(evaluator.batched_eval(params2d, *obj.points))
+    bundles, bnd = evaluator.batched_eval(params2d, *obj.points)
+    rows = [obj.loss_and_cotangent((tuple(a[r:r + 1] for a in bundles), bnd[r:r + 1]))[0]
+            for r in range(len(bnd))]
+    return tuple(np.array(rows).reshape(-1, 3).T.copy())
 
 
 def run_training(evaluator, init: np.ndarray, cfg: TrainConfig,
@@ -498,6 +490,27 @@ def write_text(path, text) -> None:
 def write_csv(path, header: str, columns) -> None:
     """Write ``header`` and then one row per index of ``columns``."""
     write_text(path, csv_bytes(header, *csv_cells(columns)))
+
+
+def surface_writer(t_axis, x_axis):
+    """``write(path, values)``, which writes a surface CSV: a ``t,x,value``
+    row per point of the t-major grid t_axis × x_axis, ``values`` in that
+    order.  Each row's ``t,x,`` text, each coordinate formatted once, is
+    laid out here on a ``csv_cells`` canvas, and each call fills its value
+    cells."""
+    n_t, n_x = len(t_axis), len(x_axis)
+    text, select = compact_rows(*csv_cells([np.concatenate([t_axis, x_axis])], end=","))
+    width = text.shape[1]
+    canvas = np.empty((n_t, n_x, 2 * width + CELL), np.uint8)
+    mask = np.empty(canvas.shape, bool)
+    for out, rows in ((canvas, text), (mask, select)):
+        out[:, :, :width] = rows[:n_t, None]
+        out[:, :, width:2 * width] = rows[None, n_t:]
+    canvas, mask = canvas.reshape(n_t * n_x, -1), mask.reshape(n_t * n_x, -1)
+
+    def write(path, values):
+        write_text(path, csv_bytes("t,x,value\n", *csv_cells([values], out=(canvas, mask))))
+    return write
 
 
 def write_run_csv(path, log: RunLog) -> None:

@@ -7,13 +7,10 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from qpinn import cli, merton, models, qsp, training, verify
 from qpinn.errors import ConfigError, DegenerateControlError
-from test_training import reference_write_csv
+from test_training import GRID, reference_write_surface
 
 
 def test_verify_suites_pass(tmp_path, capsys):
@@ -244,6 +241,14 @@ def test_config_rejects_market_values_that_market_params_refuses(tmp_path, capsy
     assert "mu > r" in _train_config_error(tmp_path, capsys, {"market": {"mu": 0.01}})
     _rejects(tmp_path, {"market": {"sigma": 0.0}})
     _rejects(tmp_path, {"market": {"gamma": 1.0}})
+
+
+@pytest.mark.parametrize("market", [{"mu": 1e200}, {"mu": 1e3}, {"gamma": 1 - 1e-16}])
+def test_config_rejects_a_market_whose_analytical_solution_overflows(market, tmp_path, capsys):
+    # each would otherwise end in an OverflowError, or an all-inf analytical
+    # surface and every run aborted at epoch 0
+    err = _train_config_error(tmp_path, capsys, {"market": market})
+    assert err.startswith("config error: market: the analytical solution is out of range")
 
 
 def test_config_rejects_nonpositive_weights(tmp_path, capsys):
@@ -516,6 +521,35 @@ def test_compare_reports_a_manifest_only_difference(two_runs, tmp_path, capsys):
         "9 files: 1 differ\n")
 
 
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:200])
+
+
+def _drop_masked_keys(path):
+    doc = json.loads(path.read_text())
+    del doc["metadata"], doc["config"]
+    path.write_text(json.dumps(doc, indent=2))
+
+
+def _break_utf8(path):
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+
+
+@pytest.mark.parametrize("rel, damage", [("summary.json", _truncate),
+                                         ("summary.json", _drop_masked_keys),
+                                         ("runs/counterpart_seed0.csv", _break_utf8)])
+def test_compare_reports_a_file_it_cannot_mask(two_runs, tmp_path, capsys, rel, damage):
+    # a file that cannot be masked is compared as raw bytes: against the
+    # intact tree it differs, against a copy of itself it matches
+    b = _copy_tree(two_runs / "b", tmp_path / "b")
+    damage(b / rel)
+    assert cli.main(["compare", str(two_runs / "a"), str(b)]) == 1
+    assert capsys.readouterr().out == (
+        f"{rel}:\n  does not parse; the texts differ\n9 files: 1 differ\n")
+    assert cli.main(["compare", str(b), str(_copy_tree(b, tmp_path / "c"))]) == 0
+    assert capsys.readouterr().out == "9 files: identical once masked\n"
+
+
 def test_compare_refuses_a_missing_directory(two_runs, tmp_path, capsys):
     assert cli.main(["compare", str(two_runs / "a"), str(tmp_path / "none")]) == 2
     assert capsys.readouterr().err.startswith("config error: cannot compare")
@@ -571,38 +605,3 @@ def test_controls_of_a_flat_x_factor_are_null():
     controls = cli._recover_controls(fn, market)
     assert [c["alpha"] for c in controls] == [None] * len(PROBES)
     assert controls == reference_recover_controls(fn, market)
-
-
-# ---------------------------------------------------------------------------
-# surfaces
-
-
-def reference_write_surface(path, t_axis, x_axis, values):
-    """The per-row surface writer that the grid template replaced: rows
-    (t, x, value) over the t-major grid t_axis × x_axis, one ``t,x,`` prefix
-    joined per row."""
-    ts = ["%.17g," % t for t in t_axis]
-    xs = ["%.17g," % x for x in x_axis]
-    reference_write_csv(path, "t,x,value\n", "%s%.17g\n",
-                        zip([t + x for t in ts for x in xs], np.ravel(values).tolist()))
-
-
-GRID = np.linspace(0.01, 0.99, 50)
-SPECIAL_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
-                  1e-310, -2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300]
-surface_values = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats())
-
-
-@settings(max_examples=40)
-@given(T=st.floats(0.0, 1.0, exclude_min=True),
-       values=hnp.arrays(np.float64, (2, GRID.size ** 2), elements=surface_values))
-def test_surface_template_matches_the_reference_writer(tmp_path_factory, T, values):
-    # two surfaces written on one grid canvas, each against its own reference
-    # call
-    out = tmp_path_factory.mktemp("surfaces")
-    t_axis = T * GRID
-    canvas = cli._surface_canvas(t_axis, GRID)
-    for i, row in enumerate(values):
-        cli._write_surface(out / f"new{i}.csv", canvas, row)
-        reference_write_surface(out / f"ref{i}.csv", t_axis, GRID, row)
-        assert (out / f"new{i}.csv").read_bytes() == (out / f"ref{i}.csv").read_bytes()

@@ -86,6 +86,27 @@ def test_market_params_refuse_non_finite_fields(field, value):
         MarketParams(**{field: value})
 
 
+# finite fields whose k or e^{−k·T} is not a finite nonzero double: k
+# overflows in ((μ − r)/σ)², e^{−k·T} overflows at k ≈ −2.4e8 and −4.1e11,
+# and underflows to 0 at k ≈ 5e4
+OVERFLOWING_MARKETS = [{"mu": 1e200}, {"mu": 1e3}, {"gamma": 1 - 1e-16},
+                       {"r": -1e5, "mu": -1e5 + 0.01, "gamma": 0.5}]
+
+
+@pytest.mark.parametrize("fields", OVERFLOWING_MARKETS)
+def test_market_params_refuse_an_analytical_solution_out_of_range(fields):
+    with pytest.raises(ValueError, match="out of range"):
+        MarketParams(**fields)
+
+
+def test_market_params_accept_the_markets_in_use():
+    # the default, a vanishing excess return, a short horizon, and a large
+    # but finite envelope
+    for fields in ({}, {"mu": 0.02 + 1e-13}, {"T": 0.5}, {"r": -700.0, "mu": -699.0}):
+        m = MarketParams(**fields)
+        assert 0.0 < math.exp(-k_constant(m) * m.T) < math.inf
+
+
 @pytest.mark.parametrize("field", ["w_d", "w_1", "w_2"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_loss_weights_refuse_non_finite_fields(field, value):

@@ -285,9 +285,9 @@ def test_batched_eval_row_matches_model_function(kind, base, seed):
 
 @pytest.mark.parametrize("kind", models.KINDS)
 def test_batched_eval_builds_again_only_when_its_points_change(kind, monkeypatch):
-    # writeable arrays are keyed by their bytes, so one mutated in place is
-    # built again; snapshots of the same values share that key, and the
-    # snapshots of the last call, which nothing can change, need no key
+    # only the snapshots of the last call, which nothing can change, are
+    # known unchanged, by identity: they build nothing; any other point
+    # arrays (writeable ones, new snapshots, or a mix) build on every call
     spec = ModelSpec(kind)
     rng = np.random.default_rng(62)
     row = models.init_params(spec, 6)[None]
@@ -306,16 +306,22 @@ def test_batched_eval_builds_again_only_when_its_points_change(kind, monkeypatch
         assert len(builds) == 1 + n_builds   # the fresh evaluator builds once
 
     check(points, 1)
+    check(points, 1)
     for a in points:
         a *= 0.9
         check(points, 1)
     snaps = [models.snapshot(a) for a in points]
+    check(snaps, 1)
     check(snaps, 0)
     check(snaps, 0)
     points[2] *= 0.9
     check(points, 1)
     check(snaps, 1)
-    check([models.snapshot(a) for a in snaps], 0)
+    check(snaps, 0)
+    check([models.snapshot(a) for a in snaps], 1)
+    mixed = snaps[:2] + [points[2], snaps[3]]
+    check(mixed, 1)
+    check(mixed, 1)
 
 
 def test_snapshots_cannot_be_made_writeable():

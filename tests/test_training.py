@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qpinn import duals, merton, models, training
 from qpinn.errors import AggregationError, BackwardError, TrainingAbortError
@@ -361,6 +362,28 @@ def test_loss_terms_follow_changed_and_mutated_points(kind):
         _assert_rows_match_total_loss(ev, spec, stack, a, w, m)
 
 
+@pytest.mark.parametrize("kind", models.KINDS)
+@pytest.mark.parametrize("n_rows", [0, 1, 5])
+def test_loss_terms_are_the_losses_of_one_row_forwards(kind, n_rows):
+    # row r of loss_terms is, bit for bit, what loss_and_cotangent gives for
+    # a one-row forward of row r, a row whose loss is NaN included
+    m, w = merton.MarketParams(), merton.LossWeights()
+    spec = ModelSpec(kind)
+    rng = np.random.default_rng(30 + n_rows)
+    stack = np.reshape([_random_params(spec, rng) for _ in range(n_rows)], (n_rows, spec.n_params))
+    if n_rows > 1:
+        stack[1, 0] = np.nan
+    colloc = merton.sample_collocation(14, 20, 20)
+    obj, ev = training.Objective(colloc, w, m), models.make_evaluator(spec)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = training.loss_terms(models.make_evaluator(spec), stack, colloc, w, m)
+        want = [obj.loss_and_cotangent(ev.batched_eval(row[None], *obj.points))[0]
+                for row in stack]
+    assert all(t.shape == (n_rows,) for t in got)
+    assert np.array(got).T.tobytes() == np.array(want).reshape(n_rows, 3).tobytes()
+    assert n_rows < 2 or np.isnan(got[0][1])
+
+
 # ---------------------------------------------------------------------------
 # exact gradients: the pullback of the loss cotangent
 
@@ -480,26 +503,18 @@ def test_objective_keeps_the_points_it_was_built_on(kind):
 @pytest.mark.parametrize("kind", models.KINDS)
 def test_a_run_builds_and_keys_its_points_once(kind, monkeypatch):
     # every epoch passes the objective's snapshots, which the evaluator knows
-    # by identity: one build and one bytes key a run, none per epoch
+    # by identity: one build a run, none per epoch, and the next run's new
+    # snapshots build once more
     spec = ModelSpec(kind)
     ev = models.make_evaluator(spec)
-    calls = {"_build": 0, "_points_key": 0}
-    build, key = type(ev)._build, models._points_key
-
-    def counted_build(self, *points):
-        calls["_build"] += 1
-        return build(self, *points)
-
-    def counted_key(*arrays):
-        calls["_points_key"] += 1
-        return key(*arrays)
-
-    monkeypatch.setattr(type(ev), "_build", counted_build)
-    monkeypatch.setattr(models, "_points_key", counted_key)
-    log = training.run_training(ev, models.init_params(spec, 2), TrainConfig(epochs=6),
-                                merton.MarketParams(), merton.LossWeights(), 3)
-    assert log.aborted is None and len(log.losses) == 6
-    assert calls == {"_build": 1, "_points_key": 1}
+    builds = []
+    build = type(ev)._build
+    monkeypatch.setattr(type(ev), "_build", lambda self, *a: builds.append(1) or build(self, *a))
+    for n_runs in (1, 2):
+        log = training.run_training(ev, models.init_params(spec, 2), TrainConfig(epochs=6),
+                                    merton.MarketParams(), merton.LossWeights(), 3)
+        assert log.aborted is None and len(log.losses) == 6
+        assert len(builds) == n_runs
 
 
 @pytest.mark.parametrize("kind", models.KINDS)
@@ -566,16 +581,20 @@ def test_values_and_bundles_leave_the_kept_forward_alone(kind):
         ev.backward(cot), _exact_gradient(models.make_evaluator(spec), params, colloc, w, m))
 
 
-def reference_loss_and_cotangent(obj, outputs):
+def reference_loss_and_cotangent(obj, w, outputs):
     """The loss terms and cotangent of one row by concatenation, as before
-    the error row was written into one buffer."""
+    the error row was written into one buffer, each term by its own
+    ``math.fsum``."""
     (_, v_t, v_x, v_xx), bnd = outputs
     v_t, v_x, v_xx, n = v_t[0], v_x[0], v_xx[0], obj.n
     err = np.concatenate([merton.hjb_residual_arrays(v_t, v_x, v_xx, obj.x, obj.m),
                           bnd[0] - obj.target])
+    sq, n_b = (err * err).tolist(), (len(err) - n) // 2
+    terms = [wt * math.fsum(part) / len(part)
+             for wt, part in zip((w.w_d, w.w_1, w.w_2), (sq[:n], sq[n:n + n_b], sq[n + n_b:]))]
     g = obj.err_weight * err
     res = g[:n]
-    return obj._terms((err * err).tolist()), np.concatenate([
+    return terms, np.concatenate([
         np.zeros(n), res * v_xx, res * (obj.rx * v_xx - obj.theta2 * v_x),
         res * (v_t + obj.rx * v_x), g[n:]])
 
@@ -598,7 +617,7 @@ def test_cotangent_outlives_the_next_epoch(kind):
     assert not np.shares_memory(first[1], second[1])
     np.testing.assert_array_equal(first[1], kept)
     for (terms, cot), out in zip((first, second), outputs):
-        want_terms, want_cot = reference_loss_and_cotangent(obj, out)
+        want_terms, want_cot = reference_loss_and_cotangent(obj, w, out)
         assert terms == want_terms
         np.testing.assert_array_equal(cot, want_cot)
 
@@ -970,3 +989,37 @@ def test_train_config_validation():
         TrainConfig(eps=0.0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=1001)
+
+
+# ---------------------------------------------------------------------------
+# surfaces
+
+
+def reference_write_surface(path, t_axis, x_axis, values):
+    """The per-row surface writer that the grid template replaced: rows
+    (t, x, value) over the t-major grid t_axis × x_axis, one ``t,x,`` prefix
+    joined per row."""
+    ts = ["%.17g," % t for t in t_axis]
+    xs = ["%.17g," % x for x in x_axis]
+    reference_write_csv(path, "t,x,value\n", "%s%.17g\n",
+                        zip([t + x for t in ts for x in xs], np.ravel(values).tolist()))
+
+
+GRID = np.linspace(0.01, 0.99, 50)
+SPECIAL_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                  1e-310, -2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300]
+surface_values = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats())
+
+
+@settings(max_examples=40)
+@given(T=st.floats(0.0, 1.0, exclude_min=True),
+       values=hnp.arrays(np.float64, (2, GRID.size ** 2), elements=surface_values))
+def test_surface_writer_matches_the_reference_writer(tmp_path_factory, T, values):
+    # two surfaces written by one writer, each against its own reference call
+    out = tmp_path_factory.mktemp("surfaces")
+    t_axis = T * GRID
+    write = training.surface_writer(t_axis, GRID)
+    for i, row in enumerate(values):
+        write(out / f"new{i}.csv", row)
+        reference_write_surface(out / f"ref{i}.csv", t_axis, GRID, row)
+        assert (out / f"new{i}.csv").read_bytes() == (out / f"ref{i}.csv").read_bytes()
