@@ -10,6 +10,10 @@ Conventions fixed here and relied on everywhere else:
   is built once with its angles: the ``qsp`` builders lay their synthesized
   angles out as constants in one pass, and there is no separate step that
   binds a template's slots.
+- A gate is one flat record ``Gate(kind, qubits, angle, controls,
+  amplitudes)`` of one of seven kinds.  ``controls`` holds (qubit, polarity)
+  pairs: the gate acts where every control qubit reads its polarity.
+  ``controlled`` appends to them; no gate wraps another.
 - ``unitary_of`` is a dense-matrix oracle kept independent of the strided
   statevector simulator so the two can cross-check each other.  It binds a
   paired stack of (parameters, inputs) rows and updates U's row blocks gate by
@@ -83,7 +87,7 @@ def scale_angle(expr: AngleExpr, factor: float) -> AngleExpr:
 # gates
 
 _ANGLE_KINDS = frozenset({"rx", "rz", "rzz"})
-_KINDS = frozenset({"h", "x", "rx", "rz", "cnot", "rzz", "prepare", "controlled"})
+_KINDS = frozenset({"h", "x", "rx", "rz", "cnot", "rzz", "prepare"})
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,6 @@ class Gate:
     qubits: tuple[int, ...]
     angle: AngleExpr | None = None
     controls: tuple[tuple[int, int], ...] = ()
-    inner: "Gate | None" = None
     amplitudes: tuple[float, ...] = ()
 
 
@@ -131,30 +134,27 @@ def prepare_amplitudes(qubits: tuple[int, ...], amplitudes) -> Gate:
     return Gate("prepare", tuple(qubits), amplitudes=amps)
 
 
-def controlled(inner: Gate, controls) -> Gate:
-    """Wrap ``inner`` with control qubits; nested wrappers are flattened."""
+def controlled(g: Gate, controls) -> Gate:
+    """``g`` with ``controls``, (qubit, polarity) pairs, appended to its own:
+    one flat gate of ``g``'s kind, or ``g`` itself when ``controls`` is empty."""
     controls = tuple((int(q), int(p)) for q, p in controls)
     for _, pol in controls:
         if pol not in (0, 1):
             raise ValueError("control polarity must be 0 or 1")
-    if inner.kind == "controlled":
-        controls = inner.controls + controls
-        inner = inner.inner
     if not controls:
-        return inner
+        return g
+    controls = g.controls + controls
     seen = set()
     for q, _ in controls:
-        if q in seen or q in inner.qubits:
+        if q in seen or q in g.qubits:
             raise IndexCollisionError(f"control qubit {q} collides with gate qubits")
         seen.add(q)
-    return Gate("controlled", inner.qubits, controls=controls, inner=inner)
+    return Gate(g.kind, g.qubits, g.angle, controls, g.amplitudes)
 
 
 def gate_qubits(g: Gate) -> tuple[int, ...]:
-    """All qubits a gate touches, controls included."""
-    if g.kind == "controlled":
-        return tuple(q for q, _ in g.controls) + gate_qubits(g.inner)
-    return g.qubits
+    """All qubits a gate touches, controls first."""
+    return tuple(q for q, _ in g.controls) + g.qubits if g.controls else g.qubits
 
 
 # ---------------------------------------------------------------------------
@@ -170,22 +170,18 @@ class Circuit:
 
     def __post_init__(self):
         for g in self.gates:
+            if g.kind not in _KINDS or g.angle is None and g.kind in _ANGLE_KINDS:
+                raise ValueError(f"gate kind {g.kind!r} is unknown or lacks its angle")
             qs = gate_qubits(g)
             if len(set(qs)) != len(qs):
                 raise IndexCollisionError(f"duplicate qubit in gate {g.kind}")
             for q in qs:
                 if not 0 <= q < self.width:
                     raise ValueError(f"qubit {q} outside width {self.width}")
-            self._check_angles(g)
-
-    def _check_angles(self, g: Gate):
-        if g.kind == "controlled":
-            self._check_angles(g.inner)
-            return
-        if isinstance(g.angle, Param) and not 0 <= g.angle.index < self.n_params:
-            raise ValueError(f"parameter slot {g.angle.index} >= n_params {self.n_params}")
-        if isinstance(g.angle, InputArccos) and not 0 <= g.angle.var < self.n_inputs:
-            raise ValueError(f"input variable {g.angle.var} >= n_inputs {self.n_inputs}")
+            if isinstance(g.angle, Param) and not 0 <= g.angle.index < self.n_params:
+                raise ValueError(f"parameter slot {g.angle.index} >= n_params {self.n_params}")
+            if isinstance(g.angle, InputArccos) and not 0 <= g.angle.var < self.n_inputs:
+                raise ValueError(f"input variable {g.angle.var} >= n_inputs {self.n_inputs}")
 
 
 class NativeGateSet(Enum):
@@ -229,21 +225,17 @@ def count_resources(circuit: Circuit, native: NativeGateSet) -> ResourceReport:
     """Exact per-kind gate counts plus greedy-layered depth."""
     n_single = n_cnot = n_multi = 0
     for g in circuit.gates:
-        if g.kind in ("h", "x", "rx", "rz"):
-            n_single += 1
-        elif g.kind == "cnot":
-            n_cnot += 1
-        elif g.kind == "prepare":
-            if len(g.qubits) == 1:
-                n_single += 1
-            else:
-                n_multi += 1
-        else:  # controlled, rzz
+        if g.controls or g.kind == "rzz" or g.kind == "prepare" and len(g.qubits) > 1:
             if native is NativeGateSet.CNOT_SINGLE_QUBIT:
                 raise LoweringError(
-                    f"gate {g.kind} is not native to CNOT+single-qubit; lower first"
+                    f"gate {g.kind} on {len(gate_qubits(g))} qubits is not native to "
+                    "CNOT+single-qubit; lower first"
                 )
             n_multi += 1
+        elif g.kind == "cnot":
+            n_cnot += 1
+        else:   # h, x, rx, rz, or a prepare on one qubit
+            n_single += 1
     return ResourceReport(
         width=circuit.width,
         depth=greedy_depth(circuit.gates),
@@ -273,30 +265,16 @@ def lower_to_cnot_single(circuit: Circuit) -> Circuit:
     for g in circuit.gates:
         if g.kind == "prepare":
             raise LoweringError("PrepareAmplitudes is a simulator primitive; not lowered")
-        if g.kind == "controlled":
-            if len(g.controls) > 2:
-                raise LoweringError("lowering supports at most 2 control qubits")
-            for q, pol in g.controls:
-                set_negation(q, pol == 0)
-            for q in g.inner.qubits:
-                set_negation(q, False)
-            out.extend(_expand_controlled([q for q, _ in g.controls], g.inner))
-        else:
-            for q in g.qubits:
-                set_negation(q, False)
-            out.extend(_expand_plain(g))
+        if len(g.controls) > 2:
+            raise LoweringError("lowering supports at most 2 control qubits")
+        for q, pol in g.controls:
+            set_negation(q, pol == 0)
+        for q in g.qubits:
+            set_negation(q, False)
+        out.extend(_expand(g))
     for q in sorted(negated):
         out.append(x(q))
     return Circuit(circuit.width, tuple(out), circuit.n_params, circuit.n_inputs)
-
-
-def _expand_plain(g: Gate) -> list[Gate]:
-    if g.kind in ("h", "x", "rx", "rz", "cnot"):
-        return [g]
-    if g.kind == "rzz":
-        a, b = g.qubits
-        return [cnot(a, b), rz(b, g.angle), cnot(a, b)]
-    raise LoweringError(f"cannot lower gate kind {g.kind!r}")
 
 
 def _crz(c: int, t: int, angle: AngleExpr) -> list[Gate]:
@@ -310,32 +288,40 @@ def _crot(kind: str, c: int, t: int, angle: AngleExpr) -> list[Gate]:
     return [h(t)] + _crz(c, t, angle) + [h(t)]
 
 
-def _expand_controlled(ctrls: list[int], inner: Gate) -> list[Gate]:
+def _expand(g: Gate) -> list[Gate]:
+    """A gate under at most two controls as CNOTs and single-qubit gates,
+    its controls read at polarity 1."""
+    ctrls = [q for q, _ in g.controls]
+    if not ctrls:
+        if g.kind == "rzz":
+            a, b = g.qubits
+            return [cnot(a, b), rz(b, g.angle), cnot(a, b)]
+        return [g]
     if len(ctrls) == 1:
         c = ctrls[0]
-        if inner.kind == "x":
-            return [cnot(c, inner.qubits[0])]
-        if inner.kind in ("rz", "rx"):
-            return _crot(inner.kind, c, inner.qubits[0], inner.angle)
-        if inner.kind == "rzz":
-            a, b = inner.qubits
-            return [cnot(a, b)] + _crz(c, b, inner.angle) + [cnot(a, b)]
-        raise LoweringError(f"no lowering for controlled {inner.kind!r}")
+        if g.kind == "x":
+            return [cnot(c, g.qubits[0])]
+        if g.kind in ("rz", "rx"):
+            return _crot(g.kind, c, g.qubits[0], g.angle)
+        if g.kind == "rzz":
+            a, b = g.qubits
+            return [cnot(a, b)] + _crz(c, b, g.angle) + [cnot(a, b)]
+        raise LoweringError(f"no lowering for controlled {g.kind!r}")
     a, b = ctrls
-    if inner.kind not in ("rz", "rx"):
-        raise LoweringError(f"no lowering for double-controlled {inner.kind!r}")
-    t = inner.qubits[0]
-    half = scale_angle(inner.angle, 0.5)
-    neg_half = scale_angle(inner.angle, -0.5)
+    if g.kind not in ("rz", "rx"):
+        raise LoweringError(f"no lowering for double-controlled {g.kind!r}")
+    t = g.qubits[0]
+    half = scale_angle(g.angle, 0.5)
+    neg_half = scale_angle(g.angle, -0.5)
     # Barenco Lemma 6.1 with V the half-angle rotation (V² = U); the final
     # controlled-V sits on the second control so the closing layer is free
     # of the first control qubit.
     return (
-        _crot(inner.kind, a, t, half)
+        _crot(g.kind, a, t, half)
         + [cnot(a, b)]
-        + _crot(inner.kind, b, t, neg_half)
+        + _crot(g.kind, b, t, neg_half)
         + [cnot(a, b)]
-        + _crot(inner.kind, b, t, half)
+        + _crot(g.kind, b, t, half)
     )
 
 
@@ -388,8 +374,6 @@ def _gate_matrices(g: Gate, p: np.ndarray, x: np.ndarray) -> np.ndarray:
         return _X
     if g.kind == "prepare":
         return _householder(g.amplitudes).astype(complex)
-    if g.kind not in _ANGLE_KINDS:
-        raise ValueError(f"no base matrix for {g.kind!r}")
     reads = isinstance(g.angle, (Param, InputArccos))
     t = [eval_angle(g.angle, pr, xr) for pr, xr in zip(p, x)] if reads else [g.angle.value]
     if g.kind == "rx":
@@ -420,13 +404,11 @@ def _embed_index(qubits: tuple, controls: tuple, width: int) -> np.ndarray:
     return idx
 
 
-def _gate_block(g: Gate, controls=()) -> tuple[Gate, tuple, tuple]:
-    """(base gate, qubits its matrix acts on, controls); a cnot is an x under one more control."""
-    if g.kind == "controlled":
-        return _gate_block(g.inner, controls + g.controls)
+def _gate_block(g: Gate) -> tuple[tuple, tuple]:
+    """(qubits a gate's matrix acts on, controls); a cnot is an x under one more control."""
     if g.kind == "cnot":
-        return g, g.qubits[1:], ((g.qubits[0], 1),) + controls
-    return g, g.qubits, controls
+        return g.qubits[1:], ((g.qubits[0], 1),) + g.controls
+    return g.qubits, g.controls
 
 
 def _bound_rows(circuit: Circuit, params, inputs) -> tuple[np.ndarray, np.ndarray]:
@@ -459,9 +441,9 @@ def unitary_of(circuit: Circuit, params=(), inputs=()) -> np.ndarray:
     if not len(u):
         return u
     for g in circuit.gates:
-        base, qubits, controls = _gate_block(g)
+        qubits, controls = _gate_block(g)
         idx = _embed_index(qubits, controls, circuit.width).ravel()
-        mat = _gate_matrices(base, p, x)
+        mat = _gate_matrices(g, p, x)
         rows = u.take(idx, axis=1)
         u[:, idx] = (mat @ rows.reshape(len(u), 1 << len(qubits), -1)).reshape(rows.shape)
     err = np.abs(np.conj(u.swapaxes(1, 2)) @ u - np.eye(u.shape[1])).max()

@@ -170,39 +170,18 @@ def parameter_shift(circuit, params, inputs, param_index: int) -> float:
     if not 0 <= param_index < circuit.n_params:
         raise IndexError(f"parameter index {param_index} out of range")
 
+    slot = cir.Param(circuit.n_params)
     total = 0.0
-    for path, scale, offset in _param_occurrences(circuit.gates, param_index):
-        phi0 = scale * params[param_index] + offset
+    for i, g in enumerate(circuit.gates):
+        if not (isinstance(g.angle, cir.Param) and g.angle.index == param_index):
+            continue
+        scale = g.angle.scale
+        phi0 = scale * params[param_index] + g.angle.offset
         rows = np.repeat(np.append(params, 0.0)[None], len(_SHIFT_RULE), axis=0)
         rows[:, -1] = [phi0 + sign * shift for shift, sign, _ in _SHIFT_RULE]
-        moved = _replace_angle(circuit, path, cir.Param(circuit.n_params), circuit.n_params + 1)
+        gates = circuit.gates[:i] + (replace(g, angle=slot),) + circuit.gates[i + 1:]
+        moved = cir.Circuit(circuit.width, gates, circuit.n_params + 1, circuit.n_inputs)
         amps = sim.simulate_amps(moved, rows, inputs, check_norm=True)
         for (_, sign, coeff), val in zip(_SHIFT_RULE, sim.z0_from_amps(amps)[:, 0].tolist()):
             total += scale * sign * coeff * val
     return total
-
-
-def _param_occurrences(gates, index, prefix=()):
-    from .circuits import Param
-
-    found = []
-    for i, g in enumerate(gates):
-        path = prefix + (i,)
-        if g.kind == "controlled":
-            found.extend(_param_occurrences((g.inner,), index, path))
-        elif isinstance(g.angle, Param) and g.angle.index == index:
-            found.append((path, g.angle.scale, g.angle.offset))
-    return found
-
-
-def _replace_angle(circuit, path, new_angle, n_params: int):
-    """``circuit`` with the angle at ``path`` replaced, and ``n_params`` slots."""
-    def rebuild(gate, rest):
-        if not rest:
-            return replace(gate, angle=new_angle)
-        return replace(gate, inner=rebuild(gate.inner, rest[1:]))
-
-    gates = list(circuit.gates)
-    i = path[0]
-    gates[i] = rebuild(gates[i], path[1:])
-    return replace(circuit, gates=tuple(gates), n_params=n_params)

@@ -175,10 +175,8 @@ def _entries(kind: str, expr, params, inputs, ndim: int) -> tuple:
 # gate application
 
 
-def _apply_gate(g: cir.Gate, state, params, inputs, width: int, memo: _Memo, controls=()):
-    if g.kind == "controlled":
-        _apply_gate(g.inner, state, params, inputs, width, memo, controls + g.controls)
-        return
+def _apply_gate(g: cir.Gate, state, params, inputs, width: int, memo: _Memo):
+    controls = g.controls
     if g.kind == "cnot":
         g, controls = cir.x(g.qubits[1]), controls + ((g.qubits[0], 1),)
     if g.kind == "prepare":
@@ -224,15 +222,12 @@ def _apply_gate(g: cir.Gate, state, params, inputs, width: int, memo: _Memo, con
             for v, pc, qc in zip(view, p, q):
                 np.add(pc, qc, out=v)
         return
-    if g.kind in ("rz", "rzz"):
-        # rz: bit 0, then bit 1; rzz: even parity (00, 11), then odd (01, 10)
-        groups = ((a0,), (a1,)) if g.kind == "rz" else ((views[0], views[3]), (views[1], views[2]))
-        for group, phase in zip(groups, entry):
-            for view in group:
-                for v, a in zip(view, c_mul(phase, view)):
-                    v[...] = a
-        return
-    raise ValueError(f"unknown gate kind {g.kind!r}")
+    # rz: bit 0, then bit 1; rzz: even parity (00, 11), then odd (01, 10)
+    groups = ((a0,), (a1,)) if g.kind == "rz" else ((views[0], views[3]), (views[1], views[2]))
+    for group, phase in zip(groups, entry):
+        for view in group:
+            for v, a in zip(view, c_mul(phase, view)):
+                v[...] = a
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +254,6 @@ def _as_batch(vec, n_cols: int) -> tuple:
 
 def _reads_rows(g: cir.Gate) -> bool:
     """Whether a gate's angle reads a parameter row or an input point."""
-    while g.kind == "controlled":
-        g = g.inner
     return isinstance(g.angle, (cir.Param, cir.InputArccos))
 
 

@@ -83,8 +83,7 @@ def reference_unitary(circuit, params=(), inputs=()):
     """Product of ``reference_embed`` gate matrices, in application order."""
     u = np.eye(1 << circuit.width, dtype=complex)
     for g in circuit.gates:
-        controls = g.controls if g.kind == "controlled" else ()
-        g = g.inner if g.kind == "controlled" else g
+        controls = g.controls
         if g.kind == "cnot":
             g, controls = cir.x(g.qubits[1]), ((g.qubits[0], 1),) + controls
         mat = reference_base_matrix(g, params, inputs)
@@ -271,7 +270,7 @@ def every_kind_circuits(draw):
 
 
 def has_prepare(circ):
-    return any(cir._gate_block(g)[0].kind == "prepare" for g in circ.gates)
+    return any(g.kind == "prepare" for g in circ.gates)
 
 
 @settings(max_examples=150)
@@ -436,6 +435,58 @@ def test_controlled_wrap_collision():
         cir.controlled(cir.rx(0, cir.Const(1.0)), [(0, 1)])
 
 
+@settings(max_examples=100)
+@given(every_kind_circuits(), st.data())
+def test_controlled_appends_to_one_flat_record_property(circ, data):
+    for g in circ.gates:
+        used = cir.gate_qubits(g)
+        free = [q for q in range(9) if q not in used]
+        picks = data.draw(st.permutations(free))[:data.draw(st.integers(0, 3))]
+        ctrls = [(q, data.draw(st.integers(0, 1))) for q in picks]
+        k = data.draw(st.integers(0, len(ctrls)))
+        once = cir.controlled(g, ctrls)
+        assert cir.controlled(cir.controlled(g, ctrls[:k]), ctrls[k:]) == once
+        assert once == cir.Gate(g.kind, g.qubits, g.angle, g.controls + tuple(ctrls),
+                                g.amplitudes)
+        assert cir.controlled(g, ()) == g
+        for q in used:   # an existing control or a target
+            with pytest.raises(IndexCollisionError):
+                cir.controlled(g, [(q, 1)])
+        with pytest.raises(IndexCollisionError):
+            cir.controlled(g, [(free[0], 0), (free[0], 1)])
+        for pol in (-1, 2):
+            with pytest.raises(ValueError, match="polarity"):
+                cir.controlled(g, [(free[0], pol)])
+
+
+def test_every_built_gate_is_one_flat_record():
+    from dataclasses import fields
+
+    from qpinn import models, qsp
+
+    kinds = {"h", "x", "rx", "rz", "cnot", "rzz", "prepare"}
+    assert cir._KINDS == kinds
+    assert [f.name for f in fields(cir.Gate)] == [
+        "kind", "qubits", "angle", "controls", "amplitudes"]
+    half = qsp.UnivariatePoly((0.1, 0.3))
+    td = qsp.TdPoly(2, 2, 1, (0.7, -0.4), ((half, half), (half, qsp.UnivariatePoly((-0.2, 0.25)))))
+    mono = qsp.MonomialList((((0, 0), 0.5), ((1, 1), -0.3), ((0, 1), 0.2)))
+    for circ in (qsp.td_circuit_template(2, 2, 1), qsp.lcu_circuit_template([(0, 0), (1, 1)], 2, 1),
+                 models.qpinn_circuit(), qsp.build_td_circuit(td)[0],
+                 qsp.build_lcu_multivariate(mono, 2, 1)[0]):
+        assert {g.kind for g in circ.gates} <= kinds
+        assert any(g.controls for g in circ.gates)
+
+
+@pytest.mark.parametrize("gate", [
+    cir.Gate("foo", (0,)), cir.Gate("controlled", (0,)), cir.Gate("rx", (0,)),
+    cir.Gate("rzz", (0, 1)), cir.controlled(cir.Gate("rz", (1,)), [(0, 1)]),
+], ids=["unknown", "controlled", "rx-no-angle", "rzz-no-angle", "controlled-rz-no-angle"])
+def test_circuit_refuses_an_unknown_kind_or_a_missing_angle(gate):
+    with pytest.raises(ValueError, match="unknown or lacks its angle"):
+        cir.Circuit(2, (gate,))
+
+
 def test_parity_split_pair_expectation():
     # ⟨+|⊗²(|0⟩⟨0|⊗U₁+|1⟩⟨1|⊗U₂)|+⟩⊗² = ½(⟨+|U₁|+⟩+⟨+|U₂|+⟩), dense oracle
     rng = np.random.default_rng(9)
@@ -487,11 +538,9 @@ def reference_bind(circuit: cir.Circuit, angles) -> cir.Circuit:
         raise SizeError(f"bind expects {circuit.n_params} angles, got {len(angles)}")
 
     def bound(g: cir.Gate) -> cir.Gate:
-        if g.kind == "controlled":
-            return cir.Gate(g.kind, g.qubits, g.angle, g.controls, bound(g.inner), g.amplitudes)
         if isinstance(g.angle, cir.Param):
             return cir.Gate(g.kind, g.qubits, cir.Const(cir.eval_angle(g.angle, angles, ())),
-                            g.controls, g.inner, g.amplitudes)
+                            g.controls, g.amplitudes)
         return g
 
     return cir.Circuit(circuit.width, tuple(bound(g) for g in circuit.gates), 0, circuit.n_inputs)
@@ -501,8 +550,7 @@ def gate_bits(g: cir.Gate) -> tuple:
     """A gate as a tuple that also tells ``Const(0.0)`` from ``Const(-0.0)``
     (they compare equal): each constant and amplitude as its ``float.hex``."""
     angle = ("const", float.hex(g.angle.value)) if isinstance(g.angle, cir.Const) else g.angle
-    return (g.kind, g.qubits, angle, g.controls, g.inner and gate_bits(g.inner),
-            tuple(map(float.hex, g.amplitudes)))
+    return (g.kind, g.qubits, angle, g.controls, tuple(map(float.hex, g.amplitudes)))
 
 
 def circuit_bits(c: cir.Circuit) -> tuple:
@@ -521,8 +569,8 @@ def test_bind_replaces_params_only():
     assert bound.n_params == 0 and bound.n_inputs == 1
     assert bound.gates[1].angle == cir.Const(cir.eval_angle(a, theta, ()))
     assert bound.gates[2].controls == gates[2].controls
-    assert bound.gates[2].inner.angle == cir.Const(cir.eval_angle(b, theta, ()))
-    assert bound.gates[5].inner.angle == cir.Const(0.3)
+    assert bound.gates[2].angle == cir.Const(cir.eval_angle(b, theta, ()))
+    assert bound.gates[5].angle == cir.Const(0.3)
     assert bound.gates[3] == gates[3] and bound.gates[4] == gates[4]
     x = [0.4]
     assert np.array_equal(cir.unitary_of(bound, (), x), cir.unitary_of(c, theta, x))
@@ -599,9 +647,16 @@ def test_builds_equal_the_bound_template_property(seed, R, D, L, keep):
 
 
 def test_count_resources_needs_lowering():
-    c = cir.Circuit(2, (cir.controlled(cir.rz(1, cir.Const(1.0)), [(0, 1)]),))
-    with pytest.raises(LoweringError):
-        cir.count_resources(c, cir.NativeGateSet.CNOT_SINGLE_QUBIT)
+    # a controlled gate, an rzz and a prepare on two qubits are multi-qubit gates
+    for g in (cir.controlled(cir.rz(1, cir.Const(1.0)), [(0, 1)]),
+              cir.rzz(0, 1, cir.Const(1.0)), cir.prepare_amplitudes((0, 1), [0.5] * 4)):
+        c = cir.Circuit(2, (g,))
+        assert cir.count_resources(c, cir.NativeGateSet.DOUBLE_CONTROLLED).n_multi_controlled == 1
+        with pytest.raises(LoweringError):
+            cir.count_resources(c, cir.NativeGateSet.CNOT_SINGLE_QUBIT)
+    one = cir.Circuit(1, (cir.prepare_amplitudes((0,), [0.6, 0.8]),))
+    rep = cir.count_resources(one, cir.NativeGateSet.CNOT_SINGLE_QUBIT)
+    assert (rep.n_single_qubit, rep.n_multi_controlled) == (1, 0)
 
 
 def test_depth_monotone_under_append():

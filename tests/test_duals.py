@@ -175,18 +175,25 @@ def test_parameter_shift_matches_dual_on_constructed_circuits():
 
 def reference_parameter_shift(circuit, params, inputs, param_index: int) -> float:
     """The oracle of ``duals.parameter_shift``: each occurrence's four shifts
-    bound as constants, one ``sim.run`` each, summed in the rule's order."""
+    bound as constants in a copy of its gate, one ``sim.run`` each, summed in
+    the rule's order."""
     params = np.asarray(params, dtype=float)
     root2 = math.sqrt(2.0)
     coeffs = ((math.pi / 2.0, (root2 + 1.0) / (4.0 * root2)),
               (3.0 * math.pi / 2.0, -(root2 - 1.0) / (4.0 * root2)))
     total = 0.0
-    for path, scale, offset in duals._param_occurrences(circuit.gates, param_index):
-        phi0 = scale * params[param_index] + offset
+    for i, g in enumerate(circuit.gates):
+        if not (isinstance(g.angle, cir.Param) and g.angle.index == param_index):
+            continue
+        scale = g.angle.scale
+        phi0 = scale * params[param_index] + g.angle.offset
         for shift, coeff in coeffs:
             for sign in (+1.0, -1.0):
-                shifted = duals._replace_angle(circuit, path, cir.Const(phi0 + sign * shift),
-                                               circuit.n_params)
+                bound = cir.Gate(g.kind, g.qubits, cir.Const(phi0 + sign * shift), g.controls,
+                                 g.amplitudes)
+                shifted = cir.Circuit(circuit.width,
+                                      circuit.gates[:i] + (bound,) + circuit.gates[i + 1:],
+                                      circuit.n_params, circuit.n_inputs)
                 total += scale * sign * coeff * sim.expect_z0(sim.run(shifted, params, inputs))
     return total
 

@@ -25,9 +25,9 @@ def test_qpinn_circuit_shape():
     circ = models.qpinn_circuit()
     assert circ.width == 5
     assert circ.n_params == 7
-    entanglers = [g for g in circ.gates if g.inner is not None and g.inner.kind == "rzz"]
+    entanglers = [g for g in circ.gates if g.controls and g.kind == "rzz"]
     assert len(entanglers) == 1
-    assert entanglers[0].inner.qubits == (2, 3)
+    assert entanglers[0].qubits == (2, 3)
     assert entanglers[0].controls == ((0, 1),)
 
 

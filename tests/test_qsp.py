@@ -433,7 +433,6 @@ def _assert_binds(built, template):
     angles = []
     for g, t in zip(built.gates, template.gates):
         assert (g.kind, g.qubits, g.controls) == (t.kind, t.qubits, t.controls)
-        g, t = (g.inner, t.inner) if t.kind == "controlled" else (g, t)
         assert (g.kind, g.qubits) == (t.kind, t.qubits)
         if isinstance(t.angle, cir.Param):
             assert t.angle.index == len(angles) and isinstance(g.angle, cir.Const)
@@ -495,7 +494,6 @@ def test_every_chain_of_a_variable_shares_one_arccos_object():
                  qsp.build_lcu_multivariate(mono, 2, 2)[0]):
         objects = {}
         for g in circ.gates:
-            g = g.inner if g.kind == "controlled" else g
             if isinstance(g.angle, cir.InputArccos):
                 objects.setdefault(g.angle.var, set()).add(id(g.angle))
         assert sorted(objects) == list(range(circ.n_inputs))
